@@ -1,0 +1,190 @@
+"""Commutators and anchors on matrix pairs.
+
+Two families are implemented.  The orthogonal family splits the state
+space with an orthonormal pair (q, Q) and modifies the matrix commutator
+so that projecting with Q turns the bracket of ambient matrices into the
+plain commutator of the projected ones.  The oblique family does the
+same with a rank-one projector G built from a row 1-form and a column
+vector.  These are exactly the structural maps the pole-placement
+quotients instantiate, exposed here with executable identity checks.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from .errors import DegenerateAnchor
+from .linalg import BITS64, as_matrix, as_vector, householder_annihilator
+
+
+@dataclass(frozen=True)
+class OrthogonalAnchor:
+    """Unit direction q plus an orthonormal basis Q of its complement.
+
+    ``basis`` has shape (n-1) x n, rows orthonormal and orthogonal to q.
+    """
+
+    q: np.ndarray
+    basis: np.ndarray
+
+    def __post_init__(self):
+        q = as_vector(self.q)
+        Q = as_matrix(self.basis)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "basis", Q)
+        n = q.size
+        if Q.shape != (n - 1, n):
+            raise ValueError(f"basis must be (n-1) x n, got {Q.shape}")
+        if abs(np.linalg.norm(q) - 1.0) > 1e-10:
+            raise ValueError("q must have unit norm")
+        if np.max(np.abs(Q @ q)) > 1e-10:
+            raise ValueError("basis rows must annihilate q")
+        if np.max(np.abs(Q @ Q.T - np.eye(n - 1))) > 1e-10:
+            raise ValueError("basis rows must be orthonormal")
+
+    @classmethod
+    def from_direction(cls, v):
+        """Anchor whose distinguished direction is v / ||v||."""
+        v = as_vector(v)
+        nv = np.linalg.norm(v)
+        if nv == 0:
+            raise ValueError("cannot anchor on the zero vector")
+        return cls(v / nv, householder_annihilator(v))
+
+    @classmethod
+    def from_qr_rows(cls, M):
+        """Split the orthogonal factor of a QR decomposition by rows.
+
+        Row 1 becomes q, rows 2..n the complement basis.  The raw LAPACK
+        factor is used here (no sign normalization): interactive matrix
+        environments split their qr output the same way, so fixture
+        values computed in them stay reproducible.
+        """
+        M = as_matrix(M)
+        Q, _ = np.linalg.qr(M, mode="complete")
+        return cls(Q[0, :].copy(), Q[1:, :].copy())
+
+
+def orthogonal_bracket(A1, A2, anchor: OrthogonalAnchor) -> np.ndarray:
+    """<A1, A2> = A1 A2 - A2 A1 + A2 q q^T A1 - A1 q q^T A2."""
+    A1 = as_matrix(A1)
+    A2 = as_matrix(A2)
+    n = anchor.q.size
+    if A1.shape != (n, n) or A2.shape != (n, n):
+        raise ValueError("operands must be square and conformal with the anchor")
+    P = np.outer(anchor.q, anchor.q)
+    return A1 @ A2 - A2 @ A1 + A2 @ P @ A1 - A1 @ P @ A2
+
+
+def double_bracket(A1, A2, anchor: OrthogonalAnchor,
+                   alpha: float = 0.0, beta: float = 0.0) -> np.ndarray:
+    """<<A1, A2>>_{alpha,beta} = [A1 (I - qq^T) + alpha qq^T,
+                                  A2 (I - qq^T) + beta  qq^T].
+
+    With alpha = beta = 0 this is the plain projected-commutator form.
+    """
+    A1 = as_matrix(A1)
+    A2 = as_matrix(A2)
+    n = anchor.q.size
+    if A1.shape != (n, n) or A2.shape != (n, n):
+        raise ValueError("operands must be square and conformal with the anchor")
+    P = np.outer(anchor.q, anchor.q)
+    M1 = A1 @ (np.eye(n) - P) + alpha * P
+    M2 = A2 @ (np.eye(n) - P) + beta * P
+    return M1 @ M2 - M2 @ M1
+
+
+def project(anchor: OrthogonalAnchor, A) -> np.ndarray:
+    """Quotient representative Q A Q^T of a square matrix."""
+    A = as_matrix(A)
+    return anchor.basis @ A @ anchor.basis.T
+
+
+@dataclass(frozen=True)
+class ObliqueAnchor:
+    """Rank-one oblique splitting from a 1-form omega and a vector g.
+
+    G = g omega^T / (omega^T g) is the associated projector; the anchor
+    map itself is A -> (I - G) A.
+    """
+
+    omega: np.ndarray
+    g: np.ndarray
+
+    def __post_init__(self):
+        omega = as_vector(self.omega)
+        g = as_vector(self.g)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "g", g)
+        if omega.size != g.size:
+            raise ValueError("omega and g must have equal length")
+        pairing = float(omega @ g)
+        threshold = BITS64.eps * float(np.linalg.norm(omega) * np.linalg.norm(g))
+        if abs(pairing) <= 1e3 * threshold:
+            raise DegenerateAnchor(
+                f"omega^T g = {pairing:.3e} is below the degeneracy threshold"
+            )
+
+    @property
+    def pairing(self) -> float:
+        return float(self.omega @ self.g)
+
+    @property
+    def projector(self) -> np.ndarray:
+        return np.outer(self.g, self.omega) / self.pairing
+
+
+def oblique_anchor_apply(A, anchor: ObliqueAnchor) -> np.ndarray:
+    """an_{omega,g}(A) = A - g (omega^T A) / (omega^T g).
+
+    The result satisfies omega^T an(A) = 0.
+    """
+    A = as_matrix(A)
+    n = anchor.g.size
+    if A.shape != (n, n):
+        raise ValueError("operand must be square and conformal with the anchor")
+    return A - np.outer(anchor.g, anchor.omega @ A) / anchor.pairing
+
+
+def oblique_bracket(A1, A2, anchor: ObliqueAnchor) -> np.ndarray:
+    """{{A1, A2}} = A1 A2 - A2 A1 + A2 G A1 - A1 G A2."""
+    A1 = as_matrix(A1)
+    A2 = as_matrix(A2)
+    G = anchor.projector
+    return A1 @ A2 - A2 @ A1 + A2 @ G @ A1 - A1 @ G @ A2
+
+
+# -- exact-rational evaluation ----------------------------------------------
+#
+# With integer data the oblique identities hold exactly; evaluating them
+# in Fraction arithmetic gives integer-exact reference values.
+
+
+def _frac_matrix(M):
+    return np.array([[Fraction(x) for x in row] for row in np.atleast_2d(M)],
+                    dtype=object)
+
+
+def oblique_anchor_apply_exact(A, omega, g):
+    A = _frac_matrix(A)
+    omega = np.array([Fraction(x) for x in omega], dtype=object)
+    g = np.array([Fraction(x) for x in g], dtype=object)
+    pairing = omega @ g
+    if pairing == 0:
+        raise DegenerateAnchor("omega^T g = 0")
+    return A - np.outer(g, omega @ A) / pairing
+
+
+def oblique_bracket_exact(A1, A2, omega, g):
+    A1 = _frac_matrix(A1)
+    A2 = _frac_matrix(A2)
+    omega = np.array([Fraction(x) for x in omega], dtype=object)
+    g = np.array([Fraction(x) for x in g], dtype=object)
+    pairing = omega @ g
+    if pairing == 0:
+        raise DegenerateAnchor("omega^T g = 0")
+    G = np.outer(g, omega) / pairing
+    return A1 @ A2 - A2 @ A1 + A2 @ G @ A1 - A1 @ G @ A2

@@ -1,0 +1,437 @@
+"""Command-line interface.
+
+Subcommands: place, bench, simulate, exact, check-commutators.
+Exit codes: 0 success, 1 usage error (bad flags, malformed files or pole
+lists), 2 algorithmic failure (uncontrollable system, singular shift,
+parallel hyperplanes, ...).  Diagnostics go to stderr, results to stdout
+or --out.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys as _sys
+
+import numpy as np
+
+from . import algebroid, bench, exactring, linalg, placement, sim
+from .errors import InvalidPoleSet, PlacementError
+from .linalg import as_precision
+
+DEFAULT_SEED = 341
+
+
+class UsageError(Exception):
+    pass
+
+
+def parse_pole_list(text: str):
+    """Parse a pole list: comma-separated reals, complex literals with a
+    trailing i (e.g. -1+2i), and inclusive integer ranges a..b."""
+    poles = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        if ".." in token:
+            lo_s, hi_s = token.split("..", 1)
+            try:
+                lo, hi = int(lo_s), int(hi_s)
+            except ValueError as exc:
+                raise UsageError(f"bad range {token!r}: {exc}") from exc
+            step = 1 if hi >= lo else -1
+            poles.extend(complex(v) for v in range(lo, hi + step, step))
+            continue
+        try:
+            poles.append(complex(token.replace("i", "j")))
+        except ValueError as exc:
+            raise UsageError(f"bad pole literal {token!r}") from exc
+    if not poles:
+        raise UsageError("empty pole list")
+    return poles
+
+
+def parse_float_list(text: str):
+    try:
+        return [float(tok) for tok in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise UsageError(f"bad number list {text!r}: {exc}") from exc
+
+
+def _load_system(path):
+    try:
+        A, B = linalg.load_system(path)
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read system file {path}: {exc}") from exc
+    return placement.StateSpace(A, B)
+
+
+def _emit(text: str, out_path):
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        _sys.stdout.write(text)
+
+
+# ---------------------------------------------------------------------------
+# place
+
+
+def _cmd_place(args) -> int:
+    sys_ = _load_system(args.system)
+    precision = as_precision(args.precision)
+    if args.poles:
+        poles = parse_pole_list(args.poles)
+        try:
+            linalg.validate_conjugate_closed(poles)
+        except InvalidPoleSet as exc:
+            raise UsageError(str(exc)) from exc
+        if args.reverse_poles:
+            poles = poles[::-1]
+        if len(poles) != sys_.n:
+            raise UsageError(f"system has n={sys_.n}, got {len(poles)} poles")
+        K = placement.place(sys_, poles, algorithm=args.algo, precision=precision)
+        targets = poles
+    else:
+        cp = parse_float_list(args.charpoly)
+        if args.algo == "ackermann":
+            K = placement.ackermann_direct(sys_, charpoly=cp, precision=precision)
+        elif args.algo == "algebroid2":
+            chain = placement.build_anchor_chain(sys_, precision)
+            K = placement.gain_from_chain(chain, charpoly=cp)
+        else:
+            raise UsageError(
+                f"--charpoly works with ackermann or algebroid2, not {args.algo}"
+            )
+        targets = linalg.eigenvalues(linalg.companion_matrix(cp))
+    rec = bench.evaluate_placement(sys_, targets, K, algorithm=args.algo,
+                                   precision=precision)
+    if args.format == "json":
+        payload = {
+            "algorithm": args.algo,
+            "precision": precision.bits,
+            "gain": [float(g) for g in K],
+            "achieved": [[z.real, z.imag] for z in rec.achieved],
+            "max_abs_error": rec.max_abs_error,
+            "complex_pair_count": rec.complex_pair_count,
+        }
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    else:
+        lines = ["K = " + "  ".join(f"{g:.12g}" for g in K), "",
+                 "achieved eigenvalues:"]
+        for z, t in zip(rec.achieved,
+                        sorted(targets, key=lambda z: (complex(z).real, complex(z).imag))):
+            lines.append(f"  {z.real:+.12e} {z.imag:+.12e}j   (target {complex(t)})")
+        lines.append(f"max |error| = {rec.max_abs_error:.3e}")
+        lines.append(f"complex pairs = {rec.complex_pair_count}")
+        _emit("\n".join(lines) + "\n", args.out)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# bench
+
+
+def _cmd_bench(args) -> int:
+    lo_s, _, hi_s = args.n_range.partition("..")
+    try:
+        lo, hi = int(lo_s), int(hi_s or lo_s)
+    except ValueError as exc:
+        raise UsageError(f"bad --n-range {args.n_range!r}") from exc
+    families = [bench.ExampleFamily(args.family, n,
+                                    args.seed if args.family == "diag" else None)
+                for n in range(lo, hi + 1)]
+    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    for a in algos:
+        if a not in placement.ALGORITHMS:
+            raise UsageError(f"unknown algorithm {a!r}")
+    precisions = {"32": [32], "64": [64], "both": [32, 64]}[args.precision]
+    orders = {"fwd": ["forward"], "rev": ["reversed"],
+              "both": ["forward", "reversed"]}[args.order]
+    records = bench.run_suite(families,
+                              algos,
+                              [as_precision(p) for p in precisions],
+                              orders)
+    table = bench.render_table(records)
+    csv = bench.render_csv(records)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(csv if args.out.endswith(".csv") or args.format == "csv" else table)
+        _sys.stdout.write(table)
+    else:
+        _sys.stdout.write(csv if args.format == "csv" else table)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# simulate
+
+
+def _cmd_simulate(args) -> int:
+    precision = as_precision(args.precision)
+    if args.system:
+        sys_ = _load_system(args.system)
+    elif args.family == "diag":
+        if not args.n:
+            raise UsageError("--family diag requires --n")
+        sys_ = bench.gen_scaled_diagonal(args.n, args.seed)
+    elif args.family == "integer":
+        if not args.n:
+            raise UsageError("--family integer requires --n")
+        sys_ = bench.gen_integer_example(args.n)
+    else:
+        raise UsageError("give --system or --family")
+    poles = [complex(p) for p in parse_pole_list(args.poles)]
+    try:
+        linalg.validate_conjugate_closed(poles)
+    except InvalidPoleSet as exc:
+        raise UsageError(str(exc)) from exc
+    if len(poles) != sys_.n:
+        raise UsageError(f"system has n={sys_.n}, got {len(poles)} poles")
+    x0 = (parse_float_list(args.x0) if args.x0
+          else [float(k) for k in range(1, sys_.n + 1)])
+    if len(x0) != sys_.n:
+        raise UsageError(f"x0 needs {sys_.n} entries")
+    T = args.T if args.T else sim.default_horizon(poles)
+    chain = placement.build_anchor_chain(sys_, precision)
+    modes = ["gain", "chain"] if args.mode == "both" else [args.mode]
+    traces = {}
+    for mode in modes:
+        cfg = sim.SimConfig(T=T, h=args.h, x0=x0, feedback=mode)
+        traces[mode] = sim.simulate(sys_, poles, cfg, chain=chain,
+                                    precision=precision)
+    primary = traces[modes[0]]
+    _emit(primary.to_csv(), args.out)
+    if len(modes) == 2:
+        diff = sim.trace_diff(traces["gain"], traces["chain"])
+        sup = float(np.max(np.abs(diff.states)))
+        _sys.stderr.write(f"max |gain - chain| over the trajectory: {sup:.6e}\n")
+    endpoint = float(np.linalg.norm(primary.states[-1]))
+    _sys.stderr.write(f"||x(T)|| = {endpoint:.6e} at T = {T}\n")
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# exact
+
+
+def _cmd_exact(args) -> int:
+    sys_ = _load_system(args.system)
+    A = sys_.A
+    B = sys_.B
+    if not (np.all(A == np.round(A)) and np.all(B == np.round(B))):
+        raise UsageError("exact placement requires integer A and B")
+    poles = parse_pole_list(args.poles)
+    if any(z.imag != 0 or z.real != int(z.real) for z in poles):
+        raise UsageError("exact placement requires integer poles")
+    if len(poles) != sys_.n:
+        raise UsageError(f"system has n={sys_.n}, got {len(poles)} poles")
+    ints = [int(z.real) for z in poles]
+    cp = [1]
+    for r in ints:
+        cp = [a - r * b for a, b in zip(cp + [0], [0] + cp)]
+    gain = exactring.place_exact(A.astype(np.int64).tolist(),
+                                 B.astype(np.int64).tolist(), cp)
+    fractions = exactring.ratio(gain)
+    lines = [str(f) for f in fractions]
+    if args.digits:
+        from decimal import Decimal, getcontext
+        getcontext().prec = args.digits + 5
+        lines = [
+            f"{f}  ~  {Decimal(f.numerator) / Decimal(f.denominator):.{args.digits}f}"
+            for f in fractions
+        ]
+    _emit("\n".join(lines) + "\n", args.out)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# check-commutators
+
+
+def _cmd_check_commutators(args) -> int:
+    results = []
+
+    A1 = np.array([[1.0, 3, 5], [7, 13, 17], [1, 1, 1]])
+    A2 = np.array([[2.0, 4, 6], [13, 3, 1], [7, 5, 3]])
+
+    anchor = algebroid.OrthogonalAnchor.from_qr_rows(
+        np.array([[-21.0, -5, 5], [1, 38, 49], [-4, 12, 3]]))
+    lhs = algebroid.project(anchor, algebroid.orthogonal_bracket(A1, A2, anchor))
+    r1 = algebroid.project(anchor, A1)
+    r2 = algebroid.project(anchor, A2)
+    rhs = r1 @ r2 - r2 @ r1
+    err = float(np.max(np.abs(lhs - rhs)))
+    results.append(("orthogonal 3x3 identity", err <= 1e-9, f"max err {err:.2e}"))
+    ref = np.array([[16.7141, 89.8467], [83.5973, -16.7141]])
+    val_err = float(np.max(np.abs(np.abs(rhs) - np.abs(ref))))
+    signs_match = bool(np.max(np.abs(rhs - ref)) <= 5e-4)
+    results.append(("orthogonal 3x3 reference values",
+                    val_err <= 5e-4,
+                    "exact basis match" if signs_match else "match up to basis signs"))
+
+    omega = [1, 2, 3]
+    g = [14, -2, -3]
+    an1 = algebroid.oblique_anchor_apply_exact(A1.astype(int), omega, g)
+    an1_ref = np.array([[-251, -445, -583], [43, 77, 101], [55, 97, 127]])
+    results.append(("oblique anchor of A1", np.array_equal(an1.astype(object), an1_ref.astype(object)),
+                    "integer-exact"))
+    an2 = algebroid.oblique_anchor_apply_exact(A2.astype(int), omega, g)
+    an2_ref = np.array([[-684, -346, -232], [111, 53, 35], [154, 80, 54]])
+    results.append(("oblique anchor of A2", np.array_equal(an2.astype(object), an2_ref.astype(object)),
+                    "integer-exact"))
+    bracket = algebroid.oblique_bracket_exact(A1.astype(int), A2.astype(int), omega, g)
+    anchored = algebroid.oblique_anchor_apply_exact(bracket, omega, g)
+    commut = an1 @ an2 - an2 @ an1
+    ref_b = np.array([[-111539, -238613, -323187],
+                      [18346, 39202, 53088],
+                      [24949, 53403, 72337]])
+    ok = (np.array_equal(anchored, commut)
+          and np.array_equal(anchored.astype(object), ref_b.astype(object)))
+    results.append(("oblique algebroid identity", ok, "integer-exact"))
+
+    rng = np.random.default_rng(args.seed)
+    worst_anti = worst_orth = worst_obl = worst_proj = 0.0
+    for _ in range(50):
+        n = int(rng.integers(2, 7))
+        M1 = rng.integers(-9, 10, (n, n)).astype(float)
+        M2 = rng.integers(-9, 10, (n, n)).astype(float)
+        anc = algebroid.OrthogonalAnchor.from_direction(rng.standard_normal(n))
+        br = algebroid.orthogonal_bracket(M1, M2, anc)
+        worst_anti = max(worst_anti, float(np.max(np.abs(
+            br + algebroid.orthogonal_bracket(M2, M1, anc)))))
+        p1 = algebroid.project(anc, M1)
+        p2 = algebroid.project(anc, M2)
+        worst_orth = max(worst_orth, float(np.max(np.abs(
+            algebroid.project(anc, br) - (p1 @ p2 - p2 @ p1)))))
+        scale = max(np.max(np.abs(M1)), np.max(np.abs(M2))) ** 2
+        w = rng.integers(-5, 6, n)
+        gg = rng.integers(-5, 6, n)
+        if abs(int(w @ gg)) < 1:
+            continue
+        obl = algebroid.ObliqueAnchor(w.astype(float), gg.astype(float))
+        bro = algebroid.oblique_bracket(M1, M2, obl)
+        lhs_o = algebroid.oblique_anchor_apply(bro, obl)
+        a1 = algebroid.oblique_anchor_apply(M1, obl)
+        a2 = algebroid.oblique_anchor_apply(M2, obl)
+        worst_obl = max(worst_obl, float(np.max(np.abs(lhs_o - (a1 @ a2 - a2 @ a1)))) / scale)
+        G = obl.projector
+        worst_proj = max(worst_proj, float(np.max(np.abs(G @ G - G))))
+    results.append(("random antisymmetry", worst_anti <= 1e-9, f"max {worst_anti:.2e}"))
+    results.append(("random orthogonal identity", worst_orth <= 1e-9, f"max {worst_orth:.2e}"))
+    results.append(("random oblique identity", worst_obl <= 1e-9, f"max {worst_obl:.2e} (scaled)"))
+    results.append(("projector law G^2 = G", worst_proj <= 1e-10, f"max {worst_proj:.2e}"))
+
+    width = max(len(name) for name, _, _ in results)
+    all_ok = True
+    for name, ok, detail in results:
+        all_ok &= ok
+        print(f"{'PASS' if ok else 'FAIL'}  {name.ljust(width)}  {detail}")
+    return 0 if all_ok else 2
+
+
+# ---------------------------------------------------------------------------
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="poleplace",
+        description="Single-input pole placement: seven float algorithms, "
+                    "an exact rational oracle, benchmarks, and simulation.",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+
+    sp = sub.add_parser("place", help="compute a feedback gain")
+    sp.add_argument("--algo", required=True, choices=sorted(placement.ALGORITHMS))
+    sp.add_argument("--system", required=True, help="system file ([A|B] or JSON)")
+    g = sp.add_mutually_exclusive_group(required=True)
+    g.add_argument("--poles", help="e.g. '-1,-2,-3' or '-1..-10' or '-1+2i,-1-2i'")
+    g.add_argument("--charpoly", help="monic coefficients '1,6,11,6'")
+    sp.add_argument("--precision", choices=["32", "64"], default="64")
+    sp.add_argument("--reverse-poles", action="store_true")
+    sp.add_argument("--format", choices=["text", "json"], default="text")
+    sp.add_argument("--out")
+    sp.set_defaults(fn=_cmd_place)
+
+    sb = sub.add_parser("bench", help="run the comparison suite")
+    sb.add_argument("--family", required=True, choices=["integer", "diag"])
+    sb.add_argument("--n-range", required=True, help="e.g. 10..12")
+    sb.add_argument("--algos", default="algebroid1,algebroid2")
+    sb.add_argument("--precision", choices=["32", "64", "both"], default="64")
+    sb.add_argument("--order", choices=["fwd", "rev", "both"], default="fwd")
+    sb.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sb.add_argument("--format", choices=["text", "csv"], default="text")
+    sb.add_argument("--out")
+    sb.set_defaults(fn=_cmd_bench)
+
+    ss = sub.add_parser("simulate", help="closed-loop RK4 run")
+    ss.add_argument("--system")
+    ss.add_argument("--family", choices=["integer", "diag"])
+    ss.add_argument("--n", type=int)
+    ss.add_argument("--seed", type=int, default=None)
+    ss.add_argument("--poles", required=True)
+    ss.add_argument("--mode", choices=["gain", "chain", "both"], default="gain")
+    ss.add_argument("--T", type=float, default=None)
+    ss.add_argument("--h", type=float, default=0.01)
+    ss.add_argument("--x0", help="comma-separated initial state (default 1..n)")
+    ss.add_argument("--precision", choices=["32", "64"], default="64")
+    ss.add_argument("--out")
+    ss.set_defaults(fn=_cmd_simulate)
+
+    se = sub.add_parser("exact", help="exact rational gain for integer systems")
+    se.add_argument("--system", required=True)
+    se.add_argument("--poles", required=True, help="integer poles, e.g. '-1..-10'")
+    se.add_argument("--digits", type=int, default=0,
+                    help="also render each entry with this many decimals")
+    se.add_argument("--out")
+    se.set_defaults(fn=_cmd_exact)
+
+    sc = sub.add_parser("check-commutators",
+                        help="verify the bracket identities and reference values")
+    sc.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sc.set_defaults(fn=_cmd_check_commutators)
+
+    return p
+
+
+def _join_value_flags(argv):
+    """Merge '--poles -1,-2' into '--poles=-1,-2' so argparse does not
+    mistake leading-dash values for option names."""
+    joined = []
+    i = 0
+    value_flags = {"--poles", "--charpoly", "--x0", "--n-range"}
+    while i < len(argv):
+        tok = argv[i]
+        if tok in value_flags and i + 1 < len(argv):
+            joined.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            joined.append(tok)
+            i += 1
+    return joined
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    if argv is None:
+        argv = _sys.argv[1:]
+    argv = _join_value_flags(list(argv))
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on usage problems; keep 0 for --help
+        return 0 if exc.code in (0, None) else 1
+    try:
+        return args.fn(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 1
+    except PlacementError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=_sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

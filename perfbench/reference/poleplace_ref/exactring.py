@@ -1,0 +1,223 @@
+"""Exact pole placement over the integers.
+
+Given an integer pair (A, B) and an integer characteristic polynomial,
+the placement gain is computed using only ring operations (+, *) plus
+GCD-based reduction, so the result is an exact rational row vector.
+It serves as the ground truth against which every floating-point
+algorithm in this package is validated.
+
+Everything here works on plain Python ints (arbitrary precision) in
+list-of-lists form; :func:`ratio` converts the result to
+``fractions.Fraction`` values at the very end.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd as _gcd
+
+from .errors import DegenerateGcd, UncontrollableSystem, ZeroVector
+
+
+def gcd_mod(a: int, b: int) -> int:
+    """Greatest common divisor by Euclid's modulo recursion (non-negative)."""
+    if a == 0 and b == 0:
+        raise DegenerateGcd("gcd(0, 0) is undefined")
+    while b:
+        a, b = b, a % b
+    return abs(a)
+
+
+def gcd_sub(a: int, b: int) -> int:
+    """Greatest common divisor by repeated subtraction.
+
+    Requires positive operands.  Slower than :func:`gcd_mod` but stays
+    inside (+, -); kept for cross-checking.
+    """
+    if a <= 0 or b <= 0:
+        raise ValueError("gcd_sub requires positive integers")
+    while a != b:
+        if a > b:
+            a -= b
+        else:
+            b -= a
+    return a
+
+
+def nullspace_row(v) -> list:
+    """Integer annihilator of a single nonzero integer vector.
+
+    Returns an (n-1) x n integer matrix M with M v = 0 exactly and rank
+    n-1.  Rows are built pairwise: row j couples entry j with the next
+    nonzero entry, divided by their GCD; a zero entry j yields the unit
+    row e_j.  This sequential construction (rather than a general
+    Hermite-form kernel) keeps entry growth bounded by the pairwise GCDs.
+    """
+    v = [int(x) for x in v]
+    n = len(v)
+    if all(x == 0 for x in v):
+        raise ZeroVector("annihilator of the zero vector is ill-defined")
+    if n < 2:
+        raise ValueError("need at least two entries")
+    rows = []
+    for j in range(n - 1):
+        lit = [0] * n
+        if v[j] == 0:
+            lit[j] = 1
+        else:
+            k = j + 1
+            while v[k] == 0 and k < n - 1:
+                k += 1
+            if v[k] != 0:
+                g = _gcd(abs(v[k]), abs(v[j]))
+                lit[k] = -v[j] // g
+                lit[j] = v[k] // g
+            else:
+                lit[k] = 1
+        rows.append(lit)
+    return rows
+
+
+# -- small exact matrix helpers (any ring with +, *) ------------------------
+
+
+def mat_mul(X, Y):
+    Ycols = list(zip(*Y))
+    return [[sum(a * b for a, b in zip(row, col)) for col in Ycols] for row in X]
+
+
+def mat_vec(X, v):
+    return [sum(a * b for a, b in zip(row, v)) for row in X]
+
+
+def identity(n, one=1, zero=0):
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def exact_determinant(M) -> int:
+    """Fraction-free (Bareiss) determinant of an integer matrix."""
+    a = [[int(x) for x in row] for row in M]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for p in range(k + 1, n):
+                if a[p][k] != 0:
+                    a[k], a[p] = a[p], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def controllability_det_exact(A, B) -> int:
+    """Exact determinant of [B, AB, ..., A^(n-1) B] for integer input."""
+    A = [[int(x) for x in row] for row in A]
+    b = [int(x) for x in B]
+    n = len(b)
+    cols = []
+    cur = b
+    for _ in range(n):
+        cols.append(cur)
+        cur = mat_vec(A, cur)
+    return exact_determinant([list(row) for row in zip(*cols)])
+
+
+# -- the placement oracle ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ExactGain:
+    """Row gain as an integer numerator vector over a common denominator.
+
+    ``denominator`` is the scalar quotient input of the last level; the
+    reduced rationals come out of :func:`ratio` under the convention
+    that eigenvalues(A - B K) are the requested poles.
+    """
+
+    denominator: int
+    numerator: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "numerator", tuple(int(x) for x in self.numerator))
+        object.__setattr__(self, "denominator", int(self.denominator))
+
+
+def place_exact(A, B, charpoly) -> ExactGain:
+    """Exact single-input pole placement over the integers.
+
+    Parameters
+    ----------
+    A, B : integer matrix (n x n) and vector (n)
+    charpoly : monic integer coefficients, degree-descending
+        [1, p1, ..., pn]; the routine consumes them constant-term first
+        internally.
+
+    The quotient sweep cancels the current input vector with an integer
+    annihilator and accumulates the gain numerator alongside; only ring
+    operations and GCDs occur, so every intermediate stays an integer.
+    """
+    A = [[int(x) for x in row] for row in A]
+    B = [int(x) for x in B]
+    n = len(B)
+    pp = [int(c) for c in charpoly]
+    if len(pp) != n + 1 or pp[0] != 1:
+        raise ValueError("charpoly must be monic of length n+1, degree-descending")
+    pp = pp[::-1]  # ascending: [pn, ..., p1, 1]
+    if n == 1:
+        # scalar case: K = (a - lambda) / b
+        if B[0] == 0:
+            raise UncontrollableSystem("scalar system with b = 0")
+        return ExactGain(B[0], (A[0][0] + pp[0],))
+    Ab = identity(n)
+    KK = [[pp[0] if i == j else 0 for j in range(n)] for i in range(n)]
+    Bb = list(B)
+    for step in range(1, n):
+        if all(x == 0 for x in Bb):
+            raise UncontrollableSystem(
+                f"quotient input vanished exactly at level {step}"
+            )
+        anb = nullspace_row(Bb)
+        AbA = mat_mul(mat_mul(anb, Ab), A)
+        Bb = mat_vec(AbA, B)
+        Ab = AbA
+        t = mat_mul(anb, KK)
+        KK = [
+            [pp[step] * Ab[i][j] + t[i][j] for j in range(n)]
+            for i in range(len(Ab))
+        ]
+    t = mat_mul(Ab, A)
+    KK = [[KK[i][j] + t[i][j] for j in range(n)] for i in range(len(KK))]
+    den = mat_vec(Ab, B)[0]
+    if den == 0:
+        raise UncontrollableSystem("exact denominator Ab.B is zero")
+    return ExactGain(den, KK[0])
+
+
+def simplify(g: ExactGain) -> ExactGain:
+    """Divide numerator entries and denominator by their collective GCD."""
+    vals = [g.denominator, *g.numerator]
+    common = 0
+    for v in vals:
+        common = _gcd(common, abs(v))
+    if common <= 1:
+        return g
+    return ExactGain(g.denominator // common, tuple(x // common for x in g.numerator))
+
+
+def ratio(g: ExactGain):
+    """Reduced rational gain entries num_i / den (canonical A - BK sign)."""
+    if g.denominator == 0:
+        raise ZeroDivisionError("exact gain has zero denominator")
+    return [Fraction(x, g.denominator) for x in g.numerator]
+
+
+def gain_as_floats(g: ExactGain):
+    return [float(f) for f in ratio(g)]

@@ -1,0 +1,566 @@
+"""Dense real matrix kernels with a selectable floating-point mode.
+
+All algorithms in this package funnel their arithmetic through the
+routines below.  Each routine accepts a :class:`Precision` and carries
+out every intermediate operation in that binary format, which makes it
+possible to reproduce single-precision behaviour on 64-bit hardware.
+
+Conventions fixed here (they make every downstream fixture reproducible):
+
+* ``qr_decompose`` returns a full orthogonal factor with the diagonal of
+  R non-negative.
+* ``svd_decompose`` flips singular-vector pairs so the largest-magnitude
+  entry of each left singular vector is positive.
+* ``eigenvalues`` computes through a stabilized elimination reduction to
+  Hessenberg form followed by the classical double-shift QR iteration,
+  and returns the spectrum sorted by (real, imag).
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import scipy.linalg
+
+from .errors import FactorizationError, InvalidPoleSet, SingularSystem
+
+
+class Precision:
+    """A binary floating-point mode: every arithmetic result is rounded
+    to this format before reuse."""
+
+    def __init__(self, bits: int):
+        if bits not in (32, 64):
+            raise ValueError("precision must be 32 or 64 bits")
+        self.bits = bits
+        self.dtype = np.float32 if bits == 32 else np.float64
+        self.eps = float(np.finfo(self.dtype).eps)
+
+    def __repr__(self):
+        return f"Precision({self.bits})"
+
+    def __eq__(self, other):
+        return isinstance(other, Precision) and other.bits == self.bits
+
+    def __hash__(self):
+        return hash(self.bits)
+
+
+BITS32 = Precision(32)
+BITS64 = Precision(64)
+
+
+def as_precision(mode) -> Precision:
+    """Coerce 32/64/'32'/'64'/Precision to a Precision instance."""
+    if isinstance(mode, Precision):
+        return mode
+    return Precision(int(mode))
+
+
+def as_matrix(M, precision: Precision = BITS64) -> np.ndarray:
+    """Validate and convert input to a 2-d array of the mode's dtype.
+
+    Rejects empty and non-finite input up front so the factorizations
+    never have to deal with NaN/Inf propagation.
+    """
+    A = np.asarray(M, dtype=precision.dtype)
+    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
+        raise ValueError(f"expected a 2-d matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix entries must be finite")
+    return A
+
+
+def as_vector(v, precision: Precision = BITS64) -> np.ndarray:
+    A = np.asarray(v, dtype=precision.dtype).ravel()
+    if A.size < 1:
+        raise ValueError("expected a non-empty vector")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("vector entries must be finite")
+    return A
+
+
+# ---------------------------------------------------------------------------
+# QR / SVD / Schur
+
+
+def qr_decompose(M, precision: Precision = BITS64):
+    """Full Householder QR factorization, M = Q R.
+
+    Q is square (rows x rows) and orthogonal, R is rows x cols upper
+    triangular with non-negative diagonal entries; entries below the
+    diagonal of R are exactly zero.
+    """
+    M = as_matrix(M, precision)
+    m, k = M.shape
+    R = M.copy()
+    Q = np.eye(m, dtype=R.dtype)
+    for c in range(min(m - 1, k)):
+        x = R[c:, c]
+        nx = np.sqrt(np.sum(x * x))
+        if nx == 0.0:
+            continue
+        u = x.copy()
+        u[0] += (nx if x[0] >= 0 else -nx)
+        beta = 2.0 / np.sum(u * u)
+        R[c:, c:] -= beta * np.outer(u, u @ R[c:, c:])
+        Q[:, c:] -= beta * np.outer(Q[:, c:] @ u, u)
+    d = np.sign(np.diag(R)[: min(m, k)])
+    d[d == 0] = 1.0
+    D = np.ones(m, dtype=R.dtype)
+    D[: d.size] = d
+    Q = Q * D
+    R = D[:, None] * R
+    R[np.tril_indices(m, -1, k)] = 0.0
+    return Q, R
+
+
+def householder_annihilator(v) -> np.ndarray:
+    """Rows 2..m of the Householder reflector taking v to a multiple of e1.
+
+    The returned (m-1) x m block has orthonormal rows and annihilates v
+    exactly in exact arithmetic.  This is the elementary anchor used by
+    the quotient constructions.  The input's floating dtype is preserved
+    so 32-bit pipelines stay 32-bit.
+    """
+    v = np.asarray(v)
+    if v.dtype not in (np.float32, np.float64):
+        v = v.astype(np.float64)
+    v = v.ravel()
+    if v.size < 1 or not np.all(np.isfinite(v)):
+        raise ValueError("expected a finite non-empty vector")
+    m = v.size
+    u = v.copy()
+    s = np.sqrt(np.sum(v * v))
+    u[0] += (s if v[0] >= 0 else -s)
+    uu = np.dot(u, u)
+    if uu == 0.0:
+        # v == 0: no direction to reflect; the trailing identity rows
+        # still span the complement of e1.
+        return np.eye(m, dtype=v.dtype)[1:, :]
+    H = np.eye(m, dtype=v.dtype) - 2.0 * np.outer(u, u) / uu
+    return H[1:, :]
+
+
+def svd_decompose(M, precision: Precision = BITS64):
+    """Singular value decomposition M = U diag(S) V^T.
+
+    S is sorted descending.  Sign convention: the largest-magnitude
+    entry of each column of U is made positive (V adjusted to match).
+    """
+    M = as_matrix(M, precision)
+    try:
+        U, S, Vt = np.linalg.svd(M)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"svd did not converge: {exc}") from exc
+    V = Vt.T
+    r = min(M.shape)
+    for j in range(U.shape[1]):
+        i = int(np.argmax(np.abs(U[:, j])))
+        if U[i, j] < 0:
+            U[:, j] = -U[:, j]
+            if j < r and j < V.shape[1]:
+                V[:, j] = -V[:, j]
+    return U, S, V
+
+
+def schur_decompose(A, precision: Precision = BITS64):
+    """Real Schur decomposition A = U T U^T.
+
+    T is quasi upper triangular (1x1 and standardized 2x2 diagonal
+    blocks, no two consecutive nonzero subdiagonal entries), U is
+    orthogonal.  Computed by Hessenberg reduction followed by the
+    shifted QR iteration.
+    """
+    A = as_matrix(A, precision)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("schur_decompose requires a square matrix")
+    try:
+        T, U = scipy.linalg.schur(A, output="real")
+    except Exception as exc:  # scipy raises LinAlgError on QR breakdown
+        raise FactorizationError(f"schur iteration failed: {exc}") from exc
+    return U, T
+
+
+# ---------------------------------------------------------------------------
+# Eigenvalues (elimination Hessenberg + double-shift QR)
+
+
+def _elmhes(Ain: np.ndarray) -> np.ndarray:
+    """Reduce to upper Hessenberg form by stabilized elementary similarity
+    transformations (pivoted Gaussian elimination), the classical
+    companion of the double-shift QR iteration below."""
+    a = Ain.copy()
+    n = a.shape[0]
+    for m in range(1, n - 1):
+        x = 0.0
+        i = m
+        for j in range(m, n):
+            if abs(a[j, m - 1]) > abs(x):
+                x = a[j, m - 1]
+                i = j
+        if i != m:
+            a[[i, m], m - 1:] = a[[m, i], m - 1:]
+            a[:, [i, m]] = a[:, [m, i]]
+        if x != 0.0:
+            for i in range(m + 1, n):
+                y = a[i, m - 1]
+                if y != 0.0:
+                    y /= x
+                    a[i, m - 1] = y
+                    a[i, m:] -= y * a[m, m:]
+                    a[:, m] += y * a[:, i]
+    for i in range(2, n):
+        a[i, : i - 1] = 0.0
+    return a
+
+
+def _hqr_eigenvalues(Hin: np.ndarray, maxiter_mult: int = 30) -> np.ndarray:
+    """Eigenvalues of an upper Hessenberg matrix by the classical
+    double-shift QR iteration with exceptional shifts."""
+    h = Hin.copy()
+    n = h.shape[0]
+    wr = np.zeros(n)
+    wi = np.zeros(n)
+    anorm = np.sum(np.abs(h))
+    nn = n - 1
+    t = 0.0
+    itn = maxiter_mult * n
+    while nn >= 0:
+        its = 0
+        while True:
+            l = nn
+            while l > 0:
+                s = abs(h[l - 1, l - 1]) + abs(h[l, l])
+                if s == 0.0:
+                    s = anorm
+                if abs(h[l, l - 1]) + s == s:
+                    h[l, l - 1] = 0.0
+                    break
+                l -= 1
+            x = h[nn, nn]
+            if l == nn:
+                wr[nn] = x + t
+                wi[nn] = 0.0
+                nn -= 1
+                break
+            y = h[nn - 1, nn - 1]
+            w = h[nn, nn - 1] * h[nn - 1, nn]
+            if l == nn - 1:
+                p = 0.5 * (y - x)
+                q = p * p + w
+                zz = np.sqrt(abs(q))
+                x += t
+                if q >= 0.0:
+                    zz = p + (zz if p >= 0 else -zz)
+                    wr[nn - 1] = wr[nn] = x + zz
+                    if zz != 0.0:
+                        wr[nn] = x - w / zz
+                    wi[nn - 1] = wi[nn] = 0.0
+                else:
+                    wr[nn - 1] = wr[nn] = x + p
+                    wi[nn - 1] = -zz
+                    wi[nn] = zz
+                nn -= 2
+                break
+            if itn == 0:
+                raise FactorizationError("eigenvalue iteration did not converge")
+            if its == 10 or its == 20:
+                t += x
+                for i in range(nn + 1):
+                    h[i, i] -= x
+                s = abs(h[nn, nn - 1]) + abs(h[nn - 1, nn - 2])
+                y = x = 0.75 * s
+                w = -0.4375 * s * s
+            its += 1
+            itn -= 1
+            m = nn - 2
+            while m >= l:
+                zz = h[m, m]
+                r = x - zz
+                s = y - zz
+                p = (r * s - w) / h[m + 1, m] + h[m, m + 1]
+                q = h[m + 1, m + 1] - zz - r - s
+                r = h[m + 2, m + 1]
+                s = abs(p) + abs(q) + abs(r)
+                p /= s
+                q /= s
+                r /= s
+                if m == l:
+                    break
+                u_ = abs(h[m, m - 1]) * (abs(q) + abs(r))
+                v_ = abs(p) * (abs(h[m - 1, m - 1]) + abs(zz) + abs(h[m + 1, m + 1]))
+                if u_ + v_ == v_:
+                    break
+                m -= 1
+            for i in range(m + 2, nn + 1):
+                h[i, i - 2] = 0.0
+                if i > m + 2:
+                    h[i, i - 3] = 0.0
+            for k in range(m, nn):
+                if k != m:
+                    p = h[k, k - 1]
+                    q = h[k + 1, k - 1]
+                    r = h[k + 2, k - 1] if k != nn - 1 else 0.0
+                    x = abs(p) + abs(q) + abs(r)
+                    if x == 0.0:
+                        continue
+                    p /= x
+                    q /= x
+                    r /= x
+                s = np.sqrt(p * p + q * q + r * r)
+                if p < 0:
+                    s = -s
+                if k == m:
+                    if l != m:
+                        h[k, k - 1] = -h[k, k - 1]
+                else:
+                    h[k, k - 1] = -s * x
+                p += s
+                x = p / s
+                y = q / s
+                zz = r / s
+                q /= p
+                r /= p
+                if k == nn - 1:
+                    for j in range(k, nn + 1):
+                        p = h[k, j] + q * h[k + 1, j]
+                        h[k, j] -= p * x
+                        h[k + 1, j] -= p * y
+                    for i in range(l, min(nn, k + 3) + 1):
+                        p = x * h[i, k] + y * h[i, k + 1]
+                        h[i, k] -= p
+                        h[i, k + 1] -= p * q
+                else:
+                    for j in range(k, nn + 1):
+                        p = h[k, j] + q * h[k + 1, j] + r * h[k + 2, j]
+                        h[k, j] -= p * x
+                        h[k + 1, j] -= p * y
+                        h[k + 2, j] -= p * zz
+                    for i in range(l, min(nn, k + 3) + 1):
+                        p = x * h[i, k] + y * h[i, k + 1] + zz * h[i, k + 2]
+                        h[i, k] -= p
+                        h[i, k + 1] -= p * q
+                        h[i, k + 2] -= p * r
+    order = np.lexsort((wi, wr))
+    return wr[order] + 1j * wi[order]
+
+
+def eigenvalues(A, precision: Precision = BITS64) -> np.ndarray:
+    """All eigenvalues of a square real matrix, sorted by (real, imag).
+
+    Complex eigenvalues come out in exact conjugate pairs.  The result is
+    always computed in 64-bit arithmetic of the reduced Hessenberg form
+    built at the requested precision.
+    """
+    A = as_matrix(A, precision)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("eigenvalues requires a square matrix")
+    if A.shape[0] == 1:
+        return np.array([complex(A[0, 0])])
+    H = _elmhes(A.astype(np.float64))
+    return _hqr_eigenvalues(H)
+
+
+# ---------------------------------------------------------------------------
+# Linear solves and determinants (partial-pivoting LU)
+
+
+def _lu_factor(A: np.ndarray):
+    """Partial-pivot LU in-place; returns (lu, piv, swaps, pivmin).
+
+    Elimination continues through small pivots (stopping only at an exact
+    zero, where the remaining factorization is undefined); callers decide
+    what pivot magnitude counts as singular for their purpose.
+    """
+    lu = A.copy()
+    n = lu.shape[0]
+    piv = np.arange(n)
+    swaps = 0
+    pivmin = np.inf
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if p != k:
+            lu[[k, p], :] = lu[[p, k], :]
+            piv[[k, p]] = piv[[p, k]]
+            swaps += 1
+        pivot = lu[k, k]
+        pivmin = min(pivmin, abs(float(pivot)))
+        if pivot == 0.0:
+            return lu, piv, swaps, 0.0
+        if k + 1 < n:
+            lu[k + 1:, k] /= pivot
+            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    return lu, piv, swaps, pivmin
+
+
+def solve_linear(A, b, precision: Precision = BITS64) -> np.ndarray:
+    """Solve A x = b by Gaussian elimination with partial pivoting.
+
+    Raises :class:`SingularSystem` when a pivot falls below
+    eps * n * max|A| (scale-invariant singularity test).
+    """
+    A = as_matrix(A, precision)
+    b = as_vector(b, precision)
+    n = A.shape[0]
+    if A.shape[1] != n or b.size != n:
+        raise ValueError("solve_linear requires square A conformal with b")
+    scale = np.max(np.abs(A))
+    lu, piv, _, pivmin = _lu_factor(A)
+    if pivmin <= precision.eps * n * scale:
+        raise SingularSystem(
+            f"matrix numerically singular (pivot {pivmin:.3e}, scale {scale:.3e})"
+        )
+    x = b[piv].astype(A.dtype)
+    for k in range(n):  # forward substitution, unit lower triangle
+        x[k + 1:] -= lu[k + 1:, k] * x[k]
+    for k in range(n - 1, -1, -1):  # back substitution
+        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
+    return x
+
+
+def determinant(A, precision: Precision = BITS64) -> float:
+    """Determinant via the pivoted elimination above."""
+    A = as_matrix(A, precision)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("determinant requires a square matrix")
+    lu, _, swaps, pivmin = _lu_factor(A)
+    if pivmin == 0.0:
+        return 0.0
+    det = float(np.prod(np.diag(lu)))
+    return -det if swaps % 2 else det
+
+
+# ---------------------------------------------------------------------------
+# Polynomials
+
+
+def validate_conjugate_closed(roots, tol: float = 1e-9):
+    """Check the multiset of roots is closed under conjugation."""
+    pending = []
+    for z in (complex(r) for r in roots):
+        if abs(z.imag) <= tol * max(1.0, abs(z)):
+            continue
+        for i, w in enumerate(pending):
+            if abs(z - w.conjugate()) <= tol * max(1.0, abs(w)):
+                pending.pop(i)
+                break
+        else:
+            pending.append(z)
+    if pending:
+        raise InvalidPoleSet(
+            f"pole set not closed under conjugation: unmatched {pending[0]}"
+        )
+
+
+def poly_from_roots(roots) -> np.ndarray:
+    """Monic real polynomial with the given (conjugate-closed) roots.
+
+    Returns coefficients in degree-descending order [1, p1, ..., pn].
+    The expansion order is normalized (roots sorted by (real, imag)) so
+    the result does not depend on how the caller ordered the roots.
+    """
+    roots = [complex(r) for r in roots]
+    validate_conjugate_closed(roots)
+    roots.sort(key=lambda z: (z.real, z.imag))
+    p = np.array([1.0 + 0.0j])
+    for r in roots:
+        p = np.convolve(p, np.array([1.0, -r]))
+    if p.size > 1 and np.max(np.abs(p.imag)) >= 1e-12 * max(1.0, np.max(np.abs(p.real))):
+        raise InvalidPoleSet("conjugate pairing left a complex residue")
+    return p.real.copy()
+
+
+def companion_matrix(coeffs) -> np.ndarray:
+    """Companion matrix of a monic polynomial given degree-descending."""
+    c = np.asarray(coeffs, dtype=np.float64).ravel()
+    if c.size < 2 or c[0] != 1.0:
+        raise ValueError("expected monic coefficients [1, p1, ..., pn]")
+    n = c.size - 1
+    C = np.zeros((n, n))
+    C[0, :] = -c[1:]
+    C[1:, :-1] = np.eye(n - 1)
+    return C
+
+
+# ---------------------------------------------------------------------------
+# Matrix / system file formats (shared with the CLI)
+
+
+def format_matrix_text(M) -> str:
+    """Text form: first line "rows cols", then row-major entries.
+
+    Entries are written with repr so a read back is bit-identical.
+    """
+    M = np.atleast_2d(np.asarray(M, dtype=np.float64))
+    lines = [f"{M.shape[0]} {M.shape[1]}"]
+    for row in M:
+        lines.append(" ".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def parse_matrix_text(text: str) -> np.ndarray:
+    """Parse the text format above, or a JSON array-of-arrays."""
+    stripped = text.strip()
+    if not stripped:
+        raise ValueError("empty matrix input")
+    if stripped[0] in "[{":
+        data = json.loads(stripped)
+        if isinstance(data, dict):
+            raise ValueError("expected a JSON array-of-arrays")
+        M = np.asarray(data, dtype=np.float64)
+        if M.ndim == 1:
+            M = M[None, :]
+        return M
+    tokens = stripped.split()
+    rows, cols = int(tokens[0]), int(tokens[1])
+    vals = [float(tok) for tok in tokens[2:]]
+    if len(vals) != rows * cols:
+        raise ValueError(
+            f"matrix body has {len(vals)} entries, expected {rows * cols}"
+        )
+    return np.array(vals, dtype=np.float64).reshape(rows, cols)
+
+
+def load_matrix(path) -> np.ndarray:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_matrix_text(fh.read())
+
+
+def save_matrix(path, M):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_matrix_text(M))
+
+
+def parse_system_text(text: str):
+    """Parse a single-input system (A, B).
+
+    Accepted forms: the matrix text format with n rows and n+1 columns
+    ([A | B] augmented), a JSON array of the same shape, or a JSON
+    object {"A": [[...]], "B": [...]}.
+    """
+    stripped = text.strip()
+    if stripped and stripped[0] == "{":
+        data = json.loads(stripped)
+        A = np.asarray(data["A"], dtype=np.float64)
+        B = np.asarray(data["B"], dtype=np.float64).ravel()
+        return A, B
+    M = parse_matrix_text(text)
+    n = M.shape[0]
+    if M.shape[1] != n + 1:
+        raise ValueError(
+            f"system matrix must be n x (n+1) ([A | B]); got {M.shape}"
+        )
+    return M[:, :n].copy(), M[:, n].copy()
+
+
+def load_system(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_system_text(fh.read())
+
+
+def save_system(path, A, B):
+    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
+    B = np.asarray(B, dtype=np.float64).ravel()
+    save_matrix(path, np.column_stack([A, B]))
