@@ -19,6 +19,7 @@ Conventions fixed here (they make every downstream fixture reproducible):
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import scipy.linalg
@@ -185,72 +186,95 @@ def schur_decompose(A, precision: Precision = BITS64):
 
 # ---------------------------------------------------------------------------
 # Eigenvalues (elimination Hessenberg + double-shift QR)
+#
+# The kernel below is scalar Python on row lists of Python floats, on
+# purpose.  Its sequence of IEEE operations is part of the contract: the
+# bifurcation counts near the integer family's conditioning cliff depend
+# on the exact rounding, and numpy reductions, BLAS dot products or
+# LAPACK would reorder operations and change bits.  Python floats round
+# exactly as numpy float64 scalars do, without numpy's per-element
+# indexing and dispatch cost; they differ only on a zero divisor (see
+# ``eigenvalues``).
+
+# Iteration budget of the double-shift QR, in sweeps per matrix row.
+_HQR_SWEEPS_PER_ROW = 30
 
 
-def _elmhes(Ain: np.ndarray) -> np.ndarray:
+def _elmhes(a: list) -> list:
     """Reduce to upper Hessenberg form by stabilized elementary similarity
     transformations (pivoted Gaussian elimination), the classical
-    companion of the double-shift QR iteration below."""
-    a = Ain.copy()
-    n = a.shape[0]
+    companion of the double-shift QR iteration below.
+
+    Works in place on a square matrix given as a list of row lists of
+    floats, and returns it.
+    """
+    n = len(a)
     for m in range(1, n - 1):
         x = 0.0
         i = m
         for j in range(m, n):
-            if abs(a[j, m - 1]) > abs(x):
-                x = a[j, m - 1]
+            if abs(a[j][m - 1]) > abs(x):
+                x = a[j][m - 1]
                 i = j
         if i != m:
-            a[[i, m], m - 1:] = a[[m, i], m - 1:]
-            a[:, [i, m]] = a[:, [m, i]]
+            a[i][m - 1:], a[m][m - 1:] = a[m][m - 1:], a[i][m - 1:]
+            for row in a:
+                row[i], row[m] = row[m], row[i]
         if x != 0.0:
+            am = a[m]
             for i in range(m + 1, n):
-                y = a[i, m - 1]
+                ai = a[i]
+                y = ai[m - 1]
                 if y != 0.0:
                     y /= x
-                    a[i, m - 1] = y
-                    a[i, m:] -= y * a[m, m:]
-                    a[:, m] += y * a[:, i]
+                    ai[m - 1] = y
+                    ai[m:] = [v - y * w for v, w in zip(ai[m:], am[m:])]
+                    for row in a:
+                        row[m] += y * row[i]
     for i in range(2, n):
-        a[i, : i - 1] = 0.0
+        a[i][: i - 1] = [0.0] * (i - 1)
     return a
 
 
-def _hqr_eigenvalues(Hin: np.ndarray, maxiter_mult: int = 30) -> np.ndarray:
+def _hqr_eigenvalues(h: list) -> np.ndarray:
     """Eigenvalues of an upper Hessenberg matrix by the classical
-    double-shift QR iteration with exceptional shifts."""
-    h = Hin.copy()
-    n = h.shape[0]
-    wr = np.zeros(n)
-    wi = np.zeros(n)
-    anorm = np.sum(np.abs(h))
+    double-shift QR iteration with exceptional shifts.
+
+    ``h`` is a list of row lists of floats; it is overwritten.
+    """
+    n = len(h)
+    wr = [0.0] * n
+    wi = [0.0] * n
+    anorm = float(np.sum(np.abs(np.array(h))))
     nn = n - 1
     t = 0.0
-    itn = maxiter_mult * n
+    itn = _HQR_SWEEPS_PER_ROW * n
     while nn >= 0:
         its = 0
         while True:
             l = nn
             while l > 0:
-                s = abs(h[l - 1, l - 1]) + abs(h[l, l])
+                s = abs(h[l - 1][l - 1]) + abs(h[l][l])
                 if s == 0.0:
                     s = anorm
-                if abs(h[l, l - 1]) + s == s:
-                    h[l, l - 1] = 0.0
+                if abs(h[l][l - 1]) + s == s:
+                    h[l][l - 1] = 0.0
                     break
                 l -= 1
-            x = h[nn, nn]
+            hn = h[nn]
+            x = hn[nn]
             if l == nn:
                 wr[nn] = x + t
                 wi[nn] = 0.0
                 nn -= 1
                 break
-            y = h[nn - 1, nn - 1]
-            w = h[nn, nn - 1] * h[nn - 1, nn]
+            hn1 = h[nn - 1]
+            y = hn1[nn - 1]
+            w = hn[nn - 1] * hn1[nn]
             if l == nn - 1:
                 p = 0.5 * (y - x)
                 q = p * p + w
-                zz = np.sqrt(abs(q))
+                zz = math.sqrt(abs(q))
                 x += t
                 if q >= 0.0:
                     zz = p + (zz if p >= 0 else -zz)
@@ -269,54 +293,58 @@ def _hqr_eigenvalues(Hin: np.ndarray, maxiter_mult: int = 30) -> np.ndarray:
             if its == 10 or its == 20:
                 t += x
                 for i in range(nn + 1):
-                    h[i, i] -= x
-                s = abs(h[nn, nn - 1]) + abs(h[nn - 1, nn - 2])
+                    h[i][i] -= x
+                s = abs(hn[nn - 1]) + abs(hn1[nn - 2])
                 y = x = 0.75 * s
                 w = -0.4375 * s * s
             its += 1
             itn -= 1
             m = nn - 2
             while m >= l:
-                zz = h[m, m]
+                hm = h[m]
+                hm1 = h[m + 1]
+                zz = hm[m]
                 r = x - zz
                 s = y - zz
-                p = (r * s - w) / h[m + 1, m] + h[m, m + 1]
-                q = h[m + 1, m + 1] - zz - r - s
-                r = h[m + 2, m + 1]
+                p = (r * s - w) / hm1[m] + hm[m + 1]
+                q = hm1[m + 1] - zz - r - s
+                r = h[m + 2][m + 1]
                 s = abs(p) + abs(q) + abs(r)
                 p /= s
                 q /= s
                 r /= s
                 if m == l:
                     break
-                u_ = abs(h[m, m - 1]) * (abs(q) + abs(r))
-                v_ = abs(p) * (abs(h[m - 1, m - 1]) + abs(zz) + abs(h[m + 1, m + 1]))
+                u_ = abs(hm[m - 1]) * (abs(q) + abs(r))
+                v_ = abs(p) * (abs(h[m - 1][m - 1]) + abs(zz) + abs(hm1[m + 1]))
                 if u_ + v_ == v_:
                     break
                 m -= 1
             for i in range(m + 2, nn + 1):
-                h[i, i - 2] = 0.0
+                h[i][i - 2] = 0.0
                 if i > m + 2:
-                    h[i, i - 3] = 0.0
+                    h[i][i - 3] = 0.0
             for k in range(m, nn):
+                hk = h[k]
+                hk1 = h[k + 1]
                 if k != m:
-                    p = h[k, k - 1]
-                    q = h[k + 1, k - 1]
-                    r = h[k + 2, k - 1] if k != nn - 1 else 0.0
+                    p = hk[k - 1]
+                    q = hk1[k - 1]
+                    r = h[k + 2][k - 1] if k != nn - 1 else 0.0
                     x = abs(p) + abs(q) + abs(r)
                     if x == 0.0:
                         continue
                     p /= x
                     q /= x
                     r /= x
-                s = np.sqrt(p * p + q * q + r * r)
+                s = math.sqrt(p * p + q * q + r * r)
                 if p < 0:
                     s = -s
                 if k == m:
                     if l != m:
-                        h[k, k - 1] = -h[k, k - 1]
+                        hk[k - 1] = -hk[k - 1]
                 else:
-                    h[k, k - 1] = -s * x
+                    hk[k - 1] = -s * x
                 p += s
                 x = p / s
                 y = q / s
@@ -325,24 +353,29 @@ def _hqr_eigenvalues(Hin: np.ndarray, maxiter_mult: int = 30) -> np.ndarray:
                 r /= p
                 if k == nn - 1:
                     for j in range(k, nn + 1):
-                        p = h[k, j] + q * h[k + 1, j]
-                        h[k, j] -= p * x
-                        h[k + 1, j] -= p * y
+                        p = hk[j] + q * hk1[j]
+                        hk[j] -= p * x
+                        hk1[j] -= p * y
                     for i in range(l, min(nn, k + 3) + 1):
-                        p = x * h[i, k] + y * h[i, k + 1]
-                        h[i, k] -= p
-                        h[i, k + 1] -= p * q
+                        hi = h[i]
+                        p = x * hi[k] + y * hi[k + 1]
+                        hi[k] -= p
+                        hi[k + 1] -= p * q
                 else:
+                    hk2 = h[k + 2]
                     for j in range(k, nn + 1):
-                        p = h[k, j] + q * h[k + 1, j] + r * h[k + 2, j]
-                        h[k, j] -= p * x
-                        h[k + 1, j] -= p * y
-                        h[k + 2, j] -= p * zz
+                        p = hk[j] + q * hk1[j] + r * hk2[j]
+                        hk[j] -= p * x
+                        hk1[j] -= p * y
+                        hk2[j] -= p * zz
                     for i in range(l, min(nn, k + 3) + 1):
-                        p = x * h[i, k] + y * h[i, k + 1] + zz * h[i, k + 2]
-                        h[i, k] -= p
-                        h[i, k + 1] -= p * q
-                        h[i, k + 2] -= p * r
+                        hi = h[i]
+                        p = x * hi[k] + y * hi[k + 1] + zz * hi[k + 2]
+                        hi[k] -= p
+                        hi[k + 1] -= p * q
+                        hi[k + 2] -= p * r
+    wr = np.array(wr)
+    wi = np.array(wi)
     order = np.lexsort((wi, wr))
     return wr[order] + 1j * wi[order]
 
@@ -350,17 +383,26 @@ def _hqr_eigenvalues(Hin: np.ndarray, maxiter_mult: int = 30) -> np.ndarray:
 def eigenvalues(A, precision: Precision = BITS64) -> np.ndarray:
     """All eigenvalues of a square real matrix, sorted by (real, imag).
 
-    Complex eigenvalues come out in exact conjugate pairs.  The result is
-    always computed in 64-bit arithmetic of the reduced Hessenberg form
-    built at the requested precision.
+    Complex eigenvalues come out in exact conjugate pairs.  The input is
+    first rounded to the requested precision; the Hessenberg reduction
+    and the QR iteration then run in 64-bit arithmetic on that rounded
+    matrix.
     """
     A = as_matrix(A, precision)
     if A.shape[0] != A.shape[1]:
         raise ValueError("eigenvalues requires a square matrix")
     if A.shape[0] == 1:
         return np.array([complex(A[0, 0])])
-    H = _elmhes(A.astype(np.float64))
-    return _hqr_eigenvalues(H)
+    # tolist() widens float32 entries to Python floats exactly
+    try:
+        return _hqr_eigenvalues(_elmhes(A.tolist()))
+    except ZeroDivisionError:
+        pass
+    # Only reachable once an entry has overflowed to inf or nan: a Python
+    # float raises on a zero divisor where IEEE arithmetic gives inf or
+    # nan.  numpy float64 scalars round identically and divide by zero as
+    # IEEE does, so the same kernel on them yields the IEEE result.
+    return _hqr_eigenvalues(_elmhes([list(row) for row in A.astype(np.float64)]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from poleplace import linalg
-from poleplace.errors import InvalidPoleSet, SingularSystem
+from poleplace.bench import gen_integer_example, gen_scaled_diagonal
+from poleplace.errors import (
+    FactorizationError,
+    InvalidPoleSet,
+    PlacementError,
+    SingularSystem,
+)
 from poleplace.linalg import (
     BITS32,
     BITS64,
@@ -15,6 +21,7 @@ from poleplace.linalg import (
     solve_linear,
     svd_decompose,
 )
+from poleplace.placement import ALGORITHMS
 
 A_WORKED = np.array([[1.0, 3, 5], [7, 13, 17], [1, 1, 1]])
 B_WORKED = np.array([1.0, 1, 1])
@@ -158,6 +165,271 @@ def test_eigenvalues_similarity_invariance():
         e1 = eigenvalues(A)
         e2 = eigenvalues(P.T @ A @ P)
         np.testing.assert_allclose(e1, e2, atol=1e-8 * max(1.0, np.abs(A).max()))
+
+
+# ---------------------------------------------------------------------------
+# Eigen-kernel regression against the numpy-scalar reference
+#
+# _ref_elmhes and _ref_hqr_eigenvalues are the kernels of poleplace 1.0.0,
+# verbatim, running on numpy float64 scalars.  linalg runs the same IEEE
+# operations in the same order on Python floats, so the Hessenberg form
+# and the spectrum must agree bit for bit.
+
+
+def _ref_elmhes(Ain: np.ndarray) -> np.ndarray:
+    """Reduce to upper Hessenberg form by stabilized elementary similarity
+    transformations (pivoted Gaussian elimination), the classical
+    companion of the double-shift QR iteration below."""
+    a = Ain.copy()
+    n = a.shape[0]
+    for m in range(1, n - 1):
+        x = 0.0
+        i = m
+        for j in range(m, n):
+            if abs(a[j, m - 1]) > abs(x):
+                x = a[j, m - 1]
+                i = j
+        if i != m:
+            a[[i, m], m - 1:] = a[[m, i], m - 1:]
+            a[:, [i, m]] = a[:, [m, i]]
+        if x != 0.0:
+            for i in range(m + 1, n):
+                y = a[i, m - 1]
+                if y != 0.0:
+                    y /= x
+                    a[i, m - 1] = y
+                    a[i, m:] -= y * a[m, m:]
+                    a[:, m] += y * a[:, i]
+    for i in range(2, n):
+        a[i, : i - 1] = 0.0
+    return a
+
+
+def _ref_hqr_eigenvalues(Hin: np.ndarray, maxiter_mult: int = 30) -> np.ndarray:
+    """Eigenvalues of an upper Hessenberg matrix by the classical
+    double-shift QR iteration with exceptional shifts."""
+    h = Hin.copy()
+    n = h.shape[0]
+    wr = np.zeros(n)
+    wi = np.zeros(n)
+    anorm = np.sum(np.abs(h))
+    nn = n - 1
+    t = 0.0
+    itn = maxiter_mult * n
+    while nn >= 0:
+        its = 0
+        while True:
+            l = nn
+            while l > 0:
+                s = abs(h[l - 1, l - 1]) + abs(h[l, l])
+                if s == 0.0:
+                    s = anorm
+                if abs(h[l, l - 1]) + s == s:
+                    h[l, l - 1] = 0.0
+                    break
+                l -= 1
+            x = h[nn, nn]
+            if l == nn:
+                wr[nn] = x + t
+                wi[nn] = 0.0
+                nn -= 1
+                break
+            y = h[nn - 1, nn - 1]
+            w = h[nn, nn - 1] * h[nn - 1, nn]
+            if l == nn - 1:
+                p = 0.5 * (y - x)
+                q = p * p + w
+                zz = np.sqrt(abs(q))
+                x += t
+                if q >= 0.0:
+                    zz = p + (zz if p >= 0 else -zz)
+                    wr[nn - 1] = wr[nn] = x + zz
+                    if zz != 0.0:
+                        wr[nn] = x - w / zz
+                    wi[nn - 1] = wi[nn] = 0.0
+                else:
+                    wr[nn - 1] = wr[nn] = x + p
+                    wi[nn - 1] = -zz
+                    wi[nn] = zz
+                nn -= 2
+                break
+            if itn == 0:
+                raise FactorizationError("eigenvalue iteration did not converge")
+            if its == 10 or its == 20:
+                t += x
+                for i in range(nn + 1):
+                    h[i, i] -= x
+                s = abs(h[nn, nn - 1]) + abs(h[nn - 1, nn - 2])
+                y = x = 0.75 * s
+                w = -0.4375 * s * s
+            its += 1
+            itn -= 1
+            m = nn - 2
+            while m >= l:
+                zz = h[m, m]
+                r = x - zz
+                s = y - zz
+                p = (r * s - w) / h[m + 1, m] + h[m, m + 1]
+                q = h[m + 1, m + 1] - zz - r - s
+                r = h[m + 2, m + 1]
+                s = abs(p) + abs(q) + abs(r)
+                p /= s
+                q /= s
+                r /= s
+                if m == l:
+                    break
+                u_ = abs(h[m, m - 1]) * (abs(q) + abs(r))
+                v_ = abs(p) * (abs(h[m - 1, m - 1]) + abs(zz) + abs(h[m + 1, m + 1]))
+                if u_ + v_ == v_:
+                    break
+                m -= 1
+            for i in range(m + 2, nn + 1):
+                h[i, i - 2] = 0.0
+                if i > m + 2:
+                    h[i, i - 3] = 0.0
+            for k in range(m, nn):
+                if k != m:
+                    p = h[k, k - 1]
+                    q = h[k + 1, k - 1]
+                    r = h[k + 2, k - 1] if k != nn - 1 else 0.0
+                    x = abs(p) + abs(q) + abs(r)
+                    if x == 0.0:
+                        continue
+                    p /= x
+                    q /= x
+                    r /= x
+                s = np.sqrt(p * p + q * q + r * r)
+                if p < 0:
+                    s = -s
+                if k == m:
+                    if l != m:
+                        h[k, k - 1] = -h[k, k - 1]
+                else:
+                    h[k, k - 1] = -s * x
+                p += s
+                x = p / s
+                y = q / s
+                zz = r / s
+                q /= p
+                r /= p
+                if k == nn - 1:
+                    for j in range(k, nn + 1):
+                        p = h[k, j] + q * h[k + 1, j]
+                        h[k, j] -= p * x
+                        h[k + 1, j] -= p * y
+                    for i in range(l, min(nn, k + 3) + 1):
+                        p = x * h[i, k] + y * h[i, k + 1]
+                        h[i, k] -= p
+                        h[i, k + 1] -= p * q
+                else:
+                    for j in range(k, nn + 1):
+                        p = h[k, j] + q * h[k + 1, j] + r * h[k + 2, j]
+                        h[k, j] -= p * x
+                        h[k + 1, j] -= p * y
+                        h[k + 2, j] -= p * zz
+                    for i in range(l, min(nn, k + 3) + 1):
+                        p = x * h[i, k] + y * h[i, k + 1] + zz * h[i, k + 2]
+                        h[i, k] -= p
+                        h[i, k + 1] -= p * q
+                        h[i, k + 2] -= p * r
+    order = np.lexsort((wi, wr))
+    return wr[order] + 1j * wi[order]
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _integer_closed_loops():
+    """A - B K for every gain the ALGORITHMS entries return on the
+    integer family, n = 8..12, both precisions and both pole orders."""
+    for n in range(8, 13):
+        sys = gen_integer_example(n)
+        poles = [-float(k) for k in range(1, n + 1)]
+        for order in (poles, poles[::-1]):
+            for fn in ALGORITHMS.values():
+                for precision in (BITS32, BITS64):
+                    try:
+                        K = fn(sys, order, precision)
+                    except PlacementError:
+                        continue
+                    yield sys.A - np.outer(sys.B, np.asarray(K, dtype=np.float64))
+
+
+def _algebroid2_closed_loops():
+    for n in range(12, 31):
+        sys = gen_integer_example(n)
+        K = ALGORITHMS["algebroid2"](sys, [-float(k) for k in range(1, n + 1)], BITS64)
+        yield sys.A - np.outer(sys.B, K)
+
+
+EIGEN_CORPUS = {
+    "random": lambda: (np.random.default_rng(n).standard_normal((n, n))
+                       for n in range(2, 51)),
+    "integer-closed-loops": _integer_closed_loops,
+    "algebroid2-closed-loops": _algebroid2_closed_loops,
+    "scaled-diagonal": lambda: (gen_scaled_diagonal(n, 341).A for n in range(3, 13)),
+    # the cyclic permutations take the its == 10 exceptional shift
+    "special": lambda: [np.eye(4), np.zeros((4, 4)), np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                        np.array([[-2.5]])] + [np.roll(np.eye(n), 1, 0) for n in range(3, 7)],
+}
+
+
+@pytest.mark.parametrize("group", sorted(EIGEN_CORPUS))
+def test_eigen_kernel_bitwise_matches_reference(group):
+    count = 0
+    for M in EIGEN_CORPUS[group]():
+        H_ref = _ref_elmhes(M)
+        H = linalg._elmhes(M.tolist())
+        assert np.array_equal(_bits(H), _bits(H_ref))
+        ev_ref = _ref_hqr_eigenvalues(H_ref)
+        ev = linalg._hqr_eigenvalues(H)
+        assert np.array_equal(_bits(ev.real), _bits(ev_ref.real))
+        assert np.array_equal(_bits(ev.imag), _bits(ev_ref.imag))
+        count += 1
+    assert count > 0
+
+
+def _outcome(fn, M):
+    """The spectrum's bits, or the type and message of the exception."""
+    try:
+        ev = fn(M)
+    except Exception as exc:  # the outcome is what is compared
+        return type(exc), str(exc)
+    return _bits(ev.real).tolist(), _bits(ev.imag).tolist()
+
+
+def _ref_eigenvalues(M):
+    return _ref_hqr_eigenvalues(_ref_elmhes(M))
+
+
+def test_eigenvalues_32bit_rounds_input_then_runs_64bit():
+    for n in range(2, 13):
+        M = np.random.default_rng(n).standard_normal((n, n))
+        expected = _outcome(_ref_eigenvalues, M.astype(np.float32).astype(np.float64))
+        assert _outcome(lambda M: eigenvalues(M, BITS32), M) == expected
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eigenvalues_extreme_scales_match_reference():
+    # Python floats raise ZeroDivisionError where numpy scalars give inf
+    # or nan; at every scale the outcome must stay that of the reference.
+    seen = set()
+    for scale in (1e150, 1e200, 1e300, 1e-300, 5e-324):
+        for n in (3, 6, 10):
+            M = np.random.default_rng(n).standard_normal((n, n)) * scale
+            expected = _outcome(_ref_eigenvalues, M)
+            assert _outcome(eigenvalues, M) == expected
+            seen.add(expected[0] if expected[0] is FactorizationError else "spectrum")
+    assert seen == {FactorizationError, "spectrum"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eigenvalues_zero_divisor_after_overflow_matches_reference():
+    M = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 5)) * 1e308
+    with pytest.raises(ZeroDivisionError):
+        linalg._hqr_eigenvalues(linalg._elmhes(M.tolist()))
+    assert _outcome(eigenvalues, M) == _outcome(_ref_eigenvalues, M)
 
 
 # ---------------------------------------------------------------------------
