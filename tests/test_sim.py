@@ -90,6 +90,18 @@ def test_simulate_diverged_state_guard():
         simulate(WORKED, [3.0, 2.0, 1.0], cfg)
 
 
+def test_simulate_rejects_foreign_chain():
+    other = StateSpace([[0, 1, 0], [0, 0, 1], [-1, -2, -3]], [0, 0, 1])
+    for mode in ("gain", "chain"):
+        cfg = SimConfig(T=1.0, h=0.1, x0=[1.0, 2.0, 3.0], feedback=mode)
+        with pytest.raises(ValueError, match="different system"):
+            simulate(WORKED, POLES, cfg, chain=build_anchor_chain(other))
+        with pytest.raises(ValueError, match="built at"):
+            simulate(WORKED, POLES, cfg, chain=build_anchor_chain(WORKED, BITS32))
+        with pytest.raises(ValueError, match="built at"):
+            simulate(WORKED, POLES, cfg, chain=build_anchor_chain(WORKED), precision=BITS32)
+
+
 def test_simulate_scaled_diagonal_32bit_both_modes():
     # the slow family shows a large transient before settling, so the
     # horizon has to cover several multiples of the slowest time constant
