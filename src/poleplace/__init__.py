@@ -8,7 +8,7 @@ constructions, a benchmark harness, and a closed-loop simulator.
 Every public gain K satisfies: eigenvalues(A - B K) = requested poles.
 """
 
-from . import algebroid, bench, exactring, linalg, placement, sim
+from . import algebroid, bench, cli, exactring, linalg, placement, sim
 from .bench import (
     BenchRecord,
     ExampleFamily,
@@ -20,7 +20,6 @@ from .bench import (
 from .errors import (
     ComplexBlockUnsupported,
     DegenerateAnchor,
-    DegenerateGcd,
     DegenerateProjection,
     DivergedState,
     FactorizationError,
@@ -33,7 +32,7 @@ from .errors import (
     ZeroInputComponent,
     ZeroVector,
 )
-from .exactring import ExactGain, gcd_mod, gcd_sub, nullspace_row, place_exact, ratio, simplify
+from .exactring import ExactGain, nullspace_row, place_exact, ratio, simplify
 from .linalg import (
     BITS32,
     BITS64,

@@ -52,6 +52,19 @@ def parse_pole_list(text: str):
     return poles
 
 
+def _parse_poles(text: str, n: int):
+    """Parse a --poles value for an n-state system: conjugate-closed,
+    one pole per state."""
+    poles = parse_pole_list(text)
+    try:
+        linalg.validate_conjugate_closed(poles)
+    except InvalidPoleSet as exc:
+        raise UsageError(str(exc)) from exc
+    if len(poles) != n:
+        raise UsageError(f"system has n={n}, got {len(poles)} poles")
+    return poles
+
+
 def parse_float_list(text: str):
     try:
         return [float(tok) for tok in text.replace(",", " ").split()]
@@ -83,15 +96,9 @@ def _cmd_place(args) -> int:
     sys_ = _load_system(args.system)
     precision = as_precision(args.precision)
     if args.poles:
-        poles = parse_pole_list(args.poles)
-        try:
-            linalg.validate_conjugate_closed(poles)
-        except InvalidPoleSet as exc:
-            raise UsageError(str(exc)) from exc
+        poles = _parse_poles(args.poles, sys_.n)
         if args.reverse_poles:
             poles = poles[::-1]
-        if len(poles) != sys_.n:
-            raise UsageError(f"system has n={sys_.n}, got {len(poles)} poles")
         K = placement.place(sys_, poles, algorithm=args.algo, precision=precision)
         targets = poles
     else:
@@ -183,13 +190,7 @@ def _cmd_simulate(args) -> int:
         sys_ = bench.gen_integer_example(args.n)
     else:
         raise UsageError("give --system or --family")
-    poles = [complex(p) for p in parse_pole_list(args.poles)]
-    try:
-        linalg.validate_conjugate_closed(poles)
-    except InvalidPoleSet as exc:
-        raise UsageError(str(exc)) from exc
-    if len(poles) != sys_.n:
-        raise UsageError(f"system has n={sys_.n}, got {len(poles)} poles")
+    poles = _parse_poles(args.poles, sys_.n)
     x0 = (parse_float_list(args.x0) if args.x0
           else [float(k) for k in range(1, sys_.n + 1)])
     if len(x0) != sys_.n:

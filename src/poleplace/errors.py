@@ -45,10 +45,6 @@ class InvalidPoleSet(PlacementError):
     """A pole specification is malformed (e.g. not conjugate-closed)."""
 
 
-class DegenerateGcd(PlacementError):
-    """gcd(0, 0) was requested."""
-
-
 class ZeroVector(PlacementError):
     """An all-zero vector where a nonzero one is required."""
 

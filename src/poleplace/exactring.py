@@ -17,32 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _gcd
 
-from .errors import DegenerateGcd, UncontrollableSystem, ZeroVector
-
-
-def gcd_mod(a: int, b: int) -> int:
-    """Greatest common divisor by Euclid's modulo recursion (non-negative)."""
-    if a == 0 and b == 0:
-        raise DegenerateGcd("gcd(0, 0) is undefined")
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def gcd_sub(a: int, b: int) -> int:
-    """Greatest common divisor by repeated subtraction.
-
-    Requires positive operands.  Slower than :func:`gcd_mod` but stays
-    inside (+, -); kept for cross-checking.
-    """
-    if a <= 0 or b <= 0:
-        raise ValueError("gcd_sub requires positive integers")
-    while a != b:
-        if a > b:
-            a -= b
-        else:
-            b -= a
-    return a
+from .errors import UncontrollableSystem, ZeroVector
 
 
 def nullspace_row(v) -> list:
@@ -171,11 +146,6 @@ def place_exact(A, B, charpoly) -> ExactGain:
     if len(pp) != n + 1 or pp[0] != 1:
         raise ValueError("charpoly must be monic of length n+1, degree-descending")
     pp = pp[::-1]  # ascending: [pn, ..., p1, 1]
-    if n == 1:
-        # scalar case: K = (a - lambda) / b
-        if B[0] == 0:
-            raise UncontrollableSystem("scalar system with b = 0")
-        return ExactGain(B[0], (A[0][0] + pp[0],))
     Ab = identity(n)
     KK = [[pp[0] if i == j else 0 for j in range(n)] for i in range(n)]
     Bb = list(B)

@@ -23,10 +23,18 @@ numerical personality:
 All gains follow one convention: ``eigenvalues(A - B K)`` equals the
 requested spectrum.  Routines that internally mirror an A + BK
 formulation negate before returning.
+
+Every pole list passes one check first (one pole per state, B not
+identically zero, and all poles real for the five methods that take
+real poles only); the Ackermann routes take the poles one step at a
+time, a conjugate pair as one real quadratic step.  :data:`ALGORITHMS`
+maps each method's name to its function, called as
+``fn(sys, poles, precision)``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,15 +89,55 @@ def _sys_arrays(sys: StateSpace, precision: Precision):
     return sys.A.astype(precision.dtype), sys.B.astype(precision.dtype)
 
 
-def _real_roots(poles):
-    """Validate an all-real pole list and return it as floats."""
-    out = []
-    for p in poles:
-        z = complex(p)
-        if z.imag != 0.0:
-            raise InvalidPoleSet(f"this method handles real poles only, got {z}")
-        out.append(z.real)
-    return out
+def _check_poles(sys: StateSpace, poles, precision: Precision,
+                 real: bool = False) -> list:
+    """Validate a pole list for ``sys``: all real when ``real`` (returned
+    as floats, else as complex), one pole per state, and B not
+    identically zero at ``precision``."""
+    roots = [complex(p) for p in poles]
+    if real:
+        for z in roots:
+            if z.imag != 0.0:
+                raise InvalidPoleSet(f"this method handles real poles only, got {z}")
+        roots = [z.real for z in roots]
+    if len(roots) != sys.n:
+        raise InvalidPoleSet(f"expected {sys.n} poles, got {len(roots)}")
+    if not np.any(sys.B.astype(precision.dtype)):
+        raise UncontrollableSystem("B = 0")
+    return roots
+
+
+def _poles_or_charpoly(sys: StateSpace, poles, charpoly, precision: Precision):
+    """Exactly one of a checked pole list or a monic float64 charpoly of
+    length n+1; returns (roots, None) or (None, cp)."""
+    if (poles is None) == (charpoly is None):
+        raise ValueError("give exactly one of poles or charpoly")
+    if poles is not None:
+        return _check_poles(sys, poles, precision), None
+    cp = np.asarray(charpoly, dtype=np.float64).ravel()
+    if cp.size != sys.n + 1 or cp[0] != 1.0:
+        raise InvalidPoleSet("charpoly must be monic of length n+1")
+    return None, cp
+
+
+def _pole_steps(roots):
+    """The real factor of each pole step, in order: ``(l,)`` for a real
+    pole, ``(2 Re l, |l|^2)`` for a complex pole and the conjugate that
+    must follow it."""
+    roots = [complex(r) for r in roots]
+    i = 0
+    while i < len(roots):
+        lam = roots[i]
+        if lam.imag == 0.0:
+            yield (lam.real,)
+            i += 1
+            continue
+        if i + 1 >= len(roots) or abs(roots[i + 1] - lam.conjugate()) > 1e-9 * max(1.0, abs(lam)):
+            raise InvalidPoleSet(
+                "complex pole must be immediately followed by its conjugate"
+            )
+        yield (2.0 * lam.real, lam.real * lam.real + lam.imag * lam.imag)
+        i += 2
 
 
 def _degeneracy_tol(precision: Precision, scale: float) -> float:
@@ -129,43 +177,28 @@ def horner_char_matrix(A, roots, precision: Precision = BITS64) -> np.ndarray:
     so everything stays in real arithmetic.
     """
     A = as_matrix(A, precision)
-    n = A.shape[0]
-    Phi = np.eye(n, dtype=A.dtype)
-    i = 0
-    roots = [complex(r) for r in roots]
-    while i < len(roots):
-        lam = roots[i]
-        if lam.imag == 0.0:
-            Phi = A @ Phi - A.dtype.type(lam.real) * Phi
-            i += 1
+    Phi = np.eye(A.shape[0], dtype=A.dtype)
+    for step in _pole_steps(roots):
+        if len(step) == 1:
+            Phi = A @ Phi - A.dtype.type(step[0]) * Phi
         else:
-            if i + 1 >= len(roots) or abs(roots[i + 1] - lam.conjugate()) > 1e-9 * max(1.0, abs(lam)):
-                raise InvalidPoleSet(
-                    "complex pole must be immediately followed by its conjugate"
-                )
-            two_re = A.dtype.type(2.0 * lam.real)
-            mag2 = A.dtype.type(lam.real * lam.real + lam.imag * lam.imag)
+            two_re, mag2 = (A.dtype.type(c) for c in step)
             APhi = A @ Phi
             Phi = A @ APhi - two_re * APhi + mag2 * Phi
-            i += 2
     return Phi
 
 
-def ackermann_direct(sys: StateSpace, poles=None, charpoly=None,
-                     precision: Precision = BITS64) -> np.ndarray:
+def ackermann_direct(sys: StateSpace, poles=None, precision: Precision = BITS64,
+                     charpoly=None) -> np.ndarray:
     """K = e_n^T C^-1 Phi(A), the closed-form placement gain."""
-    if (poles is None) == (charpoly is None):
-        raise ValueError("give exactly one of poles or charpoly")
+    roots, cp = _poles_or_charpoly(sys, poles, charpoly, precision)
     A, _ = _sys_arrays(sys, precision)
     crow = inverse_ctrb_last_row(sys, precision)
-    if poles is not None:
-        Phi = horner_char_matrix(A, poles, precision)
+    if roots is not None:
+        Phi = horner_char_matrix(A, roots, precision)
     else:
-        cp = np.asarray(charpoly, dtype=precision.dtype).ravel()
-        if cp.size != sys.n + 1 or cp[0] != 1.0:
-            raise InvalidPoleSet("charpoly must be monic of length n+1")
         Phi = np.eye(sys.n, dtype=A.dtype)
-        for c in cp[1:]:
+        for c in cp[1:].astype(A.dtype):
             Phi = A @ Phi + c * np.eye(sys.n, dtype=A.dtype)
     return crow @ Phi
 
@@ -177,26 +210,15 @@ def ackermann_factored(sys: StateSpace, poles,
     The pole order is preserved; adjacent conjugate pairs are merged into
     one real quadratic step (K A^2 - 2 Re(l) K A + |l|^2 K).
     """
+    roots = _check_poles(sys, poles, precision)
     A, _ = _sys_arrays(sys, precision)
     K = inverse_ctrb_last_row(sys, precision)
-    roots = [complex(p) for p in poles]
-    if len(roots) != sys.n:
-        raise InvalidPoleSet(f"expected {sys.n} poles, got {len(roots)}")
-    i = 0
-    while i < len(roots):
-        lam = roots[i]
-        if lam.imag == 0.0:
-            K = K @ A - A.dtype.type(lam.real) * K
-            i += 1
+    for step in _pole_steps(roots):
+        if len(step) == 1:
+            K = K @ A - A.dtype.type(step[0]) * K
         else:
-            if i + 1 >= len(roots) or abs(roots[i + 1] - lam.conjugate()) > 1e-9 * max(1.0, abs(lam)):
-                raise InvalidPoleSet(
-                    "complex pole must be immediately followed by its conjugate"
-                )
             KA = K @ A
-            K = KA @ A - A.dtype.type(2.0 * lam.real) * KA \
-                + A.dtype.type(lam.real ** 2 + lam.imag ** 2) * K
-            i += 2
+            K = KA @ A - A.dtype.type(step[0]) * KA + A.dtype.type(step[1]) * K
     return K
 
 
@@ -261,9 +283,7 @@ def place_determinantal(sys: StateSpace, poles,
     singular N means the planes are parallel, which is exactly the
     uncontrollable geometry.
     """
-    roots = _real_roots(poles)
-    if len(roots) != sys.n:
-        raise InvalidPoleSet(f"expected {sys.n} poles, got {len(roots)}")
+    roots = _check_poles(sys, poles, precision, real=True)
     N = np.zeros((sys.n, sys.n), dtype=precision.dtype)
     for i, lam in enumerate(roots):
         N[i, :] = hyperplane_normal(sys, lam, precision).normal
@@ -287,16 +307,12 @@ def place_sliding(sys: StateSpace, poles,
     the largest |b_j|, which minimizes the 1/b_j amplification in the
     point formula.
     """
-    roots = _real_roots(poles)
+    roots = _check_poles(sys, poles, precision, real=True)
     n = sys.n
-    if len(roots) != n:
-        raise InvalidPoleSet(f"expected {n} poles, got {len(roots)}")
     A, B = _sys_arrays(sys, precision)
     normals = [hyperplane_normal(sys, lam, precision).normal for lam in roots]
     j = int(np.argmax(np.abs(B)))
     seeds = [hyperplane_point(sys, lam, j, precision) for lam in roots]
-    if n == 1:
-        return ([seeds[0]], seeds[0]) if return_steps else seeds[0]
     # N[i][k] is normal i after k oblique projections
     proj = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -390,9 +406,8 @@ def _descend_quotients(sys: StateSpace, roots, variant: str,
     return QuotientStack(tuple(levels), float(Ab.ravel()[0]), float(Bb.ravel()[0]))
 
 
-def place_algebroid1(sys: StateSpace, poles, variant: str = "qr",
-                     precision: Precision = BITS64,
-                     return_stack: bool = False):
+def place_algebroid1(sys: StateSpace, poles, precision: Precision = BITS64,
+                     variant: str = "qr", return_stack: bool = False):
     """Quotient into the pole hyperplanes, one dimension at a time.
 
     Descending phase: for each pole, build an orthonormal basis of its
@@ -403,14 +418,8 @@ def place_algebroid1(sys: StateSpace, poles, variant: str = "qr",
     phase: K_i = k_{o,i} + K_{i+1} Q_i, which carries the quotient gain
     back up while leaving the pole fixed at that level unchanged.
     """
-    roots = _real_roots(poles)
+    roots = _check_poles(sys, poles, precision, real=True)
     n = sys.n
-    if len(roots) != n:
-        raise InvalidPoleSet(f"expected {n} poles, got {len(roots)}")
-    if n == 1:
-        K = np.array([(sys.A[0, 0] - roots[0]) / sys.B[0]], dtype=precision.dtype)
-        stack = QuotientStack((), float(sys.A[0, 0]), float(sys.B[0]))
-        return (K, stack) if return_stack else K
     stack = _descend_quotients(sys, roots, variant, precision)
     dt = precision.dtype
     K = ((np.asarray(stack.terminal_a, dtype=dt) - dt(roots[n - 1]))
@@ -501,16 +510,9 @@ def chain_controllability_report(chain: AnchorChain, tol: float = 1e-9) -> Chain
 
 def _ascending_charpoly(sys: StateSpace, poles, charpoly, precision: Precision):
     """Coefficients constant-term-first, [p_n, ..., p_1, 1]."""
-    if (poles is None) == (charpoly is None):
-        raise ValueError("give exactly one of poles or charpoly")
-    if charpoly is not None:
-        cp = np.asarray(charpoly, dtype=np.float64).ravel()
-        if cp.size != sys.n + 1 or cp[0] != 1.0:
-            raise InvalidPoleSet("charpoly must be monic of length n+1")
-    else:
-        if len(list(poles)) != sys.n:
-            raise InvalidPoleSet(f"expected {sys.n} poles")
-        cp = poly_from_roots(poles)
+    roots, cp = _poles_or_charpoly(sys, poles, charpoly, precision)
+    if roots is not None:
+        cp = poly_from_roots(roots)
     return cp[::-1].astype(precision.dtype)
 
 
@@ -533,6 +535,7 @@ class ChainFeedback:
         self.precision = precision
         self.n = sys.n
         if sys.n == 1:
+            # (a + p)/b x rounds differently from the general p x + a x over b
             if B[0] == 0:
                 raise UncontrollableSystem("scalar system with b = 0")
             self._scalar = (A[0, 0] + pp[0]) / B[0]
@@ -567,6 +570,8 @@ class ChainFeedback:
     def __call__(self, x) -> float:
         """u = -K x through the same recursion applied to the state."""
         x = as_vector(x, self.precision)
+        if x.size != self.n:
+            raise ValueError(f"state has {x.size} entries, system has n = {self.n}")
         if self._scalar is not None:
             return float(-self._scalar * x[0])
         ut = self._pp0 * x
@@ -644,12 +649,12 @@ def place_miminis(sys: StateSpace, poles, precision: Precision = BITS64) -> np.n
     shifted transpose; the gain is accumulated back through the stored
     orthogonal factors and the reduction basis.
     """
-    roots = _real_roots(poles)
+    roots = _check_poles(sys, poles, precision, real=True)
     n = sys.n
-    if len(roots) != n:
-        raise InvalidPoleSet(f"expected {n} poles, got {len(roots)}")
     A, B = _sys_arrays(sys, precision)
     if n == 1:
+        # the deflation threshold below scales with |a|, so the general path
+        # would reject controllable scalars with a small |b|
         return np.array([(A[0, 0] - roots[0]) / B[0]], dtype=A.dtype)
     roots = roots[::-1]  # the deflation consumes the pole list reversed
     qc, Ah = controller_hessenberg(sys, precision)
@@ -724,10 +729,8 @@ def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.nda
     through the Schur basis.  2x2 (complex-pair) Schur blocks of A are
     not supported.
     """
-    roots = _real_roots(poles)
+    roots = _check_poles(sys, poles, precision, real=True)
     n = sys.n
-    if len(roots) != n:
-        raise InvalidPoleSet(f"expected {n} poles, got {len(roots)}")
     A, B = _sys_arrays(sys, precision)
     U, T = schur_decompose(A, precision)
     if n > 1 and np.any(np.diag(T, -1) != 0.0):
@@ -762,28 +765,18 @@ def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.nda
 # Registry (shared by the benchmark harness and the CLI)
 
 
-def _alg_ackermann(sys, poles, precision):
-    return ackermann_direct(sys, poles=poles, precision=precision)
-
-
-def _alg_algebroid1(sys, poles, precision):
-    return place_algebroid1(sys, poles, variant="qr", precision=precision)
-
-
-def _alg_algebroid1_solve(sys, poles, precision):
-    return place_algebroid1(sys, poles, variant="solve", precision=precision)
-
-
+# Every entry is called as fn(sys, poles, precision) and returns the gain K
+# with eigenvalues(A - B K) equal to the poles, or raises a PlacementError.
 ALGORITHMS = {
-    "ackermann": _alg_ackermann,
-    "ackermann-factored": lambda sys, poles, precision: ackermann_factored(sys, poles, precision),
-    "determinantal": lambda sys, poles, precision: place_determinantal(sys, poles, precision),
-    "sliding": lambda sys, poles, precision: place_sliding(sys, poles, precision),
-    "algebroid1": _alg_algebroid1,
-    "algebroid1-solve": _alg_algebroid1_solve,
-    "algebroid2": lambda sys, poles, precision: place_algebroid2(sys, poles, precision),
-    "miminis": lambda sys, poles, precision: place_miminis(sys, poles, precision),
-    "varga": lambda sys, poles, precision: place_varga(sys, poles, precision),
+    "ackermann": ackermann_direct,
+    "ackermann-factored": ackermann_factored,
+    "determinantal": place_determinantal,
+    "sliding": place_sliding,
+    "algebroid1": place_algebroid1,
+    "algebroid1-solve": functools.partial(place_algebroid1, variant="solve"),
+    "algebroid2": place_algebroid2,
+    "miminis": place_miminis,
+    "varga": place_varga,
 }
 
 

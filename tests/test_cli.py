@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +87,31 @@ def test_place_uncontrollable_exits_2(unctrl_system, capsys):
                      "--poles", "-1,-2,-3"])
     assert code == 2
     assert "ParallelHyperplanes" in capsys.readouterr().err
+
+
+def test_place_zero_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "zero_b.txt"
+    path.write_text(WORKED_TEXT.replace(" 1\n", " 0\n"))
+    code = cli.main(["place", "--algo", "determinantal", "--system", str(path),
+                     "--poles", "-1,-2,-3"])
+    assert code == 2
+    assert "UncontrollableSystem: B = 0" in capsys.readouterr().err
+
+
+def test_place_and_simulate_share_pole_checks(worked_system, capsys):
+    for cmd in (["place", "--algo", "ackermann"], ["simulate"]):
+        for poles, msg in (("-1,-2", "system has n=3, got 2 poles"),
+                           ("-1+1i,-2,-3", "not closed under conjugation")):
+            code = cli.main(cmd + ["--system", worked_system, "--poles", poles])
+            assert code == 1
+            assert msg in capsys.readouterr().err
+
+
+def test_package_import_binds_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", "import poleplace; print(poleplace.cli.main)"],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_place_unknown_flag_is_usage_error(worked_system):

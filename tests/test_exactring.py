@@ -1,15 +1,14 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from poleplace import exactring
-from poleplace.errors import DegenerateGcd, UncontrollableSystem, ZeroVector
+from poleplace.errors import UncontrollableSystem, ZeroVector
 from poleplace.exactring import (
     ExactGain,
     controllability_det_exact,
-    gcd_mod,
-    gcd_sub,
     nullspace_row,
     place_exact,
     ratio,
@@ -37,40 +36,6 @@ def gen_integer_family(n):
     for i in range(2, n):
         A[i][0] = -1
     return A, [1] * n
-
-
-# ---------------------------------------------------------------------------
-# GCD
-
-
-def test_gcd_mod_basic():
-    assert gcd_mod(12, 18) == 6
-    assert gcd_mod(7, 0) == 7
-    assert gcd_mod(0, 7) == 7
-    assert gcd_mod(-12, 18) == 6
-
-
-def test_gcd_mod_zero_zero():
-    with pytest.raises(DegenerateGcd):
-        gcd_mod(0, 0)
-
-
-def test_gcd_sub_basic():
-    assert gcd_sub(12, 18) == 6
-    assert gcd_sub(1, 10**6) == 1
-
-
-def test_gcd_sub_requires_positive():
-    with pytest.raises(ValueError):
-        gcd_sub(0, 5)
-
-
-def test_gcd_sub_matches_gcd_mod():
-    rng = np.random.default_rng(341)
-    for _ in range(10_000):
-        a = int(rng.integers(1, 5000))
-        b = int(rng.integers(1, 5000))
-        assert gcd_sub(a, b) == gcd_mod(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +77,7 @@ def test_nullspace_row_reduction_on_intermediate_inputs():
     M2 = nullspace_row(B1)
     for row in M2:
         assert sum(r * x for r, x in zip(row, B1)) == 0
-    g = gcd_mod(abs(B1[1]), abs(B1[0]))
+    g = math.gcd(abs(B1[1]), abs(B1[0]))
     assert M2[0] == [B1[1] // g, -B1[0] // g]
 
 

@@ -29,6 +29,7 @@ from poleplace.placement import (
     horner_char_matrix,
     hyperplane_normal,
     hyperplane_point,
+    place,
     place_algebroid1,
     place_determinantal,
     place_miminis,
@@ -455,6 +456,16 @@ def test_feedback_eval_reference_state():
     assert u == pytest.approx(-21.0, abs=1e-9)
 
 
+def test_feedback_law_rejects_wrong_state_length():
+    scalar = StateSpace([[2.0]], [4.0])
+    with pytest.raises(ValueError, match="state has 3 entries, system has n = 1"):
+        feedback_eval(build_anchor_chain(scalar), [1.0, 5.0, 7.0], poles=[-1.0])
+    law = ChainFeedback(build_anchor_chain(WORKED), poles=POLES)
+    for x in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
+        with pytest.raises(ValueError, match=f"state has {len(x)} entries, system has n = 3"):
+            law(x)
+
+
 def test_feedback_eval_consistent_with_gain():
     chain = build_anchor_chain(WORKED)
     K = gain_from_chain(chain, poles=POLES)
@@ -696,6 +707,44 @@ def test_varga_rejects_complex_schur_blocks():
 
 # ---------------------------------------------------------------------------
 # Cross-algorithm invariants
+
+
+def test_every_algorithm_rejects_zero_input():
+    # an input of 1e-50 is zero once rounded to 32 bits
+    for n in (1, 3):
+        for b, precisions in ((0.0, (BITS32, BITS64)), (1e-50, (BITS32,))):
+            sys = StateSpace(WORKED.A[:n, :n], np.full(n, b))
+            for name, fn in ALGORITHMS.items():
+                for precision in precisions:
+                    with pytest.raises(UncontrollableSystem, match="^B = 0$"):
+                        fn(sys, POLES[:n], precision)
+
+
+def test_every_algorithm_rejects_wrong_pole_count():
+    for name in ALGORITHMS:
+        for poles in (POLES[:2], POLES + [-4.0]):
+            with pytest.raises(InvalidPoleSet, match=f"expected 3 poles, got {len(poles)}"):
+                place(WORKED, poles, name)
+
+
+def test_algorithms_take_sys_poles_precision():
+    for name, fn in ALGORITHMS.items():
+        for precision in (BITS32, BITS64):
+            K = fn(WORKED, POLES, precision)
+            np.testing.assert_allclose(K, K_REF, rtol=1e-3, err_msg=name)
+    np.testing.assert_array_equal(ALGORITHMS["algebroid1-solve"](WORKED, POLES, BITS32),
+                                  place_algebroid1(WORKED, POLES, BITS32, variant="solve"))
+
+
+def test_scalar_algebroid1_stays_in_requested_precision():
+    rng = np.random.default_rng(71)
+    f = np.float32
+    for _ in range(200):
+        a, b, p = rng.standard_normal(3)
+        expected = np.array([(f(a) - f(p)) / f(b)], dtype=f)
+        for variant in ("qr", "solve"):
+            K = place_algebroid1(StateSpace([[a]], [b]), [p], BITS32, variant=variant)
+            assert K.dtype == f and K.tobytes() == expected.tobytes()
 
 
 def test_placement_soundness_and_oracle_agreement():
