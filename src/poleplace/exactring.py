@@ -58,16 +58,33 @@ def nullspace_row(v) -> list:
 
 
 def mat_mul(X, Y):
-    Ycols = list(zip(*Y))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Ycols] for row in X]
+    """Product X Y as row combinations: row i is the sum of X[i][k] * Y[k].
+
+    Only nonzero X[i][k] and the nonzero entries of each Y[k] take part:
+    the annihilator rows of :func:`place_exact` have at most two nonzeros,
+    so most dense multiply-adds would be by zero.  Ring addition is exact,
+    so every entry equals the dense sum; an entry with no nonzero term is
+    the int 0.
+    """
+    width = len(Y[0]) if Y else 0
+    Ynz = [[(j, b) for j, b in enumerate(row) if b] for row in Y]
+    out = []
+    for row in X:
+        acc = [0] * width
+        for a, terms in zip(row, Ynz):
+            if a:
+                for j, b in terms:
+                    acc[j] += a * b
+        out.append(acc)
+    return out
 
 
 def mat_vec(X, v):
     return [sum(a * b for a, b in zip(row, v)) for row in X]
 
 
-def identity(n, one=1, zero=0):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def exact_determinant(M) -> int:
@@ -187,7 +204,3 @@ def ratio(g: ExactGain):
     if g.denominator == 0:
         raise ZeroDivisionError("exact gain has zero denominator")
     return [Fraction(x, g.denominator) for x in g.numerator]
-
-
-def gain_as_floats(g: ExactGain):
-    return [float(f) for f in ratio(g)]

@@ -114,6 +114,15 @@ def test_package_import_binds_cli():
     assert out.returncode == 0, out.stderr
 
 
+def test_module_entry_point_runs_without_warning():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "poleplace", "--help"],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stderr == ""
+    assert "usage: poleplace" in out.stdout
+
+
 def test_place_unknown_flag_is_usage_error(worked_system):
     code = cli.main(["place", "--algo", "ackermann", "--system", worked_system,
                      "--poles", "-1,-2,-3", "--bogus"])

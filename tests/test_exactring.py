@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -171,6 +172,154 @@ def test_oracle_places_poles_in_float():
         Bf = np.array(B, dtype=float)
         ev = np.sort(np.linalg.eigvals(Af - np.outer(Bf, K)).real)
         np.testing.assert_allclose(ev, [-(k + 1) for k in range(n)][::-1], atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Sparse row-combination product against the dense triple loop
+
+
+def _ref_mat_mul(X, Y):
+    Ycols = list(zip(*Y))
+    return [[sum(a * b for a, b in zip(row, col)) for col in Ycols] for row in X]
+
+
+def _ref_place_exact(A, B, charpoly):
+    """``place_exact`` as it was with the dense product, kept as reference."""
+    A = [[int(x) for x in row] for row in A]
+    B = [int(x) for x in B]
+    n = len(B)
+    pp = [int(c) for c in charpoly]
+    if len(pp) != n + 1 or pp[0] != 1:
+        raise ValueError("charpoly must be monic of length n+1, degree-descending")
+    pp = pp[::-1]
+    Ab = exactring.identity(n)
+    KK = [[pp[0] if i == j else 0 for j in range(n)] for i in range(n)]
+    Bb = list(B)
+    for step in range(1, n):
+        if all(x == 0 for x in Bb):
+            raise UncontrollableSystem(
+                f"quotient input vanished exactly at level {step}"
+            )
+        anb = nullspace_row(Bb)
+        AbA = _ref_mat_mul(_ref_mat_mul(anb, Ab), A)
+        Bb = exactring.mat_vec(AbA, B)
+        Ab = AbA
+        t = _ref_mat_mul(anb, KK)
+        KK = [
+            [pp[step] * Ab[i][j] + t[i][j] for j in range(n)]
+            for i in range(len(Ab))
+        ]
+    t = _ref_mat_mul(Ab, A)
+    KK = [[KK[i][j] + t[i][j] for j in range(n)] for i in range(len(KK))]
+    den = exactring.mat_vec(Ab, B)[0]
+    if den == 0:
+        raise UncontrollableSystem("exact denominator Ab.B is zero")
+    return ExactGain(den, KK[0])
+
+
+def _outcome(fn, *args):
+    try:
+        g = fn(*args)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+    return g.denominator, g.numerator
+
+
+BIG = 3**200 + 17  # 317 bits
+
+MAT_MUL_CASES = [
+    ([[1, 2, 3], [4, 5, 6]], [[1, 0, 2, -1], [0, 3, 0, 0], [7, 0, 0, 5]]),  # 2x3 . 3x4
+    ([[-1, 0, 4, -9]], [[2], [0], [-3], [5]]),  # 1x4 . 4x1
+    ([[2], [0], [-7]], [[3, -1, 0]]),  # 3x1 . 1x3
+    ([], []),  # empty
+    ([], [[1, 2], [3, 4]]),  # no rows in X
+    ([[], []], []),  # X 2x0, Y 0x0
+    ([[1, 2], [3, 4]], [[], []]),  # Y with zero columns
+    ([[0, 0, 0], [1, -2, 0]], [[5, 6], [0, 0], [7, 8]]),  # zero rows in X and Y
+    ([[0, 0], [0, 0]], [[0, 0], [0, 0]]),  # all zero
+    ([[-3, -5], [-7, 0]], [[-2, 0], [0, -11]]),  # negative
+    ([[BIG, -BIG, 1], [0, BIG**2, -1]], [[BIG, 0], [1, -BIG], [-BIG**3, 2]]),  # big ints
+    (
+        [[Fraction(1, 3), Fraction(0), Fraction(-5, 7)], [Fraction(2), Fraction(1, 2), 0]],
+        [[Fraction(3, 4), 0], [Fraction(-1, 6), Fraction(9, 5)], [Fraction(0), 1]],
+    ),
+]
+
+
+@pytest.mark.parametrize("X,Y", MAT_MUL_CASES)
+def test_mat_mul_equals_dense_product(X, Y):
+    got = exactring.mat_mul(X, Y)
+    want = _ref_mat_mul(X, Y)
+    assert got == want
+    assert [len(row) for row in got] == [len(row) for row in want]
+    for grow, wrow in zip(got, want):
+        for g, w in zip(grow, wrow):
+            assert type(g) is type(w) or g == w == 0
+
+
+def test_mat_mul_random_integer_matrices():
+    rng = random.Random(5)
+    for _ in range(300):
+        m, k, p = rng.randint(0, 6), rng.randint(1, 6), rng.randint(1, 6)
+        bits = rng.choice([3, 64, 400])
+
+        def entry():
+            return rng.choice([0, 0, rng.randint(-(2**bits), 2**bits)])
+
+        X = [[entry() for _ in range(k)] for _ in range(m)]
+        Y = [[entry() for _ in range(p)] for _ in range(k)]
+        assert exactring.mat_mul(X, Y) == _ref_mat_mul(X, Y)
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_place_exact_equals_dense_reference_integer_family(n):
+    A, B = gen_integer_family(n)
+    cp = int_poly([-(k + 1) for k in range(n)])
+    assert _outcome(place_exact, A, B, cp) == _outcome(_ref_place_exact, A, B, cp)
+
+
+def test_place_exact_equals_dense_reference_random_systems():
+    rng = random.Random(2024)
+    outcomes = set()
+    for _ in range(240):
+        n = rng.randint(1, 10)
+        A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        B = [rng.choice([0, rng.randint(-9, 9)]) for _ in range(n)]
+        cp = [1] + [rng.randint(-50, 50) for _ in range(n)]
+        want = _outcome(_ref_place_exact, A, B, cp)
+        assert _outcome(place_exact, A, B, cp) == want
+        outcomes.add(want[0] if isinstance(want[0], type) else int)
+    assert outcomes == {int, UncontrollableSystem}  # both branches were compared
+
+
+@pytest.mark.parametrize(
+    "A,B,cp",
+    [
+        ([[6, 4, -9], [5, 2, -6], [0, 0, 1]], [1, 1, 1], [1, 6, 11, 6]),
+        ([[1, 0], [0, 1]], [1, 1], [1, 3, 2]),
+        (A_WORKED, [0, 0, 0], [1, 6, 11, 6]),
+        ([[2]], [0], [1, 1]),
+    ],
+)
+def test_place_exact_errors_equal_dense_reference(A, B, cp):
+    got = _outcome(place_exact, A, B, cp)
+    assert got == _outcome(_ref_place_exact, A, B, cp)
+    assert got[0] is UncontrollableSystem
+
+
+def test_place_exact_goes_through_module_mat_mul(monkeypatch):
+    calls = []
+    inner = exactring.mat_mul
+
+    def counting(X, Y):
+        calls.append(1)
+        return inner(X, Y)
+
+    monkeypatch.setattr(exactring, "mat_mul", counting)
+    A, B = gen_integer_family(12)
+    gain = place_exact(A, B, int_poly([-(k + 1) for k in range(12)]))
+    assert len(calls) == 3 * 11 + 1  # anb.Ab, (anb.Ab).A and anb.KK per level, then Ab.A
+    assert ratio(gain) == GOLDEN[12]
 
 
 # ---------------------------------------------------------------------------
