@@ -37,7 +37,6 @@ from .linalg import (
     BITS32,
     BITS64,
     Precision,
-    determinant,
     eigenvalues,
     poly_from_roots,
     qr_decompose,

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateAnchor
-from .linalg import BITS64, as_matrix, as_vector, householder_annihilator
+from .linalg import BITS64, THRESHOLDS, as_matrix, as_vector, householder_annihilator
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,12 @@ class OrthogonalAnchor:
         n = q.size
         if Q.shape != (n - 1, n):
             raise ValueError(f"basis must be (n-1) x n, got {Q.shape}")
-        if abs(np.linalg.norm(q) - 1.0) > 1e-10:
+        tol = THRESHOLDS["orthonormality"](BITS64)
+        if abs(np.linalg.norm(q) - 1.0) > tol:
             raise ValueError("q must have unit norm")
-        if np.max(np.abs(Q @ q)) > 1e-10:
+        if np.max(np.abs(Q @ q)) > tol:
             raise ValueError("basis rows must annihilate q")
-        if np.max(np.abs(Q @ Q.T - np.eye(n - 1))) > 1e-10:
+        if np.max(np.abs(Q @ Q.T - np.eye(n - 1))) > tol:
             raise ValueError("basis rows must be orthonormal")
 
     @classmethod
@@ -122,8 +123,8 @@ class ObliqueAnchor:
         if omega.size != g.size:
             raise ValueError("omega and g must have equal length")
         pairing = float(omega @ g)
-        threshold = BITS64.eps * float(np.linalg.norm(omega) * np.linalg.norm(g))
-        if abs(pairing) <= 1e3 * threshold:
+        scale = float(np.linalg.norm(omega) * np.linalg.norm(g))
+        if abs(pairing) <= THRESHOLDS["oblique_pairing"](BITS64, scale):
             raise DegenerateAnchor(
                 f"omega^T g = {pairing:.3e} is below the degeneracy threshold"
             )
@@ -168,23 +169,23 @@ def _frac_matrix(M):
                     dtype=object)
 
 
-def oblique_anchor_apply_exact(A, omega, g):
-    A = _frac_matrix(A)
+def _exact_projector(omega, g):
+    """G = g omega^T / (omega^T g) in Fractions."""
     omega = np.array([Fraction(x) for x in omega], dtype=object)
     g = np.array([Fraction(x) for x in g], dtype=object)
     pairing = omega @ g
     if pairing == 0:
         raise DegenerateAnchor("omega^T g = 0")
-    return A - np.outer(g, omega @ A) / pairing
+    return np.outer(g, omega) / pairing
+
+
+def oblique_anchor_apply_exact(A, omega, g):
+    A = _frac_matrix(A)
+    return A - _exact_projector(omega, g) @ A
 
 
 def oblique_bracket_exact(A1, A2, omega, g):
     A1 = _frac_matrix(A1)
     A2 = _frac_matrix(A2)
-    omega = np.array([Fraction(x) for x in omega], dtype=object)
-    g = np.array([Fraction(x) for x in g], dtype=object)
-    pairing = omega @ g
-    if pairing == 0:
-        raise DegenerateAnchor("omega^T g = 0")
-    G = np.outer(g, omega) / pairing
+    G = _exact_projector(omega, g)
     return A1 @ A2 - A2 @ A1 + A2 @ G @ A1 - A1 @ G @ A2

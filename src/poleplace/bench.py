@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PlacementError
 from .exactring import controllability_det_exact
-from .linalg import BITS64, Precision, eigenvalues, qr_decompose
+from .linalg import BITS64, THRESHOLDS, Precision, eigenvalues, qr_decompose
 from .placement import ALGORITHMS, StateSpace
 
 
@@ -44,7 +44,7 @@ def gen_scaled_diagonal(n: int, seed: int | None = None) -> StateSpace:
     a seeded random orthogonal similarity (QR of a standard-normal
     matrix under this package's sign convention)."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise ValueError("scaled-diagonal example needs n >= 1")
     Abar = np.diag(1.0 / np.arange(1, n + 1) ** 2)
     Bbar = np.ones(n)
     if seed is None:
@@ -159,7 +159,9 @@ def _match_error(achieved: np.ndarray, targets: np.ndarray) -> float:
     return worst
 
 
-def count_complex_pairs(spectrum, tol: float = 1e-9) -> int:
+def count_complex_pairs(spectrum) -> int:
+    """Eigenvalues with an imaginary part above the ``spectrum_pair`` bound."""
+    tol = THRESHOLDS["spectrum_pair"](BITS64)
     return int(sum(1 for z in spectrum if z.imag > tol))
 
 

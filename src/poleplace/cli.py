@@ -80,6 +80,15 @@ def _load_system(path):
     return placement.StateSpace(A, B)
 
 
+def _family(kind: str, n: int, seed):
+    """A family instance and its system; a size it cannot build is a usage error."""
+    family = bench.ExampleFamily(kind, n, seed)
+    try:
+        return family, family.make()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -147,9 +156,7 @@ def _cmd_bench(args) -> int:
         lo, hi = int(lo_s), int(hi_s or lo_s)
     except ValueError as exc:
         raise UsageError(f"bad --n-range {args.n_range!r}") from exc
-    families = [bench.ExampleFamily(args.family, n,
-                                    args.seed if args.family == "diag" else None)
-                for n in range(lo, hi + 1)]
+    families = [_family(args.family, n, args.seed)[0] for n in range(lo, hi + 1)]
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     for a in algos:
         if a not in placement.ALGORITHMS:
@@ -157,10 +164,7 @@ def _cmd_bench(args) -> int:
     precisions = {"32": [32], "64": [64], "both": [32, 64]}[args.precision]
     orders = {"fwd": ["forward"], "rev": ["reversed"],
               "both": ["forward", "reversed"]}[args.order]
-    records = bench.run_suite(families,
-                              algos,
-                              [as_precision(p) for p in precisions],
-                              orders)
+    records = bench.run_suite(families, algos, precisions, orders)
     table = bench.render_table(records)
     csv = bench.render_csv(records)
     if args.out:
@@ -180,14 +184,10 @@ def _cmd_simulate(args) -> int:
     precision = as_precision(args.precision)
     if args.system:
         sys_ = _load_system(args.system)
-    elif args.family == "diag":
-        if not args.n:
-            raise UsageError("--family diag requires --n")
-        sys_ = bench.gen_scaled_diagonal(args.n, args.seed)
-    elif args.family == "integer":
-        if not args.n:
-            raise UsageError("--family integer requires --n")
-        sys_ = bench.gen_integer_example(args.n)
+    elif args.family:
+        if args.n is None:
+            raise UsageError(f"--family {args.family} requires --n")
+        _, sys_ = _family(args.family, args.n, args.seed)
     else:
         raise UsageError("give --system or --family")
     poles = _parse_poles(args.poles, sys_.n)

@@ -406,11 +406,41 @@ def eigenvalues(A, precision: Precision = BITS64) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Linear solves and determinants (partial-pivoting LU)
+# Numerical-zero thresholds
+#
+# Every test in the package of whether a computed magnitude is numerically
+# zero compares it with a bound from this table.  Each entry is named for
+# the quantity it guards and maps the precision and the scale factors of
+# that quantity to the bound at or below which it counts as zero.
+
+THRESHOLDS = {
+    # LU pivots of solve_linear, scaled by n and max|A|
+    "lu_pivot": lambda precision, n, amax: precision.eps * n * amax,
+    # the placement methods' input components, quotient and deflated
+    # inputs, Hessenberg subdiagonals and projection denominators
+    "placement_pivot": lambda precision, scale: 1e3 * precision.eps * max(1.0, scale),
+    # level-k quotient input of an anchor chain: 1e-9 ||A||^k ||B||
+    "chain_input": lambda precision, anorm, k, bnorm: 1e-9 * (anorm ** k) * bnorm,
+    # final quotient input of the chain feedback law: weak controllability
+    # is that method's home turf, so only an underflow-level zero is fatal
+    "chain_denominator": lambda precision: 1e3 * float(np.finfo(precision.dtype).tiny),
+    # distance of a pole from the conjugate of its partner, scale |partner|
+    "conjugate_match": lambda precision, scale: 1e-9 * max(1.0, scale),
+    # imaginary residue of a polynomial expanded from conjugate pairs
+    "charpoly_residue": lambda precision, scale: 1e-12 * max(1.0, scale),
+    # omega^T g of an oblique anchor, scale ||omega|| ||g||
+    "oblique_pairing": lambda precision, scale: 1e3 * (precision.eps * scale),
+    "orthonormality": lambda precision: 1e-10,  # of an orthogonal anchor
+    "spectrum_pair": lambda precision: 1e-9,  # Im of a verified eigenvalue in a pair
+}
+
+
+# ---------------------------------------------------------------------------
+# Linear solves (partial-pivoting LU)
 
 
 def _lu_factor(A: np.ndarray):
-    """Partial-pivot LU in-place; returns (lu, piv, swaps, pivmin).
+    """Partial-pivot LU in-place; returns (lu, piv, pivmin).
 
     Elimination continues through small pivots (stopping only at an exact
     zero, where the remaining factorization is undefined); callers decide
@@ -419,29 +449,27 @@ def _lu_factor(A: np.ndarray):
     lu = A.copy()
     n = lu.shape[0]
     piv = np.arange(n)
-    swaps = 0
     pivmin = np.inf
     for k in range(n):
         p = k + int(np.argmax(np.abs(lu[k:, k])))
         if p != k:
             lu[[k, p], :] = lu[[p, k], :]
             piv[[k, p]] = piv[[p, k]]
-            swaps += 1
         pivot = lu[k, k]
         pivmin = min(pivmin, abs(float(pivot)))
         if pivot == 0.0:
-            return lu, piv, swaps, 0.0
+            return lu, piv, 0.0
         if k + 1 < n:
             lu[k + 1:, k] /= pivot
             lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, piv, swaps, pivmin
+    return lu, piv, pivmin
 
 
 def solve_linear(A, b, precision: Precision = BITS64) -> np.ndarray:
     """Solve A x = b by Gaussian elimination with partial pivoting.
 
-    Raises :class:`SingularSystem` when a pivot falls below
-    eps * n * max|A| (scale-invariant singularity test).
+    Raises :class:`SingularSystem` when a pivot is at or below the
+    ``lu_pivot`` bound, eps * n * max|A| (scale-invariant singularity test).
     """
     A = as_matrix(A, precision)
     b = as_vector(b, precision)
@@ -449,8 +477,8 @@ def solve_linear(A, b, precision: Precision = BITS64) -> np.ndarray:
     if A.shape[1] != n or b.size != n:
         raise ValueError("solve_linear requires square A conformal with b")
     scale = np.max(np.abs(A))
-    lu, piv, _, pivmin = _lu_factor(A)
-    if pivmin <= precision.eps * n * scale:
+    lu, piv, pivmin = _lu_factor(A)
+    if pivmin <= THRESHOLDS["lu_pivot"](precision, n, scale):
         raise SingularSystem(
             f"matrix numerically singular (pivot {pivmin:.3e}, scale {scale:.3e})"
         )
@@ -462,30 +490,25 @@ def solve_linear(A, b, precision: Precision = BITS64) -> np.ndarray:
     return x
 
 
-def determinant(A, precision: Precision = BITS64) -> float:
-    """Determinant via the pivoted elimination above."""
-    A = as_matrix(A, precision)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("determinant requires a square matrix")
-    lu, _, swaps, pivmin = _lu_factor(A)
-    if pivmin == 0.0:
-        return 0.0
-    det = float(np.prod(np.diag(lu)))
-    return -det if swaps % 2 else det
-
-
 # ---------------------------------------------------------------------------
 # Polynomials
 
 
-def validate_conjugate_closed(roots, tol: float = 1e-9):
-    """Check the multiset of roots is closed under conjugation."""
+def is_conjugate_pair(z: complex, w: complex) -> bool:
+    """Whether w is the conjugate of z within the ``conjugate_match`` bound."""
+    return abs(w - z.conjugate()) <= THRESHOLDS["conjugate_match"](BITS64, abs(z))
+
+
+def validate_conjugate_closed(roots):
+    """Check the multiset of roots is closed under conjugation: a root is
+    real iff its imaginary part is exactly 0, and every other root needs
+    a partner (:func:`is_conjugate_pair`)."""
     pending = []
     for z in (complex(r) for r in roots):
-        if abs(z.imag) <= tol * max(1.0, abs(z)):
+        if z.imag == 0.0:
             continue
         for i, w in enumerate(pending):
-            if abs(z - w.conjugate()) <= tol * max(1.0, abs(w)):
+            if is_conjugate_pair(w, z):
                 pending.pop(i)
                 break
         else:
@@ -509,7 +532,8 @@ def poly_from_roots(roots) -> np.ndarray:
     p = np.array([1.0 + 0.0j])
     for r in roots:
         p = np.convolve(p, np.array([1.0, -r]))
-    if p.size > 1 and np.max(np.abs(p.imag)) >= 1e-12 * max(1.0, np.max(np.abs(p.real))):
+    residue_bound = THRESHOLDS["charpoly_residue"](BITS64, np.max(np.abs(p.real)))
+    if p.size > 1 and np.max(np.abs(p.imag)) > residue_bound:
         raise InvalidPoleSet("conjugate pairing left a complex residue")
     return p.real.copy()
 
@@ -565,16 +589,6 @@ def parse_matrix_text(text: str) -> np.ndarray:
     return np.array(vals, dtype=np.float64).reshape(rows, cols)
 
 
-def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix_text(fh.read())
-
-
-def save_matrix(path, M):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix_text(M))
-
-
 def parse_system_text(text: str):
     """Parse a single-input system (A, B).
 
@@ -605,4 +619,5 @@ def load_system(path):
 def save_system(path, A, B):
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.asarray(B, dtype=np.float64).ravel()
-    save_matrix(path, np.column_stack([A, B]))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_matrix_text(np.column_stack([A, B])))

@@ -51,10 +51,12 @@ from .errors import (
 )
 from .linalg import (
     BITS64,
+    THRESHOLDS,
     Precision,
     as_matrix,
     as_vector,
     householder_annihilator,
+    is_conjugate_pair,
     poly_from_roots,
     qr_decompose,
     schur_decompose,
@@ -132,16 +134,12 @@ def _pole_steps(roots):
             yield (lam.real,)
             i += 1
             continue
-        if i + 1 >= len(roots) or abs(roots[i + 1] - lam.conjugate()) > 1e-9 * max(1.0, abs(lam)):
+        if i + 1 >= len(roots) or not is_conjugate_pair(lam, roots[i + 1]):
             raise InvalidPoleSet(
                 "complex pole must be immediately followed by its conjugate"
             )
         yield (2.0 * lam.real, lam.real * lam.real + lam.imag * lam.imag)
         i += 2
-
-
-def _degeneracy_tol(precision: Precision, scale: float) -> float:
-    return 1e3 * precision.eps * max(1.0, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -226,21 +224,6 @@ def ackermann_factored(sys: StateSpace, poles,
 # Hyperplane geometry
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """Affine plane {x : normal . x = offset} of gains assigning one pole."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        normal = as_vector(self.normal)
-        if np.linalg.norm(normal) == 0.0:
-            raise ValueError("hyperplane normal must be nonzero")
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", float(self.offset))
-
-
 def hyperplane_point(sys: StateSpace, lam: float, j: int,
                      precision: Precision = BITS64) -> np.ndarray:
     """k_ij = (a_j - lam e_j) / b_j, a gain that assigns the pole lam.
@@ -251,7 +234,7 @@ def hyperplane_point(sys: StateSpace, lam: float, j: int,
     if not 0 <= j < sys.n:
         raise ValueError(f"row index {j} out of range")
     bj = float(B[j])
-    if abs(bj) <= _degeneracy_tol(precision, float(np.max(np.abs(B)))):
+    if abs(bj) <= THRESHOLDS["placement_pivot"](precision, float(np.max(np.abs(B)))):
         raise ZeroInputComponent(f"b[{j}] = {bj} is too small for the point formula")
     e = np.zeros(sys.n, dtype=A.dtype)
     e[j] = 1.0
@@ -259,19 +242,18 @@ def hyperplane_point(sys: StateSpace, lam: float, j: int,
 
 
 def hyperplane_normal(sys: StateSpace, lam: float,
-                      precision: Precision = BITS64) -> Hyperplane:
-    """Normal of the pole-lam gain hyperplane: solve (A - lam I) n = B.
-
-    Every point k on the plane satisfies k . n = 1, so the plane is
-    returned with offset 1.
-    """
+                      precision: Precision = BITS64) -> np.ndarray:
+    """Normal n of the pole-lam gain hyperplane {k : k . n = 1}: solve
+    (A - lam I) n = B at ``precision``."""
     A, B = _sys_arrays(sys, precision)
     shifted = A - A.dtype.type(lam) * np.eye(sys.n, dtype=A.dtype)
     try:
         normal = solve_linear(shifted, B, precision)
     except SingularSystem as exc:
         raise SingularShift(f"A - ({lam}) I is numerically singular") from exc
-    return Hyperplane(normal, 1.0)
+    if not np.any(normal):
+        raise ValueError("hyperplane normal must be nonzero")
+    return normal
 
 
 def place_determinantal(sys: StateSpace, poles,
@@ -286,7 +268,7 @@ def place_determinantal(sys: StateSpace, poles,
     roots = _check_poles(sys, poles, precision, real=True)
     N = np.zeros((sys.n, sys.n), dtype=precision.dtype)
     for i, lam in enumerate(roots):
-        N[i, :] = hyperplane_normal(sys, lam, precision).normal
+        N[i, :] = hyperplane_normal(sys, lam, precision)
     ones = np.ones(sys.n, dtype=precision.dtype)
     try:
         return solve_linear(N, ones, precision)
@@ -297,8 +279,7 @@ def place_determinantal(sys: StateSpace, poles,
 
 
 def place_sliding(sys: StateSpace, poles,
-                  precision: Precision = BITS64,
-                  return_steps: bool = False):
+                  precision: Precision = BITS64) -> np.ndarray:
     """Successive sliding along the hyperplanes.
 
     Starting from a point on plane 1, slide perpendicular to the normals
@@ -307,10 +288,23 @@ def place_sliding(sys: StateSpace, poles,
     the largest |b_j|, which minimizes the 1/b_j amplification in the
     point formula.
     """
+    return _slide(sys, poles, precision)[-1]
+
+
+def _slide_denominator(base, direction, precision: Precision, what: str) -> float:
+    den = float(base @ direction)
+    scale = float(np.linalg.norm(base) * np.linalg.norm(direction))
+    if abs(den) <= THRESHOLDS["placement_pivot"](precision, scale):
+        raise DegenerateProjection(f"{what} (planes nearly parallel)")
+    return den
+
+
+def _slide(sys: StateSpace, poles, precision: Precision) -> list:
+    """The point reached on each plane in turn; the last is the gain."""
     roots = _check_poles(sys, poles, precision, real=True)
     n = sys.n
     A, B = _sys_arrays(sys, precision)
-    normals = [hyperplane_normal(sys, lam, precision).normal for lam in roots]
+    normals = [hyperplane_normal(sys, lam, precision) for lam in roots]
     j = int(np.argmax(np.abs(B)))
     seeds = [hyperplane_point(sys, lam, j, precision) for lam in roots]
     # N[i][k] is normal i after k oblique projections
@@ -321,11 +315,8 @@ def place_sliding(sys: StateSpace, poles,
     for k in range(1, n):
         direction = proj[k - 1][k - 1]
         base = normals[k - 1]
-        den = float(base @ direction)
-        if abs(den) <= _degeneracy_tol(precision, float(np.linalg.norm(base) * np.linalg.norm(direction))):
-            raise DegenerateProjection(
-                f"projection denominator vanished at stage {k} (planes nearly parallel)"
-            )
+        den = _slide_denominator(base, direction, precision,
+                                 f"projection denominator vanished at stage {k}")
         P = eye - np.outer(direction, base) / A.dtype.type(den)
         for i in range(k, n):
             proj[i][k] = P @ proj[i][k - 1]
@@ -334,15 +325,12 @@ def place_sliding(sys: StateSpace, poles,
     for k in range(1, n):
         direction = proj[k][k]
         base = normals[k]
-        den = float(base @ direction)
-        if abs(den) <= _degeneracy_tol(precision, float(np.linalg.norm(base) * np.linalg.norm(direction))):
-            raise DegenerateProjection(
-                f"slide denominator vanished at plane {k + 1} (planes nearly parallel)"
-            )
+        den = _slide_denominator(base, direction, precision,
+                                 f"slide denominator vanished at plane {k + 1}")
         G = np.outer(direction, base) / A.dtype.type(den)
         gam = gam - (gam - seeds[k]) @ G.T
         steps.append(gam)
-    return (steps, gam) if return_steps else gam
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +362,7 @@ def _descend_quotients(sys: StateSpace, roots, variant: str,
     Ab = A.copy()
     Bb = B.copy()
     levels = []
+    bmax = float(np.max(np.abs(B)))
     for i in range(n - 1):
         m = Ab.shape[0]
         lam = A.dtype.type(roots[i])
@@ -399,7 +388,7 @@ def _descend_quotients(sys: StateSpace, roots, variant: str,
         levels.append(QuotientLevel(Ab, Bb, anb, ko))
         Ab = anb @ Ab @ anb.T
         Bb = anb @ Bb
-        if np.max(np.abs(Bb)) <= _degeneracy_tol(precision, float(np.max(np.abs(B)))):
+        if np.max(np.abs(Bb)) <= THRESHOLDS["placement_pivot"](precision, bmax):
             raise UncontrollableSystem(
                 f"quotient input vanished at level {i + 1}"
             )
@@ -407,7 +396,7 @@ def _descend_quotients(sys: StateSpace, roots, variant: str,
 
 
 def place_algebroid1(sys: StateSpace, poles, precision: Precision = BITS64,
-                     variant: str = "qr", return_stack: bool = False):
+                     variant: str = "qr") -> np.ndarray:
     """Quotient into the pole hyperplanes, one dimension at a time.
 
     Descending phase: for each pole, build an orthonormal basis of its
@@ -419,14 +408,13 @@ def place_algebroid1(sys: StateSpace, poles, precision: Precision = BITS64,
     back up while leaving the pole fixed at that level unchanged.
     """
     roots = _check_poles(sys, poles, precision, real=True)
-    n = sys.n
     stack = _descend_quotients(sys, roots, variant, precision)
     dt = precision.dtype
-    K = ((np.asarray(stack.terminal_a, dtype=dt) - dt(roots[n - 1]))
+    K = ((np.asarray(stack.terminal_a, dtype=dt) - dt(roots[-1]))
          / np.asarray(stack.terminal_b, dtype=dt)).reshape(1)
     for level in reversed(stack.levels):
         K = level.k_o + K @ level.anchor
-    return (K, stack) if return_stack else K
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +439,6 @@ class AnchorChain:
     system: StateSpace
     precision: Precision
     levels: tuple
-
-    @property
-    def b_final(self) -> float:
-        return float(self.levels[-1].quotient_input[0])
 
 
 def build_anchor_chain(sys: StateSpace, precision: Precision = BITS64) -> AnchorChain:
@@ -490,8 +474,9 @@ class ChainReport:
     min_quotient_input_norm: float
 
 
-def chain_controllability_report(chain: AnchorChain, tol: float = 1e-9) -> ChainReport:
-    """Flag levels whose quotient input vanished relative to ||A||^k ||B||."""
+def chain_controllability_report(chain: AnchorChain) -> ChainReport:
+    """Flag levels whose quotient input is at or below the ``chain_input``
+    bound, 1e-9 ||A||^k ||B||."""
     A = chain.system.A
     B = chain.system.B
     anorm = float(np.linalg.norm(A, 2))
@@ -503,7 +488,7 @@ def chain_controllability_report(chain: AnchorChain, tol: float = 1e-9) -> Chain
     for k, level in enumerate(chain.levels, start=1):
         norm_k = float(np.linalg.norm(level.quotient_input))
         min_norm = min(min_norm, norm_k)
-        if first is None and norm_k <= tol * (anorm ** k) * bnorm:
+        if first is None and norm_k <= THRESHOLDS["chain_input"](chain.precision, anorm, k, bnorm):
             first = k
     return ChainReport(first is None, first, min_norm)
 
@@ -547,10 +532,7 @@ class ChainFeedback:
         last = chain.levels[-1].transfer
         self._last_A = last @ A
         den = (last @ B).ravel()[0]
-        # Weak controllability (tiny but genuine B_(n-1)) is this method's home
-        # turf, so only an exact/underflow-level zero is treated as fatal; graded
-        # diagnosis belongs to chain_controllability_report.
-        if abs(float(den)) <= 1e3 * float(np.finfo(precision.dtype).tiny):
+        if abs(float(den)) <= THRESHOLDS["chain_denominator"](precision):
             raise UncontrollableSystem(
                 f"final quotient input B_(n-1) = {float(den):.3e} is zero"
             )
@@ -660,7 +642,7 @@ def place_miminis(sys: StateSpace, poles, precision: Precision = BITS64) -> np.n
     qc, Ah = controller_hessenberg(sys, precision)
     scale = float(np.max(np.abs(A)))
     sub = np.abs(np.diag(Ah, -1))
-    if np.any(sub <= _degeneracy_tol(precision, scale)):
+    if np.any(sub <= THRESHOLDS["placement_pivot"](precision, scale)):
         raise UncontrollableSystem(
             "staircase breakdown: Hessenberg subdiagonal vanished"
         )
@@ -672,13 +654,13 @@ def place_miminis(sys: StateSpace, poles, precision: Precision = BITS64) -> np.n
         m = n - i
         shifted = Ai.T - A.dtype.type(roots[i]) * np.eye(m, dtype=A.dtype)
         qi, ri = qr_decompose(shifted, precision)
-        if abs(float(Bi[-1])) <= _degeneracy_tol(precision, scale):
+        if abs(float(Bi[-1])) <= THRESHOLDS["placement_pivot"](precision, scale):
             raise UncontrollableSystem(f"deflated input vanished at stage {i + 1}")
         pph[i] = ri[-1, -1] / Bi[-1]
         qis.append(qi)
         Ai = (qi.T @ Ai @ qi)[:-1, :-1]
         Bi = (qi.T @ Bi)[:-1]
-    if abs(float(Bi[0])) <= _degeneracy_tol(precision, scale):
+    if abs(float(Bi[0])) <= THRESHOLDS["placement_pivot"](precision, scale):
         raise UncontrollableSystem("deflated input vanished at the last stage")
     pph[n - 1] = (Ai[0, 0] - A.dtype.type(roots[n - 1])) / Bi[0]
     K = pph[n - 1:n].copy()
@@ -745,7 +727,7 @@ def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.nda
     hh = np.zeros(n, dtype=A.dtype)
     scale = float(np.max(np.abs(Bsd))) if n else 1.0
     for ii in range(n - 1, -1, -1):
-        if abs(float(Bs[-1])) <= _degeneracy_tol(precision, scale):
+        if abs(float(Bs[-1])) <= THRESHOLDS["placement_pivot"](precision, scale):
             raise UncontrollableSystem(
                 f"transformed input component vanished while placing pole {ii + 1}"
             )

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poleplace import cli, linalg
+from poleplace import cli, linalg, placement
 
 WORKED_TEXT = """3 4
 1 3 5 1
@@ -80,6 +80,14 @@ def test_place_nonconjugate_poles_is_usage_error(worked_system, capsys):
                      "--poles", "-1+2i,-3"])
     assert code == 1
     assert "conjugation" in capsys.readouterr().err
+
+
+def test_place_near_real_pole_is_usage_error_for_every_algorithm(worked_system, capsys):
+    for algo in sorted(placement.ALGORITHMS):
+        code = cli.main(["place", "--algo", algo, "--system", worked_system,
+                         "--poles", "-1+0.000000000001i,-2,-3"])
+        assert code == 1, algo
+        assert "not closed under conjugation" in capsys.readouterr().err
 
 
 def test_place_uncontrollable_exits_2(unctrl_system, capsys):
@@ -232,6 +240,19 @@ def test_simulate_family_route(tmp_path):
                      "--out", str(out)])
     assert code == 0
     assert out.read_text().startswith("t,x1,x2,x3,x4")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--family", "integer", "--n", "2", "--poles", "-1,-2"],
+     "integer example needs n >= 3"),
+    (["bench", "--family", "integer", "--n-range", "2..2"],
+     "integer example needs n >= 3"),
+    (["bench", "--family", "diag", "--n-range", "0..0"],
+     "scaled-diagonal example needs n >= 1"),
+])
+def test_family_size_the_family_cannot_build_exits_1(argv, message, capsys):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_check_commutators_passes(capsys):

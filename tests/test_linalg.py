@@ -13,7 +13,6 @@ from poleplace.linalg import (
     BITS32,
     BITS64,
     companion_matrix,
-    determinant,
     eigenvalues,
     poly_from_roots,
     qr_decompose,
@@ -433,7 +432,7 @@ def test_eigenvalues_zero_divisor_after_overflow_matches_reference():
 
 
 # ---------------------------------------------------------------------------
-# Solve / determinant
+# Solve
 
 
 def test_solve_identity():
@@ -449,24 +448,6 @@ def test_solve_shifted_worked_example_residual():
 def test_solve_singular_raises():
     with pytest.raises(SingularSystem):
         solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
-
-
-def test_determinant_values():
-    ctrb = np.column_stack([B_WORKED, A_WORKED @ B_WORKED, A_WORKED @ A_WORKED @ B_WORKED])
-    assert determinant(ctrb) == pytest.approx(352.0, abs=1e-9)
-    assert determinant(np.array([[2.0, 3, 5], [7, 14, 17], [1, 1, 2]])) == pytest.approx(-4.0, abs=1e-12)
-    assert determinant(np.eye(6)) == pytest.approx(1.0)
-
-
-def test_determinant_inverse_product():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        n = int(rng.integers(2, 8))
-        Q1, _ = qr_decompose(rng.standard_normal((n, n)))
-        Q2, _ = qr_decompose(rng.standard_normal((n, n)))
-        M = Q1 @ np.diag(rng.uniform(0.5, 2.0, n)) @ Q2
-        inv_cols = np.column_stack([solve_linear(M, e) for e in np.eye(n)])
-        assert determinant(M) * determinant(inv_cols) == pytest.approx(1.0, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +494,13 @@ def test_poly_from_roots_examples():
 def test_poly_from_roots_rejects_open_conjugates():
     with pytest.raises(InvalidPoleSet):
         poly_from_roots([-1 + 2j, -3])
+
+
+def test_poly_from_roots_real_only_at_zero_imaginary_part():
+    # a pole is real iff its imaginary part is exactly 0
+    with pytest.raises(InvalidPoleSet, match="unmatched"):
+        poly_from_roots([-1 + 1e-12j, -2, -3])
+    np.testing.assert_allclose(poly_from_roots([-1 + 1e-12j, -1 - 1e-12j]), [1, 2, 1])
 
 
 def test_poly_roots_roundtrip_via_companion():
@@ -563,3 +551,32 @@ def test_matrix_rejects_nonfinite():
 def test_bad_matrix_body():
     with pytest.raises(ValueError):
         linalg.parse_matrix_text("2 2\n1 2 3")
+
+
+# ---------------------------------------------------------------------------
+# Numerical-zero thresholds
+
+
+def test_threshold_table_values():
+    # one input per entry, so that an edit of any bound shows up here
+    pinned = {
+        ("lu_pivot", BITS64, 3, 2.0): 1.3322676295501878e-15,
+        ("placement_pivot", BITS32, 10.0): 0.0011920928955078125,
+        ("chain_input", BITS64, 2.0, 3, 5.0): 4e-08,
+        ("chain_denominator", BITS32): 1.1754943508222875e-35,
+        ("conjugate_match", BITS64, 4.0): 4e-09,
+        ("charpoly_residue", BITS64, 0.5): 1e-12,
+        ("oblique_pairing", BITS64, 6.0): 1.3322676295501878e-12,
+        ("orthonormality", BITS64): 1e-10,
+        ("spectrum_pair", BITS64): 1e-09,
+    }
+    assert {key[0] for key in pinned} == set(linalg.THRESHOLDS)
+    for (name, precision, *scale), bound in pinned.items():
+        assert linalg.THRESHOLDS[name](precision, *scale) == bound, name
+
+
+def test_conjugate_pair_predicate():
+    assert linalg.is_conjugate_pair(-1 + 2j, -1 - 2j)
+    assert linalg.is_conjugate_pair(-1 + 2j, -1 - 2j + 1e-9)
+    assert not linalg.is_conjugate_pair(-1 + 2j, -1 - 2j + 1e-8)
+    assert not linalg.is_conjugate_pair(-1 + 2j, -1 + 2j)

@@ -8,6 +8,7 @@ from poleplace.errors import (
     DegenerateProjection,
     InvalidPoleSet,
     ParallelHyperplanes,
+    PlacementError,
     UncontrollableSystem,
     ZeroInputComponent,
 )
@@ -18,6 +19,8 @@ from poleplace.placement import (
     ChainFeedback,
     StateSpace,
     _ascending_charpoly,
+    _descend_quotients,
+    _slide,
     _sys_arrays,
     ackermann_direct,
     ackermann_factored,
@@ -197,12 +200,11 @@ def test_hyperplane_normals_worked_example():
         -3.0: np.array([-11.0, 33.0, -33.0]) / -110.0,
     }
     for lam, ref in refs.items():
-        plane = hyperplane_normal(WORKED, lam)
-        assert plane.offset == 1.0
-        np.testing.assert_allclose(plane.normal, ref, atol=1e-11)
-        # every construction point lies on the plane
+        normal = hyperplane_normal(WORKED, lam)
+        np.testing.assert_allclose(normal, ref, atol=1e-11)
+        # every construction point lies on the plane normal . x = 1
         for j in range(3):
-            assert hyperplane_point(WORKED, lam, j) @ plane.normal == pytest.approx(1.0, abs=1e-10)
+            assert hyperplane_point(WORKED, lam, j) @ normal == pytest.approx(1.0, abs=1e-10)
 
 
 def test_hyperplane_normal_singular_shift():
@@ -219,9 +221,9 @@ def test_hyperplane_normal_residual_property():
         A = rng.standard_normal((n, n))
         B = rng.standard_normal(n)
         lam = -float(rng.uniform(1, 5))
-        plane = hyperplane_normal(StateSpace(A, B), lam)
-        res = np.linalg.norm((A - lam * np.eye(n)) @ plane.normal - B)
-        assert res <= 1e-11 * max(1.0, np.linalg.norm(B), np.linalg.norm(plane.normal) * np.linalg.norm(A))
+        normal = hyperplane_normal(StateSpace(A, B), lam)
+        res = np.linalg.norm((A - lam * np.eye(n)) @ normal - B)
+        assert res <= 1e-11 * max(1.0, np.linalg.norm(B), np.linalg.norm(normal) * np.linalg.norm(A))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +253,8 @@ def test_sliding_worked_example():
 
 
 def test_sliding_step_containment():
-    steps, K = place_sliding(WORKED, POLES, return_steps=True)
+    steps = _slide(WORKED, POLES, BITS64)
+    assert steps[-1].tobytes() == place_sliding(WORKED, POLES).tobytes()
     for k, gam in enumerate(steps):
         ev = eigenvalues(WORKED.A - np.outer(WORKED.B, gam))
         for lam in POLES[: k + 1]:
@@ -274,7 +277,7 @@ def test_algebroid1_worked_example_both_variants():
 
 
 def test_algebroid1_first_level_trace_values():
-    K, stack = place_algebroid1(WORKED, POLES, return_stack=True)
+    stack = _descend_quotients(WORKED, POLES, "qr", BITS64)
     ko1 = stack.levels[0].k_o
     np.testing.assert_allclose(ko1, [0.3956, -0.1319, -0.0440], atol=5e-5)
     ev = eigenvalues(WORKED.A - np.outer(WORKED.B, ko1))
@@ -283,7 +286,7 @@ def test_algebroid1_first_level_trace_values():
 
 
 def test_algebroid1_quotient_values_up_to_basis_sign():
-    _, stack = place_algebroid1(WORKED, POLES, return_stack=True)
+    stack = _descend_quotients(WORKED, POLES, "qr", BITS64)
     Ab = stack.levels[1].A_level
     Bb = stack.levels[1].B_level
     ref_A = np.array([[17.2209, -1.2808], [15.4917, -1.4406]])
@@ -296,7 +299,7 @@ def test_algebroid1_quotient_values_up_to_basis_sign():
 
 
 def test_algebroid1_second_level_places_next_pole():
-    _, stack = place_algebroid1(WORKED, POLES, return_stack=True)
+    stack = _descend_quotients(WORKED, POLES, "qr", BITS64)
     lvl = stack.levels[1]
     ko2 = lvl.k_o
     ev = eigenvalues(lvl.A_level - np.outer(lvl.B_level, ko2))
@@ -318,7 +321,7 @@ def test_algebroid1_pull_preserves_eigenvalues():
             continue
         sys, poles = out
         checked += 1
-        K, stack = place_algebroid1(sys, poles, return_stack=True)
+        stack = _descend_quotients(sys, poles, "qr", BITS64)
         n = sys.n
         partial = np.array([(stack.terminal_a - poles[n - 1]) / stack.terminal_b])
         for i in range(n - 2, -1, -1):
@@ -727,6 +730,33 @@ def test_every_algorithm_rejects_wrong_pole_count():
                 place(WORKED, poles, name)
 
 
+def test_every_algorithm_rejects_a_near_real_pole():
+    # a pole is real iff its imaginary part is exactly 0, so -1 + 1e-12 i
+    # is complex and has no conjugate partner
+    for name, fn in ALGORITHMS.items():
+        for precision in (BITS32, BITS64):
+            with pytest.raises(InvalidPoleSet):
+                fn(WORKED, [-1 + 1e-12j, -2.0, -3.0], precision)
+
+
+def test_every_algorithm_returns_float32_at_32_bits():
+    cases = [(WORKED, POLES)]
+    for n in range(3, 7):
+        poles = [-(k + 1.0) for k in range(n)]
+        cases += [(gen_integer_example(n), poles), (gen_integer_example(n), poles[::-1])]
+    returned = set()
+    for sys, poles in cases:
+        for name, fn in ALGORITHMS.items():
+            try:
+                K = fn(sys, poles, BITS32)
+            except PlacementError:
+                continue
+            assert K.dtype == np.float32, (name, sys.n)
+            returned.add(name)
+    assert returned == set(ALGORITHMS)
+    assert hyperplane_normal(WORKED, -1.0, BITS32).dtype == np.float32
+
+
 def test_algorithms_take_sys_poles_precision():
     for name, fn in ALGORITHMS.items():
         for precision in (BITS32, BITS64):
@@ -794,5 +824,4 @@ def test_gain_lies_on_every_hyperplane():
         sys, poles = out
         K = ackermann_direct(sys, poles=poles)
         for lam in poles:
-            plane = hyperplane_normal(sys, lam)
-            assert abs(K @ plane.normal - 1.0) <= 1e-6
+            assert abs(K @ hyperplane_normal(sys, lam) - 1.0) <= 1e-6
