@@ -31,8 +31,8 @@ class OrthogonalAnchor:
     basis: np.ndarray
 
     def __post_init__(self):
-        q = as_vector(self.q)
-        Q = as_matrix(self.basis)
+        q = as_vector(self.q, BITS64)
+        Q = as_matrix(self.basis, BITS64)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "basis", Q)
         n = q.size
@@ -49,7 +49,7 @@ class OrthogonalAnchor:
     @classmethod
     def from_direction(cls, v):
         """Anchor whose distinguished direction is v / ||v||."""
-        v = as_vector(v)
+        v = as_vector(v, BITS64)
         nv = np.linalg.norm(v)
         if nv == 0:
             raise ValueError("cannot anchor on the zero vector")
@@ -64,15 +64,15 @@ class OrthogonalAnchor:
         environments split their qr output the same way, so fixture
         values computed in them stay reproducible.
         """
-        M = as_matrix(M)
+        M = as_matrix(M, BITS64)
         Q, _ = np.linalg.qr(M, mode="complete")
         return cls(Q[0, :].copy(), Q[1:, :].copy())
 
 
 def orthogonal_bracket(A1, A2, anchor: OrthogonalAnchor) -> np.ndarray:
     """<A1, A2> = A1 A2 - A2 A1 + A2 q q^T A1 - A1 q q^T A2."""
-    A1 = as_matrix(A1)
-    A2 = as_matrix(A2)
+    A1 = as_matrix(A1, BITS64)
+    A2 = as_matrix(A2, BITS64)
     n = anchor.q.size
     if A1.shape != (n, n) or A2.shape != (n, n):
         raise ValueError("operands must be square and conformal with the anchor")
@@ -87,8 +87,8 @@ def double_bracket(A1, A2, anchor: OrthogonalAnchor,
 
     With alpha = beta = 0 this is the plain projected-commutator form.
     """
-    A1 = as_matrix(A1)
-    A2 = as_matrix(A2)
+    A1 = as_matrix(A1, BITS64)
+    A2 = as_matrix(A2, BITS64)
     n = anchor.q.size
     if A1.shape != (n, n) or A2.shape != (n, n):
         raise ValueError("operands must be square and conformal with the anchor")
@@ -100,7 +100,7 @@ def double_bracket(A1, A2, anchor: OrthogonalAnchor,
 
 def project(anchor: OrthogonalAnchor, A) -> np.ndarray:
     """Quotient representative Q A Q^T of a square matrix."""
-    A = as_matrix(A)
+    A = as_matrix(A, BITS64)
     return anchor.basis @ A @ anchor.basis.T
 
 
@@ -116,8 +116,8 @@ class ObliqueAnchor:
     g: np.ndarray
 
     def __post_init__(self):
-        omega = as_vector(self.omega)
-        g = as_vector(self.g)
+        omega = as_vector(self.omega, BITS64)
+        g = as_vector(self.g, BITS64)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "g", g)
         if omega.size != g.size:
@@ -143,7 +143,7 @@ def oblique_anchor_apply(A, anchor: ObliqueAnchor) -> np.ndarray:
 
     The result satisfies omega^T an(A) = 0.
     """
-    A = as_matrix(A)
+    A = as_matrix(A, BITS64)
     n = anchor.g.size
     if A.shape != (n, n):
         raise ValueError("operand must be square and conformal with the anchor")
@@ -152,8 +152,8 @@ def oblique_anchor_apply(A, anchor: ObliqueAnchor) -> np.ndarray:
 
 def oblique_bracket(A1, A2, anchor: ObliqueAnchor) -> np.ndarray:
     """{{A1, A2}} = A1 A2 - A2 A1 + A2 G A1 - A1 G A2."""
-    A1 = as_matrix(A1)
-    A2 = as_matrix(A2)
+    A1 = as_matrix(A1, BITS64)
+    A2 = as_matrix(A2, BITS64)
     G = anchor.projector
     return A1 @ A2 - A2 @ A1 + A2 @ G @ A1 - A1 @ G @ A2
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PlacementError
 from .exactring import controllability_det_exact
-from .linalg import BITS64, THRESHOLDS, Precision, eigenvalues, qr_decompose
+from .linalg import BITS64, THRESHOLDS, Precision, as_precision, eigenvalues, qr_decompose
 from .placement import ALGORITHMS, StateSpace
 
 
@@ -176,9 +176,7 @@ def evaluate_placement(sys: StateSpace, poles, gain,
     with 64-bit eigenvalues isolates the gain's own representability).
     """
     gain = np.asarray(gain, dtype=np.float64).ravel()
-    A = sys.A
-    B = sys.B
-    achieved = eigenvalues(A - np.outer(B, gain), BITS64)
+    achieved = eigenvalues(sys.A - np.outer(sys.B, gain))
     targets = np.array([complex(p) for p in poles])
     return BenchRecord(
         algorithm=algorithm,
@@ -237,7 +235,7 @@ def run_suite(families, algorithms, precisions=(BITS64,),
             for name in algorithms:
                 fn = ALGORITHMS[name]
                 for prec in precisions:
-                    prec = prec if isinstance(prec, Precision) else Precision(prec)
+                    prec = as_precision(prec)
                     try:
                         K = fn(sys, poles, prec)
                     except PlacementError as exc:

@@ -1,9 +1,11 @@
-"""Dense real matrix kernels with a selectable floating-point mode.
+"""Dense real matrix kernels that compute in their input's format.
 
 All algorithms in this package funnel their arithmetic through the
-routines below.  Each routine accepts a :class:`Precision` and carries
-out every intermediate operation in that binary format, which makes it
-possible to reproduce single-precision behaviour on 64-bit hardware.
+routines below.  Each kernel computes in the binary format of the arrays
+it is given, which makes it possible to reproduce single-precision
+behaviour on 64-bit hardware.  One rule reads that format, the default of
+:func:`as_matrix` and :func:`as_vector`: a float32 array stays float32,
+anything else (lists, ints, float64) becomes float64.
 
 Conventions fixed here (they make every downstream fixture reproducible):
 
@@ -59,13 +61,19 @@ def as_precision(mode) -> Precision:
     return Precision(int(mode))
 
 
-def as_matrix(M, precision: Precision = BITS64) -> np.ndarray:
-    """Validate and convert input to a 2-d array of the mode's dtype.
+def _precision_of(x) -> Precision:
+    """The one dtype rule: float32 arrays are 32-bit, all else 64-bit."""
+    return BITS32 if getattr(x, "dtype", None) == np.float32 else BITS64
+
+
+def as_matrix(M, precision: Precision | None = None) -> np.ndarray:
+    """Validate and convert input to a 2-d array in ``precision``, by
+    default in the input's own format (see the module docstring).
 
     Rejects empty and non-finite input up front so the factorizations
     never have to deal with NaN/Inf propagation.
     """
-    A = np.asarray(M, dtype=precision.dtype)
+    A = np.asarray(M, dtype=(precision or _precision_of(M)).dtype)
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise ValueError(f"expected a 2-d matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
@@ -73,8 +81,9 @@ def as_matrix(M, precision: Precision = BITS64) -> np.ndarray:
     return A
 
 
-def as_vector(v, precision: Precision = BITS64) -> np.ndarray:
-    A = np.asarray(v, dtype=precision.dtype).ravel()
+def as_vector(v, precision: Precision | None = None) -> np.ndarray:
+    """The 1-d counterpart of :func:`as_matrix`."""
+    A = np.asarray(v, dtype=(precision or _precision_of(v)).dtype).ravel()
     if A.size < 1:
         raise ValueError("expected a non-empty vector")
     if not np.all(np.isfinite(A)):
@@ -86,14 +95,14 @@ def as_vector(v, precision: Precision = BITS64) -> np.ndarray:
 # QR / SVD / Schur
 
 
-def qr_decompose(M, precision: Precision = BITS64):
-    """Full Householder QR factorization, M = Q R.
+def qr_decompose(M):
+    """Full Householder QR factorization, M = Q R, in M's format.
 
     Q is square (rows x rows) and orthogonal, R is rows x cols upper
     triangular with non-negative diagonal entries; entries below the
     diagonal of R are exactly zero.
     """
-    M = as_matrix(M, precision)
+    M = as_matrix(M)
     m, k = M.shape
     R = M.copy()
     Q = np.eye(m, dtype=R.dtype)
@@ -117,40 +126,33 @@ def qr_decompose(M, precision: Precision = BITS64):
     return Q, R
 
 
-def householder_annihilator(v) -> np.ndarray:
-    """Rows 2..m of the Householder reflector taking v to a multiple of e1.
-
-    The returned (m-1) x m block has orthonormal rows and annihilates v
-    exactly in exact arithmetic.  This is the elementary anchor used by
-    the quotient constructions.  The input's floating dtype is preserved
-    so 32-bit pipelines stay 32-bit.
-    """
-    v = np.asarray(v)
-    if v.dtype not in (np.float32, np.float64):
-        v = v.astype(np.float64)
-    v = v.ravel()
-    if v.size < 1 or not np.all(np.isfinite(v)):
-        raise ValueError("expected a finite non-empty vector")
+def householder_reflector(v) -> np.ndarray:
+    """The m x m Householder reflector taking v to a multiple of e_1, in
+    v's format; the identity for v = 0."""
+    v = as_vector(v)
     m = v.size
     u = v.copy()
     s = np.sqrt(np.sum(v * v))
     u[0] += (s if v[0] >= 0 else -s)
     uu = np.dot(u, u)
     if uu == 0.0:
-        # v == 0: no direction to reflect; the trailing identity rows
-        # still span the complement of e1.
-        return np.eye(m, dtype=v.dtype)[1:, :]
-    H = np.eye(m, dtype=v.dtype) - 2.0 * np.outer(u, u) / uu
-    return H[1:, :]
+        return np.eye(m, dtype=v.dtype)
+    return np.eye(m, dtype=v.dtype) - 2.0 * np.outer(u, u) / uu
 
 
-def svd_decompose(M, precision: Precision = BITS64):
-    """Singular value decomposition M = U diag(S) V^T.
+def householder_annihilator(v) -> np.ndarray:
+    """Rows 2..m of :func:`householder_reflector`: orthonormal rows that
+    annihilate v, the elementary anchor of the quotient constructions."""
+    return householder_reflector(v)[1:, :]
+
+
+def svd_decompose(M):
+    """Singular value decomposition M = U diag(S) V^T, in M's format.
 
     S is sorted descending.  Sign convention: the largest-magnitude
     entry of each column of U is made positive (V adjusted to match).
     """
-    M = as_matrix(M, precision)
+    M = as_matrix(M)
     try:
         U, S, Vt = np.linalg.svd(M)
     except np.linalg.LinAlgError as exc:
@@ -166,15 +168,15 @@ def svd_decompose(M, precision: Precision = BITS64):
     return U, S, V
 
 
-def schur_decompose(A, precision: Precision = BITS64):
-    """Real Schur decomposition A = U T U^T.
+def schur_decompose(A):
+    """Real Schur decomposition A = U T U^T, in A's format.
 
     T is quasi upper triangular (1x1 and standardized 2x2 diagonal
     blocks, no two consecutive nonzero subdiagonal entries), U is
     orthogonal.  Computed by Hessenberg reduction followed by the
     shifted QR iteration.
     """
-    A = as_matrix(A, precision)
+    A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("schur_decompose requires a square matrix")
     try:
@@ -380,15 +382,14 @@ def _hqr_eigenvalues(h: list) -> np.ndarray:
     return wr[order] + 1j * wi[order]
 
 
-def eigenvalues(A, precision: Precision = BITS64) -> np.ndarray:
+def eigenvalues(A) -> np.ndarray:
     """All eigenvalues of a square real matrix, sorted by (real, imag).
 
-    Complex eigenvalues come out in exact conjugate pairs.  The input is
-    first rounded to the requested precision; the Hessenberg reduction
-    and the QR iteration then run in 64-bit arithmetic on that rounded
-    matrix.
+    Complex eigenvalues come out in exact conjugate pairs.  Unlike the
+    other kernels this one runs in 64-bit arithmetic whatever the input's
+    format, on its entries widened exactly.
     """
-    A = as_matrix(A, precision)
+    A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("eigenvalues requires a square matrix")
     if A.shape[0] == 1:
@@ -465,13 +466,14 @@ def _lu_factor(A: np.ndarray):
     return lu, piv, pivmin
 
 
-def solve_linear(A, b, precision: Precision = BITS64) -> np.ndarray:
-    """Solve A x = b by Gaussian elimination with partial pivoting.
+def solve_linear(A, b) -> np.ndarray:
+    """Solve A x = b in A's format by partial-pivoting Gaussian elimination.
 
     Raises :class:`SingularSystem` when a pivot is at or below the
     ``lu_pivot`` bound, eps * n * max|A| (scale-invariant singularity test).
     """
-    A = as_matrix(A, precision)
+    A = as_matrix(A)
+    precision = _precision_of(A)
     b = as_vector(b, precision)
     n = A.shape[0]
     if A.shape[1] != n or b.size != n:
@@ -482,7 +484,7 @@ def solve_linear(A, b, precision: Precision = BITS64) -> np.ndarray:
         raise SingularSystem(
             f"matrix numerically singular (pivot {pivmin:.3e}, scale {scale:.3e})"
         )
-    x = b[piv].astype(A.dtype)
+    x = b[piv]
     for k in range(n):  # forward substitution, unit lower triangle
         x[k + 1:] -= lu[k + 1:, k] * x[k]
     for k in range(n - 1, -1, -1):  # back substitution
@@ -495,8 +497,10 @@ def solve_linear(A, b, precision: Precision = BITS64) -> np.ndarray:
 
 
 def is_conjugate_pair(z: complex, w: complex) -> bool:
-    """Whether w is the conjugate of z within the ``conjugate_match`` bound."""
-    return abs(w - z.conjugate()) <= THRESHOLDS["conjugate_match"](BITS64, abs(z))
+    """Whether w is the conjugate of z: imaginary parts of opposite signs,
+    and w within the ``conjugate_match`` bound of conj(z)."""
+    opposite = z.imag > 0.0 > w.imag or z.imag < 0.0 < w.imag
+    return opposite and abs(w - z.conjugate()) <= THRESHOLDS["conjugate_match"](BITS64, abs(z))
 
 
 def validate_conjugate_closed(roots):

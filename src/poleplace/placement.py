@@ -56,6 +56,7 @@ from .linalg import (
     as_matrix,
     as_vector,
     householder_annihilator,
+    householder_reflector,
     is_conjugate_pair,
     poly_from_roots,
     qr_decompose,
@@ -73,8 +74,8 @@ class StateSpace:
     B: np.ndarray
 
     def __post_init__(self):
-        A = as_matrix(self.A)
-        B = as_vector(self.B)
+        A = as_matrix(self.A, BITS64)
+        B = as_vector(self.B, BITS64)
         if A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         if B.size != A.shape[0]:
@@ -161,20 +162,21 @@ def inverse_ctrb_last_row(sys: StateSpace, precision: Precision = BITS64) -> np.
     e_n = np.zeros(sys.n, dtype=precision.dtype)
     e_n[-1] = 1.0
     try:
-        return solve_linear(C.T, e_n, precision)
+        return solve_linear(C.T, e_n)
     except SingularSystem as exc:
         raise UncontrollableSystem(
             f"controllability matrix numerically singular: {exc}"
         ) from exc
 
 
-def horner_char_matrix(A, roots, precision: Precision = BITS64) -> np.ndarray:
-    """Phi(A) = (A - l_n I)...(A - l_1 I) by the nested recursion.
+def horner_char_matrix(A, roots) -> np.ndarray:
+    """Phi(A) = (A - l_n I)...(A - l_1 I) by the nested recursion, in A's
+    format.
 
     Adjacent complex-conjugate roots are consumed as one quadratic step
     so everything stays in real arithmetic.
     """
-    A = as_matrix(A, precision)
+    A = as_matrix(A)
     Phi = np.eye(A.shape[0], dtype=A.dtype)
     for step in _pole_steps(roots):
         if len(step) == 1:
@@ -193,7 +195,7 @@ def ackermann_direct(sys: StateSpace, poles=None, precision: Precision = BITS64,
     A, _ = _sys_arrays(sys, precision)
     crow = inverse_ctrb_last_row(sys, precision)
     if roots is not None:
-        Phi = horner_char_matrix(A, roots, precision)
+        Phi = horner_char_matrix(A, roots)
     else:
         Phi = np.eye(sys.n, dtype=A.dtype)
         for c in cp[1:].astype(A.dtype):
@@ -248,7 +250,7 @@ def hyperplane_normal(sys: StateSpace, lam: float,
     A, B = _sys_arrays(sys, precision)
     shifted = A - A.dtype.type(lam) * np.eye(sys.n, dtype=A.dtype)
     try:
-        normal = solve_linear(shifted, B, precision)
+        normal = solve_linear(shifted, B)
     except SingularSystem as exc:
         raise SingularShift(f"A - ({lam}) I is numerically singular") from exc
     if not np.any(normal):
@@ -271,7 +273,7 @@ def place_determinantal(sys: StateSpace, poles,
         N[i, :] = hyperplane_normal(sys, lam, precision)
     ones = np.ones(sys.n, dtype=precision.dtype)
     try:
-        return solve_linear(N, ones, precision)
+        return solve_linear(N, ones)
     except SingularSystem as exc:
         raise ParallelHyperplanes(
             "hyperplane normals are linearly dependent (system uncontrollable)"
@@ -369,14 +371,14 @@ def _descend_quotients(sys: StateSpace, roots, variant: str,
         shifted = Ab - lam * np.eye(m, dtype=A.dtype)
         if variant == "qr":
             QT = householder_annihilator(Bb)
-            qs, _ = qr_decompose((QT @ shifted).T, precision)
+            qs, _ = qr_decompose((QT @ shifted).T)
             koh = qs[:, -1]
             k = (Bb / np.dot(Bb, Bb)) @ shifted
             ko = (k @ koh) * koh
             anb = qs[:, :-1].T
         elif variant == "solve":
             try:
-                nvec = solve_linear(shifted, Bb, precision)
+                nvec = solve_linear(shifted, Bb)
             except SingularSystem as exc:
                 raise SingularShift(
                     f"quotient shift by {float(lam)} is numerically singular"
@@ -457,7 +459,7 @@ def build_anchor_chain(sys: StateSpace, precision: Precision = BITS64) -> Anchor
     Bt = B.copy()
     for _ in range(n - 1):
         ann = householder_annihilator(Bt)
-        u, _, _ = svd_decompose(ann @ At, precision)
+        u, _, _ = svd_decompose(ann @ At)
         an_i = u.T @ ann
         transfer = an_i @ At
         b_i = transfer @ B
@@ -600,24 +602,18 @@ def controller_hessenberg(sys: StateSpace, precision: Precision = BITS64):
     """Orthogonal V with V^T B = alpha e_1 and V^T A V upper Hessenberg."""
     A, B = _sys_arrays(sys, precision)
     n = sys.n
-    u = B.copy()
-    nb = np.sqrt(np.sum(u * u))
-    if nb == 0.0:
+    # a zero sum of squares (B = 0, or an underflow) leaves no reflector
+    if np.sum(B * B) == 0.0:
         raise UncontrollableSystem("B = 0")
-    u[0] += (nb if B[0] >= 0 else -nb)
-    H0 = np.eye(n, dtype=A.dtype) - 2.0 * np.outer(u, u) / np.dot(u, u)
+    H0 = householder_reflector(B)
     V = H0.copy()
     Ah = H0 @ A @ H0
     for k in range(n - 2):
-        x = Ah[k + 1:, k].copy()
-        nx = np.sqrt(np.sum(x * x))
-        if nx == 0.0:
+        x = Ah[k + 1:, k]
+        if np.sum(x * x) == 0.0:
             continue
-        u = x.copy()
-        u[0] += (nx if x[0] >= 0 else -nx)
-        Hk = np.eye(n - k - 1, dtype=A.dtype) - 2.0 * np.outer(u, u) / np.dot(u, u)
         P = np.eye(n, dtype=A.dtype)
-        P[k + 1:, k + 1:] = Hk
+        P[k + 1:, k + 1:] = householder_reflector(x)
         Ah = P @ Ah @ P
         V = V @ P
     return V, Ah
@@ -653,7 +649,7 @@ def place_miminis(sys: StateSpace, poles, precision: Precision = BITS64) -> np.n
     for i in range(n - 1):
         m = n - i
         shifted = Ai.T - A.dtype.type(roots[i]) * np.eye(m, dtype=A.dtype)
-        qi, ri = qr_decompose(shifted, precision)
+        qi, ri = qr_decompose(shifted)
         if abs(float(Bi[-1])) <= THRESHOLDS["placement_pivot"](precision, scale):
             raise UncontrollableSystem(f"deflated input vanished at stage {i + 1}")
         pph[i] = ri[-1, -1] / Bi[-1]
@@ -714,7 +710,7 @@ def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.nda
     roots = _check_poles(sys, poles, precision, real=True)
     n = sys.n
     A, B = _sys_arrays(sys, precision)
-    U, T = schur_decompose(A, precision)
+    U, T = schur_decompose(A)
     if n > 1 and np.any(np.diag(T, -1) != 0.0):
         raise ComplexBlockUnsupported(
             "A has complex eigenvalues (2x2 Schur block); this method "

@@ -14,10 +14,11 @@ import numpy as np
 
 from .errors import DivergedState
 from .linalg import BITS64, Precision, as_vector
-from .placement import AnchorChain, ChainFeedback, StateSpace, build_anchor_chain
+from .placement import AnchorChain, ChainFeedback, StateSpace, _sys_arrays, build_anchor_chain
 from .placement import feedback_eval  # noqa: F401 - perfbench's tracer test wraps sim.feedback_eval
 
 OVERFLOW_GUARD = 1e12
+HORIZON_TIME_CONSTANTS = 5.0  # default horizon, in slowest time constants
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class Trace:
 def rk4_step(derivative, t, x, h):
     """One classical 4-stage Runge-Kutta update."""
     x = np.asarray(x)
-    h = x.dtype.type(h) if hasattr(x.dtype, "type") else h
+    h = x.dtype.type(h)
     k1 = derivative(t, x)
     k2 = derivative(t + h / 2, x + k1 * (h / 2))
     k3 = derivative(t + h / 2, x + k2 * (h / 2))
@@ -68,12 +69,12 @@ def rk4_step(derivative, t, x, h):
     return out
 
 
-def default_horizon(poles, factor: float = 5.0) -> float:
-    """factor times the slowest closed-loop time constant."""
+def default_horizon(poles) -> float:
+    """HORIZON_TIME_CONSTANTS times the slowest closed-loop time constant."""
     slowest = min(abs(complex(p).real) for p in poles)
     if slowest == 0:
         raise ValueError("poles must have nonzero real part")
-    return factor / slowest
+    return HORIZON_TIME_CONSTANTS / slowest
 
 
 def simulate(sys: StateSpace, poles, cfg: SimConfig,
@@ -98,13 +99,12 @@ def simulate(sys: StateSpace, poles, cfg: SimConfig,
     elif not (np.array_equal(chain.system.A, sys.A)
               and np.array_equal(chain.system.B, sys.B)):
         raise ValueError("chain was built from a different system")
-    A = sys.A.astype(dt)
-    B = sys.B.astype(dt)
+    A, B = _sys_arrays(sys, precision)
     if cfg.x0.size != sys.n:
         raise ValueError("x0 dimension mismatch")
     law = ChainFeedback(chain, poles=poles)
     if cfg.feedback == "gain":
-        K = law.gain().astype(dt)
+        K = law.gain()
 
         def control(x):
             return -(K @ x)

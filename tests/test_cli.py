@@ -83,11 +83,12 @@ def test_place_nonconjugate_poles_is_usage_error(worked_system, capsys):
 
 
 def test_place_near_real_pole_is_usage_error_for_every_algorithm(worked_system, capsys):
-    for algo in sorted(placement.ALGORITHMS):
-        code = cli.main(["place", "--algo", algo, "--system", worked_system,
-                         "--poles", "-1+0.000000000001i,-2,-3"])
-        assert code == 1, algo
-        assert "not closed under conjugation" in capsys.readouterr().err
+    for poles in ("-1+0.000000000001i,-2,-3", "-1+0.0000000001i,-1+0.0000000001i,-3"):
+        for algo in sorted(placement.ALGORITHMS):
+            code = cli.main(["place", "--algo", algo, "--system", worked_system,
+                             "--poles", poles])
+            assert code == 1, (algo, poles)
+            assert "not closed under conjugation" in capsys.readouterr().err
 
 
 def test_place_uncontrollable_exits_2(unctrl_system, capsys):

@@ -20,7 +20,7 @@ from poleplace.linalg import (
     solve_linear,
     svd_decompose,
 )
-from poleplace.placement import ALGORITHMS
+from poleplace.placement import ALGORITHMS, horner_char_matrix
 
 A_WORKED = np.array([[1.0, 3, 5], [7, 13, 17], [1, 1, 1]])
 B_WORKED = np.array([1.0, 1, 1])
@@ -64,6 +64,21 @@ def test_householder_annihilator_kills_vector():
         W = linalg.householder_annihilator(v)
         assert np.max(np.abs(W @ v)) <= 1e-12 * max(1.0, np.linalg.norm(v))
         np.testing.assert_allclose(W @ W.T, np.eye(v.size - 1), atol=1e-12)
+
+
+def test_householder_reflector():
+    rng = np.random.default_rng(11)
+    for dt in (np.float32, np.float64):
+        for _ in range(20):
+            v = rng.standard_normal(rng.integers(1, 9)).astype(dt)
+            H = linalg.householder_reflector(v)
+            assert H.dtype == dt
+            tol = 64 * np.finfo(dt).eps
+            np.testing.assert_allclose(H, H.T, atol=tol)
+            np.testing.assert_allclose(H @ H.T, np.eye(v.size), atol=tol)
+            assert np.abs((H @ v)[1:]).max(initial=0.0) <= tol * np.linalg.norm(v)
+            assert linalg.householder_annihilator(v).tobytes() == H[1:, :].tobytes()
+        assert np.array_equal(linalg.householder_reflector(np.zeros(3, dtype=dt)), np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +417,29 @@ def _ref_eigenvalues(M):
     return _ref_hqr_eigenvalues(_ref_elmhes(M))
 
 
+def test_kernels_compute_in_their_input_format():
+    M = np.random.default_rng(31).standard_normal((4, 4))
+    for dt in (np.float32, np.float64):
+        X = M.astype(dt)
+        outputs = [*qr_decompose(X), *svd_decompose(X), *schur_decompose(X),
+                   solve_linear(X, M[:, 0]), horner_char_matrix(X, [-1.0, -2.0]),
+                   linalg.householder_reflector(X[:, 0]),
+                   linalg.householder_annihilator(X[:, 0])]
+        assert [out.dtype for out in outputs] == [np.dtype(dt)] * len(outputs)
+    # anything but a float32 array computes in 64 bits
+    assert qr_decompose(M.tolist())[0].dtype == np.float64
+    assert solve_linear(np.eye(2, dtype=int), [1, 2]).dtype == np.float64
+    assert linalg.householder_annihilator([3, 4]).dtype == np.float64
+    # the verifier runs in 64 bits on the entries as given
+    X = M.astype(np.float32)
+    assert eigenvalues(X).tobytes() == eigenvalues(X.astype(np.float64)).tobytes()
+
+
 def test_eigenvalues_32bit_rounds_input_then_runs_64bit():
     for n in range(2, 13):
         M = np.random.default_rng(n).standard_normal((n, n))
         expected = _outcome(_ref_eigenvalues, M.astype(np.float32).astype(np.float64))
-        assert _outcome(lambda M: eigenvalues(M, BITS32), M) == expected
+        assert _outcome(lambda M: eigenvalues(M.astype(BITS32.dtype)), M) == expected
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -463,17 +496,17 @@ def test_factorization_residuals(precision):
         m = int(rng.integers(1, 13))
         M = rng.standard_normal((n, m))
         scale = max(1.0, np.abs(M).max())
-        Q, R = qr_decompose(M, precision)
+        Q, R = qr_decompose(M.astype(precision.dtype))
         assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 64 * eps * max(n, m)
         assert np.max(np.abs(Q @ R - M)) <= 64 * eps * max(n, m) * scale
-        U, S, V = svd_decompose(M, precision)
+        U, S, V = svd_decompose(M.astype(precision.dtype))
         assert np.max(np.abs(U.T @ U - np.eye(n))) <= 64 * eps * max(n, m)
         assert np.max(np.abs(V.T @ V - np.eye(m))) <= 64 * eps * max(n, m)
         assert np.max(np.abs(U[:, :S.size] @ np.diag(S) @ V[:, :S.size].T - M)) \
             <= 256 * eps * max(n, m) * scale
         assert np.all(np.diff(S) <= 0)
         if n == m and n > 1:
-            Us, T = schur_decompose(M, precision)
+            Us, T = schur_decompose(M.astype(precision.dtype))
             assert np.max(np.abs(Us.T @ Us - np.eye(n))) <= 64 * eps * n
             assert np.max(np.abs(Us @ T @ Us.T - M)) <= 256 * eps * n * scale
             sub = np.diag(T, -1)
@@ -580,3 +613,13 @@ def test_conjugate_pair_predicate():
     assert linalg.is_conjugate_pair(-1 + 2j, -1 - 2j + 1e-9)
     assert not linalg.is_conjugate_pair(-1 + 2j, -1 - 2j + 1e-8)
     assert not linalg.is_conjugate_pair(-1 + 2j, -1 + 2j)
+    # imaginary parts of opposite signs, however small
+    z = -1 + 1e-10j
+    assert not linalg.is_conjugate_pair(z, z)
+    assert not linalg.is_conjugate_pair(z, -1.0)
+    assert linalg.is_conjugate_pair(z, z.conjugate())
+    assert linalg.is_conjugate_pair(-1 + 1e-200j, -1 - 1e-200j)
+    with pytest.raises(InvalidPoleSet, match="not closed under conjugation"):
+        linalg.validate_conjugate_closed([z, z, -3.0])
+    with pytest.raises(InvalidPoleSet):
+        poly_from_roots([z, z, -3.0])

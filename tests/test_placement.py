@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poleplace import exactring
 from poleplace.bench import gen_integer_example, gen_random_controllable, gen_scaled_diagonal
@@ -27,6 +29,7 @@ from poleplace.placement import (
     build_anchor_chain,
     chain_controllability_report,
     controllability_matrix,
+    controller_hessenberg,
     feedback_eval,
     gain_from_chain,
     horner_char_matrix,
@@ -732,11 +735,117 @@ def test_every_algorithm_rejects_wrong_pole_count():
 
 def test_every_algorithm_rejects_a_near_real_pole():
     # a pole is real iff its imaginary part is exactly 0, so -1 + 1e-12 i
-    # is complex and has no conjugate partner
-    for name, fn in ALGORITHMS.items():
+    # is complex and has no conjugate partner; -1 + 1e-10 i twice is
+    # within the conjugate_match bound of its own conjugate, but two
+    # poles in the upper half plane are not a pair
+    for poles in ([-1 + 1e-12j, -2.0, -3.0], [-1 + 1e-10j, -1 + 1e-10j, -3.0]):
+        for name, fn in ALGORITHMS.items():
+            for precision in (BITS32, BITS64):
+                with pytest.raises(InvalidPoleSet):
+                    fn(WORKED, poles, precision)
+
+
+def _float32_intermediates(sys, poles):
+    """Every exposed intermediate of the methods at 32 bits, skipping the
+    ones a typed error stops."""
+    chain = build_anchor_chain(sys, BITS32)
+    out = [a for level in chain.levels for a in (level.anchor, level.transfer,
+                                                 level.quotient_input)]
+    out += controller_hessenberg(sys, BITS32)
+    try:
+        law = ChainFeedback(chain, poles)
+    except PlacementError:
+        pass
+    else:
+        if law._scalar is not None:
+            out.append(law._scalar)
+        else:
+            out += [law._pp0, law._last_A, law._den]
+            out += [a for step in law._steps for a in step]
+    for variant in ("qr", "solve"):
+        try:
+            stack = _descend_quotients(sys, poles, variant, BITS32)
+        except PlacementError:
+            continue
+        out += [a for level in stack.levels for a in (level.A_level, level.B_level,
+                                                      level.anchor, level.k_o)]
+    try:
+        out += _slide(sys, poles, BITS32)
+    except PlacementError:
+        pass
+    return out
+
+
+def test_intermediates_stay_float32_on_the_integer_family():
+    for n in range(3, 7):
+        poles = [-(k + 1.0) for k in range(n)]
+        for order in (poles, poles[::-1]):
+            for a in _float32_intermediates(gen_integer_example(n), order):
+                assert a.dtype == np.float32, n
+
+
+@st.composite
+def random_controllable(draw, max_n=8):
+    """(system, real poles) from gen_random_controllable, n <= max_n; the
+    conditioning filter is off, since only formats are checked."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    while (out := gen_random_controllable(rng, n, cond_limit=np.inf)) is None:
+        pass
+    return out
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(random_controllable())
+def test_intermediates_stay_float32_on_random_systems(case):
+    sys, poles = case
+    for a in _float32_intermediates(sys, poles):
+        assert a.dtype == np.float32
+
+
+def _ref_controller_hessenberg(sys, precision):
+    # the inline reflectors controller_hessenberg was built from, kept as
+    # its bitwise reference
+    A, B = _sys_arrays(sys, precision)
+    n = sys.n
+    u = B.copy()
+    nb = np.sqrt(np.sum(u * u))
+    if nb == 0.0:
+        raise UncontrollableSystem("B = 0")
+    u[0] += (nb if B[0] >= 0 else -nb)
+    H0 = np.eye(n, dtype=A.dtype) - 2.0 * np.outer(u, u) / np.dot(u, u)
+    V = H0.copy()
+    Ah = H0 @ A @ H0
+    for k in range(n - 2):
+        x = Ah[k + 1:, k].copy()
+        nx = np.sqrt(np.sum(x * x))
+        if nx == 0.0:
+            continue
+        u = x.copy()
+        u[0] += (nx if x[0] >= 0 else -nx)
+        Hk = np.eye(n - k - 1, dtype=A.dtype) - 2.0 * np.outer(u, u) / np.dot(u, u)
+        P = np.eye(n, dtype=A.dtype)
+        P[k + 1:, k + 1:] = Hk
+        Ah = P @ Ah @ P
+        V = V @ P
+    return V, Ah
+
+
+def test_controller_hessenberg_bitwise_equal_to_reference():
+    rng = np.random.default_rng(83)
+    systems = [WORKED, UNCTRL, StateSpace(np.triu(np.ones((4, 4))), [1.0, 0, 0, 0])]
+    systems += [gen_integer_example(n) for n in range(3, 13)]
+    systems += [StateSpace(rng.standard_normal((n, n)), rng.standard_normal(n))
+                for n in range(1, 9)]
+    for sys in systems:
         for precision in (BITS32, BITS64):
-            with pytest.raises(InvalidPoleSet):
-                fn(WORKED, [-1 + 1e-12j, -2.0, -3.0], precision)
+            got = controller_hessenberg(sys, precision)
+            ref = _ref_controller_hessenberg(sys, precision)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+            V, Ah = got
+            assert V.dtype == Ah.dtype == precision.dtype
+    with pytest.raises(UncontrollableSystem, match="^B = 0$"):
+        controller_hessenberg(StateSpace(WORKED.A, [0.0, 0, 0]), BITS64)
 
 
 def test_every_algorithm_returns_float32_at_32_bits():
