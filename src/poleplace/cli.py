@@ -10,6 +10,7 @@ or --out.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys as _sys
 
@@ -27,8 +28,8 @@ class UsageError(Exception):
 
 
 def parse_pole_list(text: str):
-    """Parse a pole list: comma-separated reals, complex literals with a
-    trailing i (e.g. -1+2i), and inclusive integer ranges a..b."""
+    """Parse a pole list: comma-separated finite reals, complex literals
+    with a trailing i (e.g. -1+2i), and inclusive integer ranges a..b."""
     poles = []
     for token in text.split(","):
         token = token.strip()
@@ -44,9 +45,12 @@ def parse_pole_list(text: str):
             poles.extend(complex(v) for v in range(lo, hi + step, step))
             continue
         try:
-            poles.append(complex(token.replace("i", "j")))
+            z = complex(token.replace("i", "j"))
         except ValueError as exc:
             raise UsageError(f"bad pole literal {token!r}") from exc
+        if not cmath.isfinite(z):
+            raise UsageError(f"pole {token!r} is not finite")
+        poles.append(z)
     if not poles:
         raise UsageError("empty pole list")
     return poles
@@ -57,7 +61,7 @@ def _parse_poles(text: str, n: int):
     one pole per state."""
     poles = parse_pole_list(text)
     try:
-        linalg.validate_conjugate_closed(poles)
+        linalg.pole_steps(poles)
     except InvalidPoleSet as exc:
         raise UsageError(str(exc)) from exc
     if len(poles) != n:

@@ -20,6 +20,7 @@ Conventions fixed here (they make every downstream fixture reproducible):
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 
@@ -427,8 +428,6 @@ THRESHOLDS = {
     "chain_denominator": lambda precision: 1e3 * float(np.finfo(precision.dtype).tiny),
     # distance of a pole from the conjugate of its partner, scale |partner|
     "conjugate_match": lambda precision, scale: 1e-9 * max(1.0, scale),
-    # imaginary residue of a polynomial expanded from conjugate pairs
-    "charpoly_residue": lambda precision, scale: 1e-12 * max(1.0, scale),
     # omega^T g of an oblique anchor, scale ||omega|| ||g||
     "oblique_pairing": lambda precision, scale: 1e3 * (precision.eps * scale),
     "orthonormality": lambda precision: 1e-10,  # of an orthogonal anchor
@@ -503,43 +502,50 @@ def is_conjugate_pair(z: complex, w: complex) -> bool:
     return opposite and abs(w - z.conjugate()) <= THRESHOLDS["conjugate_match"](BITS64, abs(z))
 
 
-def validate_conjugate_closed(roots):
-    """Check the multiset of roots is closed under conjugation: a root is
-    real iff its imaginary part is exactly 0, and every other root needs
-    a partner (:func:`is_conjugate_pair`)."""
-    pending = []
+def pole_steps(roots) -> list:
+    """The real factor of each pole step, in the caller's order: ``(l,)``
+    for a real pole (imaginary part exactly 0), ``(2 Re l, |l|^2)`` for a
+    complex pole l once a later pole pairs with it
+    (:func:`is_conjugate_pair`; the first open partner wins), in l's slot.
+
+    Raises :class:`InvalidPoleSet` for a non-finite pole or a complex pole
+    left without a partner.
+    """
+    steps, pending = [], []  # pending: (slot, pole) of unpaired complex poles
     for z in (complex(r) for r in roots):
+        if not cmath.isfinite(z):
+            raise InvalidPoleSet(f"pole {z} is not finite")
         if z.imag == 0.0:
+            steps.append((z.real,))
             continue
-        for i, w in enumerate(pending):
+        for i, (slot, w) in enumerate(pending):
             if is_conjugate_pair(w, z):
-                pending.pop(i)
+                del pending[i]
+                steps[slot] = (2.0 * w.real, w.real * w.real + w.imag * w.imag)
                 break
         else:
-            pending.append(z)
+            pending.append((len(steps), z))
+            steps.append(None)
     if pending:
         raise InvalidPoleSet(
-            f"pole set not closed under conjugation: unmatched {pending[0]}"
+            f"pole set not closed under conjugation: unmatched {pending[0][1]}"
         )
+    return steps
 
 
 def poly_from_roots(roots) -> np.ndarray:
     """Monic real polynomial with the given (conjugate-closed) roots.
 
-    Returns coefficients in degree-descending order [1, p1, ..., pn].
-    The expansion order is normalized (roots sorted by (real, imag)) so
-    the result does not depend on how the caller ordered the roots.
+    Returns float64 coefficients in degree-descending order [1, p1, ..., pn],
+    the product of the real factors of :func:`pole_steps`.  The roots are
+    sorted by (real, imag) first, so the result does not depend on how the
+    caller ordered them.
     """
-    roots = [complex(r) for r in roots]
-    validate_conjugate_closed(roots)
-    roots.sort(key=lambda z: (z.real, z.imag))
-    p = np.array([1.0 + 0.0j])
-    for r in roots:
-        p = np.convolve(p, np.array([1.0, -r]))
-    residue_bound = THRESHOLDS["charpoly_residue"](BITS64, np.max(np.abs(p.real)))
-    if p.size > 1 and np.max(np.abs(p.imag)) > residue_bound:
-        raise InvalidPoleSet("conjugate pairing left a complex residue")
-    return p.real.copy()
+    p = np.array([1.0])
+    for step in pole_steps(sorted((complex(r) for r in roots),
+                                  key=lambda z: (z.real, z.imag))):
+        p = np.convolve(p, [1.0, -step[0]] if len(step) == 1 else [1.0, -step[0], step[1]])
+    return p
 
 
 def companion_matrix(coeffs) -> np.ndarray:

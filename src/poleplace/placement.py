@@ -24,10 +24,11 @@ All gains follow one convention: ``eigenvalues(A - B K)`` equals the
 requested spectrum.  Routines that internally mirror an A + BK
 formulation negate before returning.
 
-Every pole list passes one check first (one pole per state, B not
-identically zero, and all poles real for the five methods that take
-real poles only); the Ackermann routes take the poles one step at a
-time, a conjugate pair as one real quadratic step.  :data:`ALGORITHMS`
+Every pole list passes one check first (finite and closed under
+conjugation, one pole per state, B not identically zero, and all poles
+real for the five methods that take real poles only); the Ackermann
+routes take the poles one step at a time, a conjugate pair as one real
+quadratic step (:func:`~poleplace.linalg.pole_steps`).  :data:`ALGORITHMS`
 maps each method's name to its function, called as
 ``fn(sys, poles, precision)``.
 """
@@ -57,7 +58,7 @@ from .linalg import (
     as_vector,
     householder_annihilator,
     householder_reflector,
-    is_conjugate_pair,
+    pole_steps,
     poly_from_roots,
     qr_decompose,
     schur_decompose,
@@ -94,10 +95,12 @@ def _sys_arrays(sys: StateSpace, precision: Precision):
 
 def _check_poles(sys: StateSpace, poles, precision: Precision,
                  real: bool = False) -> list:
-    """Validate a pole list for ``sys``: all real when ``real`` (returned
-    as floats, else as complex), one pole per state, and B not
+    """Validate a pole list for ``sys``: finite and conjugate-closed
+    (:func:`~poleplace.linalg.pole_steps`), all real when ``real``
+    (returned as floats, else as complex), one pole per state, and B not
     identically zero at ``precision``."""
     roots = [complex(p) for p in poles]
+    pole_steps(roots)
     if real:
         for z in roots:
             if z.imag != 0.0:
@@ -121,26 +124,6 @@ def _poles_or_charpoly(sys: StateSpace, poles, charpoly, precision: Precision):
     if cp.size != sys.n + 1 or cp[0] != 1.0:
         raise InvalidPoleSet("charpoly must be monic of length n+1")
     return None, cp
-
-
-def _pole_steps(roots):
-    """The real factor of each pole step, in order: ``(l,)`` for a real
-    pole, ``(2 Re l, |l|^2)`` for a complex pole and the conjugate that
-    must follow it."""
-    roots = [complex(r) for r in roots]
-    i = 0
-    while i < len(roots):
-        lam = roots[i]
-        if lam.imag == 0.0:
-            yield (lam.real,)
-            i += 1
-            continue
-        if i + 1 >= len(roots) or not is_conjugate_pair(lam, roots[i + 1]):
-            raise InvalidPoleSet(
-                "complex pole must be immediately followed by its conjugate"
-            )
-        yield (2.0 * lam.real, lam.real * lam.real + lam.imag * lam.imag)
-        i += 2
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +156,12 @@ def horner_char_matrix(A, roots) -> np.ndarray:
     """Phi(A) = (A - l_n I)...(A - l_1 I) by the nested recursion, in A's
     format.
 
-    Adjacent complex-conjugate roots are consumed as one quadratic step
-    so everything stays in real arithmetic.
+    Each complex-conjugate pair is consumed as one quadratic step at its
+    first member's slot, so everything stays in real arithmetic.
     """
     A = as_matrix(A)
     Phi = np.eye(A.shape[0], dtype=A.dtype)
-    for step in _pole_steps(roots):
+    for step in pole_steps(roots):
         if len(step) == 1:
             Phi = A @ Phi - A.dtype.type(step[0]) * Phi
         else:
@@ -207,13 +190,14 @@ def ackermann_factored(sys: StateSpace, poles,
                        precision: Precision = BITS64) -> np.ndarray:
     """Factorized Ackermann: K_0 = e_n^T C^-1, then K_i = K_{i-1} A - l_i K_{i-1}.
 
-    The pole order is preserved; adjacent conjugate pairs are merged into
-    one real quadratic step (K A^2 - 2 Re(l) K A + |l|^2 K).
+    The pole order is preserved; each conjugate pair is merged into one
+    real quadratic step (K A^2 - 2 Re(l) K A + |l|^2 K) at its first
+    member's slot.
     """
     roots = _check_poles(sys, poles, precision)
     A, _ = _sys_arrays(sys, precision)
     K = inverse_ctrb_last_row(sys, precision)
-    for step in _pole_steps(roots):
+    for step in pole_steps(roots):
         if len(step) == 1:
             K = K @ A - A.dtype.type(step[0]) * K
         else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedState
-from .linalg import BITS64, Precision, as_vector
+from .linalg import BITS64, Precision, _precision_of, as_vector
 from .placement import AnchorChain, ChainFeedback, StateSpace, _sys_arrays, build_anchor_chain
 from .placement import feedback_eval  # noqa: F401 - perfbench's tracer test wraps sim.feedback_eval
 
@@ -56,9 +56,10 @@ class Trace:
 
 
 def rk4_step(derivative, t, x, h):
-    """One classical 4-stage Runge-Kutta update."""
+    """One classical 4-stage Runge-Kutta update, with h rounded to the
+    state's format (float32 stays float32, all else float64)."""
     x = np.asarray(x)
-    h = x.dtype.type(h)
+    h = _precision_of(x).dtype(h)
     k1 = derivative(t, x)
     k2 = derivative(t + h / 2, x + k1 * (h / 2))
     k3 = derivative(t + h / 2, x + k2 * (h / 2))

@@ -51,6 +51,20 @@ def test_parse_pole_list_bad_literal():
         cli.parse_pole_list("-1,bogus")
 
 
+@pytest.mark.parametrize("text", ["nan,-2,-3", "-1,1e400,-3", "-1+nani,-2", "-1-1e400i,-2"])
+def test_parse_pole_list_rejects_nonfinite(text):
+    with pytest.raises(cli.UsageError, match="not finite"):
+        cli.parse_pole_list(text)
+
+
+def test_nonfinite_pole_is_usage_error_for_every_command(worked_system, capsys):
+    for cmd in (["place", "--algo", "ackermann"], ["simulate"], ["exact"]):
+        for poles in ("nan,-2,-3", "1e400,-2,-3"):
+            code = cli.main(cmd + ["--system", worked_system, "--poles", poles])
+            assert code == 1, (cmd, poles)
+            assert capsys.readouterr().err.startswith("error: pole ")
+
+
 # ---------------------------------------------------------------------------
 # place
 
@@ -89,6 +103,14 @@ def test_place_near_real_pole_is_usage_error_for_every_algorithm(worked_system, 
                              "--poles", poles])
             assert code == 1, (algo, poles)
             assert "not closed under conjugation" in capsys.readouterr().err
+
+
+def test_place_split_conjugate_pair(worked_system, capsys):
+    for algo in ("ackermann", "ackermann-factored", "algebroid2"):
+        code = cli.main(["place", "--algo", algo, "--system", worked_system,
+                         "--poles", "-1+2i,-3,-1-2i"])
+        assert code == 0, algo
+        assert "complex pairs = 1" in capsys.readouterr().out
 
 
 def test_place_uncontrollable_exits_2(unctrl_system, capsys):

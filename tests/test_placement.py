@@ -166,9 +166,17 @@ def test_factored_scalar_system():
     np.testing.assert_allclose(K, [(2.0 + 1.0) / 4.0])
 
 
-def test_factored_rejects_unpaired_complex():
-    with pytest.raises(InvalidPoleSet):
-        ackermann_factored(WORKED, [-1 + 1j, -2.0, -1 - 1j])
+def test_ackermann_routes_place_a_split_conjugate_pair():
+    # a pair may sit anywhere in the list; it is stepped at its first
+    # member's slot, so the gain is the one for the pair's adjacent order
+    split, adjacent = [-1 + 1j, -2.0, -1 - 1j], [-1 + 1j, -1 - 1j, -2.0]
+    for name in ("ackermann", "ackermann-factored"):
+        for precision, bound in ((BITS64, 1e-9), (BITS32, 1e-3)):
+            K = ALGORITHMS[name](WORKED, split, precision)
+            assert K.tobytes() == ALGORITHMS[name](WORKED, adjacent, precision).tobytes()
+            assert spectrum_error(WORKED, K, split) <= bound, (name, precision)
+            with pytest.raises(InvalidPoleSet, match="unmatched"):
+                ALGORITHMS[name](WORKED, [-1 + 1j, -2.0, -1 + 1j], precision)
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +750,18 @@ def test_every_algorithm_rejects_a_near_real_pole():
         for name, fn in ALGORITHMS.items():
             for precision in (BITS32, BITS64):
                 with pytest.raises(InvalidPoleSet):
+                    fn(WORKED, poles, precision)
+
+
+def test_every_algorithm_gives_one_message_per_bad_set():
+    # the conjugation check runs before the real-only test, so the five
+    # real-pole methods name the same fault as the other four
+    for poles, msg in (([-1 + 2j, -2.0, -3.0], "not closed under conjugation"),
+                       ([float("nan"), -2.0, -3.0], "not finite"),
+                       ([-1.0, complex(-2.0, float("inf")), -3.0], "not finite")):
+        for name, fn in ALGORITHMS.items():
+            for precision in (BITS32, BITS64):
+                with pytest.raises(InvalidPoleSet, match=msg):
                     fn(WORKED, poles, precision)
 
 

@@ -41,6 +41,13 @@ def test_rk4_fourth_order_convergence():
     assert 12.0 <= ratio <= 20.0
 
 
+def test_rk4_integer_state_takes_a_float64_step():
+    out = rk4_step(lambda t, x: -x, 0.0, [1, 2], 0.1)
+    ref = rk4_step(lambda t, x: -x, 0.0, np.array([1.0, 2.0]), 0.1)
+    assert out.tobytes() == ref.tobytes()
+    assert out[0] == pytest.approx(0.9048375, abs=1e-15)
+
+
 def test_rk4_rejects_nonfinite():
     with pytest.raises(DivergedState):
         rk4_step(lambda t, x: x * np.inf, 0.0, np.array([1.0]), 0.1)
