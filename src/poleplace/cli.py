@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import sys as _sys
 
@@ -169,14 +170,16 @@ def _cmd_bench(args) -> int:
     orders = {"fwd": ["forward"], "rev": ["reversed"],
               "both": ["forward", "reversed"]}[args.order]
     records = bench.run_suite(families, algos, precisions, orders)
-    table = bench.render_table(records)
-    csv = bench.render_csv(records)
+    # render only what is written
     if args.out:
+        as_csv = args.out.endswith(".csv") or args.format == "csv"
+        table = bench.render_table(records)
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv if args.out.endswith(".csv") or args.format == "csv" else table)
+            fh.write(bench.render_csv(records) if as_csv else table)
         _sys.stdout.write(table)
     else:
-        _sys.stdout.write(csv if args.format == "csv" else table)
+        _sys.stdout.write(bench.render_csv(records) if args.format == "csv"
+                          else bench.render_table(records))
     return 0
 
 
@@ -340,7 +343,10 @@ def _cmd_check_commutators(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later
+    call in the process (a build costs over ten parses)."""
     p = argparse.ArgumentParser(
         prog="poleplace",
         description="Single-input pole placement: seven float algorithms, "

@@ -445,24 +445,32 @@ def _lu_factor(A: np.ndarray):
     Elimination continues through small pivots (stopping only at an exact
     zero, where the remaining factorization is undefined); callers decide
     what pivot magnitude counts as singular for their purpose.
+
+    At n <= 12 the cost is numpy dispatch, so each step uses the cheapest
+    call that performs the same IEEE operations: a row swap through a
+    copy, the pivot list in Python, ``l[:, None] * r`` for the multiply
+    ``np.outer`` performs.
     """
     lu = A.copy()
     n = lu.shape[0]
-    piv = np.arange(n)
+    piv = list(range(n))
     pivmin = np.inf
     for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        p = k + int(np.abs(lu[k:, k]).argmax())
         if p != k:
-            lu[[k, p], :] = lu[[p, k], :]
-            piv[[k, p]] = piv[[p, k]]
+            row = lu[k].copy()
+            lu[k] = lu[p]
+            lu[p] = row
+            piv[k], piv[p] = piv[p], piv[k]
         pivot = lu[k, k]
         pivmin = min(pivmin, abs(float(pivot)))
         if pivot == 0.0:
-            return lu, piv, 0.0
+            return lu, np.array(piv), 0.0
         if k + 1 < n:
-            lu[k + 1:, k] /= pivot
-            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, piv, pivmin
+            col = lu[k + 1:, k]
+            col /= pivot
+            lu[k + 1:, k + 1:] -= col[:, None] * lu[k, k + 1:]
+    return lu, np.array(piv), pivmin
 
 
 def solve_linear(A, b) -> np.ndarray:

@@ -303,3 +303,75 @@ def test_system_write_read_bit_identical(tmp_path):
 def test_help_exits_zero():
     assert cli.main(["--help"]) == 0
     assert cli.main(["place", "--help"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+
+
+def _mixed_argv(system):
+    """One call of each kind: argparse errors, help, every subcommand."""
+    place = ["place", "--algo", "ackermann", "--system", system]
+    return [
+        place + ["--poles", "-1,-2,-3", "--bogus"],  # unknown flag: exit 1
+        ["--help"],
+        place,  # neither --poles nor --charpoly
+        ["place", "--algo", "algebroid2", "--system", system, "--charpoly", "1,6,11,6"],
+        place + ["--poles", "-1,-2,-3", "--format", "json"],
+        ["bench", "--family", "integer", "--n-range", "3..4", "--algos", "ackermann",
+         "--precision", "both", "--format", "csv"],
+        ["exact", "--system", system, "--poles", "-1..-3"],
+        ["simulate", "--system", system, "--poles", "-1,-2,-3", "--mode", "both",
+         "--T", "0.1", "--h", "0.05"],
+    ]
+
+
+def test_main_builds_its_parser_once_per_process(worked_system, monkeypatch, capsys):
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        argvs = _mixed_argv(worked_system)
+        argvs += [["check-commutators"], ["place", "--help"]]
+        codes = [cli.main(argv) for argv in argvs]
+    finally:
+        cli.build_parser.cache_clear()
+    capsys.readouterr()
+    assert codes == [1, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+    # the top-level parser once, and each of its five subcommand parsers once
+    assert built.count("poleplace") == 1
+    assert sorted(built) == sorted(["poleplace"] + [f"poleplace {c}" for c in (
+        "place", "bench", "simulate", "exact", "check-commutators")])
+
+
+def test_shared_parser_carries_no_state_between_calls(worked_system, capsys):
+    def run(fresh):
+        outcomes = []
+        for argv in _mixed_argv(worked_system):
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            outcomes.append((code, out, err))
+        return outcomes
+
+    shared = run(fresh=False)
+    assert [code for code, _, _ in shared] == [1, 0, 1, 0, 0, 0, 0, 0]
+    assert shared == run(fresh=True)
+
+
+def test_bench_renders_only_what_it_writes(monkeypatch, capsys):
+    def no_table(records):
+        raise AssertionError("render_table called for CSV on stdout")
+
+    monkeypatch.setattr(cli.bench, "render_table", no_table)
+    code = cli.main(["bench", "--family", "integer", "--n-range", "3..3",
+                     "--algos", "ackermann", "--format", "csv"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("family,n,algorithm")

@@ -489,6 +489,107 @@ def test_solve_singular_raises():
         solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
 
 
+def _ref_lu_factor(A: np.ndarray):
+    """``linalg._lu_factor`` before its dispatch trim, verbatim: the
+    bitwise reference for the kernel."""
+    lu = A.copy()
+    n = lu.shape[0]
+    piv = np.arange(n)
+    pivmin = np.inf
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if p != k:
+            lu[[k, p], :] = lu[[p, k], :]
+            piv[[k, p]] = piv[[p, k]]
+        pivot = lu[k, k]
+        pivmin = min(pivmin, abs(float(pivot)))
+        if pivot == 0.0:
+            return lu, piv, 0.0
+        if k + 1 < n:
+            lu[k + 1:, k] /= pivot
+            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    return lu, piv, pivmin
+
+
+def _solves_on_integer_family():
+    """Every matrix ``solve_linear`` factors for hyperplane_normal (through
+    determinantal and sliding) and for algebroid1-solve on the integer
+    family, n = 8..12, both precisions and both pole orders."""
+    seen = []
+
+    def record(A):
+        seen.append(A.copy())
+        return _ref_lu_factor(A)
+
+    saved, linalg._lu_factor = linalg._lu_factor, record
+    try:
+        for n in range(8, 13):
+            sys = gen_integer_example(n)
+            poles = [-float(k) for k in range(1, n + 1)]
+            for order in (poles, poles[::-1]):
+                for name in ("determinantal", "sliding", "algebroid1-solve"):
+                    for precision in (BITS32, BITS64):
+                        try:
+                            ALGORITHMS[name](sys, order, precision)
+                        except PlacementError:
+                            pass
+    finally:
+        linalg._lu_factor = saved
+    return seen
+
+
+LU_CORPUS = {
+    "random": lambda: (np.random.default_rng(n).standard_normal((n, n)) * scale
+                       for n in range(1, 31) for scale in (1e-5, 1e-2, 1.0, 1e2, 1e5)),
+    "integer-family-solves": _solves_on_integer_family,
+    # after one row swap the second pivot is an exact zero (early return)
+    "zero-pivot": lambda: [np.array([[1.0, 1, 1], [2, 2, 5], [4, 4, 0]]),
+                           np.array([[0.0, 1], [0.0, 2]]), np.zeros((3, 3))],
+    # small integers: most columns have several entries of the largest |.|
+    "tied-maxima": lambda: (np.random.default_rng(seed).integers(-2, 3, (n, n)) * 1.0
+                            for n in range(2, 13) for seed in range(8)),
+}
+
+
+def _uint_bits(x: np.ndarray) -> tuple:
+    return x.dtype.str, x.shape, x.view(np.uint32 if x.dtype == np.float32 else np.uint64).tolist()
+
+
+def _lu_bits(lu, piv, pivmin) -> tuple:
+    return (_uint_bits(lu), piv.dtype.str, piv.tolist(),
+            type(pivmin), int(np.float64(pivmin).view(np.uint64)))
+
+
+def _solve_outcome(A, b):
+    """The solution's bits, or the singular-system message."""
+    try:
+        return _uint_bits(solve_linear(A, b))
+    except SingularSystem as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("group", sorted(LU_CORPUS))
+def test_lu_kernel_bitwise_matches_reference(group, monkeypatch):
+    cases = [M.astype(dt) for M in LU_CORPUS[group]() for dt in (np.float32, np.float64)]
+    assert cases
+    rhs = [np.linspace(-1.0, 2.0, M.shape[0]).astype(M.dtype) for M in cases]
+    for M in cases:
+        assert _lu_bits(*linalg._lu_factor(M)) == _lu_bits(*_ref_lu_factor(M))
+    solved = [_solve_outcome(M, b) for M, b in zip(cases, rhs)]
+    monkeypatch.setattr(linalg, "_lu_factor", _ref_lu_factor)
+    assert solved == [_solve_outcome(M, b) for M, b in zip(cases, rhs)]
+
+
+def test_lu_corpus_reaches_early_return_and_ties():
+    assert all(_ref_lu_factor(M)[2] == 0.0 for M in LU_CORPUS["zero-pivot"]())
+    swapped = _ref_lu_factor(LU_CORPUS["zero-pivot"]()[0])
+    assert swapped[1].tolist() == [2, 1, 0] and swapped[0][1, 1] == 0.0
+    tied = [np.abs(M[:, 0]) for M in LU_CORPUS["tied-maxima"]()]
+    assert sum(np.count_nonzero(c == c.max()) > 1 for c in tied) > len(tied) // 2
+    assert {M.dtype for M in LU_CORPUS["integer-family-solves"]()} == {
+        np.dtype(np.float32), np.dtype(np.float64)}
+
+
 # ---------------------------------------------------------------------------
 # Factorization residual properties, both precision modes
 
