@@ -176,7 +176,7 @@ def evaluate_placement(sys: StateSpace, poles, gain,
     with 64-bit eigenvalues isolates the gain's own representability).
     """
     gain = np.asarray(gain, dtype=np.float64).ravel()
-    achieved = eigenvalues(sys.A - np.outer(sys.B, gain))
+    achieved = eigenvalues(sys.A - sys.B[:, None] * gain)
     targets = np.array([complex(p) for p in poles])
     return BenchRecord(
         algorithm=algorithm,

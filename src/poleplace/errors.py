@@ -54,4 +54,5 @@ class DivergedState(PlacementError):
 
 
 class FactorizationError(PlacementError):
-    """An iterative factorization failed to converge."""
+    """A factorization failed: an iteration did not converge, or a
+    Householder norm overflowed."""

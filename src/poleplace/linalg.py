@@ -77,7 +77,7 @@ def as_matrix(M, precision: Precision | None = None) -> np.ndarray:
     A = np.asarray(M, dtype=(precision or _precision_of(M)).dtype)
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise ValueError(f"expected a 2-d matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     return A
 
@@ -87,7 +87,7 @@ def as_vector(v, precision: Precision | None = None) -> np.ndarray:
     A = np.asarray(v, dtype=(precision or _precision_of(v)).dtype).ravel()
     if A.size < 1:
         raise ValueError("expected a non-empty vector")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("vector entries must be finite")
     return A
 
@@ -96,12 +96,27 @@ def as_vector(v, precision: Precision | None = None) -> np.ndarray:
 # QR / SVD / Schur
 
 
+def _checked_norm2(ss, what: str):
+    """A Householder sum of squares, returned once checked: past the
+    format's range the reflector built from it would be NaN, so an
+    overflow raises :class:`FactorizationError`."""
+    if not math.isfinite(ss):
+        raise FactorizationError(f"{what} overflowed: sum of squares is {ss}")
+    return ss
+
+
 def qr_decompose(M):
     """Full Householder QR factorization, M = Q R, in M's format.
 
     Q is square (rows x rows) and orthogonal, R is rows x cols upper
     triangular with non-negative diagonal entries; entries below the
-    diagonal of R are exactly zero.
+    diagonal of R are exactly zero.  Raises :class:`FactorizationError`
+    when a Householder sum of squares overflows.
+
+    At n <= 12 the cost is numpy dispatch, so each step uses the cheapest
+    call that performs the same IEEE operations: the rank-one updates
+    write into views of R and Q, with ``u[:, None] * w`` for the multiply
+    ``np.outer`` performs.
     """
     M = as_matrix(M)
     m, k = M.shape
@@ -109,36 +124,41 @@ def qr_decompose(M):
     Q = np.eye(m, dtype=R.dtype)
     for c in range(min(m - 1, k)):
         x = R[c:, c]
-        nx = np.sqrt(np.sum(x * x))
+        nx = np.sqrt(_checked_norm2((x * x).sum(), "QR column norm"))
         if nx == 0.0:
             continue
         u = x.copy()
         u[0] += (nx if x[0] >= 0 else -nx)
-        beta = 2.0 / np.sum(u * u)
-        R[c:, c:] -= beta * np.outer(u, u @ R[c:, c:])
-        Q[:, c:] -= beta * np.outer(Q[:, c:] @ u, u)
-    d = np.sign(np.diag(R)[: min(m, k)])
-    d[d == 0] = 1.0
+        beta = 2.0 / _checked_norm2((u * u).sum(), "QR reflector norm")
+        Rc = R[c:, c:]
+        Rc -= beta * (u[:, None] * (u @ Rc))
+        Qc = Q[:, c:]
+        Qc -= beta * ((Qc @ u)[:, None] * u)
     D = np.ones(m, dtype=R.dtype)
-    D[: d.size] = d
-    Q = Q * D
-    R = D[:, None] * R
-    R[np.tril_indices(m, -1, k)] = 0.0
+    D[: min(m, k)] = np.sign(R.diagonal())
+    D[D == 0] = 1.0
+    Q *= D
+    np.multiply(D[:, None], R, out=R)  # D * R, operands in the textbook's order
+    for c in range(min(m - 1, k)):
+        R[c + 1:, c] = 0.0
     return Q, R
 
 
 def householder_reflector(v) -> np.ndarray:
     """The m x m Householder reflector taking v to a multiple of e_1, in
-    v's format; the identity for v = 0."""
+    v's format; the identity for v = 0.  Raises
+    :class:`FactorizationError` when the norm of v overflows."""
     v = as_vector(v)
     m = v.size
     u = v.copy()
-    s = np.sqrt(np.sum(v * v))
+    s = np.sqrt(_checked_norm2((v * v).sum(), "reflected vector norm"))
     u[0] += (s if v[0] >= 0 else -s)
-    uu = np.dot(u, u)
+    uu = _checked_norm2(np.dot(u, u), "reflector norm")
+    H = np.eye(m, dtype=v.dtype)
     if uu == 0.0:
-        return np.eye(m, dtype=v.dtype)
-    return np.eye(m, dtype=v.dtype) - 2.0 * np.outer(u, u) / uu
+        return H
+    H -= 2.0 * (u[:, None] * u) / uu
+    return H
 
 
 def householder_annihilator(v) -> np.ndarray:
@@ -485,16 +505,17 @@ def solve_linear(A, b) -> np.ndarray:
     n = A.shape[0]
     if A.shape[1] != n or b.size != n:
         raise ValueError("solve_linear requires square A conformal with b")
-    scale = np.max(np.abs(A))
+    scale = np.abs(A).max()
     lu, piv, pivmin = _lu_factor(A)
     if pivmin <= THRESHOLDS["lu_pivot"](precision, n, scale):
         raise SingularSystem(
             f"matrix numerically singular (pivot {pivmin:.3e}, scale {scale:.3e})"
         )
     x = b[piv]
-    for k in range(n):  # forward substitution, unit lower triangle
+    for k in range(n - 1):  # forward substitution, unit lower triangle
         x[k + 1:] -= lu[k + 1:, k] * x[k]
-    for k in range(n - 1, -1, -1):  # back substitution
+    x[n - 1] /= lu[n - 1, n - 1]  # back substitution; the empty dot is skipped
+    for k in range(n - 2, -1, -1):
         x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
     return x
 

@@ -303,7 +303,7 @@ def _slide(sys: StateSpace, poles, precision: Precision) -> list:
         base = normals[k - 1]
         den = _slide_denominator(base, direction, precision,
                                  f"projection denominator vanished at stage {k}")
-        P = eye - np.outer(direction, base) / A.dtype.type(den)
+        P = eye - direction[:, None] * base / A.dtype.type(den)
         for i in range(k, n):
             proj[i][k] = P @ proj[i][k - 1]
     gam = seeds[0]
@@ -313,7 +313,7 @@ def _slide(sys: StateSpace, poles, precision: Precision) -> list:
         base = normals[k]
         den = _slide_denominator(base, direction, precision,
                                  f"slide denominator vanished at plane {k + 1}")
-        G = np.outer(direction, base) / A.dtype.type(den)
+        G = direction[:, None] * base / A.dtype.type(den)
         gam = gam - (gam - seeds[k]) @ G.T
         steps.append(gam)
     return steps

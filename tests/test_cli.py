@@ -129,6 +129,21 @@ def test_place_zero_input_exits_2(tmp_path, capsys):
     assert "UncontrollableSystem: B = 0" in capsys.readouterr().err
 
 
+# numpy reports the overflow on the way; the placement then fails typed
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_place_overflowing_input_norm_exits_typed(tmp_path, capsys):
+    path = tmp_path / "big_b.txt"
+    path.write_text("3 4\n1 2 3 1e200\n1 0 0 1e200\n0 1 0 1e200\n")
+    for algo in sorted(placement.ALGORITHMS):
+        code = cli.main(["place", "--algo", algo, "--system", str(path),
+                         "--poles", "-1,-2,-3"])
+        err = capsys.readouterr().err
+        assert code in (0, 2), (algo, err)
+        if algo in ("algebroid1", "algebroid1-solve", "algebroid2", "miminis"):
+            assert err == "FactorizationError: reflected vector norm overflowed: " \
+                          "sum of squares is inf\n", algo
+
+
 def test_place_and_simulate_share_pole_checks(worked_system, capsys):
     for cmd in (["place", "--algo", "ackermann"], ["simulate"]):
         for poles, msg in (("-1,-2", "system has n=3, got 2 poles"),

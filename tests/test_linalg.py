@@ -1,12 +1,14 @@
 import cmath
+import copy
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poleplace import linalg
-from poleplace.bench import gen_integer_example, gen_scaled_diagonal
+from poleplace import algebroid, bench, linalg, placement
+from poleplace.bench import ExampleFamily, gen_integer_example, gen_scaled_diagonal, run_suite
 from poleplace.errors import (
     FactorizationError,
     InvalidPoleSet,
@@ -588,6 +590,250 @@ def test_lu_corpus_reaches_early_return_and_ties():
     assert sum(np.count_nonzero(c == c.max()) > 1 for c in tied) > len(tied) // 2
     assert {M.dtype for M in LU_CORPUS["integer-family-solves"]()} == {
         np.dtype(np.float32), np.dtype(np.float64)}
+
+
+# ---------------------------------------------------------------------------
+# QR, reflector, solve and input checks against their references
+#
+# The five _ref_ kernels below are the ones before their dispatch trim,
+# verbatim but for the names they call: the bitwise references.
+
+
+def _ref_as_matrix(M, precision=None) -> np.ndarray:
+    A = np.asarray(M, dtype=(precision or linalg._precision_of(M)).dtype)
+    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
+        raise ValueError(f"expected a 2-d matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix entries must be finite")
+    return A
+
+
+def _ref_as_vector(v, precision=None) -> np.ndarray:
+    A = np.asarray(v, dtype=(precision or linalg._precision_of(v)).dtype).ravel()
+    if A.size < 1:
+        raise ValueError("expected a non-empty vector")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("vector entries must be finite")
+    return A
+
+
+def _ref_qr_decompose(M):
+    M = _ref_as_matrix(M)
+    m, k = M.shape
+    R = M.copy()
+    Q = np.eye(m, dtype=R.dtype)
+    for c in range(min(m - 1, k)):
+        x = R[c:, c]
+        nx = np.sqrt(np.sum(x * x))
+        if nx == 0.0:
+            continue
+        u = x.copy()
+        u[0] += (nx if x[0] >= 0 else -nx)
+        beta = 2.0 / np.sum(u * u)
+        R[c:, c:] -= beta * np.outer(u, u @ R[c:, c:])
+        Q[:, c:] -= beta * np.outer(Q[:, c:] @ u, u)
+    d = np.sign(np.diag(R)[: min(m, k)])
+    d[d == 0] = 1.0
+    D = np.ones(m, dtype=R.dtype)
+    D[: d.size] = d
+    Q = Q * D
+    R = D[:, None] * R
+    R[np.tril_indices(m, -1, k)] = 0.0
+    return Q, R
+
+
+def _ref_householder_reflector(v) -> np.ndarray:
+    v = _ref_as_vector(v)
+    m = v.size
+    u = v.copy()
+    s = np.sqrt(np.sum(v * v))
+    u[0] += (s if v[0] >= 0 else -s)
+    uu = np.dot(u, u)
+    if uu == 0.0:
+        return np.eye(m, dtype=v.dtype)
+    return np.eye(m, dtype=v.dtype) - 2.0 * np.outer(u, u) / uu
+
+
+def _ref_solve_linear(A, b) -> np.ndarray:
+    A = _ref_as_matrix(A)
+    precision = linalg._precision_of(A)
+    b = _ref_as_vector(b, precision)
+    n = A.shape[0]
+    if A.shape[1] != n or b.size != n:
+        raise ValueError("solve_linear requires square A conformal with b")
+    scale = np.max(np.abs(A))
+    lu, piv, pivmin = _ref_lu_factor(A)
+    if pivmin <= linalg.THRESHOLDS["lu_pivot"](precision, n, scale):
+        raise SingularSystem(
+            f"matrix numerically singular (pivot {pivmin:.3e}, scale {scale:.3e})"
+        )
+    x = b[piv]
+    for k in range(n):  # forward substitution, unit lower triangle
+        x[k + 1:] -= lu[k + 1:, k] * x[k]
+    for k in range(n - 1, -1, -1):  # back substitution
+        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
+    return x
+
+
+REFERENCE_KERNELS = {
+    "as_matrix": _ref_as_matrix,
+    "as_vector": _ref_as_vector,
+    "qr_decompose": _ref_qr_decompose,
+    "householder_reflector": _ref_householder_reflector,
+    "solve_linear": _ref_solve_linear,
+}
+
+
+def _kernel_outcome(fn, *args):
+    """Dtype, shape and bytes of each array returned, or the exception's
+    type and message."""
+    try:
+        out = fn(*args)
+    except (ValueError, PlacementError) as exc:
+        return type(exc), str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in (out if isinstance(out, tuple) else (out,))]
+
+
+def _kernel_calls(matrices):
+    """(kernel name, args) for each matrix in both formats: its QR and
+    input check, the reflector and input check of every column, and a
+    solve when it is square."""
+    for M0 in matrices:
+        for M in (M0.astype(np.float32), M0.astype(np.float64)):
+            yield "as_matrix", (M,)
+            yield "qr_decompose", (M,)
+            for v in M.T:
+                yield "as_vector", (v,)
+                yield "householder_reflector", (v,)
+            if M.shape[0] == M.shape[1]:
+                yield "solve_linear", (M, np.linspace(-1.0, 2.0, M.shape[0]))
+
+
+def _partly_zero(rng, m, k):
+    M = rng.standard_normal((m, k))
+    M[:, rng.random(k) < 0.4] = 0.0  # whole columns
+    M[rng.integers(0, m):, rng.integers(0, k)] = 0.0  # a column's tail
+    M[0, rng.integers(0, k)] = -0.0  # a sign tie at the pivot
+    return M
+
+
+@functools.cache
+def _suite_kernel_calls():
+    """(kernel name, args) of every call the five kernels get while
+    ``run_suite`` runs the integer family, n = 8..12, on every ALGORITHMS
+    entry at both precisions and both pole orders, recorded through the
+    references; with the suite's records."""
+    seen = []
+
+    def recorder(name, ref):
+        def call(*args):
+            seen.append((name, copy.deepcopy(args)))
+            return ref(*args)
+        return call
+
+    patch = pytest.MonkeyPatch()
+    try:
+        for module in (linalg, placement, algebroid, bench):
+            for name, ref in REFERENCE_KERNELS.items():
+                if hasattr(module, name):
+                    patch.setattr(module, name, recorder(name, ref))
+        records = _integer_suite()
+    finally:
+        patch.undo()
+    return seen, records
+
+
+def _integer_suite():
+    return run_suite([ExampleFamily("integer", n) for n in range(8, 13)], list(ALGORITHMS),
+                     [BITS32, BITS64], ["forward", "reverse"])
+
+
+KERNEL_CORPUS = {
+    "random": lambda: _kernel_calls(
+        np.random.default_rng(100 * m + k).standard_normal((m, k)) * scale
+        for m in range(1, 16) for k in range(1, 16) for scale in (1e-5, 1.0, 1e5)),
+    "zero-columns": lambda: _kernel_calls(
+        [np.zeros((4, 3)), np.zeros((1, 1)), np.array([[0.0, 1], [0, 2]])]
+        + [_partly_zero(np.random.default_rng(seed), m, k)
+           for seed in range(4) for m in range(2, 13) for k in range(1, 13)]),
+    "thin": lambda: _kernel_calls(
+        np.random.default_rng(m).standard_normal(shape) * 10.0 ** (m % 7 - 3)
+        for m in range(1, 16) for shape in ((1, m), (m, 1))),
+    "integer-suite": lambda: _suite_kernel_calls()[0],
+}
+
+
+@pytest.mark.parametrize("group", sorted(KERNEL_CORPUS))
+def test_dense_kernels_bitwise_match_reference(group):
+    calls = list(KERNEL_CORPUS[group]())
+    assert {name for name, _ in calls} == set(REFERENCE_KERNELS)
+    for name, args in calls:
+        assert _kernel_outcome(getattr(linalg, name), *args) == \
+            _kernel_outcome(REFERENCE_KERNELS[name], *args), (name, args)
+
+
+def test_integer_suite_matches_reference_kernels():
+    seen, records = _suite_kernel_calls()
+    dtypes = {a.dtype for _, args in seen for a in args if isinstance(a, np.ndarray)}
+    assert dtypes == {np.dtype(np.float32), np.dtype(np.float64)}
+    assert repr(_integer_suite()) == repr(records)
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.ones(3), "expected a 2-d matrix, got shape (3,)"),
+    (np.ones((2, 2, 2)), "expected a 2-d matrix, got shape (2, 2, 2)"),
+    (np.ones((0, 3)), "expected a 2-d matrix, got shape (0, 3)"),
+    (np.ones((3, 0)), "expected a 2-d matrix, got shape (3, 0)"),
+    ([[1.0, np.nan]], "matrix entries must be finite"),
+    ([[1.0], [np.inf]], "matrix entries must be finite"),
+    (np.array([[-np.inf]], dtype=np.float32), "matrix entries must be finite"),
+])
+def test_as_matrix_rejects_like_reference(value, message):
+    for fn in (linalg.as_matrix, _ref_as_matrix):
+        with pytest.raises(ValueError) as exc:
+            fn(value)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value, message", [
+    ([], "expected a non-empty vector"),
+    (np.ones((0, 2)), "expected a non-empty vector"),
+    ([1.0, np.nan], "vector entries must be finite"),
+    ([[np.inf, 1.0]], "vector entries must be finite"),
+    (np.array([2.0, -np.inf], dtype=np.float32), "vector entries must be finite"),
+])
+def test_as_vector_rejects_like_reference(value, message):
+    for fn in (linalg.as_vector, _ref_as_vector):
+        with pytest.raises(ValueError) as exc:
+            fn(value)
+        assert str(exc.value) == message
+
+
+def test_input_checks_keep_float32_and_widen_the_rest():
+    m32 = np.ones((2, 2), dtype=np.float32)
+    assert linalg.as_matrix(m32).dtype == np.float32
+    assert linalg.as_vector(m32[0]).dtype == np.float32
+    for value in ([[1, 2]], [[1.5, 2]], np.ones((1, 2), dtype=np.int64),
+                  np.ones((1, 2), dtype=np.float16)):
+        assert linalg.as_matrix(value).dtype == np.float64
+        assert linalg.as_vector(value).dtype == np.float64
+    assert linalg.as_vector(3).dtype == np.float64
+    assert linalg.as_matrix(m32, BITS64).dtype == np.float64
+    assert linalg.as_vector([1, 2], BITS32).dtype == np.float32
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("dt", [np.float32, np.float64])
+def test_householder_norm_overflow_raises(dt):
+    big = np.array([1.0, np.finfo(dt).max, 1.0], dtype=dt)
+    with pytest.raises(FactorizationError, match="reflected vector norm overflowed"):
+        linalg.householder_reflector(big)
+    with pytest.raises(FactorizationError, match="QR column norm overflowed"):
+        qr_decompose(np.column_stack([big, np.ones(3, dtype=dt)]))
+    # below the overflow the bits are the reference's
+    fine = big / dt(2) ** (np.finfo(dt).maxexp // 2 + 2)
+    assert _kernel_outcome(linalg.householder_reflector, fine) == \
+        _kernel_outcome(_ref_householder_reflector, fine)
 
 
 # ---------------------------------------------------------------------------
