@@ -26,6 +26,7 @@ from .errors import (
     InvalidPoleSet,
     ParallelHyperplanes,
     PlacementError,
+    PrecisionOverflow,
     SingularShift,
     SingularSystem,
     UncontrollableSystem,

@@ -226,6 +226,8 @@ def run_suite(families, algorithms, precisions=(BITS64,),
     Individual algorithm failures become records with ``failure`` set
     rather than aborting the suite.  Returns the list of records.
     """
+    if not set(orders) <= {"forward", "reversed"}:
+        raise ValueError(f"pole orders must be 'forward' or 'reversed', got {list(orders)}")
     records = []
     for fam in families:
         sys = fam.make()

@@ -53,6 +53,10 @@ class DivergedState(PlacementError):
     """A simulated trajectory left the overflow guard region."""
 
 
+class PrecisionOverflow(PlacementError):
+    """A finite input entry is beyond the range of the requested precision."""
+
+
 class FactorizationError(PlacementError):
     """A factorization failed: an iteration did not converge, or a
     Householder norm overflowed."""

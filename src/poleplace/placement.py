@@ -45,6 +45,7 @@ from .errors import (
     DegenerateProjection,
     InvalidPoleSet,
     ParallelHyperplanes,
+    PrecisionOverflow,
     SingularShift,
     SingularSystem,
     UncontrollableSystem,
@@ -90,7 +91,15 @@ class StateSpace:
 
 
 def _sys_arrays(sys: StateSpace, precision: Precision):
-    return sys.A.astype(precision.dtype), sys.B.astype(precision.dtype)
+    """A and B in ``precision``; only the float32 cast can overflow."""
+    if precision.bits == 64:
+        return sys.A.astype(np.float64), sys.B.astype(np.float64)
+    with np.errstate(over="ignore"):  # the overflow is reported below
+        arrays = sys.A.astype(np.float32), sys.B.astype(np.float32)
+    for name, M in zip("AB", arrays):
+        if not np.isfinite(M).all():
+            raise PrecisionOverflow(f"{name} has entries beyond the 32-bit range")
+    return arrays
 
 
 def _check_poles(sys: StateSpace, poles, precision: Precision,
@@ -108,7 +117,7 @@ def _check_poles(sys: StateSpace, poles, precision: Precision,
         roots = [z.real for z in roots]
     if len(roots) != sys.n:
         raise InvalidPoleSet(f"expected {sys.n} poles, got {len(roots)}")
-    if not np.any(sys.B.astype(precision.dtype)):
+    if not np.any(_sys_arrays(sys, precision)[1]):
         raise UncontrollableSystem("B = 0")
     return roots
 

@@ -121,6 +121,9 @@ def test_suite_order_sensitivity_n11():
     r = by_key[("algebroid2", "reversed")]
     assert f.gain == r.gain
     assert f.achieved == r.achieved
+    # any other order label is refused, not run reversed under that label
+    with pytest.raises(ValueError, match="pole orders must be 'forward' or 'reversed'"):
+        run_suite(fams, ["algebroid2"], [BITS64], ["forward", "reverse"])
 
 
 def test_suite_determinism():

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from poleplace import cli, linalg, placement
+from poleplace import bench, cli, linalg, placement
 
 WORKED_TEXT = """3 4
 1 3 5 1
@@ -129,19 +131,34 @@ def test_place_zero_input_exits_2(tmp_path, capsys):
     assert "UncontrollableSystem: B = 0" in capsys.readouterr().err
 
 
-# numpy reports the overflow on the way; the placement then fails typed
+# numpy reports the 64-bit overflow on the way; the placement then fails typed
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_place_overflowing_input_norm_exits_typed(tmp_path, capsys):
-    path = tmp_path / "big_b.txt"
-    path.write_text("3 4\n1 2 3 1e200\n1 0 0 1e200\n0 1 0 1e200\n")
+    big_a, big_b = tmp_path / "big_a.txt", tmp_path / "big_b.txt"
+    big_a.write_text(WORKED_TEXT.replace("1 3 5 1", "1e200 3 5 1"))
+    big_b.write_text("3 4\n1 2 3 1e200\n1 0 0 1e200\n0 1 0 1e200\n")
     for algo in sorted(placement.ALGORITHMS):
-        code = cli.main(["place", "--algo", algo, "--system", str(path),
+        code = cli.main(["place", "--algo", algo, "--system", str(big_b),
                          "--poles", "-1,-2,-3"])
         err = capsys.readouterr().err
         assert code in (0, 2), (algo, err)
         if algo in ("algebroid1", "algebroid1-solve", "algebroid2", "miminis"):
             assert err == "FactorizationError: reflected vector norm overflowed: " \
                           "sum of squares is inf\n", algo
+        # finite in 64 bits, beyond the 32-bit range: no warning, one typed line
+        for path, matrix in ((big_a, "A"), (big_b, "B")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main(["place", "--algo", algo, "--system", str(path),
+                                 "--poles", "-1,-2,-3", "--precision", "32"])
+            assert (code, capsys.readouterr().err) == (
+                2, f"PrecisionOverflow: {matrix} has entries beyond the 32-bit range\n"), algo
+    system = placement.StateSpace(*linalg.load_system(big_a))
+    family = SimpleNamespace(kind="big-a", n=3, make=lambda: system,
+                             default_poles=lambda: [-1.0, -2.0, -3.0])
+    records = bench.run_suite([family], list(placement.ALGORITHMS), [linalg.BITS32])
+    assert [r.failure for r in records] == \
+        ["PrecisionOverflow: A has entries beyond the 32-bit range"] * len(placement.ALGORITHMS)
 
 
 def test_place_and_simulate_share_pole_checks(worked_system, capsys):

@@ -16,6 +16,9 @@ from poleplace.exactring import (
     simplify,
 )
 
+import _reference as ref
+from _reference import assert_same_bits
+
 A_WORKED = [[1, 3, 5], [7, 13, 17], [1, 1, 1]]
 B_WORKED = [1, 1, 1]
 
@@ -175,54 +178,7 @@ def test_oracle_places_poles_in_float():
 
 
 # ---------------------------------------------------------------------------
-# Sparse row-combination product against the dense triple loop
-
-
-def _ref_mat_mul(X, Y):
-    Ycols = list(zip(*Y))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Ycols] for row in X]
-
-
-def _ref_place_exact(A, B, charpoly):
-    """``place_exact`` as it was with the dense product, kept as reference."""
-    A = [[int(x) for x in row] for row in A]
-    B = [int(x) for x in B]
-    n = len(B)
-    pp = [int(c) for c in charpoly]
-    if len(pp) != n + 1 or pp[0] != 1:
-        raise ValueError("charpoly must be monic of length n+1, degree-descending")
-    pp = pp[::-1]
-    Ab = exactring.identity(n)
-    KK = [[pp[0] if i == j else 0 for j in range(n)] for i in range(n)]
-    Bb = list(B)
-    for step in range(1, n):
-        if all(x == 0 for x in Bb):
-            raise UncontrollableSystem(
-                f"quotient input vanished exactly at level {step}"
-            )
-        anb = nullspace_row(Bb)
-        AbA = _ref_mat_mul(_ref_mat_mul(anb, Ab), A)
-        Bb = exactring.mat_vec(AbA, B)
-        Ab = AbA
-        t = _ref_mat_mul(anb, KK)
-        KK = [
-            [pp[step] * Ab[i][j] + t[i][j] for j in range(n)]
-            for i in range(len(Ab))
-        ]
-    t = _ref_mat_mul(Ab, A)
-    KK = [[KK[i][j] + t[i][j] for j in range(n)] for i in range(len(KK))]
-    den = exactring.mat_vec(Ab, B)[0]
-    if den == 0:
-        raise UncontrollableSystem("exact denominator Ab.B is zero")
-    return ExactGain(den, KK[0])
-
-
-def _outcome(fn, *args):
-    try:
-        g = fn(*args)
-    except Exception as exc:  # the exception itself is the outcome compared
-        return type(exc), str(exc)
-    return g.denominator, g.numerator
+# Sparse row-combination product against poleplace 1.0.0's dense triple loop
 
 
 BIG = 3**200 + 17  # 317 bits
@@ -249,7 +205,7 @@ MAT_MUL_CASES = [
 @pytest.mark.parametrize("X,Y", MAT_MUL_CASES)
 def test_mat_mul_equals_dense_product(X, Y):
     got = exactring.mat_mul(X, Y)
-    want = _ref_mat_mul(X, Y)
+    want = ref.KERNELS["mat_mul"](X, Y)
     assert got == want
     assert [len(row) for row in got] == [len(row) for row in want]
     for grow, wrow in zip(got, want):
@@ -268,28 +224,28 @@ def test_mat_mul_random_integer_matrices():
 
         X = [[entry() for _ in range(k)] for _ in range(m)]
         Y = [[entry() for _ in range(p)] for _ in range(k)]
-        assert exactring.mat_mul(X, Y) == _ref_mat_mul(X, Y)
+        assert exactring.mat_mul(X, Y) == ref.KERNELS["mat_mul"](X, Y)
 
 
 @pytest.mark.parametrize("n", range(1, 31))
 def test_place_exact_equals_dense_reference_integer_family(n):
     A, B = gen_integer_family(n)
     cp = int_poly([-(k + 1) for k in range(n)])
-    assert _outcome(place_exact, A, B, cp) == _outcome(_ref_place_exact, A, B, cp)
+    assert_same_bits(place_exact, ref.KERNELS["place_exact"], [(A, B, cp)])
 
 
 def test_place_exact_equals_dense_reference_random_systems():
     rng = random.Random(2024)
-    outcomes = set()
+    cases = []
     for _ in range(240):
         n = rng.randint(1, 10)
         A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         B = [rng.choice([0, rng.randint(-9, 9)]) for _ in range(n)]
         cp = [1] + [rng.randint(-50, 50) for _ in range(n)]
-        want = _outcome(_ref_place_exact, A, B, cp)
-        assert _outcome(place_exact, A, B, cp) == want
-        outcomes.add(want[0] if isinstance(want[0], type) else int)
-    assert outcomes == {int, UncontrollableSystem}  # both branches were compared
+        cases.append((A, B, cp))
+    outcomes = assert_same_bits(place_exact, ref.KERNELS["place_exact"], cases)
+    kinds = {out[0] if isinstance(out[0], str) else "gain" for out in outcomes}
+    assert kinds == {"gain", "UncontrollableSystem"}  # both branches were compared
 
 
 @pytest.mark.parametrize(
@@ -302,9 +258,8 @@ def test_place_exact_equals_dense_reference_random_systems():
     ],
 )
 def test_place_exact_errors_equal_dense_reference(A, B, cp):
-    got = _outcome(place_exact, A, B, cp)
-    assert got == _outcome(_ref_place_exact, A, B, cp)
-    assert got[0] is UncontrollableSystem
+    [got] = assert_same_bits(place_exact, ref.KERNELS["place_exact"], [(A, B, cp)])
+    assert got[0] == "UncontrollableSystem"
 
 
 def test_place_exact_goes_through_module_mat_mul(monkeypatch):

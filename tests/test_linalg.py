@@ -1,4 +1,3 @@
-import cmath
 import copy
 import functools
 
@@ -7,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poleplace import algebroid, bench, linalg, placement
+from poleplace import algebroid, bench, errors, linalg, placement
 from poleplace.bench import ExampleFamily, gen_integer_example, gen_scaled_diagonal, run_suite
 from poleplace.errors import (
     FactorizationError,
     InvalidPoleSet,
-    PlacementError,
     SingularSystem,
 )
 from poleplace.linalg import (
@@ -29,6 +27,9 @@ from poleplace.linalg import (
     svd_decompose,
 )
 from poleplace.placement import ALGORITHMS, horner_char_matrix
+
+import _reference as ref
+from _reference import assert_same_bits
 
 A_WORKED = np.array([[1.0, 3, 5], [7, 13, 17], [1, 1, 1]])
 B_WORKED = np.array([1.0, 1, 1])
@@ -190,192 +191,11 @@ def test_eigenvalues_similarity_invariance():
 
 
 # ---------------------------------------------------------------------------
-# Eigen-kernel regression against the numpy-scalar reference
+# Eigen kernel against poleplace 1.0.0
 #
-# _ref_elmhes and _ref_hqr_eigenvalues are the kernels of poleplace 1.0.0,
-# verbatim, running on numpy float64 scalars.  linalg runs the same IEEE
-# operations in the same order on Python floats, so the Hessenberg form
-# and the spectrum must agree bit for bit.
-
-
-def _ref_elmhes(Ain: np.ndarray) -> np.ndarray:
-    """Reduce to upper Hessenberg form by stabilized elementary similarity
-    transformations (pivoted Gaussian elimination), the classical
-    companion of the double-shift QR iteration below."""
-    a = Ain.copy()
-    n = a.shape[0]
-    for m in range(1, n - 1):
-        x = 0.0
-        i = m
-        for j in range(m, n):
-            if abs(a[j, m - 1]) > abs(x):
-                x = a[j, m - 1]
-                i = j
-        if i != m:
-            a[[i, m], m - 1:] = a[[m, i], m - 1:]
-            a[:, [i, m]] = a[:, [m, i]]
-        if x != 0.0:
-            for i in range(m + 1, n):
-                y = a[i, m - 1]
-                if y != 0.0:
-                    y /= x
-                    a[i, m - 1] = y
-                    a[i, m:] -= y * a[m, m:]
-                    a[:, m] += y * a[:, i]
-    for i in range(2, n):
-        a[i, : i - 1] = 0.0
-    return a
-
-
-def _ref_hqr_eigenvalues(Hin: np.ndarray, maxiter_mult: int = 30) -> np.ndarray:
-    """Eigenvalues of an upper Hessenberg matrix by the classical
-    double-shift QR iteration with exceptional shifts."""
-    h = Hin.copy()
-    n = h.shape[0]
-    wr = np.zeros(n)
-    wi = np.zeros(n)
-    anorm = np.sum(np.abs(h))
-    nn = n - 1
-    t = 0.0
-    itn = maxiter_mult * n
-    while nn >= 0:
-        its = 0
-        while True:
-            l = nn
-            while l > 0:
-                s = abs(h[l - 1, l - 1]) + abs(h[l, l])
-                if s == 0.0:
-                    s = anorm
-                if abs(h[l, l - 1]) + s == s:
-                    h[l, l - 1] = 0.0
-                    break
-                l -= 1
-            x = h[nn, nn]
-            if l == nn:
-                wr[nn] = x + t
-                wi[nn] = 0.0
-                nn -= 1
-                break
-            y = h[nn - 1, nn - 1]
-            w = h[nn, nn - 1] * h[nn - 1, nn]
-            if l == nn - 1:
-                p = 0.5 * (y - x)
-                q = p * p + w
-                zz = np.sqrt(abs(q))
-                x += t
-                if q >= 0.0:
-                    zz = p + (zz if p >= 0 else -zz)
-                    wr[nn - 1] = wr[nn] = x + zz
-                    if zz != 0.0:
-                        wr[nn] = x - w / zz
-                    wi[nn - 1] = wi[nn] = 0.0
-                else:
-                    wr[nn - 1] = wr[nn] = x + p
-                    wi[nn - 1] = -zz
-                    wi[nn] = zz
-                nn -= 2
-                break
-            if itn == 0:
-                raise FactorizationError("eigenvalue iteration did not converge")
-            if its == 10 or its == 20:
-                t += x
-                for i in range(nn + 1):
-                    h[i, i] -= x
-                s = abs(h[nn, nn - 1]) + abs(h[nn - 1, nn - 2])
-                y = x = 0.75 * s
-                w = -0.4375 * s * s
-            its += 1
-            itn -= 1
-            m = nn - 2
-            while m >= l:
-                zz = h[m, m]
-                r = x - zz
-                s = y - zz
-                p = (r * s - w) / h[m + 1, m] + h[m, m + 1]
-                q = h[m + 1, m + 1] - zz - r - s
-                r = h[m + 2, m + 1]
-                s = abs(p) + abs(q) + abs(r)
-                p /= s
-                q /= s
-                r /= s
-                if m == l:
-                    break
-                u_ = abs(h[m, m - 1]) * (abs(q) + abs(r))
-                v_ = abs(p) * (abs(h[m - 1, m - 1]) + abs(zz) + abs(h[m + 1, m + 1]))
-                if u_ + v_ == v_:
-                    break
-                m -= 1
-            for i in range(m + 2, nn + 1):
-                h[i, i - 2] = 0.0
-                if i > m + 2:
-                    h[i, i - 3] = 0.0
-            for k in range(m, nn):
-                if k != m:
-                    p = h[k, k - 1]
-                    q = h[k + 1, k - 1]
-                    r = h[k + 2, k - 1] if k != nn - 1 else 0.0
-                    x = abs(p) + abs(q) + abs(r)
-                    if x == 0.0:
-                        continue
-                    p /= x
-                    q /= x
-                    r /= x
-                s = np.sqrt(p * p + q * q + r * r)
-                if p < 0:
-                    s = -s
-                if k == m:
-                    if l != m:
-                        h[k, k - 1] = -h[k, k - 1]
-                else:
-                    h[k, k - 1] = -s * x
-                p += s
-                x = p / s
-                y = q / s
-                zz = r / s
-                q /= p
-                r /= p
-                if k == nn - 1:
-                    for j in range(k, nn + 1):
-                        p = h[k, j] + q * h[k + 1, j]
-                        h[k, j] -= p * x
-                        h[k + 1, j] -= p * y
-                    for i in range(l, min(nn, k + 3) + 1):
-                        p = x * h[i, k] + y * h[i, k + 1]
-                        h[i, k] -= p
-                        h[i, k + 1] -= p * q
-                else:
-                    for j in range(k, nn + 1):
-                        p = h[k, j] + q * h[k + 1, j] + r * h[k + 2, j]
-                        h[k, j] -= p * x
-                        h[k + 1, j] -= p * y
-                        h[k + 2, j] -= p * zz
-                    for i in range(l, min(nn, k + 3) + 1):
-                        p = x * h[i, k] + y * h[i, k + 1] + zz * h[i, k + 2]
-                        h[i, k] -= p
-                        h[i, k + 1] -= p * q
-                        h[i, k + 2] -= p * r
-    order = np.lexsort((wi, wr))
-    return wr[order] + 1j * wi[order]
-
-
-def _bits(a) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
-
-
-def _integer_closed_loops():
-    """A - B K for every gain the ALGORITHMS entries return on the
-    integer family, n = 8..12, both precisions and both pole orders."""
-    for n in range(8, 13):
-        sys = gen_integer_example(n)
-        poles = [-float(k) for k in range(1, n + 1)]
-        for order in (poles, poles[::-1]):
-            for fn in ALGORITHMS.values():
-                for precision in (BITS32, BITS64):
-                    try:
-                        K = fn(sys, order, precision)
-                    except PlacementError:
-                        continue
-                    yield sys.A - np.outer(sys.B, np.asarray(K, dtype=np.float64))
+# linalg runs 1.0.0's elmhes and hqr with the same IEEE operations in the
+# same order, on Python floats, so the Hessenberg form and the spectrum
+# agree bit for bit.
 
 
 def _algebroid2_closed_loops():
@@ -388,7 +208,8 @@ def _algebroid2_closed_loops():
 EIGEN_CORPUS = {
     "random": lambda: (np.random.default_rng(n).standard_normal((n, n))
                        for n in range(2, 51)),
-    "integer-closed-loops": _integer_closed_loops,
+    # A - B K for every gain of the integer-suite corpus (see below)
+    "integer-closed-loops": lambda: (args[0] for _, args in _suite_calls("eigenvalues")),
     "algebroid2-closed-loops": _algebroid2_closed_loops,
     "scaled-diagonal": lambda: (gen_scaled_diagonal(n, 341).A for n in range(3, 13)),
     # the cyclic permutations take the its == 10 exceptional shift
@@ -399,30 +220,11 @@ EIGEN_CORPUS = {
 
 @pytest.mark.parametrize("group", sorted(EIGEN_CORPUS))
 def test_eigen_kernel_bitwise_matches_reference(group):
-    count = 0
-    for M in EIGEN_CORPUS[group]():
-        H_ref = _ref_elmhes(M)
-        H = linalg._elmhes(M.tolist())
-        assert np.array_equal(_bits(H), _bits(H_ref))
-        ev_ref = _ref_hqr_eigenvalues(H_ref)
-        ev = linalg._hqr_eigenvalues(H)
-        assert np.array_equal(_bits(ev.real), _bits(ev_ref.real))
-        assert np.array_equal(_bits(ev.imag), _bits(ev_ref.imag))
-        count += 1
-    assert count > 0
-
-
-def _outcome(fn, M):
-    """The spectrum's bits, or the type and message of the exception."""
-    try:
-        ev = fn(M)
-    except Exception as exc:  # the outcome is what is compared
-        return type(exc), str(exc)
-    return _bits(ev.real).tolist(), _bits(ev.imag).tolist()
-
-
-def _ref_eigenvalues(M):
-    return _ref_hqr_eigenvalues(_ref_elmhes(M))
+    cases = [(M,) for M in EIGEN_CORPUS[group]()]
+    assert_same_bits(lambda M: np.array(linalg._elmhes(M.tolist())), ref.KERNELS["_elmhes"], cases)
+    hessenberg = [(ref.KERNELS["_elmhes"](M),) for M, in cases]
+    assert_same_bits(lambda H: linalg._hqr_eigenvalues(H.tolist()),
+                     ref.KERNELS["_hqr_eigenvalues"], hessenberg)
 
 
 def test_kernels_compute_in_their_input_format():
@@ -444,24 +246,19 @@ def test_kernels_compute_in_their_input_format():
 
 
 def test_eigenvalues_32bit_rounds_input_then_runs_64bit():
-    for n in range(2, 13):
-        M = np.random.default_rng(n).standard_normal((n, n))
-        expected = _outcome(_ref_eigenvalues, M.astype(np.float32).astype(np.float64))
-        assert _outcome(lambda M: eigenvalues(M.astype(BITS32.dtype)), M) == expected
+    assert_same_bits(lambda M: eigenvalues(M.astype(np.float32)),
+                     lambda M: ref.KERNELS["eigenvalues"](M.astype(np.float32).astype(np.float64)),
+                     [(np.random.default_rng(n).standard_normal((n, n)),) for n in range(2, 13)])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_eigenvalues_extreme_scales_match_reference():
     # Python floats raise ZeroDivisionError where numpy scalars give inf
     # or nan; at every scale the outcome must stay that of the reference.
-    seen = set()
-    for scale in (1e150, 1e200, 1e300, 1e-300, 5e-324):
-        for n in (3, 6, 10):
-            M = np.random.default_rng(n).standard_normal((n, n)) * scale
-            expected = _outcome(_ref_eigenvalues, M)
-            assert _outcome(eigenvalues, M) == expected
-            seen.add(expected[0] if expected[0] is FactorizationError else "spectrum")
-    assert seen == {FactorizationError, "spectrum"}
+    outcomes = assert_same_bits(eigenvalues, ref.KERNELS["eigenvalues"], [
+        (np.random.default_rng(n).standard_normal((n, n)) * scale,)
+        for scale in (1e150, 1e200, 1e300, 1e-300, 5e-324) for n in (3, 6, 10)])
+    assert {out[0] for out in outcomes} == {"FactorizationError", "ndarray"}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -469,7 +266,7 @@ def test_eigenvalues_zero_divisor_after_overflow_matches_reference():
     M = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 5)) * 1e308
     with pytest.raises(ZeroDivisionError):
         linalg._hqr_eigenvalues(linalg._elmhes(M.tolist()))
-    assert _outcome(eigenvalues, M) == _outcome(_ref_eigenvalues, M)
+    assert_same_bits(eigenvalues, ref.KERNELS["eigenvalues"], [(M,)])
 
 
 # ---------------------------------------------------------------------------
@@ -491,59 +288,12 @@ def test_solve_singular_raises():
         solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
 
 
-def _ref_lu_factor(A: np.ndarray):
-    """``linalg._lu_factor`` before its dispatch trim, verbatim: the
-    bitwise reference for the kernel."""
-    lu = A.copy()
-    n = lu.shape[0]
-    piv = np.arange(n)
-    pivmin = np.inf
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p], :] = lu[[p, k], :]
-            piv[[k, p]] = piv[[p, k]]
-        pivot = lu[k, k]
-        pivmin = min(pivmin, abs(float(pivot)))
-        if pivot == 0.0:
-            return lu, piv, 0.0
-        if k + 1 < n:
-            lu[k + 1:, k] /= pivot
-            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, piv, pivmin
-
-
-def _solves_on_integer_family():
-    """Every matrix ``solve_linear`` factors for hyperplane_normal (through
-    determinantal and sliding) and for algebroid1-solve on the integer
-    family, n = 8..12, both precisions and both pole orders."""
-    seen = []
-
-    def record(A):
-        seen.append(A.copy())
-        return _ref_lu_factor(A)
-
-    saved, linalg._lu_factor = linalg._lu_factor, record
-    try:
-        for n in range(8, 13):
-            sys = gen_integer_example(n)
-            poles = [-float(k) for k in range(1, n + 1)]
-            for order in (poles, poles[::-1]):
-                for name in ("determinantal", "sliding", "algebroid1-solve"):
-                    for precision in (BITS32, BITS64):
-                        try:
-                            ALGORITHMS[name](sys, order, precision)
-                        except PlacementError:
-                            pass
-    finally:
-        linalg._lu_factor = saved
-    return seen
-
-
 LU_CORPUS = {
     "random": lambda: (np.random.default_rng(n).standard_normal((n, n)) * scale
                        for n in range(1, 31) for scale in (1e-5, 1e-2, 1.0, 1e2, 1e5)),
-    "integer-family-solves": _solves_on_integer_family,
+    # every matrix solve_linear factors in the integer-suite corpus
+    "integer-family-solves": lambda: (linalg.as_matrix(args[0])
+                                      for _, args in _suite_calls("solve_linear")),
     # after one row swap the second pivot is an exact zero (early return)
     "zero-pivot": lambda: [np.array([[1.0, 1, 1], [2, 2, 5], [4, 4, 0]]),
                            np.array([[0.0, 1], [0.0, 2]]), np.zeros((3, 3))],
@@ -553,38 +303,18 @@ LU_CORPUS = {
 }
 
 
-def _uint_bits(x: np.ndarray) -> tuple:
-    return x.dtype.str, x.shape, x.view(np.uint32 if x.dtype == np.float32 else np.uint64).tolist()
-
-
-def _lu_bits(lu, piv, pivmin) -> tuple:
-    return (_uint_bits(lu), piv.dtype.str, piv.tolist(),
-            type(pivmin), int(np.float64(pivmin).view(np.uint64)))
-
-
-def _solve_outcome(A, b):
-    """The solution's bits, or the singular-system message."""
-    try:
-        return _uint_bits(solve_linear(A, b))
-    except SingularSystem as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize("group", sorted(LU_CORPUS))
-def test_lu_kernel_bitwise_matches_reference(group, monkeypatch):
+def test_lu_kernel_bitwise_matches_reference(group):
     cases = [M.astype(dt) for M in LU_CORPUS[group]() for dt in (np.float32, np.float64)]
-    assert cases
-    rhs = [np.linspace(-1.0, 2.0, M.shape[0]).astype(M.dtype) for M in cases]
-    for M in cases:
-        assert _lu_bits(*linalg._lu_factor(M)) == _lu_bits(*_ref_lu_factor(M))
-    solved = [_solve_outcome(M, b) for M, b in zip(cases, rhs)]
-    monkeypatch.setattr(linalg, "_lu_factor", _ref_lu_factor)
-    assert solved == [_solve_outcome(M, b) for M, b in zip(cases, rhs)]
+    assert_same_bits(linalg._lu_factor, ref.KERNELS["_lu_factor"], [(M,) for M in cases])
+    assert_same_bits(solve_linear, ref.KERNELS["solve_linear"],
+                     [(M, np.linspace(-1.0, 2.0, M.shape[0]).astype(M.dtype)) for M in cases])
 
 
 def test_lu_corpus_reaches_early_return_and_ties():
-    assert all(_ref_lu_factor(M)[2] == 0.0 for M in LU_CORPUS["zero-pivot"]())
-    swapped = _ref_lu_factor(LU_CORPUS["zero-pivot"]()[0])
+    lu_factor = ref.KERNELS["_lu_factor"]
+    assert all(lu_factor(M)[2] == 0.0 for M in LU_CORPUS["zero-pivot"]())
+    swapped = lu_factor(LU_CORPUS["zero-pivot"]()[0])
     assert swapped[1].tolist() == [2, 1, 0] and swapped[0][1, 1] == 0.0
     tied = [np.abs(M[:, 0]) for M in LU_CORPUS["tied-maxima"]()]
     assert sum(np.count_nonzero(c == c.max()) > 1 for c in tied) > len(tied) // 2
@@ -593,57 +323,12 @@ def test_lu_corpus_reaches_early_return_and_ties():
 
 
 # ---------------------------------------------------------------------------
-# QR, reflector, solve and input checks against their references
-#
-# The five _ref_ kernels below are the ones before their dispatch trim,
-# verbatim but for the names they call: the bitwise references.
+# QR, reflector, solve and input checks against poleplace 1.0.0
 
 
-def _ref_as_matrix(M, precision=None) -> np.ndarray:
-    A = np.asarray(M, dtype=(precision or linalg._precision_of(M)).dtype)
-    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
-        raise ValueError(f"expected a 2-d matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
-    return A
-
-
-def _ref_as_vector(v, precision=None) -> np.ndarray:
-    A = np.asarray(v, dtype=(precision or linalg._precision_of(v)).dtype).ravel()
-    if A.size < 1:
-        raise ValueError("expected a non-empty vector")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("vector entries must be finite")
-    return A
-
-
-def _ref_qr_decompose(M):
-    M = _ref_as_matrix(M)
-    m, k = M.shape
-    R = M.copy()
-    Q = np.eye(m, dtype=R.dtype)
-    for c in range(min(m - 1, k)):
-        x = R[c:, c]
-        nx = np.sqrt(np.sum(x * x))
-        if nx == 0.0:
-            continue
-        u = x.copy()
-        u[0] += (nx if x[0] >= 0 else -nx)
-        beta = 2.0 / np.sum(u * u)
-        R[c:, c:] -= beta * np.outer(u, u @ R[c:, c:])
-        Q[:, c:] -= beta * np.outer(Q[:, c:] @ u, u)
-    d = np.sign(np.diag(R)[: min(m, k)])
-    d[d == 0] = 1.0
-    D = np.ones(m, dtype=R.dtype)
-    D[: d.size] = d
-    Q = Q * D
-    R = D[:, None] * R
-    R[np.tril_indices(m, -1, k)] = 0.0
-    return Q, R
-
-
+# 1.0.0 has only the annihilator, this reflector's rows 2..m
 def _ref_householder_reflector(v) -> np.ndarray:
-    v = _ref_as_vector(v)
+    v = ref.KERNELS["as_vector"](v)
     m = v.size
     u = v.copy()
     s = np.sqrt(np.sum(v * v))
@@ -654,44 +339,9 @@ def _ref_householder_reflector(v) -> np.ndarray:
     return np.eye(m, dtype=v.dtype) - 2.0 * np.outer(u, u) / uu
 
 
-def _ref_solve_linear(A, b) -> np.ndarray:
-    A = _ref_as_matrix(A)
-    precision = linalg._precision_of(A)
-    b = _ref_as_vector(b, precision)
-    n = A.shape[0]
-    if A.shape[1] != n or b.size != n:
-        raise ValueError("solve_linear requires square A conformal with b")
-    scale = np.max(np.abs(A))
-    lu, piv, pivmin = _ref_lu_factor(A)
-    if pivmin <= linalg.THRESHOLDS["lu_pivot"](precision, n, scale):
-        raise SingularSystem(
-            f"matrix numerically singular (pivot {pivmin:.3e}, scale {scale:.3e})"
-        )
-    x = b[piv]
-    for k in range(n):  # forward substitution, unit lower triangle
-        x[k + 1:] -= lu[k + 1:, k] * x[k]
-    for k in range(n - 1, -1, -1):  # back substitution
-        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-    return x
-
-
-REFERENCE_KERNELS = {
-    "as_matrix": _ref_as_matrix,
-    "as_vector": _ref_as_vector,
-    "qr_decompose": _ref_qr_decompose,
-    "householder_reflector": _ref_householder_reflector,
-    "solve_linear": _ref_solve_linear,
-}
-
-
-def _kernel_outcome(fn, *args):
-    """Dtype, shape and bytes of each array returned, or the exception's
-    type and message."""
-    try:
-        out = fn(*args)
-    except (ValueError, PlacementError) as exc:
-        return type(exc), str(exc)
-    return [(a.dtype.str, a.shape, a.tobytes()) for a in (out if isinstance(out, tuple) else (out,))]
+REFERENCE_KERNELS = {name: ref.KERNELS[name]
+                     for name in ("as_matrix", "as_vector", "qr_decompose", "solve_linear")}
+REFERENCE_KERNELS["householder_reflector"] = _ref_householder_reflector
 
 
 def _kernel_calls(matrices):
@@ -717,35 +367,43 @@ def _partly_zero(rng, m, k):
     return M
 
 
-@functools.cache
-def _suite_kernel_calls():
-    """(kernel name, args) of every call the five kernels get while
-    ``run_suite`` runs the integer family, n = 8..12, on every ALGORITHMS
-    entry at both precisions and both pole orders, recorded through the
-    references; with the suite's records."""
-    seen = []
+def _integer_suite():
+    return run_suite([ExampleFamily("integer", n) for n in range(8, 13)], list(ALGORITHMS),
+                     [BITS32, BITS64], ["forward", "reversed"])
 
-    def recorder(name, ref):
+
+@functools.cache
+def _integer_suite_corpus():
+    """The integer-suite corpus, shared by every kernel test and recorded
+    once per session: (kernel name, args) of every call of the five
+    reference kernels, which ``_integer_suite`` runs on, and of
+    ``eigenvalues``, and that run's records."""
+    calls = []
+
+    def recorder(name, fn):
         def call(*args):
-            seen.append((name, copy.deepcopy(args)))
-            return ref(*args)
+            calls.append((name, copy.deepcopy(args)))
+            try:
+                return fn(*args)
+            except ref.errors.PlacementError as exc:  # as the package's class of that name
+                raise getattr(errors, type(exc).__name__)(*exc.args) from None
         return call
 
+    kernels = {**REFERENCE_KERNELS, "eigenvalues": linalg.eigenvalues}
     patch = pytest.MonkeyPatch()
     try:
         for module in (linalg, placement, algebroid, bench):
-            for name, ref in REFERENCE_KERNELS.items():
+            for name, fn in kernels.items():
                 if hasattr(module, name):
-                    patch.setattr(module, name, recorder(name, ref))
+                    patch.setattr(module, name, recorder(name, fn))
         records = _integer_suite()
     finally:
         patch.undo()
-    return seen, records
+    return calls, records
 
 
-def _integer_suite():
-    return run_suite([ExampleFamily("integer", n) for n in range(8, 13)], list(ALGORITHMS),
-                     [BITS32, BITS64], ["forward", "reverse"])
+def _suite_calls(*names):
+    return [(name, args) for name, args in _integer_suite_corpus()[0] if name in names]
 
 
 KERNEL_CORPUS = {
@@ -759,24 +417,23 @@ KERNEL_CORPUS = {
     "thin": lambda: _kernel_calls(
         np.random.default_rng(m).standard_normal(shape) * 10.0 ** (m % 7 - 3)
         for m in range(1, 16) for shape in ((1, m), (m, 1))),
-    "integer-suite": lambda: _suite_kernel_calls()[0],
+    "integer-suite": lambda: _suite_calls(*REFERENCE_KERNELS),
 }
 
 
 @pytest.mark.parametrize("group", sorted(KERNEL_CORPUS))
 def test_dense_kernels_bitwise_match_reference(group):
     calls = list(KERNEL_CORPUS[group]())
-    assert {name for name, _ in calls} == set(REFERENCE_KERNELS)
-    for name, args in calls:
-        assert _kernel_outcome(getattr(linalg, name), *args) == \
-            _kernel_outcome(REFERENCE_KERNELS[name], *args), (name, args)
+    for name, ref_fn in REFERENCE_KERNELS.items():
+        assert_same_bits(getattr(linalg, name), ref_fn, [args for n, args in calls if n == name])
 
 
 def test_integer_suite_matches_reference_kernels():
-    seen, records = _suite_kernel_calls()
-    dtypes = {a.dtype for _, args in seen for a in args if isinstance(a, np.ndarray)}
+    calls, records = _integer_suite_corpus()
+    dtypes = {a.dtype for _, args in calls for a in args if isinstance(a, np.ndarray)}
     assert dtypes == {np.dtype(np.float32), np.dtype(np.float64)}
-    assert repr(_integer_suite()) == repr(records)
+    same = repr(_integer_suite()) == repr(records)  # no diff: it would take minutes
+    assert same
 
 
 @pytest.mark.parametrize("value, message", [
@@ -789,7 +446,7 @@ def test_integer_suite_matches_reference_kernels():
     (np.array([[-np.inf]], dtype=np.float32), "matrix entries must be finite"),
 ])
 def test_as_matrix_rejects_like_reference(value, message):
-    for fn in (linalg.as_matrix, _ref_as_matrix):
+    for fn in (linalg.as_matrix, ref.KERNELS["as_matrix"]):
         with pytest.raises(ValueError) as exc:
             fn(value)
         assert str(exc.value) == message
@@ -803,7 +460,7 @@ def test_as_matrix_rejects_like_reference(value, message):
     (np.array([2.0, -np.inf], dtype=np.float32), "vector entries must be finite"),
 ])
 def test_as_vector_rejects_like_reference(value, message):
-    for fn in (linalg.as_vector, _ref_as_vector):
+    for fn in (linalg.as_vector, ref.KERNELS["as_vector"]):
         with pytest.raises(ValueError) as exc:
             fn(value)
         assert str(exc.value) == message
@@ -832,8 +489,7 @@ def test_householder_norm_overflow_raises(dt):
         qr_decompose(np.column_stack([big, np.ones(3, dtype=dt)]))
     # below the overflow the bits are the reference's
     fine = big / dt(2) ** (np.finfo(dt).maxexp // 2 + 2)
-    assert _kernel_outcome(linalg.householder_reflector, fine) == \
-        _kernel_outcome(_ref_householder_reflector, fine)
+    assert_same_bits(linalg.householder_reflector, _ref_householder_reflector, [(fine,)])
 
 
 # ---------------------------------------------------------------------------
@@ -893,9 +549,11 @@ def test_poly_from_roots_real_only_at_zero_imaginary_part():
 # pole_steps: a multiset closure check, a complex expansion whose imaginary
 # residue was checked and dropped, and Ackermann steps that required each
 # conjugate right after its partner.  Kept verbatim (the deleted helper and
-# threshold inlined) as the references for the real-factor expansion.
+# threshold inlined) as the references for the real-factor expansion; 1.0.0
+# paired poles within its own tolerance, which pole_steps also changed.
 
 
+# the pairing check of the complex expansion, replaced on purpose by pole_steps
 def _ref_validate_conjugate_closed(roots):
     pending = []
     for z in (complex(r) for r in roots):
@@ -913,6 +571,7 @@ def _ref_validate_conjugate_closed(roots):
         )
 
 
+# the complex expansion, replaced on purpose by real quadratic factors
 def _ref_poly_from_roots(roots) -> np.ndarray:
     roots = [complex(r) for r in roots]
     _ref_validate_conjugate_closed(roots)
@@ -926,6 +585,7 @@ def _ref_poly_from_roots(roots) -> np.ndarray:
     return p.real.copy()
 
 
+# the adjacent-pair Ackermann steps, replaced on purpose by first-slot pairing
 def _ref_pole_steps(roots):
     roots = [complex(r) for r in roots]
     i = 0

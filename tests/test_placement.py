@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,16 +16,13 @@ from poleplace.errors import (
     UncontrollableSystem,
     ZeroInputComponent,
 )
-from poleplace.linalg import BITS32, BITS64, as_vector, eigenvalues, poly_from_roots
+from poleplace.linalg import BITS32, BITS64, eigenvalues, poly_from_roots
 from poleplace.placement import (
     ALGORITHMS,
-    AnchorChain,
     ChainFeedback,
     StateSpace,
-    _ascending_charpoly,
     _descend_quotients,
     _slide,
-    _sys_arrays,
     ackermann_direct,
     ackermann_factored,
     build_anchor_chain,
@@ -42,7 +41,10 @@ from poleplace.placement import (
     place_sliding,
     place_varga,
 )
-from poleplace.sim import SimConfig, Trace, rk4_step, simulate
+from poleplace.sim import SimConfig, simulate
+
+import _reference as ref
+from _reference import assert_same_bits
 
 WORKED = StateSpace([[1, 3, 5], [7, 13, 17], [1, 1, 1]], [1, 1, 1])
 UNCTRL = StateSpace([[6, 4, -9], [5, 2, -6], [0, 0, 1]], [1, 1, 1])
@@ -492,97 +494,10 @@ def test_feedback_eval_consistent_with_gain():
 
 
 # ---------------------------------------------------------------------------
-# Bound chain law against the per-call recursion
+# Bound chain law against poleplace 1.0.0
 #
-# _ref_gain_from_chain and _ref_feedback_eval are the per-call
-# implementations that ChainFeedback replaced, kept verbatim as the
-# reference, and _ref_simulate is simulate's step loop as it called them:
-# binding the poles once must not change a single bit.
-
-
-def _ref_gain_from_chain(chain: AnchorChain, poles=None, charpoly=None) -> np.ndarray:
-    sys = chain.system
-    precision = chain.precision
-    A, B = _sys_arrays(sys, precision)
-    n = sys.n
-    pp = _ascending_charpoly(sys, poles, charpoly, precision)
-    if n == 1:
-        if B[0] == 0:
-            raise UncontrollableSystem("scalar system with b = 0")
-        return np.array([(A[0, 0] + pp[0]) / B[0]], dtype=precision.dtype)
-    Kt = pp[0] * np.eye(n, dtype=precision.dtype)
-    for i in range(1, n):
-        level = chain.levels[i - 1]
-        Kt = level.transfer * pp[i] + level.anchor @ Kt
-    last = chain.levels[-1].transfer
-    Kt = Kt + last @ A
-    den = (last @ B).ravel()[0]
-    if abs(float(den)) <= 1e3 * float(np.finfo(precision.dtype).tiny):
-        raise UncontrollableSystem(
-            f"final quotient input B_(n-1) = {float(den):.3e} is zero"
-        )
-    return (Kt / den).ravel()
-
-
-def _ref_feedback_eval(chain: AnchorChain, x, poles=None, charpoly=None) -> float:
-    sys = chain.system
-    precision = chain.precision
-    A, B = _sys_arrays(sys, precision)
-    x = as_vector(x, precision)
-    n = sys.n
-    pp = _ascending_charpoly(sys, poles, charpoly, precision)
-    if n == 1:
-        if B[0] == 0:
-            raise UncontrollableSystem("scalar system with b = 0")
-        return float(-(A[0, 0] + pp[0]) / B[0] * x[0])
-    ut = pp[0] * x
-    for i in range(1, n):
-        level = chain.levels[i - 1]
-        ut = level.transfer @ x * pp[i] + level.anchor @ ut
-    last = chain.levels[-1].transfer
-    ut = ut + (last @ A) @ x
-    den = (last @ B).ravel()[0]
-    if abs(float(den)) <= 1e3 * float(np.finfo(precision.dtype).tiny):
-        raise UncontrollableSystem("final quotient input B_(n-1) is zero")
-    return float(-ut.ravel()[0] / den)
-
-
-def _ref_simulate(sys, poles, cfg, chain, precision=BITS64):
-    dt = precision.dtype
-    A = sys.A.astype(dt)
-    B = sys.B.astype(dt)
-    if cfg.feedback == "gain":
-        K = _ref_gain_from_chain(chain, poles=poles).astype(dt)
-
-        def control(x):
-            return -(K @ x)
-    else:
-        def control(x):
-            return dt(_ref_feedback_eval(chain, x, poles=poles))
-
-    def derivative(t, x):
-        return A @ x + B * control(x)
-
-    steps = int(round(cfg.T / cfg.h))
-    times = np.zeros(steps + 1)
-    states = np.zeros((steps + 1, sys.n), dtype=dt)
-    states[0] = cfg.x0.astype(dt)
-    h = dt(cfg.h)
-    for i in range(steps):
-        times[i + 1] = times[i] + cfg.h
-        states[i + 1] = rk4_step(derivative, dt(times[i]), states[i], h)
-    return Trace(times, states.astype(np.float64))
-
-
-def _bits(a):
-    a = np.asarray(a)
-    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
-
-
-def _assert_same_bits(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(_bits(got), _bits(want))
+# ChainFeedback binds the poles once; the anchor chain, the gain, every
+# control and every simulated step must keep 1.0.0's per-call bits.
 
 
 # (system, precision, pole or charpoly keywords, horizon, step)
@@ -605,49 +520,57 @@ CHAIN_CASES = {
 }
 
 
+def _levels(chain):
+    """The arrays of every level of an anchor chain."""
+    return [(lvl.anchor, lvl.transfer, lvl.quotient_input) for lvl in chain.levels]
+
+
 @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
 def test_chain_law_bitwise_equal_to_reference(case):
     sys, precision, spec, T, h = CHAIN_CASES[case]
-    chain = build_anchor_chain(sys, precision)
+    chain, ref_chain = build_anchor_chain(sys, precision), ref.anchor_chain(sys, precision)
+    assert ref.outcome(_levels, chain) == ref.outcome(_levels, ref_chain)
     law = ChainFeedback(chain, **spec)
-    want = _ref_gain_from_chain(chain, **spec)
-    _assert_same_bits(law.gain(), want)
-    _assert_same_bits(gain_from_chain(chain, **spec), want)
+    gain = functools.partial(ref.placement.gain_from_chain, ref_chain, **spec)
+    assert_same_bits(law.gain, gain, [()])
+    assert_same_bits(functools.partial(gain_from_chain, chain, **spec), gain, [()])
     rng = np.random.default_rng(2023)
-    states = [np.zeros(sys.n)] + [rng.standard_normal(sys.n) * 10.0 ** rng.uniform(-3, 3)
-                                  for _ in range(20)]
-    for x in states:
-        u_ref = _ref_feedback_eval(chain, x, **spec)
-        _assert_same_bits(law(x), u_ref)
-        _assert_same_bits(feedback_eval(chain, x, **spec), u_ref)
+    states = [(np.zeros(sys.n),)] + [(rng.standard_normal(sys.n) * 10.0 ** rng.uniform(-3, 3),)
+                                     for _ in range(20)]
+    control = functools.partial(ref.placement.feedback_eval, ref_chain, **spec)
+    assert_same_bits(law, control, states)
+    assert_same_bits(functools.partial(feedback_eval, chain, **spec), control, states)
     if T is None:
         return  # simulate takes poles only
     x0 = [float(k + 1) for k in range(sys.n)]
     for mode in ("gain", "chain"):
-        cfg = SimConfig(T=T, h=h, x0=x0, feedback=mode)
-        got = simulate(sys, spec["poles"], cfg, chain=chain, precision=precision)
-        ref = _ref_simulate(sys, spec["poles"], cfg, chain, precision)
-        _assert_same_bits(got.times, ref.times)
-        _assert_same_bits(got.states, ref.states)
+        assert_same_bits(
+            lambda: simulate(sys, spec["poles"], SimConfig(T=T, h=h, x0=x0, feedback=mode),
+                             chain=chain, precision=precision),
+            lambda: ref.sim.simulate(ref.state_space(sys), spec["poles"],
+                                     ref.sim.SimConfig(T=T, h=h, x0=x0, feedback=mode),
+                                     chain=ref_chain, precision=ref.precision(precision)),
+            [()])
 
 
 @pytest.mark.parametrize("n", range(8, 13))
 @pytest.mark.parametrize("precision", [BITS32, BITS64], ids=["32", "64"])
 def test_gain_from_chain_integer_family_bitwise(n, precision):
     sys = gen_integer_example(n)
-    chain = build_anchor_chain(sys, precision)
+    chain, ref_chain = build_anchor_chain(sys, precision), ref.anchor_chain(sys, precision)
+    assert ref.outcome(_levels, chain) == ref.outcome(_levels, ref_chain)
     poles = [-(k + 1.0) for k in range(n)]
-    for order in (poles, poles[::-1]):
-        _assert_same_bits(gain_from_chain(chain, poles=order),
-                          _ref_gain_from_chain(chain, poles=order))
+    assert_same_bits(lambda order: gain_from_chain(chain, poles=order),
+                     lambda order: ref.placement.gain_from_chain(ref_chain, poles=order),
+                     [(poles,), (poles[::-1],)])
 
 
 def test_chain_law_uncontrollable_raises_when_bound():
     for sys in (UNCTRL, StateSpace([[2.0]], [0.0])):
         chain = build_anchor_chain(sys)
         poles = POLES[:sys.n]
-        with pytest.raises(UncontrollableSystem):
-            _ref_feedback_eval(chain, np.ones(sys.n), poles=poles)
+        with pytest.raises(ref.errors.UncontrollableSystem):
+            ref.placement.feedback_eval(ref.anchor_chain(sys, BITS64), np.ones(sys.n), poles=poles)
         with pytest.raises(UncontrollableSystem):
             ChainFeedback(chain, poles=poles)
         with pytest.raises(UncontrollableSystem):
@@ -823,46 +746,19 @@ def test_intermediates_stay_float32_on_random_systems(case):
         assert a.dtype == np.float32
 
 
-def _ref_controller_hessenberg(sys, precision):
-    # the inline reflectors controller_hessenberg was built from, kept as
-    # its bitwise reference
-    A, B = _sys_arrays(sys, precision)
-    n = sys.n
-    u = B.copy()
-    nb = np.sqrt(np.sum(u * u))
-    if nb == 0.0:
-        raise UncontrollableSystem("B = 0")
-    u[0] += (nb if B[0] >= 0 else -nb)
-    H0 = np.eye(n, dtype=A.dtype) - 2.0 * np.outer(u, u) / np.dot(u, u)
-    V = H0.copy()
-    Ah = H0 @ A @ H0
-    for k in range(n - 2):
-        x = Ah[k + 1:, k].copy()
-        nx = np.sqrt(np.sum(x * x))
-        if nx == 0.0:
-            continue
-        u = x.copy()
-        u[0] += (nx if x[0] >= 0 else -nx)
-        Hk = np.eye(n - k - 1, dtype=A.dtype) - 2.0 * np.outer(u, u) / np.dot(u, u)
-        P = np.eye(n, dtype=A.dtype)
-        P[k + 1:, k + 1:] = Hk
-        Ah = P @ Ah @ P
-        V = V @ P
-    return V, Ah
-
-
 def test_controller_hessenberg_bitwise_equal_to_reference():
     rng = np.random.default_rng(83)
     systems = [WORKED, UNCTRL, StateSpace(np.triu(np.ones((4, 4))), [1.0, 0, 0, 0])]
     systems += [gen_integer_example(n) for n in range(3, 13)]
     systems += [StateSpace(rng.standard_normal((n, n)), rng.standard_normal(n))
                 for n in range(1, 9)]
-    for sys in systems:
-        for precision in (BITS32, BITS64):
-            got = controller_hessenberg(sys, precision)
-            ref = _ref_controller_hessenberg(sys, precision)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
-            V, Ah = got
+    for precision in (BITS32, BITS64):
+        assert_same_bits(lambda sys: controller_hessenberg(sys, precision),
+                         lambda sys: ref.placement.controller_hessenberg(
+                             ref.state_space(sys), ref.precision(precision)),
+                         [(sys,) for sys in systems])
+        for sys in systems:
+            V, Ah = controller_hessenberg(sys, precision)
             assert V.dtype == Ah.dtype == precision.dtype
     with pytest.raises(UncontrollableSystem, match="^B = 0$"):
         controller_hessenberg(StateSpace(WORKED.A, [0.0, 0, 0]), BITS64)
