@@ -150,7 +150,11 @@ class BenchRecord:
 
 
 def _match_error(achieved: np.ndarray, targets: np.ndarray) -> float:
-    """Greedy nearest-pair matching between two sorted spectra."""
+    """Greedy nearest-pair matching between two sorted spectra; nan when
+    an achieved eigenvalue is not finite (``max`` and ``min`` would drop
+    its nan distances)."""
+    if not np.isfinite(achieved).all():
+        return float("nan")
     remaining = sorted(targets, key=lambda z: (z.real, z.imag))
     worst = 0.0
     for z in sorted(achieved, key=lambda z: (z.real, z.imag)):

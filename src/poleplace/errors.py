@@ -54,7 +54,8 @@ class DivergedState(PlacementError):
 
 
 class PrecisionOverflow(PlacementError):
-    """A finite input entry is beyond the range of the requested precision."""
+    """A finite input entry, or a Krylov column A^k B computed from finite
+    input, is beyond the range of the requested precision."""
 
 
 class FactorizationError(PlacementError):

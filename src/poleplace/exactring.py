@@ -57,6 +57,21 @@ def nullspace_row(v) -> list:
 # -- small exact matrix helpers (any ring with +, *) ------------------------
 
 
+def _nonzeros(M):
+    """Each row of M as the (column, value) pairs of its nonzero entries."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in M]
+
+
+def _combine(acc, row, Ynz):
+    """Add sum_k row[k] * Y[k] into ``acc`` over the nonzero row[k] and the
+    nonzeros ``Ynz`` of Y's rows; return ``acc``."""
+    for a, terms in zip(row, Ynz):
+        if a:
+            for j, b in terms:
+                acc[j] += a * b
+    return acc
+
+
 def mat_mul(X, Y):
     """Product X Y as row combinations: row i is the sum of X[i][k] * Y[k].
 
@@ -67,24 +82,18 @@ def mat_mul(X, Y):
     the int 0.
     """
     width = len(Y[0]) if Y else 0
-    Ynz = [[(j, b) for j, b in enumerate(row) if b] for row in Y]
-    out = []
-    for row in X:
-        acc = [0] * width
-        for a, terms in zip(row, Ynz):
-            if a:
-                for j, b in terms:
-                    acc[j] += a * b
-        out.append(acc)
-    return out
+    Ynz = _nonzeros(Y)
+    return [_combine([0] * width, row, Ynz) for row in X]
 
 
-def mat_vec(X, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in X]
-
-
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _krylov_rows(A, b):
+    """Rows of the controllability matrix [b, Ab, ..., A^(n-1) b]; each
+    column A v is the row combination sum_j v[j] (A^T)[j]."""
+    ATnz = _nonzeros(zip(*A))
+    cols = [b]
+    for _ in range(len(b) - 1):
+        cols.append(_combine([0] * len(b), cols[-1], ATnz))
+    return [list(row) for row in zip(*cols)]
 
 
 def exact_determinant(M) -> int:
@@ -112,14 +121,7 @@ def exact_determinant(M) -> int:
 def controllability_det_exact(A, B) -> int:
     """Exact determinant of [B, AB, ..., A^(n-1) B] for integer input."""
     A = [[int(x) for x in row] for row in A]
-    b = [int(x) for x in B]
-    n = len(b)
-    cols = []
-    cur = b
-    for _ in range(n):
-        cols.append(cur)
-        cur = mat_vec(A, cur)
-    return exact_determinant([list(row) for row in zip(*cols)])
+    return exact_determinant(_krylov_rows(A, [int(x) for x in B]))
 
 
 # -- the placement oracle ----------------------------------------------------
@@ -149,12 +151,18 @@ def place_exact(A, B, charpoly) -> ExactGain:
     ----------
     A, B : integer matrix (n x n) and vector (n)
     charpoly : monic integer coefficients, degree-descending
-        [1, p1, ..., pn]; the routine consumes them constant-term first
-        internally.
+        [1, p1, ..., pn] of phi.
 
     The quotient sweep cancels the current input vector with an integer
-    annihilator and accumulates the gain numerator alongside; only ring
-    operations and GCDs occur, so every intermediate stays an integer.
+    annihilator ``anb_s`` (:func:`nullspace_row`); only ring operations
+    and GCDs occur, so every intermediate stays an integer.  With
+    ``P_s = anb_s ... anb_1``, level s's reduced matrix is ``P_s A^s`` and
+    its gain numerator is ``P_s phi_s(A)``, phi_s being phi's terms of
+    degree at most s.  So the annihilators sweep the controllability
+    matrix alone: ``Y_0 = [B, AB, ..., A^(n-1) B]`` and ``Y_s`` is
+    ``anb_s Y_(s-1)`` without its first column.  Level s's input is
+    ``Y_(s-1)``'s first column, the denominator is the 1 x 1 ``Y_(n-1)``,
+    and the numerator is the row ``P_(n-1)`` times phi(A), by Horner.
     """
     A = [[int(x) for x in row] for row in A]
     B = [int(x) for x in B]
@@ -162,30 +170,27 @@ def place_exact(A, B, charpoly) -> ExactGain:
     pp = [int(c) for c in charpoly]
     if len(pp) != n + 1 or pp[0] != 1:
         raise ValueError("charpoly must be monic of length n+1, degree-descending")
-    pp = pp[::-1]  # ascending: [pn, ..., p1, 1]
-    Ab = identity(n)
-    KK = [[pp[0] if i == j else 0 for j in range(n)] for i in range(n)]
-    Bb = list(B)
+    Y = _krylov_rows(A, B)
+    anbs = []
     for step in range(1, n):
+        Bb = [row[0] for row in Y]
         if all(x == 0 for x in Bb):
             raise UncontrollableSystem(
                 f"quotient input vanished exactly at level {step}"
             )
-        anb = nullspace_row(Bb)
-        AbA = mat_mul(mat_mul(anb, Ab), A)
-        Bb = mat_vec(AbA, B)
-        Ab = AbA
-        t = mat_mul(anb, KK)
-        KK = [
-            [pp[step] * Ab[i][j] + t[i][j] for j in range(n)]
-            for i in range(len(Ab))
-        ]
-    t = mat_mul(Ab, A)
-    KK = [[KK[i][j] + t[i][j] for j in range(n)] for i in range(len(KK))]
-    den = mat_vec(Ab, B)[0]
+        anbs.append(nullspace_row(Bb))
+        Y = mat_mul(anbs[-1], [row[1:] for row in Y])
+    den = Y[0][0]
     if den == 0:
         raise UncontrollableSystem("exact denominator Ab.B is zero")
-    return ExactGain(den, KK[0])
+    P = [1]
+    for anb in reversed(anbs):
+        P = mat_mul([P], anb)[0]
+    Anz = _nonzeros(A)
+    num = P
+    for c in pp[1:]:  # phi(A) = (...(A + p1 I) A + ...) A + pn I
+        num = _combine([c * x for x in P], num, Anz)
+    return ExactGain(den, num)
 
 
 def simplify(g: ExactGain) -> ExactGain:

@@ -180,12 +180,11 @@ def svd_decompose(M):
         raise FactorizationError(f"svd did not converge: {exc}") from exc
     V = Vt.T
     r = min(M.shape)
-    for j in range(U.shape[1]):
-        i = int(np.argmax(np.abs(U[:, j])))
-        if U[i, j] < 0:
-            U[:, j] = -U[:, j]
-            if j < r and j < V.shape[1]:
-                V[:, j] = -V[:, j]
+    # first index of each column's largest magnitude, as argmax breaks ties
+    flip = U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0
+    np.negative(U, out=U, where=flip)
+    Vr = V[:, :r]
+    np.negative(Vr, out=Vr, where=flip[:r])
     return U, S, V
 
 

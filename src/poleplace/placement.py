@@ -140,12 +140,18 @@ def _poles_or_charpoly(sys: StateSpace, poles, charpoly, precision: Precision):
 
 
 def controllability_matrix(sys: StateSpace, precision: Precision = BITS64) -> np.ndarray:
-    """[B, AB, ..., A^(n-1) B]."""
+    """[B, AB, ..., A^(n-1) B]; a column past the format's range raises
+    :class:`PrecisionOverflow`."""
     A, B = _sys_arrays(sys, precision)
     cols = [B]
-    for _ in range(sys.n - 1):
-        cols.append(A @ cols[-1])
-    return np.column_stack(cols)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for _ in range(sys.n - 1):
+            cols.append(A @ cols[-1])
+    C = np.column_stack(cols)
+    if not np.isfinite(C).all():
+        k = int(np.isfinite(C).all(axis=0).argmin())
+        raise PrecisionOverflow(f"Krylov column A^{k} B is beyond the {precision.bits}-bit range")
+    return C
 
 
 def inverse_ctrb_last_row(sys: StateSpace, precision: Precision = BITS64) -> np.ndarray:

@@ -61,6 +61,7 @@ KERNELS = {
     "as_vector": lambda v, p=None: ref_linalg.as_vector(v, _own(v, p)),
     "qr_decompose": lambda M: ref_linalg.qr_decompose(M, _own(M)),
     "solve_linear": lambda A, b: ref_linalg.solve_linear(A, b, _own(A)),
+    "svd_decompose": lambda M: ref_linalg.svd_decompose(M, _own(M)),
     "eigenvalues": lambda A: ref_linalg.eigenvalues(A, _own(A)),
     "_lu_factor": _lu_factor,
     "_elmhes": ref_linalg._elmhes,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from poleplace import bench
 from poleplace.bench import (
     BenchRecord,
     ExampleFamily,
@@ -87,6 +88,15 @@ def test_evaluate_n12_bifurcation_band():
     K = place_algebroid1(sys, fwd_poles(12))
     rec = evaluate_placement(sys, fwd_poles(12), K)
     assert 2 <= rec.complex_pair_count <= 4
+
+
+def test_match_error_is_nan_for_a_nonfinite_eigenvalue():
+    targets = np.array([-1.0, -2.0, -3.0], dtype=complex)
+    finite = np.array([-1.0, -2.5 + 0.5j, -2.5 - 0.5j])
+    assert bench._match_error(finite, targets) == abs(-2.5 + 0.5j + 3.0)
+    for bad in (complex(np.nan, np.nan), complex(np.inf, 0.0), complex(-1.0, np.nan)):
+        assert np.isnan(bench._match_error(np.array([bad, -2.0, -3.0]), targets))
+        assert np.isnan(bench._match_error(np.array([-1.0, -2.0, bad]), targets))
 
 
 def test_count_complex_pairs():

@@ -161,6 +161,29 @@ def test_place_overflowing_input_norm_exits_typed(tmp_path, capsys):
         ["PrecisionOverflow: A has entries beyond the 32-bit range"] * len(placement.ALGORITHMS)
 
 
+def test_place_overflowing_krylov_column_exits_typed(tmp_path, capsys):
+    big_a = tmp_path / "big_a.txt"
+    big_a.write_text(WORKED_TEXT.replace("1 3 5 1", "1e200 3 5 1"))
+    for algo in ("ackermann", "ackermann-factored"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["place", "--algo", algo, "--system", str(big_a),
+                             "--poles", "-1,-2,-3"])
+        assert (code, capsys.readouterr().err) == (
+            2, "PrecisionOverflow: Krylov column A^2 B is beyond the 64-bit range\n"), algo
+
+
+def test_place_reports_nan_error_for_nonfinite_spectrum(tmp_path, capsys):
+    big_a = tmp_path / "big_a.txt"
+    big_a.write_text(WORKED_TEXT.replace("1 3 5 1", "1e200 3 5 1"))
+    code = cli.main(["place", "--algo", "varga", "--system", str(big_a),
+                     "--poles", "-1,-2,-3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("+nan +nanj") == 2  # the spectrum the verifier is given
+    assert "max |error| = nan\n" in out
+
+
 def test_place_and_simulate_share_pole_checks(worked_system, capsys):
     for cmd in (["place", "--algo", "ackermann"], ["simulate"]):
         for poles, msg in (("-1,-2", "system has n=3, got 2 poles"),

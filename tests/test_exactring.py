@@ -76,8 +76,8 @@ def test_nullspace_row_reduction_on_intermediate_inputs():
     # inputs that arise while sweeping the worked 3x3 example
     A, B = A_WORKED, B_WORKED
     anb = nullspace_row(B)
-    AbA = exactring.mat_mul(anb, A)
-    B1 = exactring.mat_vec(AbA, B)
+    AB = [sum(a * b for a, b in zip(row, B)) for row in A]
+    B1 = [row[0] for row in exactring.mat_mul(anb, [[x] for x in AB])]
     M2 = nullspace_row(B1)
     for row in M2:
         assert sum(r * x for r, x in zip(row, B1)) == 0
@@ -248,6 +248,54 @@ def test_place_exact_equals_dense_reference_random_systems():
     assert kinds == {"gain", "UncontrollableSystem"}  # both branches were compared
 
 
+def test_place_exact_equals_dense_reference_dense_systems():
+    rng = random.Random(1116)
+    cases = []
+    for n in range(11, 21):
+        A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        B = [rng.randint(1, 9) for _ in range(n)]
+        cases.append((A, B, int_poly([-(k + 1) for k in range(n)])))
+    outcomes = assert_same_bits(place_exact, ref.KERNELS["place_exact"], cases)
+    assert all(isinstance(out, list) for out in outcomes)  # gains, no error
+
+
+def _vanishing_at_level(rng, n, k):
+    """(A, B) whose Krylov space [B, AB, ...] has dimension k - 1 < n, so
+    the quotient input first vanishes at level k (at k = n, the
+    denominator): B = e_1 feeds a shift block on the first k - 1 states
+    that no other state reaches, and integer shears T = I + c e_i e_j^T
+    then mix all states."""
+    m = k - 1
+    A = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(m - 1):
+            A[i][j] = int(i == j + 1)
+        if i >= m > 0:
+            A[i][m - 1] = 0
+    B = [int(i == 0 < m) for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        A[i] = [x + c * y for x, y in zip(A[i], A[j])]  # T A
+        B[i] += c * B[j]
+        for row in A:  # (T A) T^-1
+            row[j] -= c * row[i]
+    return A, B
+
+
+def test_place_exact_vanishing_level_equals_dense_reference():
+    rng = random.Random(1117)
+    cases, messages = [], []
+    for n in range(2, 9):
+        for k in range(1, n + 1):
+            A, B = _vanishing_at_level(rng, n, k)
+            cases.append((A, B, [1] + [rng.randint(-20, 20) for _ in range(n)]))
+            messages.append(f"quotient input vanished exactly at level {k}" if k < n
+                            else "exact denominator Ab.B is zero")
+    outcomes = assert_same_bits(place_exact, ref.KERNELS["place_exact"], cases)
+    assert outcomes == [("UncontrollableSystem", m) for m in messages]
+
+
 @pytest.mark.parametrize(
     "A,B,cp",
     [
@@ -273,7 +321,7 @@ def test_place_exact_goes_through_module_mat_mul(monkeypatch):
     monkeypatch.setattr(exactring, "mat_mul", counting)
     A, B = gen_integer_family(12)
     gain = place_exact(A, B, int_poly([-(k + 1) for k in range(12)]))
-    assert len(calls) == 3 * 11 + 1  # anb.Ab, (anb.Ab).A and anb.KK per level, then Ab.A
+    assert len(calls) == 2 * 11  # per level anb.Y, then per level one step of the row P
     assert ratio(gain) == GOLDEN[12]
 
 

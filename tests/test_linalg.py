@@ -3,6 +3,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -339,19 +340,20 @@ def _ref_householder_reflector(v) -> np.ndarray:
     return np.eye(m, dtype=v.dtype) - 2.0 * np.outer(u, u) / uu
 
 
-REFERENCE_KERNELS = {name: ref.KERNELS[name]
-                     for name in ("as_matrix", "as_vector", "qr_decompose", "solve_linear")}
+REFERENCE_KERNELS = {name: ref.KERNELS[name] for name in
+                     ("as_matrix", "as_vector", "qr_decompose", "solve_linear", "svd_decompose")}
 REFERENCE_KERNELS["householder_reflector"] = _ref_householder_reflector
 
 
 def _kernel_calls(matrices):
-    """(kernel name, args) for each matrix in both formats: its QR and
-    input check, the reflector and input check of every column, and a
+    """(kernel name, args) for each matrix in both formats: its QR, SVD
+    and input check, the reflector and input check of every column, and a
     solve when it is square."""
     for M0 in matrices:
         for M in (M0.astype(np.float32), M0.astype(np.float64)):
             yield "as_matrix", (M,)
             yield "qr_decompose", (M,)
+            yield "svd_decompose", (M,)
             for v in M.T:
                 yield "as_vector", (v,)
                 yield "householder_reflector", (v,)
@@ -418,6 +420,11 @@ KERNEL_CORPUS = {
         np.random.default_rng(m).standard_normal(shape) * 10.0 ** (m % 7 - 3)
         for m in range(1, 16) for shape in ((1, m), (m, 1))),
     "integer-suite": lambda: _suite_calls(*REFERENCE_KERNELS),
+    # U columns whose largest magnitude is reached more than once
+    "tied-maxima": lambda: _kernel_calls(
+        [scipy.linalg.hadamard(m) * 1.0 for m in (2, 4, 8, 16)]
+        + [np.ones((m, k)) for m in range(1, 9) for k in range(1, 9)]
+        + [np.kron(np.eye(k), scipy.linalg.hadamard(m)) for k in (1, 2, 3) for m in (2, 4)]),
 }
 
 
@@ -426,6 +433,19 @@ def test_dense_kernels_bitwise_match_reference(group):
     calls = list(KERNEL_CORPUS[group]())
     for name, ref_fn in REFERENCE_KERNELS.items():
         assert_same_bits(getattr(linalg, name), ref_fn, [args for n, args in calls if n == name])
+
+
+def test_svd_corpus_reaches_mixed_sign_ties():
+    # a tie between entries of opposite signs is where the first index decides
+    mixed = set()
+    for name, args in KERNEL_CORPUS["tied-maxima"]():
+        if name != "svd_decompose":
+            continue
+        for col in np.linalg.svd(args[0])[0].T:
+            top = col[np.abs(col) == np.abs(col).max()]
+            if top.min() < 0 < top.max():
+                mixed.add(col.dtype)
+    assert mixed == {np.dtype(np.float32), np.dtype(np.float64)}
 
 
 def test_integer_suite_matches_reference_kernels():
