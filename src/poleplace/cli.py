@@ -13,6 +13,7 @@ import argparse
 import cmath
 import functools
 import json
+import math
 import sys as _sys
 
 import numpy as np
@@ -94,6 +95,13 @@ def _family(kind: str, n: int, seed):
         raise UsageError(str(exc)) from exc
 
 
+def _json_number(x):
+    """x as a float, or None (JSON null) when it is not finite: JSON has
+    no NaN or Infinity."""
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -133,12 +141,12 @@ def _cmd_place(args) -> int:
         payload = {
             "algorithm": args.algo,
             "precision": precision.bits,
-            "gain": [float(g) for g in K],
-            "achieved": [[z.real, z.imag] for z in rec.achieved],
-            "max_abs_error": rec.max_abs_error,
+            "gain": [_json_number(g) for g in K],
+            "achieved": [[_json_number(z.real), _json_number(z.imag)] for z in rec.achieved],
+            "max_abs_error": _json_number(rec.max_abs_error),
             "complex_pair_count": rec.complex_pair_count,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
     else:
         lines = ["K = " + "  ".join(f"{g:.12g}" for g in K), "",
                  "achieved eigenvalues:"]
@@ -202,14 +210,15 @@ def _cmd_simulate(args) -> int:
           else [float(k) for k in range(1, sys_.n + 1)])
     if len(x0) != sys_.n:
         raise UsageError(f"x0 needs {sys_.n} entries")
-    T = args.T if args.T else sim.default_horizon(poles)
-    chain = placement.build_anchor_chain(sys_, precision)
     modes = ["gain", "chain"] if args.mode == "both" else [args.mode]
-    traces = {}
-    for mode in modes:
-        cfg = sim.SimConfig(T=T, h=args.h, x0=x0, feedback=mode)
-        traces[mode] = sim.simulate(sys_, poles, cfg, chain=chain,
-                                    precision=precision)
+    try:
+        T = sim.default_horizon(poles) if args.T is None else args.T
+        configs = {mode: sim.SimConfig(T=T, h=args.h, x0=x0, feedback=mode) for mode in modes}
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    chain = placement.build_anchor_chain(sys_, precision)
+    traces = {mode: sim.simulate(sys_, poles, cfg, chain=chain, precision=precision)
+              for mode, cfg in configs.items()}
     primary = traces[modes[0]]
     _emit(primary.to_csv(), args.out)
     if len(modes) == 2:
@@ -226,6 +235,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    if args.digits < 0:
+        raise UsageError(f"--digits must be >= 0, got {args.digits}")
     sys_ = _load_system(args.system)
     A = sys_.A
     B = sys_.B
@@ -349,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     call in the process (a build costs over ten parses)."""
     p = argparse.ArgumentParser(
         prog="poleplace",
-        description="Single-input pole placement: seven float algorithms, "
-                    "an exact rational oracle, benchmarks, and simulation.",
+        description="Single-input pole placement: nine float algorithm "
+                    "variants, an exact rational oracle, benchmarks, and simulation.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 

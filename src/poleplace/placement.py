@@ -1,7 +1,8 @@
 """Single-input pole placement algorithms.
 
-Seven floating-point routes to the same gain vector, each with its own
-numerical personality:
+Nine :data:`ALGORITHMS` entries (eight methods, ``algebroid1`` in two
+variants) compute the same gain vector, each with its own numerical
+personality:
 
 * ``ackermann_direct`` / ``ackermann_factored`` -- the closed form and
   its one-eigenvalue-at-a-time factorization.
@@ -30,7 +31,8 @@ real for the five methods that take real poles only); the Ackermann
 routes take the poles one step at a time, a conjugate pair as one real
 quadratic step (:func:`~poleplace.linalg.pole_steps`).  :data:`ALGORITHMS`
 maps each method's name to its function, called as
-``fn(sys, poles, precision)``.
+``fn(sys, poles, precision)``, which casts the system once; the helpers
+take A and B as arrays and compute in their format.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .linalg import (
     BITS64,
     THRESHOLDS,
     Precision,
+    _precision_of,
     as_matrix,
     as_vector,
     householder_annihilator,
@@ -102,12 +105,10 @@ def _sys_arrays(sys: StateSpace, precision: Precision):
     return arrays
 
 
-def _check_poles(sys: StateSpace, poles, precision: Precision,
-                 real: bool = False) -> list:
-    """Validate a pole list for ``sys``: finite and conjugate-closed
+def _pole_list(poles, n: int, real: bool = False) -> list:
+    """A checked list of n poles: finite and conjugate-closed
     (:func:`~poleplace.linalg.pole_steps`), all real when ``real``
-    (returned as floats, else as complex), one pole per state, and B not
-    identically zero at ``precision``."""
+    (returned as floats, else as complex)."""
     roots = [complex(p) for p in poles]
     pole_steps(roots)
     if real:
@@ -115,49 +116,60 @@ def _check_poles(sys: StateSpace, poles, precision: Precision,
             if z.imag != 0.0:
                 raise InvalidPoleSet(f"this method handles real poles only, got {z}")
         roots = [z.real for z in roots]
-    if len(roots) != sys.n:
-        raise InvalidPoleSet(f"expected {sys.n} poles, got {len(roots)}")
-    if not np.any(_sys_arrays(sys, precision)[1]):
-        raise UncontrollableSystem("B = 0")
+    if len(roots) != n:
+        raise InvalidPoleSet(f"expected {n} poles, got {len(roots)}")
     return roots
 
 
-def _poles_or_charpoly(sys: StateSpace, poles, charpoly, precision: Precision):
-    """Exactly one of a checked pole list or a monic float64 charpoly of
-    length n+1; returns (roots, None) or (None, cp)."""
+def _check_poles(sys: StateSpace, poles, precision: Precision, real: bool = False):
+    """The checks of a pole-driven placement, in order: the pole list
+    (:func:`_pole_list`), the placement's one cast of ``sys`` to
+    ``precision``, and B not identically zero there.  Returns (A, B, roots)."""
+    roots = _pole_list(poles, sys.n, real)
+    A, B = _sys_arrays(sys, precision)
+    if not np.any(B):
+        raise UncontrollableSystem("B = 0")
+    return A, B, roots
+
+
+def _given_charpoly(n: int, poles, charpoly):
+    """Require exactly one of poles and charpoly; None when poles are
+    given (the caller checks them), else the charpoly as float64, checked
+    to be monic of length n+1."""
     if (poles is None) == (charpoly is None):
         raise ValueError("give exactly one of poles or charpoly")
-    if poles is not None:
-        return _check_poles(sys, poles, precision), None
+    if charpoly is None:
+        return None
     cp = np.asarray(charpoly, dtype=np.float64).ravel()
-    if cp.size != sys.n + 1 or cp[0] != 1.0:
+    if cp.size != n + 1 or cp[0] != 1.0:
         raise InvalidPoleSet("charpoly must be monic of length n+1")
-    return None, cp
+    return cp
 
 
 # ---------------------------------------------------------------------------
 # Ackermann
 
 
-def controllability_matrix(sys: StateSpace, precision: Precision = BITS64) -> np.ndarray:
-    """[B, AB, ..., A^(n-1) B]; a column past the format's range raises
-    :class:`PrecisionOverflow`."""
-    A, B = _sys_arrays(sys, precision)
+def controllability_matrix(A, B) -> np.ndarray:
+    """[B, AB, ..., A^(n-1) B] in A's format; a column past the format's
+    range raises :class:`PrecisionOverflow`."""
+    A, B = as_matrix(A), as_vector(B)
     cols = [B]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        for _ in range(sys.n - 1):
+        for _ in range(B.size - 1):
             cols.append(A @ cols[-1])
     C = np.column_stack(cols)
     if not np.isfinite(C).all():
         k = int(np.isfinite(C).all(axis=0).argmin())
-        raise PrecisionOverflow(f"Krylov column A^{k} B is beyond the {precision.bits}-bit range")
+        bits = _precision_of(C).bits
+        raise PrecisionOverflow(f"Krylov column A^{k} B is beyond the {bits}-bit range")
     return C
 
 
-def inverse_ctrb_last_row(sys: StateSpace, precision: Precision = BITS64) -> np.ndarray:
+def inverse_ctrb_last_row(A, B) -> np.ndarray:
     """Last row of the inverse controllability matrix, e_n^T C^-1."""
-    C = controllability_matrix(sys, precision)
-    e_n = np.zeros(sys.n, dtype=precision.dtype)
+    C = controllability_matrix(A, B)
+    e_n = np.zeros(C.shape[0], dtype=C.dtype)
     e_n[-1] = 1.0
     try:
         return solve_linear(C.T, e_n)
@@ -189,15 +201,15 @@ def horner_char_matrix(A, roots) -> np.ndarray:
 def ackermann_direct(sys: StateSpace, poles=None, precision: Precision = BITS64,
                      charpoly=None) -> np.ndarray:
     """K = e_n^T C^-1 Phi(A), the closed-form placement gain."""
-    roots, cp = _poles_or_charpoly(sys, poles, charpoly, precision)
-    A, _ = _sys_arrays(sys, precision)
-    crow = inverse_ctrb_last_row(sys, precision)
-    if roots is not None:
-        Phi = horner_char_matrix(A, roots)
-    else:
-        Phi = np.eye(sys.n, dtype=A.dtype)
-        for c in cp[1:].astype(A.dtype):
-            Phi = A @ Phi + c * np.eye(sys.n, dtype=A.dtype)
+    cp = _given_charpoly(sys.n, poles, charpoly)
+    if cp is None:
+        A, B, roots = _check_poles(sys, poles, precision)
+        return inverse_ctrb_last_row(A, B) @ horner_char_matrix(A, roots)
+    A, B = _sys_arrays(sys, precision)
+    crow = inverse_ctrb_last_row(A, B)
+    Phi = np.eye(sys.n, dtype=A.dtype)
+    for c in cp[1:].astype(A.dtype):
+        Phi = A @ Phi + c * np.eye(sys.n, dtype=A.dtype)
     return crow @ Phi
 
 
@@ -209,9 +221,8 @@ def ackermann_factored(sys: StateSpace, poles,
     real quadratic step (K A^2 - 2 Re(l) K A + |l|^2 K) at its first
     member's slot.
     """
-    roots = _check_poles(sys, poles, precision)
-    A, _ = _sys_arrays(sys, precision)
-    K = inverse_ctrb_last_row(sys, precision)
+    A, B, roots = _check_poles(sys, poles, precision)
+    K = inverse_ctrb_last_row(A, B)
     for step in pole_steps(roots):
         if len(step) == 1:
             K = K @ A - A.dtype.type(step[0]) * K
@@ -225,29 +236,27 @@ def ackermann_factored(sys: StateSpace, poles,
 # Hyperplane geometry
 
 
-def hyperplane_point(sys: StateSpace, lam: float, j: int,
-                     precision: Precision = BITS64) -> np.ndarray:
+def hyperplane_point(A, B, lam: float, j: int) -> np.ndarray:
     """k_ij = (a_j - lam e_j) / b_j, a gain that assigns the pole lam.
 
     ``j`` is the 0-based row index used for the construction.
     """
-    A, B = _sys_arrays(sys, precision)
-    if not 0 <= j < sys.n:
+    A, B = as_matrix(A), as_vector(B)
+    if not 0 <= j < B.size:
         raise ValueError(f"row index {j} out of range")
     bj = float(B[j])
-    if abs(bj) <= THRESHOLDS["placement_pivot"](precision, float(np.max(np.abs(B)))):
+    if abs(bj) <= THRESHOLDS["placement_pivot"](_precision_of(A), float(np.max(np.abs(B)))):
         raise ZeroInputComponent(f"b[{j}] = {bj} is too small for the point formula")
-    e = np.zeros(sys.n, dtype=A.dtype)
+    e = np.zeros(B.size, dtype=A.dtype)
     e[j] = 1.0
     return (A[j, :] - A.dtype.type(lam) * e) / A.dtype.type(bj)
 
 
-def hyperplane_normal(sys: StateSpace, lam: float,
-                      precision: Precision = BITS64) -> np.ndarray:
+def hyperplane_normal(A, B, lam: float) -> np.ndarray:
     """Normal n of the pole-lam gain hyperplane {k : k . n = 1}: solve
-    (A - lam I) n = B at ``precision``."""
-    A, B = _sys_arrays(sys, precision)
-    shifted = A - A.dtype.type(lam) * np.eye(sys.n, dtype=A.dtype)
+    (A - lam I) n = B."""
+    A, B = as_matrix(A), as_vector(B)
+    shifted = A - A.dtype.type(lam) * np.eye(B.size, dtype=A.dtype)
     try:
         normal = solve_linear(shifted, B)
     except SingularSystem as exc:
@@ -266,11 +275,9 @@ def place_determinantal(sys: StateSpace, poles,
     singular N means the planes are parallel, which is exactly the
     uncontrollable geometry.
     """
-    roots = _check_poles(sys, poles, precision, real=True)
-    N = np.zeros((sys.n, sys.n), dtype=precision.dtype)
-    for i, lam in enumerate(roots):
-        N[i, :] = hyperplane_normal(sys, lam, precision)
-    ones = np.ones(sys.n, dtype=precision.dtype)
+    A, B, roots = _check_poles(sys, poles, precision, real=True)
+    N = np.array([hyperplane_normal(A, B, lam) for lam in roots])
+    ones = np.ones(sys.n, dtype=A.dtype)
     try:
         return solve_linear(N, ones)
     except SingularSystem as exc:
@@ -289,44 +296,40 @@ def place_sliding(sys: StateSpace, poles,
     the largest |b_j|, which minimizes the 1/b_j amplification in the
     point formula.
     """
-    return _slide(sys, poles, precision)[-1]
+    return _slide(*_check_poles(sys, poles, precision, real=True))[-1]
 
 
-def _slide_denominator(base, direction, precision: Precision, what: str) -> float:
+def _slide_denominator(base, direction, what: str) -> float:
     den = float(base @ direction)
     scale = float(np.linalg.norm(base) * np.linalg.norm(direction))
-    if abs(den) <= THRESHOLDS["placement_pivot"](precision, scale):
+    if abs(den) <= THRESHOLDS["placement_pivot"](_precision_of(base), scale):
         raise DegenerateProjection(f"{what} (planes nearly parallel)")
     return den
 
 
-def _slide(sys: StateSpace, poles, precision: Precision) -> list:
+def _slide(A, B, roots) -> list:
     """The point reached on each plane in turn; the last is the gain."""
-    roots = _check_poles(sys, poles, precision, real=True)
-    n = sys.n
-    A, B = _sys_arrays(sys, precision)
-    normals = [hyperplane_normal(sys, lam, precision) for lam in roots]
+    n = B.size
+    normals = [hyperplane_normal(A, B, lam) for lam in roots]
     j = int(np.argmax(np.abs(B)))
-    seeds = [hyperplane_point(sys, lam, j, precision) for lam in roots]
-    # N[i][k] is normal i after k oblique projections
-    proj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        proj[i][0] = normals[i]
+    seeds = [hyperplane_point(A, B, lam, j) for lam in roots]
+    # after stage k, proj[i] is normal i after min(i, k) oblique projections
+    proj = list(normals)
     eye = np.eye(n, dtype=A.dtype)
     for k in range(1, n):
-        direction = proj[k - 1][k - 1]
+        direction = proj[k - 1]
         base = normals[k - 1]
-        den = _slide_denominator(base, direction, precision,
+        den = _slide_denominator(base, direction,
                                  f"projection denominator vanished at stage {k}")
         P = eye - direction[:, None] * base / A.dtype.type(den)
         for i in range(k, n):
-            proj[i][k] = P @ proj[i][k - 1]
+            proj[i] = P @ proj[i]
     gam = seeds[0]
     steps = [gam]
     for k in range(1, n):
-        direction = proj[k][k]
+        direction = proj[k]
         base = normals[k]
-        den = _slide_denominator(base, direction, precision,
+        den = _slide_denominator(base, direction,
                                  f"slide denominator vanished at plane {k + 1}")
         G = direction[:, None] * base / A.dtype.type(den)
         gam = gam - (gam - seeds[k]) @ G.T
@@ -356,12 +359,9 @@ class QuotientStack:
     terminal_b: float
 
 
-def _descend_quotients(sys: StateSpace, roots, variant: str,
-                       precision: Precision) -> QuotientStack:
-    A, B = _sys_arrays(sys, precision)
-    n = sys.n
-    Ab = A.copy()
-    Bb = B.copy()
+def _descend_quotients(A, B, roots, variant: str) -> QuotientStack:
+    n = B.size
+    Ab, Bb = A, B
     levels = []
     bmax = float(np.max(np.abs(B)))
     for i in range(n - 1):
@@ -389,7 +389,7 @@ def _descend_quotients(sys: StateSpace, roots, variant: str,
         levels.append(QuotientLevel(Ab, Bb, anb, ko))
         Ab = anb @ Ab @ anb.T
         Bb = anb @ Bb
-        if np.max(np.abs(Bb)) <= THRESHOLDS["placement_pivot"](precision, bmax):
+        if np.max(np.abs(Bb)) <= THRESHOLDS["placement_pivot"](_precision_of(A), bmax):
             raise UncontrollableSystem(
                 f"quotient input vanished at level {i + 1}"
             )
@@ -408,8 +408,8 @@ def place_algebroid1(sys: StateSpace, poles, precision: Precision = BITS64,
     phase: K_i = k_{o,i} + K_{i+1} Q_i, which carries the quotient gain
     back up while leaving the pole fixed at that level unchanged.
     """
-    roots = _check_poles(sys, poles, precision, real=True)
-    stack = _descend_quotients(sys, roots, variant, precision)
+    A, B, roots = _check_poles(sys, poles, precision, real=True)
+    stack = _descend_quotients(A, B, roots, variant)
     dt = precision.dtype
     K = ((np.asarray(stack.terminal_a, dtype=dt) - dt(roots[-1]))
          / np.asarray(stack.terminal_b, dtype=dt)).reshape(1)
@@ -435,11 +435,17 @@ class ChainLevel:
 @dataclass(frozen=True)
 class AnchorChain:
     """Stored anchors and transfer maps of the forward sweep, bound to
-    the system they were built from."""
+    the system they were built from and to its arrays A, B in the chain's
+    precision."""
 
     system: StateSpace
-    precision: Precision
+    A: np.ndarray
+    B: np.ndarray
     levels: tuple
+
+    @property
+    def precision(self) -> Precision:
+        return _precision_of(self.A)
 
 
 def build_anchor_chain(sys: StateSpace, precision: Precision = BITS64) -> AnchorChain:
@@ -454,8 +460,7 @@ def build_anchor_chain(sys: StateSpace, precision: Precision = BITS64) -> Anchor
     A, B = _sys_arrays(sys, precision)
     n = sys.n
     levels = []
-    At = A.copy()
-    Bt = B.copy()
+    At, Bt = A, B
     for _ in range(n - 1):
         ann = householder_annihilator(Bt)
         u, _, _ = svd_decompose(ann @ At)
@@ -465,7 +470,7 @@ def build_anchor_chain(sys: StateSpace, precision: Precision = BITS64) -> Anchor
         levels.append(ChainLevel(an_i, transfer, b_i))
         Bt = b_i
         At = transfer @ A
-    return AnchorChain(sys, precision, tuple(levels))
+    return AnchorChain(sys, A, B, tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -494,14 +499,6 @@ def chain_controllability_report(chain: AnchorChain) -> ChainReport:
     return ChainReport(first is None, first, min_norm)
 
 
-def _ascending_charpoly(sys: StateSpace, poles, charpoly, precision: Precision):
-    """Coefficients constant-term-first, [p_n, ..., p_1, 1]."""
-    roots, cp = _poles_or_charpoly(sys, poles, charpoly, precision)
-    if roots is not None:
-        cp = poly_from_roots(roots)
-    return cp[::-1].astype(precision.dtype)
-
-
 class ChainFeedback:
     """The chain method's feedback law with its poles bound.
 
@@ -514,13 +511,17 @@ class ChainFeedback:
     """
 
     def __init__(self, chain: AnchorChain, poles=None, charpoly=None):
-        sys = chain.system
-        precision = chain.precision
-        A, B = _sys_arrays(sys, precision)
-        pp = _ascending_charpoly(sys, poles, charpoly, precision)
-        self.precision = precision
-        self.n = sys.n
-        if sys.n == 1:
+        A, B = chain.A, chain.B
+        self.precision = chain.precision
+        self.n = B.size
+        cp = _given_charpoly(self.n, poles, charpoly)
+        if cp is None:
+            roots = _pole_list(poles, self.n)
+            if not np.any(B):
+                raise UncontrollableSystem("B = 0")
+            cp = poly_from_roots(roots)
+        pp = cp[::-1].astype(A.dtype)  # constant term first, [p_n, ..., p_1, 1]
+        if self.n == 1:
             # (a + p)/b x rounds differently from the general p x + a x over b
             if B[0] == 0:
                 raise UncontrollableSystem("scalar system with b = 0")
@@ -533,7 +534,7 @@ class ChainFeedback:
         last = chain.levels[-1].transfer
         self._last_A = last @ A
         den = (last @ B).ravel()[0]
-        if abs(float(den)) <= THRESHOLDS["chain_denominator"](precision):
+        if abs(float(den)) <= THRESHOLDS["chain_denominator"](self.precision):
             raise UncontrollableSystem(
                 f"final quotient input B_(n-1) = {float(den):.3e} is zero"
             )
@@ -597,10 +598,10 @@ def place_algebroid2(sys: StateSpace, poles,
 # Miminis-Paige style Hessenberg deflation
 
 
-def controller_hessenberg(sys: StateSpace, precision: Precision = BITS64):
+def controller_hessenberg(A, B):
     """Orthogonal V with V^T B = alpha e_1 and V^T A V upper Hessenberg."""
-    A, B = _sys_arrays(sys, precision)
-    n = sys.n
+    A, B = as_matrix(A), as_vector(B)
+    n = B.size
     # a zero sum of squares (B = 0, or an underflow) leaves no reflector
     if np.sum(B * B) == 0.0:
         raise UncontrollableSystem("B = 0")
@@ -626,15 +627,14 @@ def place_miminis(sys: StateSpace, poles, precision: Precision = BITS64) -> np.n
     shifted transpose; the gain is accumulated back through the stored
     orthogonal factors and the reduction basis.
     """
-    roots = _check_poles(sys, poles, precision, real=True)
+    A, B, roots = _check_poles(sys, poles, precision, real=True)
     n = sys.n
-    A, B = _sys_arrays(sys, precision)
     if n == 1:
         # the deflation threshold below scales with |a|, so the general path
         # would reject controllable scalars with a small |b|
         return np.array([(A[0, 0] - roots[0]) / B[0]], dtype=A.dtype)
     roots = roots[::-1]  # the deflation consumes the pole list reversed
-    qc, Ah = controller_hessenberg(sys, precision)
+    qc, Ah = controller_hessenberg(A, B)
     scale = float(np.max(np.abs(A)))
     sub = np.abs(np.diag(Ah, -1))
     if np.any(sub <= THRESHOLDS["placement_pivot"](precision, scale)):
@@ -706,9 +706,8 @@ def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.nda
     through the Schur basis.  2x2 (complex-pair) Schur blocks of A are
     not supported.
     """
-    roots = _check_poles(sys, poles, precision, real=True)
+    A, B, roots = _check_poles(sys, poles, precision, real=True)
     n = sys.n
-    A, B = _sys_arrays(sys, precision)
     U, T = schur_decompose(A)
     if n > 1 and np.any(np.diag(T, -1) != 0.0):
         raise ComplexBlockUnsupported(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DivergedState
 from .linalg import BITS64, Precision, _precision_of, as_vector
-from .placement import AnchorChain, ChainFeedback, StateSpace, _sys_arrays, build_anchor_chain
+from .placement import AnchorChain, ChainFeedback, StateSpace, build_anchor_chain
 from .placement import feedback_eval  # noqa: F401 - perfbench's tracer test wraps sim.feedback_eval
 
 OVERFLOW_GUARD = 1e12
@@ -74,7 +74,7 @@ def default_horizon(poles) -> float:
     """HORIZON_TIME_CONSTANTS times the slowest closed-loop time constant."""
     slowest = min(abs(complex(p).real) for p in poles)
     if slowest == 0:
-        raise ValueError("poles must have nonzero real part")
+        raise ValueError("the default horizon needs poles with nonzero real part")
     return HORIZON_TIME_CONSTANTS / slowest
 
 
@@ -100,7 +100,7 @@ def simulate(sys: StateSpace, poles, cfg: SimConfig,
     elif not (np.array_equal(chain.system.A, sys.A)
               and np.array_equal(chain.system.B, sys.B)):
         raise ValueError("chain was built from a different system")
-    A, B = _sys_arrays(sys, precision)
+    A, B = chain.A, chain.B
     if cfg.x0.size != sys.n:
         raise ValueError("x0 dimension mismatch")
     law = ChainFeedback(chain, poles=poles)

@@ -184,6 +184,22 @@ def test_place_reports_nan_error_for_nonfinite_spectrum(tmp_path, capsys):
     assert "max |error| = nan\n" in out
 
 
+def test_place_json_is_strict_json_for_a_nonfinite_spectrum(tmp_path, capsys):
+    big_a = tmp_path / "big_a.txt"
+    big_a.write_text(WORKED_TEXT.replace("1 3 5 1", "1e200 3 5 1"))
+    code = cli.main(["place", "--algo", "varga", "--system", str(big_a),
+                     "--poles", "-1,-2,-3", "--format", "json"])
+    assert code == 0
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+    assert payload["max_abs_error"] is None
+    assert payload["achieved"].count([None, None]) == 2
+    assert payload["gain"] == [1e200, 3.000000000000001, 5.000000000000001]
+
+
 def test_place_and_simulate_share_pole_checks(worked_system, capsys):
     for cmd in (["place", "--algo", "ackermann"], ["simulate"]):
         for poles, msg in (("-1,-2", "system has n=3, got 2 poles"),
@@ -270,6 +286,12 @@ def test_exact_range_syntax(tmp_path, capsys):
     assert all("/" in line or line.lstrip("-").isdigit() for line in lines)
 
 
+def test_exact_negative_digits_is_usage_error(worked_system, capsys):
+    code = cli.main(["exact", "--system", worked_system, "--poles", "-1,-2,-3",
+                     "--digits", "-3"])
+    assert (code, capsys.readouterr().err) == (1, "error: --digits must be >= 0, got -3\n")
+
+
 def test_exact_rejects_noninteger(worked_system, capsys):
     code = cli.main(["exact", "--system", worked_system, "--poles", "-1.5,-2,-3"])
     assert code == 1
@@ -309,6 +331,34 @@ def test_simulate_writes_trace(tmp_path, capsys):
     assert len(lines) == 202
     err = capsys.readouterr().err
     assert "max |gain - chain|" in err
+
+
+def test_simulate_casts_its_system_once(worked_system, monkeypatch, capsys):
+    # the chain built for both modes holds the system's arrays
+    casts = []
+    cast = placement._sys_arrays
+    monkeypatch.setattr(placement, "_sys_arrays",
+                        lambda sys, precision: casts.append(precision.bits) or cast(sys, precision))
+    for bits in ("32", "64"):
+        casts.clear()
+        code = cli.main(["simulate", "--system", worked_system, "--poles", "-1,-2,-3",
+                         "--mode", "both", "--T", "0.1", "--h", "0.05", "--precision", bits])
+        assert (code, casts) == (0, [int(bits)])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, poles, message", [
+    (["--T", "-1"], "-1,-2,-3", "need T > 0 and 0 < h <= T"),
+    (["--h", "0"], "-1,-2,-3", "need T > 0 and 0 < h <= T"),
+    (["--h", "5", "--T", "1"], "-1,-2,-3", "need T > 0 and 0 < h <= T"),
+    (["--T", "0"], "-1,-2,-3", "need T > 0 and 0 < h <= T"),
+    ([], "1i,-1i,-3", "the default horizon needs poles with nonzero real part"),
+    (["--x0", "nan,1,2", "--T", "1"], "-1,-2,-3", "vector entries must be finite"),
+], ids=["negative-T", "zero-h", "h-above-T", "zero-T", "imaginary-axis-pole", "nonfinite-x0"])
+def test_simulate_bad_horizon_or_step_is_usage_error(worked_system, flags, poles, message,
+                                                     capsys):
+    code = cli.main(["simulate", "--system", worked_system, "--poles", poles] + flags)
+    assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))
 
 
 def test_simulate_family_route(tmp_path):

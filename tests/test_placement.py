@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poleplace import exactring
+from poleplace import exactring, placement
 from poleplace.bench import gen_integer_example, gen_random_controllable, gen_scaled_diagonal
 from poleplace.errors import (
     ComplexBlockUnsupported,
@@ -23,6 +23,7 @@ from poleplace.placement import (
     StateSpace,
     _descend_quotients,
     _slide,
+    _sys_arrays,
     ackermann_direct,
     ackermann_factored,
     build_anchor_chain,
@@ -72,18 +73,18 @@ def exact_gain(sys, poles):
 
 
 def test_ctrb_worked_example_det():
-    C = controllability_matrix(WORKED)
+    C = controllability_matrix(WORKED.A, WORKED.B)
     assert abs(np.linalg.det(C) - 352.0) <= 1e-9
 
 
 def test_ctrb_uncontrollable_det_zero():
-    C = controllability_matrix(UNCTRL)
+    C = controllability_matrix(UNCTRL.A, UNCTRL.B)
     assert abs(np.linalg.det(C)) <= 1e-9
 
 
 def test_ctrb_rank_one():
     sys = StateSpace(np.eye(3), [1, 0, 0])
-    C = controllability_matrix(sys)
+    C = controllability_matrix(sys.A, sys.B)
     assert np.array_equal(C, np.column_stack([[1, 0, 0]] * 3))
 
 
@@ -156,7 +157,7 @@ def test_factored_complex_pair_places():
         A = rng.integers(-4, 5, (3, 3)).astype(float)
         B = rng.integers(1, 4, 3).astype(float)
         sys = StateSpace(A, B)
-        if abs(np.linalg.det(controllability_matrix(sys))) < 1e-3:
+        if abs(np.linalg.det(controllability_matrix(sys.A, sys.B))) < 1e-3:
             continue
         K = ackermann_factored(sys, targets)
         assert spectrum_error(sys, K, targets) <= 1e-7
@@ -186,14 +187,14 @@ def test_ackermann_routes_place_a_split_conjugate_pair():
 
 
 def test_hyperplane_points_worked_example():
-    np.testing.assert_allclose(hyperplane_point(WORKED, -1.0, 0), [2, 3, 5], atol=1e-13)
-    np.testing.assert_allclose(hyperplane_point(WORKED, -1.0, 1), [7, 14, 17], atol=1e-13)
-    np.testing.assert_allclose(hyperplane_point(WORKED, -1.0, 2), [1, 1, 2], atol=1e-13)
+    np.testing.assert_allclose(hyperplane_point(WORKED.A, WORKED.B, -1.0, 0), [2, 3, 5], atol=1e-13)
+    np.testing.assert_allclose(hyperplane_point(WORKED.A, WORKED.B, -1.0, 1), [7, 14, 17], atol=1e-13)
+    np.testing.assert_allclose(hyperplane_point(WORKED.A, WORKED.B, -1.0, 2), [1, 1, 2], atol=1e-13)
 
 
 def test_hyperplane_point_assigns_pole():
     for j in range(3):
-        k = hyperplane_point(WORKED, -1.0, j)
+        k = hyperplane_point(WORKED.A, WORKED.B, -1.0, j)
         ev = eigenvalues(WORKED.A - np.outer(WORKED.B, k))
         assert np.min(np.abs(ev - (-1.0))) <= 1e-9
 
@@ -201,7 +202,7 @@ def test_hyperplane_point_assigns_pole():
 def test_hyperplane_point_zero_component():
     sys = StateSpace([[1.0, 0], [0, 2.0]], [1.0, 0.0])
     with pytest.raises(ZeroInputComponent):
-        hyperplane_point(sys, -1.0, 1)
+        hyperplane_point(sys.A, sys.B, -1.0, 1)
 
 
 def test_hyperplane_normals_worked_example():
@@ -213,18 +214,18 @@ def test_hyperplane_normals_worked_example():
         -3.0: np.array([-11.0, 33.0, -33.0]) / -110.0,
     }
     for lam, ref in refs.items():
-        normal = hyperplane_normal(WORKED, lam)
+        normal = hyperplane_normal(WORKED.A, WORKED.B, lam)
         np.testing.assert_allclose(normal, ref, atol=1e-11)
         # every construction point lies on the plane normal . x = 1
         for j in range(3):
-            assert hyperplane_point(WORKED, lam, j) @ normal == pytest.approx(1.0, abs=1e-10)
+            assert hyperplane_point(WORKED.A, WORKED.B, lam, j) @ normal == pytest.approx(1.0, abs=1e-10)
 
 
 def test_hyperplane_normal_singular_shift():
     from poleplace.errors import SingularShift
     sys = StateSpace(np.diag([1.0, 2.0]), [1.0, 1.0])
     with pytest.raises(SingularShift):
-        hyperplane_normal(sys, 1.0)  # shifting by an eigenvalue of A
+        hyperplane_normal(sys.A, sys.B, 1.0)  # shifting by an eigenvalue of A
 
 
 def test_hyperplane_normal_residual_property():
@@ -234,7 +235,7 @@ def test_hyperplane_normal_residual_property():
         A = rng.standard_normal((n, n))
         B = rng.standard_normal(n)
         lam = -float(rng.uniform(1, 5))
-        normal = hyperplane_normal(StateSpace(A, B), lam)
+        normal = hyperplane_normal(A, B, lam)
         res = np.linalg.norm((A - lam * np.eye(n)) @ normal - B)
         assert res <= 1e-11 * max(1.0, np.linalg.norm(B), np.linalg.norm(normal) * np.linalg.norm(A))
 
@@ -266,7 +267,7 @@ def test_sliding_worked_example():
 
 
 def test_sliding_step_containment():
-    steps = _slide(WORKED, POLES, BITS64)
+    steps = _slide(WORKED.A, WORKED.B, POLES)
     assert steps[-1].tobytes() == place_sliding(WORKED, POLES).tobytes()
     for k, gam in enumerate(steps):
         ev = eigenvalues(WORKED.A - np.outer(WORKED.B, gam))
@@ -290,7 +291,7 @@ def test_algebroid1_worked_example_both_variants():
 
 
 def test_algebroid1_first_level_trace_values():
-    stack = _descend_quotients(WORKED, POLES, "qr", BITS64)
+    stack = _descend_quotients(WORKED.A, WORKED.B, POLES, "qr")
     ko1 = stack.levels[0].k_o
     np.testing.assert_allclose(ko1, [0.3956, -0.1319, -0.0440], atol=5e-5)
     ev = eigenvalues(WORKED.A - np.outer(WORKED.B, ko1))
@@ -299,7 +300,7 @@ def test_algebroid1_first_level_trace_values():
 
 
 def test_algebroid1_quotient_values_up_to_basis_sign():
-    stack = _descend_quotients(WORKED, POLES, "qr", BITS64)
+    stack = _descend_quotients(WORKED.A, WORKED.B, POLES, "qr")
     Ab = stack.levels[1].A_level
     Bb = stack.levels[1].B_level
     ref_A = np.array([[17.2209, -1.2808], [15.4917, -1.4406]])
@@ -312,7 +313,7 @@ def test_algebroid1_quotient_values_up_to_basis_sign():
 
 
 def test_algebroid1_second_level_places_next_pole():
-    stack = _descend_quotients(WORKED, POLES, "qr", BITS64)
+    stack = _descend_quotients(WORKED.A, WORKED.B, POLES, "qr")
     lvl = stack.levels[1]
     ko2 = lvl.k_o
     ev = eigenvalues(lvl.A_level - np.outer(lvl.B_level, ko2))
@@ -334,7 +335,7 @@ def test_algebroid1_pull_preserves_eigenvalues():
             continue
         sys, poles = out
         checked += 1
-        stack = _descend_quotients(sys, poles, "qr", BITS64)
+        stack = _descend_quotients(sys.A, sys.B, poles, "qr")
         n = sys.n
         partial = np.array([(stack.terminal_a - poles[n - 1]) / stack.terminal_b])
         for i in range(n - 2, -1, -1):
@@ -692,9 +693,10 @@ def _float32_intermediates(sys, poles):
     """Every exposed intermediate of the methods at 32 bits, skipping the
     ones a typed error stops."""
     chain = build_anchor_chain(sys, BITS32)
+    A, B = chain.A, chain.B
     out = [a for level in chain.levels for a in (level.anchor, level.transfer,
                                                  level.quotient_input)]
-    out += controller_hessenberg(sys, BITS32)
+    out += controller_hessenberg(A, B)
     try:
         law = ChainFeedback(chain, poles)
     except PlacementError:
@@ -707,13 +709,13 @@ def _float32_intermediates(sys, poles):
             out += [a for step in law._steps for a in step]
     for variant in ("qr", "solve"):
         try:
-            stack = _descend_quotients(sys, poles, variant, BITS32)
+            stack = _descend_quotients(A, B, poles, variant)
         except PlacementError:
             continue
         out += [a for level in stack.levels for a in (level.A_level, level.B_level,
                                                       level.anchor, level.k_o)]
     try:
-        out += _slide(sys, poles, BITS32)
+        out += _slide(A, B, poles)
     except PlacementError:
         pass
     return out
@@ -753,15 +755,15 @@ def test_controller_hessenberg_bitwise_equal_to_reference():
     systems += [StateSpace(rng.standard_normal((n, n)), rng.standard_normal(n))
                 for n in range(1, 9)]
     for precision in (BITS32, BITS64):
-        assert_same_bits(lambda sys: controller_hessenberg(sys, precision),
+        assert_same_bits(lambda sys: controller_hessenberg(*_sys_arrays(sys, precision)),
                          lambda sys: ref.placement.controller_hessenberg(
                              ref.state_space(sys), ref.precision(precision)),
                          [(sys,) for sys in systems])
         for sys in systems:
-            V, Ah = controller_hessenberg(sys, precision)
+            V, Ah = controller_hessenberg(*_sys_arrays(sys, precision))
             assert V.dtype == Ah.dtype == precision.dtype
     with pytest.raises(UncontrollableSystem, match="^B = 0$"):
-        controller_hessenberg(StateSpace(WORKED.A, [0.0, 0, 0]), BITS64)
+        controller_hessenberg(WORKED.A, [0.0, 0, 0])
 
 
 def test_every_algorithm_returns_float32_at_32_bits():
@@ -779,7 +781,7 @@ def test_every_algorithm_returns_float32_at_32_bits():
             assert K.dtype == np.float32, (name, sys.n)
             returned.add(name)
     assert returned == set(ALGORITHMS)
-    assert hyperplane_normal(WORKED, -1.0, BITS32).dtype == np.float32
+    assert hyperplane_normal(*_sys_arrays(WORKED, BITS32), -1.0).dtype == np.float32
 
 
 def test_algorithms_take_sys_poles_precision():
@@ -789,6 +791,39 @@ def test_algorithms_take_sys_poles_precision():
             np.testing.assert_allclose(K, K_REF, rtol=1e-3, err_msg=name)
     np.testing.assert_array_equal(ALGORITHMS["algebroid1-solve"](WORKED, POLES, BITS32),
                                   place_algebroid1(WORKED, POLES, BITS32, variant="solve"))
+
+
+def test_every_placement_casts_its_system_once(monkeypatch):
+    # the cast happens where a system meets a precision; the helpers below
+    # share its arrays (read-only here: none may write into them), and a
+    # typed failure after the cast counts as well
+    casts = []
+    cast = placement._sys_arrays
+
+    def counting(sys, precision):
+        casts.append(precision.bits)
+        arrays = cast(sys, precision)
+        for M in arrays:
+            M.flags.writeable = False
+        return arrays
+
+    monkeypatch.setattr(placement, "_sys_arrays", counting)
+    calls = [(name, fn, sys, n) for name, fn in ALGORITHMS.items()
+             for sys, n in ((WORKED, 3), (gen_integer_example(8), 8), (gen_integer_example(12), 12))]
+    calls.append(("ackermann charpoly",
+                  lambda sys, poles, precision: ackermann_direct(
+                      sys, charpoly=poly_from_roots(poles), precision=precision),
+                  WORKED, 3))
+    failures = 0
+    for name, fn, sys, n in calls:
+        for precision in (BITS32, BITS64):
+            casts.clear()
+            try:
+                fn(sys, [-(k + 1.0) for k in range(n)], precision)
+            except PlacementError:
+                failures += 1
+            assert casts == [precision.bits], (name, n, precision)
+    assert failures > 0
 
 
 def test_scalar_algebroid1_stays_in_requested_precision():
@@ -849,4 +884,4 @@ def test_gain_lies_on_every_hyperplane():
         sys, poles = out
         K = ackermann_direct(sys, poles=poles)
         for lam in poles:
-            assert abs(K @ hyperplane_normal(sys, lam) - 1.0) <= 1e-6
+            assert abs(K @ hyperplane_normal(sys.A, sys.B, lam) - 1.0) <= 1e-6
