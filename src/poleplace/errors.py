@@ -54,8 +54,10 @@ class DivergedState(PlacementError):
 
 
 class PrecisionOverflow(PlacementError):
-    """A finite input entry, or a Krylov column A^k B computed from finite
-    input, is beyond the range of the requested precision."""
+    """A finite input entry, or a product computed from finite input, is
+    beyond the range of the requested precision: a Krylov column A^k B,
+    or an anchor chain level's transfer map A_{t,i} A or quotient input
+    B_i."""
 
 
 class FactorizationError(PlacementError):

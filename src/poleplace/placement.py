@@ -456,20 +456,28 @@ def build_anchor_chain(sys: StateSpace, precision: Precision = BITS64) -> Anchor
 
     Degeneracy (loss of controllability) shows up as a small B_i; it is
     reported by :func:`chain_controllability_report`, not raised here.
+    A level whose A_{t,i} A or B_i is past the format's range raises
+    :class:`PrecisionOverflow`.
     """
     A, B = _sys_arrays(sys, precision)
     n = sys.n
     levels = []
     At, Bt = A, B
-    for _ in range(n - 1):
-        ann = householder_annihilator(Bt)
-        u, _, _ = svd_decompose(ann @ At)
-        an_i = u.T @ ann
-        transfer = an_i @ At
-        b_i = transfer @ B
-        levels.append(ChainLevel(an_i, transfer, b_i))
-        Bt = b_i
-        At = transfer @ A
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for k in range(1, n):
+            ann = householder_annihilator(Bt)
+            u, _, _ = svd_decompose(ann @ At)
+            an_i = u.T @ ann
+            transfer = an_i @ At
+            b_i = transfer @ B
+            At = transfer @ A
+            if not (np.isfinite(At).all() and np.isfinite(b_i).all()):
+                name = (f"A_(t,{k}) A" if not np.isfinite(At).all()
+                        else f"quotient input B_({k})")
+                raise PrecisionOverflow(
+                    f"level {k}: {name} is beyond the {precision.bits}-bit range")
+            levels.append(ChainLevel(an_i, transfer, b_i))
+            Bt = b_i
     return AnchorChain(sys, A, B, tuple(levels))
 
 
@@ -556,13 +564,24 @@ class ChainFeedback:
         x = as_vector(x, self.precision)
         if x.size != self.n:
             raise ValueError(f"state has {x.size} entries, system has n = {self.n}")
+        return float(self._apply(x))
+
+    def _apply(self, x):
+        """The unchecked recursion: ``x`` is a 1-d state of length n in the
+        law's format, and u comes back as a scalar of that format.  Each
+        ``.dot`` is the BLAS gemv that ``@`` calls, and each in-place
+        update the same elementwise operation, so u has the bits of
+        ``transfer @ x * p + anchor @ ut``."""
         if self._scalar is not None:
-            return float(-self._scalar * x[0])
+            return -self._scalar * x[0]
         ut = self._pp0 * x
         for transfer, anchor, p in self._steps:
-            ut = transfer @ x * p + anchor @ ut
-        ut = ut + self._last_A @ x
-        return float(-ut.ravel()[0] / self._den)
+            tx = transfer.dot(x)
+            tx *= p
+            ut = anchor.dot(ut)
+            ut += tx
+        ut += self._last_A.dot(x)
+        return -ut[0] / self._den
 
 
 def gain_from_chain(chain: AnchorChain, poles=None, charpoly=None) -> np.ndarray:

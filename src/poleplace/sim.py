@@ -8,6 +8,7 @@ error signal studied in the precision experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ class SimConfig:
     def __post_init__(self):
         if not (self.T > 0 and 0 < self.h <= self.T):
             raise ValueError("need T > 0 and 0 < h <= T")
+        # also rules out an infinite T or h
+        if not math.isfinite(float(self.T) / float(self.h)):
+            raise ValueError(f"need a finite step count T / h, got T = {self.T}, h = {self.h}")
         if self.feedback not in ("gain", "chain"):
             raise ValueError("feedback must be 'gain' or 'chain'")
         object.__setattr__(self, "x0", as_vector(self.x0))
@@ -50,8 +54,10 @@ class Trace:
     def to_csv(self) -> str:
         n = self.states.shape[1]
         lines = ["t," + ",".join(f"x{i+1}" for i in range(n))]
-        for t, row in zip(self.times, self.states):
-            lines.append(repr(float(t)) + "," + ",".join(repr(float(x)) for x in row))
+        times = np.asarray(self.times, dtype=np.float64).tolist()
+        states = np.asarray(self.states, dtype=np.float64).tolist()
+        for t, row in zip(times, states):
+            lines.append(repr(t) + "," + ",".join(map(repr, row)))
         return "\n".join(lines) + "\n"
 
 
@@ -88,9 +94,12 @@ def simulate(sys: StateSpace, poles, cfg: SimConfig,
     :class:`ChainFeedback` law that both modes use: 'gain' forms K from it
     once and applies the dot product each step; 'chain' evaluates the
     nested feedback function at every stage, so each stage costs the
-    chain recursion alone.  A given ``chain`` must have been built from
-    this system at this precision.  The trajectory aborts with
-    DivergedState if the state leaves the overflow guard region.
+    chain recursion alone.  States are checked where they are made: x0
+    once, in :class:`SimConfig`, and each step's output in
+    :func:`rk4_step`; the stages in between run unchecked.  A given
+    ``chain`` must have been built from this system at this precision.
+    The trajectory aborts with DivergedState if a step's output is not
+    finite or leaves the overflow guard region.
     """
     dt = precision.dtype
     if chain is None:
@@ -108,26 +117,28 @@ def simulate(sys: StateSpace, poles, cfg: SimConfig,
         K = law.gain()
 
         def control(x):
-            return -(K @ x)
+            return -K.dot(x)
     else:
-        def control(x):
-            return dt(law(x))
+        control = law._apply
 
     def derivative(t, x):
-        return A @ x + B * control(x)
+        return A.dot(x) + B * control(x)
 
     steps = int(round(cfg.T / cfg.h))
     times = np.zeros(steps + 1)
     states = np.zeros((steps + 1, sys.n), dtype=dt)
     states[0] = cfg.x0.astype(dt)
     h = dt(cfg.h)
-    for i in range(steps):
-        times[i + 1] = times[i] + cfg.h
-        states[i + 1] = rk4_step(derivative, dt(times[i]), states[i], h)
-        if np.linalg.norm(states[i + 1].astype(np.float64)) > OVERFLOW_GUARD:
-            raise DivergedState(
-                f"state norm exceeded {OVERFLOW_GUARD:.0e} at t = {times[i + 1]:.3f}"
-            )
+    # a stage that overflows ends in rk4_step's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            times[i + 1] = times[i] + cfg.h
+            states[i + 1] = rk4_step(derivative, dt(times[i]), states[i], h)
+            v = states[i + 1].astype(np.float64)
+            if math.sqrt(v.dot(v)) > OVERFLOW_GUARD:
+                raise DivergedState(
+                    f"state norm exceeded {OVERFLOW_GUARD:.0e} at t = {times[i + 1]:.3f}"
+                )
     return Trace(times, states.astype(np.float64))
 
 

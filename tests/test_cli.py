@@ -173,6 +173,24 @@ def test_place_overflowing_krylov_column_exits_typed(tmp_path, capsys):
             2, "PrecisionOverflow: Krylov column A^2 B is beyond the 64-bit range\n"), algo
 
 
+# finite in float32, but a level's product is not; unchecked, the first
+# and the last case ended in a ValueError traceback, the second in K = 0
+@pytest.mark.parametrize("text, name", [
+    ("2 3\n0 1e30 0\n-1e30 0 1\n", "A_(t,1) A"),
+    ("2 3\n0 0 1e18\n1e30 0 0\n", "quotient input B_(1)"),
+    ("3 4\n0 0 0 1e18\n1e30 0 0 0\n0 1 0 0\n", "quotient input B_(1)"),
+], ids=["transfer-map", "last-quotient-input", "inner-quotient-input"])
+def test_chain_level_beyond_the_32bit_range_exits_typed(tmp_path, text, name, capsys):
+    path = tmp_path / "chain.txt"
+    path.write_text(text)
+    poles = ",".join(str(-k) for k in range(1, int(text[0]) + 1))
+    for command in (["place", "--algo", "algebroid2"], ["simulate"]):
+        code = cli.main(command + ["--system", str(path), "--poles", poles,
+                                   "--precision", "32"])
+        assert (code, capsys.readouterr()) == (
+            2, ("", f"PrecisionOverflow: level 1: {name} is beyond the 32-bit range\n"))
+
+
 def test_place_reports_nan_error_for_nonfinite_spectrum(tmp_path, capsys):
     big_a = tmp_path / "big_a.txt"
     big_a.write_text(WORKED_TEXT.replace("1 3 5 1", "1e200 3 5 1"))
@@ -354,11 +372,32 @@ def test_simulate_casts_its_system_once(worked_system, monkeypatch, capsys):
     (["--T", "0"], "-1,-2,-3", "need T > 0 and 0 < h <= T"),
     ([], "1i,-1i,-3", "the default horizon needs poles with nonzero real part"),
     (["--x0", "nan,1,2", "--T", "1"], "-1,-2,-3", "vector entries must be finite"),
-], ids=["negative-T", "zero-h", "h-above-T", "zero-T", "imaginary-axis-pole", "nonfinite-x0"])
+    (["--T", "inf"], "-1,-2,-3", "need a finite step count T / h, got T = inf, h = 0.01"),
+    (["--T", "inf", "--h", "inf"], "-1,-2,-3",
+     "need a finite step count T / h, got T = inf, h = inf"),
+    (["--T", "1e200", "--h", "1e-200"], "-1,-2,-3",
+     "need a finite step count T / h, got T = 1e+200, h = 1e-200"),
+], ids=["negative-T", "zero-h", "h-above-T", "zero-T", "imaginary-axis-pole", "nonfinite-x0",
+        "infinite-T", "infinite-T-and-h", "overflowing-T-over-h"])
 def test_simulate_bad_horizon_or_step_is_usage_error(worked_system, flags, poles, message,
                                                      capsys):
     code = cli.main(["simulate", "--system", worked_system, "--poles", poles] + flags)
     assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))
+
+
+@pytest.mark.parametrize("mode, message", [
+    ("gain", "state norm exceeded 1e+12 at t = 0.500"),
+    ("chain", "derivative produced a non-finite state"),
+    ("both", "state norm exceeded 1e+12 at t = 0.500"),
+], ids=["gain", "chain", "both"])
+def test_simulate_32bit_divergence_exits_typed(tmp_path, mode, message, capsys):
+    # the chain-mode stages overflow inside the first step, the gain-mode
+    # state passes the guard after it: each ends in one typed line
+    path = tmp_path / "fast.txt"
+    path.write_text("2 3\n0 1e13 0\n-1e13 0 1\n")
+    code = cli.main(["simulate", "--system", str(path), "--poles", "-1,-2", "--T", "1",
+                     "--h", "0.5", "--precision", "32", "--mode", mode])
+    assert (code, capsys.readouterr()) == (2, ("", f"DivergedState: {message}\n"))
 
 
 def test_simulate_family_route(tmp_path):

@@ -566,6 +566,35 @@ def test_gain_from_chain_integer_family_bitwise(n, precision):
                      [(poles,), (poles[::-1],)])
 
 
+@pytest.mark.parametrize("precision", [BITS32, BITS64], ids=["32", "64"])
+def test_chain_law_and_simulate_sweep_bitwise_equal_to_reference(precision):
+    # seeded Gaussian systems, n = 1..12: the law's checked entry and both
+    # simulated modes keep 1.0.0's bits, whatever the state's scale
+    rng = np.random.default_rng(1414)
+    simulated = 0
+    for n in range(1, 13):
+        sys = StateSpace(rng.standard_normal((n, n)), rng.standard_normal(n))
+        poles = [-0.5 - k for k in range(n % 2)] + [
+            complex(-1.0 - k, s * (k + 1.0)) for k in range(n // 2) for s in (1, -1)]
+        chain, ref_chain = build_anchor_chain(sys, precision), ref.anchor_chain(sys, precision)
+        assert ref.outcome(_levels, chain) == ref.outcome(_levels, ref_chain)
+        states = [(rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 4),) for _ in range(5)]
+        assert_same_bits(ChainFeedback(chain, poles=poles),
+                         functools.partial(ref.placement.feedback_eval, ref_chain, poles=poles),
+                         states + [(np.zeros(n),), (-np.zeros(n),)])
+        x0 = rng.standard_normal(n).tolist()
+        for mode in ("gain", "chain"):
+            out, = assert_same_bits(
+                lambda: simulate(sys, poles, SimConfig(T=1.0, h=0.1, x0=x0, feedback=mode),
+                                 chain=chain, precision=precision),
+                lambda: ref.sim.simulate(ref.state_space(sys), poles,
+                                         ref.sim.SimConfig(T=1.0, h=0.1, x0=x0, feedback=mode),
+                                         chain=ref_chain, precision=ref.precision(precision)),
+                [()])
+            simulated += not isinstance(out, tuple)
+    assert simulated == 24  # no case hides behind an equal exception
+
+
 def test_chain_law_uncontrollable_raises_when_bound():
     for sys in (UNCTRL, StateSpace([[2.0]], [0.0])):
         chain = build_anchor_chain(sys)

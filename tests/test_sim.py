@@ -1,12 +1,18 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from poleplace import linalg
 from poleplace.bench import gen_scaled_diagonal
 from poleplace.errors import DivergedState
 from poleplace.linalg import BITS32
 from poleplace.placement import StateSpace, build_anchor_chain, gain_from_chain
 from poleplace.sim import SimConfig, Trace, default_horizon, rk4_step, simulate, trace_diff
+
+import _reference as ref
+from _reference import assert_same_bits
 
 WORKED = StateSpace([[1, 3, 5], [7, 13, 17], [1, 1, 1]], [1, 1, 1])
 POLES = [-1.0, -2.0, -3.0]
@@ -97,6 +103,30 @@ def test_simulate_diverged_state_guard():
         simulate(WORKED, [3.0, 2.0, 1.0], cfg)
 
 
+def test_chain_simulate_checks_states_once_not_per_stage(monkeypatch):
+    # x0 is checked in SimConfig and each step's output in rk4_step; the
+    # four stages of a step go to the law unchecked
+    calls = []
+    real = linalg.as_vector
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("poleplace.") and getattr(module, "as_vector", None) is real:
+            monkeypatch.setattr(module, "as_vector", counted)
+    chain = build_anchor_chain(WORKED)
+    counts = {}
+    for steps in (5, 50):
+        cfg = SimConfig(T=steps * 0.01, h=0.01, x0=[1.0, 2.0, 3.0], feedback="chain")
+        calls.clear()
+        trace = simulate(WORKED, POLES, cfg, chain=chain)
+        assert len(trace.times) == steps + 1
+        counts[steps] = len(calls)
+    assert counts[50] == counts[5] <= 1
+
+
 def test_simulate_rejects_foreign_chain():
     other = StateSpace([[0, 1, 0], [0, 0, 1], [-1, -2, -3]], [0, 0, 1])
     for mode in ("gain", "chain"):
@@ -179,6 +209,24 @@ def test_trace_csv_format():
     assert len(lines) == 3
 
 
+def test_trace_csv_bytes_equal_reference():
+    # -0.0, subnormals, 1e+-300 and float32-rounded values, in float64 and
+    # float32 arrays, and a simulated 32-bit trace
+    f32 = np.array([0.1, -1 / 3, 3e38, 1e-40], dtype=np.float32)
+    cfg = SimConfig(T=1.0, h=0.25, x0=[1.0, 2.0, 3.0], feedback="chain")
+    simulated = simulate(WORKED, POLES, cfg, precision=BITS32)
+    assert_same_bits(lambda t, x: Trace(t, x).to_csv(),
+                     lambda t, x: ref.sim.Trace(t, x).to_csv(), [
+        (np.array([0.0, 0.1, 0.30000000000000004]),
+         np.array([[-0.0, 5e-324, 1e300], [-1e-300, 2.2250738585072014e-309, -1e300],
+                   [1.0, -2.5, 7e22]])),
+        (np.array([0.0, 0.25]), np.vstack([f32, -f32]).astype(np.float64)),
+        (np.array([0.0, 0.25], dtype=np.float32), np.vstack([f32, -f32])),
+        (np.array([1e-320]), np.array([[-0.0]])),
+        (simulated.times, simulated.states),
+    ])
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(T=0.0, h=0.01, x0=[1.0])
@@ -186,3 +234,6 @@ def test_sim_config_validation():
         SimConfig(T=1.0, h=2.0, x0=[1.0])
     with pytest.raises(ValueError):
         SimConfig(T=1.0, h=0.1, x0=[1.0], feedback="other")
+    for T, h in ((np.inf, 0.01), (np.inf, np.inf), (1e200, 1e-200)):
+        with pytest.raises(ValueError, match="need a finite step count T / h"):
+            SimConfig(T=T, h=h, x0=[1.0])
