@@ -20,6 +20,32 @@ from math import gcd as _gcd
 from .errors import UncontrollableSystem, ZeroVector
 
 
+def _annihilator_terms(v) -> list:
+    """The n-1 rows of :func:`nullspace_row` for a nonzero integer list
+    ``v`` of length n >= 2, each as its nonzero terms: ``((k, 1),)`` for a
+    unit row e_k, or ``((j, c_j), (k, c_k))`` for c_j e_j + c_k e_k.
+
+    Row j is e_j when v[j] is zero; otherwise it couples j with the next
+    nonzero entry k, as (v[k] e_j - v[j] e_k) / gcd(v[j], v[k]); if no later
+    entry is nonzero, it is e_(n-1).
+    """
+    n = len(v)
+    rows = []
+    for j in range(n - 1):
+        if v[j] == 0:
+            rows.append(((j, 1),))
+            continue
+        k = j + 1
+        while v[k] == 0 and k < n - 1:
+            k += 1
+        if v[k] != 0:
+            g = _gcd(v[k], v[j])
+            rows.append(((j, v[k] // g), (k, -v[j] // g)))
+        else:
+            rows.append(((k, 1),))
+    return rows
+
+
 def nullspace_row(v) -> list:
     """Integer annihilator of a single nonzero integer vector.
 
@@ -28,6 +54,8 @@ def nullspace_row(v) -> list:
     nonzero entry, divided by their GCD; a zero entry j yields the unit
     row e_j.  This sequential construction (rather than a general
     Hermite-form kernel) keeps entry growth bounded by the pairwise GCDs.
+    Each row has at most two nonzeros; this is the dense form of
+    :func:`_annihilator_terms`.
     """
     v = [int(x) for x in v]
     n = len(v)
@@ -36,20 +64,10 @@ def nullspace_row(v) -> list:
     if n < 2:
         raise ValueError("need at least two entries")
     rows = []
-    for j in range(n - 1):
+    for terms in _annihilator_terms(v):
         lit = [0] * n
-        if v[j] == 0:
-            lit[j] = 1
-        else:
-            k = j + 1
-            while v[k] == 0 and k < n - 1:
-                k += 1
-            if v[k] != 0:
-                g = _gcd(abs(v[k]), abs(v[j]))
-                lit[k] = -v[j] // g
-                lit[j] = v[k] // g
-            else:
-                lit[k] = 1
+        for k, c in terms:
+            lit[k] = c
         rows.append(lit)
     return rows
 
@@ -75,10 +93,9 @@ def _combine(acc, row, Ynz):
 def mat_mul(X, Y):
     """Product X Y as row combinations: row i is the sum of X[i][k] * Y[k].
 
-    Only nonzero X[i][k] and the nonzero entries of each Y[k] take part:
-    the annihilator rows of :func:`place_exact` have at most two nonzeros,
-    so most dense multiply-adds would be by zero.  Ring addition is exact,
-    so every entry equals the dense sum; an entry with no nonzero term is
+    Only nonzero X[i][k] and the nonzero entries of each Y[k] take part,
+    so a sparse factor costs its nonzeros.  Ring addition is exact, so
+    every entry equals the dense sum; an entry with no nonzero term is
     the int 0.
     """
     width = len(Y[0]) if Y else 0
@@ -155,7 +172,11 @@ def place_exact(A, B, charpoly) -> ExactGain:
 
     The quotient sweep cancels the current input vector with an integer
     annihilator ``anb_s`` (:func:`nullspace_row`); only ring operations
-    and GCDs occur, so every intermediate stays an integer.  With
+    and GCDs occur, so every intermediate stays an integer.  Each row of
+    ``anb_s`` has at most two nonzeros, so it is kept as its terms
+    (:func:`_annihilator_terms`): a row of ``anb_s Y`` is c_j Y[j] + c_k Y[k]
+    or a copy of Y[k], and the row ``P`` is carried back through the same
+    terms.  With
     ``P_s = anb_s ... anb_1``, level s's reduced matrix is ``P_s A^s`` and
     its gain numerator is ``P_s phi_s(A)``, phi_s being phi's terms of
     degree at most s.  So the annihilators sweep the controllability
@@ -178,14 +199,24 @@ def place_exact(A, B, charpoly) -> ExactGain:
             raise UncontrollableSystem(
                 f"quotient input vanished exactly at level {step}"
             )
-        anbs.append(nullspace_row(Bb))
-        Y = mat_mul(anbs[-1], [row[1:] for row in Y])
+        anbs.append(_annihilator_terms(Bb))
+        rest = [row[1:] for row in Y]
+        Y = []
+        for terms in anbs[-1]:
+            if len(terms) == 1:  # a unit row e_k selects row k
+                Y.append(rest[terms[0][0]])
+            else:
+                (j, cj), (k, ck) = terms
+                Y.append([cj * a + ck * b for a, b in zip(rest[j], rest[k])])
     den = Y[0][0]
     if den == 0:
         raise UncontrollableSystem("exact denominator Ab.B is zero")
     P = [1]
-    for anb in reversed(anbs):
-        P = mat_mul([P], anb)[0]
+    for anb in reversed(anbs):  # P = P anb, one stored term at a time
+        prev, P = P, [0] * (len(anb) + 1)
+        for p, terms in zip(prev, anb):
+            for k, c in terms:
+                P[k] += p * c
     Anz = _nonzeros(A)
     num = P
     for c in pp[1:]:  # phi(A) = (...(A + p1 I) A + ...) A + pn I

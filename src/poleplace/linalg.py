@@ -27,7 +27,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .errors import FactorizationError, InvalidPoleSet, SingularSystem
+from .errors import FactorizationError, InvalidPoleSet, PrecisionOverflow, SingularSystem
 
 
 class Precision:
@@ -65,6 +65,24 @@ def as_precision(mode) -> Precision:
 def _precision_of(x) -> Precision:
     """The one dtype rule: float32 arrays are 32-bit, all else 64-bit."""
     return BITS32 if getattr(x, "dtype", None) == np.float32 else BITS64
+
+
+def _in_precision(values, precision: Precision, what: str) -> np.ndarray:
+    """Float64 ``values`` in ``precision``, checked where they are cast.
+
+    Only the float32 cast can overflow: a value finite in float64 but
+    past the 32-bit range raises :class:`PrecisionOverflow` ("{what}
+    beyond the 32-bit range", ``what`` naming the values, e.g. "x0 has
+    entries") where numpy would warn and give inf.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if precision.bits == 64:
+        return values
+    with np.errstate(over="ignore"):  # reported below
+        cast = values.astype(np.float32)
+    if np.any(np.isinf(cast) & np.isfinite(values)):
+        raise PrecisionOverflow(f"{what} beyond the 32-bit range")
+    return cast
 
 
 def as_matrix(M, precision: Precision | None = None) -> np.ndarray:

@@ -57,6 +57,7 @@ from .linalg import (
     BITS64,
     THRESHOLDS,
     Precision,
+    _in_precision,
     _precision_of,
     as_matrix,
     as_vector,
@@ -94,15 +95,9 @@ class StateSpace:
 
 
 def _sys_arrays(sys: StateSpace, precision: Precision):
-    """A and B in ``precision``; only the float32 cast can overflow."""
-    if precision.bits == 64:
-        return sys.A.astype(np.float64), sys.B.astype(np.float64)
-    with np.errstate(over="ignore"):  # the overflow is reported below
-        arrays = sys.A.astype(np.float32), sys.B.astype(np.float32)
-    for name, M in zip("AB", arrays):
-        if not np.isfinite(M).all():
-            raise PrecisionOverflow(f"{name} has entries beyond the 32-bit range")
-    return arrays
+    """A and B in ``precision``, range-checked (:func:`_in_precision`)."""
+    return (_in_precision(sys.A, precision, "A has entries"),
+            _in_precision(sys.B, precision, "B has entries"))
 
 
 def _pole_list(poles, n: int, real: bool = False) -> list:
@@ -124,9 +119,14 @@ def _pole_list(poles, n: int, real: bool = False) -> list:
 def _check_poles(sys: StateSpace, poles, precision: Precision, real: bool = False):
     """The checks of a pole-driven placement, in order: the pole list
     (:func:`_pole_list`), the placement's one cast of ``sys`` to
-    ``precision``, and B not identically zero there.  Returns (A, B, roots)."""
+    ``precision``, the range of the pole factors it casts there (a real
+    pole, or a complex pair's 2 Re l and |l|^2), and B not identically
+    zero.  Returns (A, B, roots)."""
     roots = _pole_list(poles, sys.n, real)
     A, B = _sys_arrays(sys, precision)
+    if precision.bits == 32:
+        _in_precision([c for step in pole_steps(roots) for c in step], precision,
+                      "pole list has entries")
     if not np.any(B):
         raise UncontrollableSystem("B = 0")
     return A, B, roots
@@ -208,7 +208,7 @@ def ackermann_direct(sys: StateSpace, poles=None, precision: Precision = BITS64,
     A, B = _sys_arrays(sys, precision)
     crow = inverse_ctrb_last_row(A, B)
     Phi = np.eye(sys.n, dtype=A.dtype)
-    for c in cp[1:].astype(A.dtype):
+    for c in _in_precision(cp[1:], precision, "charpoly has coefficients"):
         Phi = A @ Phi + c * np.eye(sys.n, dtype=A.dtype)
     return crow @ Phi
 
@@ -528,7 +528,8 @@ class ChainFeedback:
             if not np.any(B):
                 raise UncontrollableSystem("B = 0")
             cp = poly_from_roots(roots)
-        pp = cp[::-1].astype(A.dtype)  # constant term first, [p_n, ..., p_1, 1]
+        # constant term first, [p_n, ..., p_1, 1]
+        pp = _in_precision(cp[::-1], self.precision, "charpoly has coefficients")
         if self.n == 1:
             # (a + p)/b x rounds differently from the general p x + a x over b
             if B[0] == 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedState
-from .linalg import BITS64, Precision, _precision_of, as_vector
+from .linalg import BITS64, Precision, _in_precision, _precision_of, as_vector
 from .placement import AnchorChain, ChainFeedback, StateSpace, build_anchor_chain
 from .placement import feedback_eval  # noqa: F401 - perfbench's tracer test wraps sim.feedback_eval
 
@@ -41,6 +41,15 @@ class SimConfig:
         if self.feedback not in ("gain", "chain"):
             raise ValueError("feedback must be 'gain' or 'chain'")
         object.__setattr__(self, "x0", as_vector(self.x0))
+        # the trace holds steps + 1 float64 rows of n entries
+        if (self.steps + 1) * self.x0.size * 8 > np.iinfo(np.intp).max:
+            raise ValueError(f"step count T / h = {self.T / self.h:.3g} is too large "
+                             f"for the trace, T = {self.T}, h = {self.h}")
+
+    @property
+    def steps(self) -> int:
+        """The number of RK4 steps, T / h rounded."""
+        return int(round(self.T / self.h))
 
 
 @dataclass(frozen=True)
@@ -124,14 +133,13 @@ def simulate(sys: StateSpace, poles, cfg: SimConfig,
     def derivative(t, x):
         return A.dot(x) + B * control(x)
 
-    steps = int(round(cfg.T / cfg.h))
-    times = np.zeros(steps + 1)
-    states = np.zeros((steps + 1, sys.n), dtype=dt)
-    states[0] = cfg.x0.astype(dt)
-    h = dt(cfg.h)
+    times = np.zeros(cfg.steps + 1)
+    states = np.zeros((cfg.steps + 1, sys.n), dtype=dt)
+    states[0] = _in_precision(cfg.x0, precision, "x0 has entries")
+    h = _in_precision(cfg.h, precision, "the step h is")[()]
     # a stage that overflows ends in rk4_step's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps):
+        for i in range(cfg.steps):
             times[i + 1] = times[i] + cfg.h
             states[i + 1] = rk4_step(derivative, dt(times[i]), states[i], h)
             v = states[i + 1].astype(np.float64)

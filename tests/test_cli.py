@@ -377,12 +377,64 @@ def test_simulate_casts_its_system_once(worked_system, monkeypatch, capsys):
      "need a finite step count T / h, got T = inf, h = inf"),
     (["--T", "1e200", "--h", "1e-200"], "-1,-2,-3",
      "need a finite step count T / h, got T = 1e+200, h = 1e-200"),
+    # counts past what the trace can index, rejected before any allocation
+    (["--T", "1e300", "--h", "1"], "-1,-2,-3",
+     "step count T / h = 1e+300 is too large for the trace, T = 1e+300, h = 1.0"),
+    (["--T", "1e20", "--h", "1e-10"], "-1,-2,-3",
+     "step count T / h = 1e+30 is too large for the trace, T = 1e+20, h = 1e-10"),
 ], ids=["negative-T", "zero-h", "h-above-T", "zero-T", "imaginary-axis-pole", "nonfinite-x0",
-        "infinite-T", "infinite-T-and-h", "overflowing-T-over-h"])
+        "infinite-T", "infinite-T-and-h", "overflowing-T-over-h", "huge-step-count",
+        "step-count-past-the-index-range"])
 def test_simulate_bad_horizon_or_step_is_usage_error(worked_system, flags, poles, message,
                                                      capsys):
     code = cli.main(["simulate", "--system", worked_system, "--poles", poles] + flags)
     assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))
+
+
+@pytest.mark.parametrize("algo", sorted(placement.ALGORITHMS))
+def test_place_poles_beyond_the_32bit_range_exit_typed(worked_system, algo, capsys):
+    # finite poles whose float32 cast overflows: one typed line, no numpy
+    # warning (the suite turns warnings into errors); algebroid2 casts the
+    # characteristic polynomial instead of the poles
+    code = cli.main(["place", "--algo", algo, "--system", worked_system,
+                     "--poles", "-1e39,-2,-3", "--precision", "32"])
+    what = "charpoly has coefficients" if algo == "algebroid2" else "pole list has entries"
+    assert (code, capsys.readouterr()) == (
+        2, ("", f"PrecisionOverflow: {what} beyond the 32-bit range\n"))
+
+
+@pytest.mark.parametrize("algo, flag, value", [
+    ("ackermann", "--charpoly", "1,6,11,1e39"),
+    ("algebroid2", "--charpoly", "1,6,11,1e39"),
+    # each pole fits float32, the coefficient 1e40 + 6e20 does not
+    ("algebroid2", "--poles", "-1e20,-1e20,-3"),
+    # each pole fits float32, the pair's |l|^2 = 2e40 does not
+    ("ackermann-factored", "--poles", "-1e20+1e20i,-1e20-1e20i,-3"),
+])
+def test_place_coefficients_beyond_the_32bit_range_exit_typed(worked_system, algo, flag,
+                                                             value, capsys):
+    code = cli.main(["place", "--algo", algo, "--system", worked_system, flag, value,
+                     "--precision", "32"])
+    what = "pole list has entries" if algo == "ackermann-factored" else "charpoly has coefficients"
+    assert (code, capsys.readouterr()) == (
+        2, ("", f"PrecisionOverflow: {what} beyond the 32-bit range\n"))
+    # the same input at 64 bits casts nothing
+    code = cli.main(["place", "--algo", algo, "--system", worked_system, flag, value])
+    assert code == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, what", [
+    (["--x0", "1e39,1,2", "--T", "1"], "x0 has entries"),
+    (["--T", "1e39", "--h", "1e39"], "the step h is"),
+], ids=["x0", "h"])
+@pytest.mark.parametrize("mode", ["gain", "chain", "both"])
+def test_simulate_values_beyond_the_32bit_range_exit_typed(worked_system, flags, what, mode,
+                                                           capsys):
+    code = cli.main(["simulate", "--system", worked_system, "--poles", "-1,-2,-3",
+                     "--precision", "32", "--mode", mode] + flags)
+    assert (code, capsys.readouterr()) == (
+        2, ("", f"PrecisionOverflow: {what} beyond the 32-bit range\n"))
 
 
 @pytest.mark.parametrize("mode, message", [
