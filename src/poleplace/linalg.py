@@ -476,38 +476,61 @@ THRESHOLDS = {
 # Linear solves (partial-pivoting LU)
 
 
-def _lu_factor(A: np.ndarray):
-    """Partial-pivot LU in-place; returns (lu, piv, pivmin).
+def _lu_eliminate(M: np.ndarray, rhs):
+    """Partial-pivot elimination of a stack M of m n x n systems, with the
+    right-hand sides ``rhs`` (broadcast to m x n) carried as column n, so
+    that the elimination performs the forward substitution.  Returns
+    (lu, pivmin): per system its factors beside its permuted,
+    forward-substituted right-hand side (m x n x (n + 1)), and its
+    smallest pivot magnitude (a NaN pivot does not count).
 
-    Elimination continues through small pivots (stopping only at an exact
-    zero, where the remaining factorization is undefined); callers decide
-    what pivot magnitude counts as singular for their purpose.
-
-    At n <= 12 the cost is numpy dispatch, so each step uses the cheapest
-    call that performs the same IEEE operations: a row swap through a
-    copy, the pivot list in Python, ``l[:, None] * r`` for the multiply
-    ``np.outer`` performs.
+    The pivot search (first largest magnitude), the division and the
+    rank-one update are each one elementwise operation over the stack, and
+    rows are swapped only in systems whose pivot row moved, so each system
+    gets the bits of its own elimination.  A system that meets an exact
+    zero pivot has pivmin 0.0 and its remaining rows are zeroed and
+    divided by 1, so the other systems see no warning; its factors past
+    that pivot are undefined.  :func:`_back_substitute` decides what
+    counts as singular.
     """
-    lu = A.copy()
-    n = lu.shape[0]
-    piv = list(range(n))
-    pivmin = np.inf
+    m, n = M.shape[:2]
+    lu = np.empty((m, n, n + 1), dtype=M.dtype)
+    lu[..., :n] = M
+    lu[..., n] = rhs
     for k in range(n):
-        p = k + int(np.abs(lu[k:, k]).argmax())
-        if p != k:
-            row = lu[k].copy()
-            lu[k] = lu[p]
-            lu[p] = row
-            piv[k], piv[p] = piv[p], piv[k]
-        pivot = lu[k, k]
-        pivmin = min(pivmin, abs(float(pivot)))
-        if pivot == 0.0:
-            return lu, np.array(piv), 0.0
+        for s, p in enumerate(np.abs(lu[:, k:, k]).argmax(1).tolist()):
+            if p:
+                row = lu[s, k].copy()
+                lu[s, k] = lu[s, k + p]
+                lu[s, k + p] = row
+        pivot = lu[:, k, k:k + 1]
+        if 0.0 in lu[:, k, k].tolist():
+            zero = pivot == 0.0
+            lu[zero[:, 0], k:, k:] = 0.0
+            pivot = np.where(zero, 1.0, pivot)
         if k + 1 < n:
-            col = lu[k + 1:, k]
+            col = lu[:, k + 1:, k]
             col /= pivot
-            lu[k + 1:, k + 1:] -= col[:, None] * lu[k, k + 1:]
-    return lu, np.array(piv), pivmin
+            lu[:, k + 1:, k + 1:] -= col[:, :, None] * lu[:, k:k + 1, k + 1:]
+    # min skips a NaN pivot: the first pivot, an entry of M, is finite
+    return lu, [min(map(abs, d)) for d in lu.diagonal(0, 1, 2).tolist()]
+
+
+def _back_substitute(lu: np.ndarray, pivmin: float, scale) -> np.ndarray:
+    """The solution of one system of :func:`_lu_eliminate` (its slice of
+    lu and its pivmin), one BLAS dot per row.  Raises
+    :class:`SingularSystem` first when pivmin is at or below the
+    ``lu_pivot`` bound, eps * n * scale, scale being max|A| of the system."""
+    n = lu.shape[0]
+    if pivmin <= THRESHOLDS["lu_pivot"](_precision_of(lu), n, scale):
+        raise SingularSystem(
+            f"matrix numerically singular (pivot {pivmin:.3e}, scale {scale:.3e})"
+        )
+    x = lu[:, n].copy()
+    x[n - 1] /= lu[n - 1, n - 1]  # the empty dot of the last row is skipped
+    for k in range(n - 2, -1, -1):
+        x[k] = (x[k] - lu[k, k + 1:n] @ x[k + 1:]) / lu[k, k]
+    return x
 
 
 def solve_linear(A, b) -> np.ndarray:
@@ -522,19 +545,8 @@ def solve_linear(A, b) -> np.ndarray:
     n = A.shape[0]
     if A.shape[1] != n or b.size != n:
         raise ValueError("solve_linear requires square A conformal with b")
-    scale = np.abs(A).max()
-    lu, piv, pivmin = _lu_factor(A)
-    if pivmin <= THRESHOLDS["lu_pivot"](precision, n, scale):
-        raise SingularSystem(
-            f"matrix numerically singular (pivot {pivmin:.3e}, scale {scale:.3e})"
-        )
-    x = b[piv]
-    for k in range(n - 1):  # forward substitution, unit lower triangle
-        x[k + 1:] -= lu[k + 1:, k] * x[k]
-    x[n - 1] /= lu[n - 1, n - 1]  # back substitution; the empty dot is skipped
-    for k in range(n - 2, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-    return x
+    lu, pivmin = _lu_eliminate(A[None], b)
+    return _back_substitute(lu[0], pivmin[0], np.abs(A).max())
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,9 @@ from .linalg import (
     BITS64,
     THRESHOLDS,
     Precision,
+    _back_substitute,
     _in_precision,
+    _lu_eliminate,
     _precision_of,
     as_matrix,
     as_vector,
@@ -100,12 +102,13 @@ def _sys_arrays(sys: StateSpace, precision: Precision):
             _in_precision(sys.B, precision, "B has entries"))
 
 
-def _pole_list(poles, n: int, real: bool = False) -> list:
+def _pole_list(poles, n: int, real: bool = False):
     """A checked list of n poles: finite and conjugate-closed
     (:func:`~poleplace.linalg.pole_steps`), all real when ``real``
-    (returned as floats, else as complex)."""
+    (returned as floats, else as complex).  Returns (roots, steps), steps
+    being the poles' :func:`~poleplace.linalg.pole_steps`."""
     roots = [complex(p) for p in poles]
-    pole_steps(roots)
+    steps = pole_steps(roots)
     if real:
         for z in roots:
             if z.imag != 0.0:
@@ -113,7 +116,7 @@ def _pole_list(poles, n: int, real: bool = False) -> list:
         roots = [z.real for z in roots]
     if len(roots) != n:
         raise InvalidPoleSet(f"expected {n} poles, got {len(roots)}")
-    return roots
+    return roots, steps
 
 
 def _check_poles(sys: StateSpace, poles, precision: Precision, real: bool = False):
@@ -122,10 +125,10 @@ def _check_poles(sys: StateSpace, poles, precision: Precision, real: bool = Fals
     ``precision``, the range of the pole factors it casts there (a real
     pole, or a complex pair's 2 Re l and |l|^2), and B not identically
     zero.  Returns (A, B, roots)."""
-    roots = _pole_list(poles, sys.n, real)
+    roots, steps = _pole_list(poles, sys.n, real)
     A, B = _sys_arrays(sys, precision)
     if precision.bits == 32:
-        _in_precision([c for step in pole_steps(roots) for c in step], precision,
+        _in_precision([c for step in steps for c in step], precision,
                       "pole list has entries")
     if not np.any(B):
         raise UncontrollableSystem("B = 0")
@@ -244,26 +247,58 @@ def hyperplane_point(A, B, lam: float, j: int) -> np.ndarray:
     A, B = as_matrix(A), as_vector(B)
     if not 0 <= j < B.size:
         raise ValueError(f"row index {j} out of range")
+    return _hyperplane_points(A, B, [lam], j)[0]
+
+
+def _hyperplane_points(A, B, roots, j: int) -> np.ndarray:
+    """Row i is :func:`hyperplane_point` of roots[i], for arrays already
+    checked: one elementwise expression for all the poles."""
     bj = float(B[j])
     if abs(bj) <= THRESHOLDS["placement_pivot"](_precision_of(A), float(np.max(np.abs(B)))):
         raise ZeroInputComponent(f"b[{j}] = {bj} is too small for the point formula")
     e = np.zeros(B.size, dtype=A.dtype)
     e[j] = 1.0
-    return (A[j, :] - A.dtype.type(lam) * e) / A.dtype.type(bj)
+    return (A[j, :] - np.array(roots, dtype=A.dtype)[:, None] * e) / A.dtype.type(bj)
 
 
 def hyperplane_normal(A, B, lam: float) -> np.ndarray:
     """Normal n of the pole-lam gain hyperplane {k : k . n = 1}: solve
     (A - lam I) n = B."""
     A, B = as_matrix(A), as_vector(B)
-    shifted = A - A.dtype.type(lam) * np.eye(B.size, dtype=A.dtype)
-    try:
-        normal = solve_linear(shifted, B)
-    except SingularSystem as exc:
-        raise SingularShift(f"A - ({lam}) I is numerically singular") from exc
-    if not np.any(normal):
-        raise ValueError("hyperplane normal must be nonzero")
-    return normal
+    return _hyperplane_normals(A, as_vector(B, _precision_of(A)), [lam])[0]
+
+
+def _hyperplane_normals(A, B, roots) -> list:
+    """:func:`hyperplane_normal` of each pole in ``roots``, for arrays
+    already checked: the shifted matrices A - l I are eliminated as one
+    stack (:func:`~poleplace.linalg._lu_eliminate`).  Poles are taken in
+    order, each warning as its own solve would, and the first that fails
+    raises what its solve would: ``ValueError`` when A - l I is not
+    finite, :class:`SingularShift` from :class:`SingularSystem`, or
+    ``ValueError`` for a zero normal."""
+    lams = np.array(roots, dtype=A.dtype)[:, None, None]
+    with np.errstate(over="ignore"):  # reported below
+        shifted = A - lams * np.eye(B.size, dtype=A.dtype)
+    finite = np.isfinite(shifted).all(axis=(1, 2)).tolist()
+    shifted = shifted[:finite.index(False)] if False in finite else shifted
+    with np.errstate(over="ignore", invalid="ignore"):  # warned pole by pole below
+        lu, pivmin = _lu_eliminate(shifted, B)
+    finite_lu = np.isfinite(lu).all(axis=(1, 2)).tolist()
+    scales = np.abs(shifted).max(axis=(1, 2))
+    normals = []
+    for s, lam in enumerate(roots[:len(lu)]):
+        if not finite_lu[s]:  # the warnings of this pole's own elimination
+            _lu_eliminate(shifted[s:s + 1], B)
+        try:
+            normal = _back_substitute(lu[s], pivmin[s], scales[s])
+        except SingularSystem as exc:
+            raise SingularShift(f"A - ({lam}) I is numerically singular") from exc
+        if not np.any(normal):
+            raise ValueError("hyperplane normal must be nonzero")
+        normals.append(normal)
+    if len(normals) < len(roots):
+        raise ValueError("matrix entries must be finite")
+    return normals
 
 
 def place_determinantal(sys: StateSpace, poles,
@@ -276,7 +311,7 @@ def place_determinantal(sys: StateSpace, poles,
     uncontrollable geometry.
     """
     A, B, roots = _check_poles(sys, poles, precision, real=True)
-    N = np.array([hyperplane_normal(A, B, lam) for lam in roots])
+    N = np.array(_hyperplane_normals(A, B, roots))
     ones = np.ones(sys.n, dtype=A.dtype)
     try:
         return solve_linear(N, ones)
@@ -310,9 +345,8 @@ def _slide_denominator(base, direction, what: str) -> float:
 def _slide(A, B, roots) -> list:
     """The point reached on each plane in turn; the last is the gain."""
     n = B.size
-    normals = [hyperplane_normal(A, B, lam) for lam in roots]
-    j = int(np.argmax(np.abs(B)))
-    seeds = [hyperplane_point(A, B, lam, j) for lam in roots]
+    normals = _hyperplane_normals(A, B, roots)
+    seeds = _hyperplane_points(A, B, roots, int(np.argmax(np.abs(B))))
     # after stage k, proj[i] is normal i after min(i, k) oblique projections
     proj = list(normals)
     eye = np.eye(n, dtype=A.dtype)
@@ -524,7 +558,7 @@ class ChainFeedback:
         self.n = B.size
         cp = _given_charpoly(self.n, poles, charpoly)
         if cp is None:
-            roots = _pole_list(poles, self.n)
+            roots, _ = _pole_list(poles, self.n)
             if not np.any(B):
                 raise UncontrollableSystem("B = 0")
             cp = poly_from_roots(roots)

@@ -292,9 +292,11 @@ def test_solve_singular_raises():
 LU_CORPUS = {
     "random": lambda: (np.random.default_rng(n).standard_normal((n, n)) * scale
                        for n in range(1, 31) for scale in (1e-5, 1e-2, 1.0, 1e2, 1e5)),
-    # every matrix solve_linear factors in the integer-suite corpus
-    "integer-family-solves": lambda: (linalg.as_matrix(args[0])
-                                      for _, args in _suite_calls("solve_linear")),
+    # every matrix the integer-suite corpus factors: solve_linear's, and
+    # each shifted matrix A - l I of the hyperplane normals' stacks
+    "integer-family-solves": lambda: [
+        *(linalg.as_matrix(args[0]) for _, args in _suite_calls("solve_linear")),
+        *(M for _, args in _suite_calls("_lu_eliminate") for M in args[0])],
     # after one row swap the second pivot is an exact zero (early return)
     "zero-pivot": lambda: [np.array([[1.0, 1, 1], [2, 2, 5], [4, 4, 0]]),
                            np.array([[0.0, 1], [0.0, 2]]), np.zeros((3, 3))],
@@ -304,12 +306,69 @@ LU_CORPUS = {
 }
 
 
+def _ref_factors(M):
+    """1.0.0's LU factors and pivmin of M.  Past an exact zero pivot the
+    factorization is undefined: 1.0.0 stops there, and the stacked kernel
+    zeroes the trailing block, which this does too."""
+    lu, _, pivmin = ref.KERNELS["_lu_factor"](M)
+    if pivmin == 0.0:
+        k = int(np.flatnonzero(lu.diagonal() == 0.0)[0])
+        lu[k:, k:] = 0.0
+    return lu, pivmin
+
+
+def _assert_stack_matches_reference(stack):
+    """Eliminate the n x n matrices of ``stack`` (one format) as one stack
+    and compare each system with 1.0.0: the factors (the first n columns)
+    and pivmin with its ``_lu_factor``, the solution with its
+    ``solve_linear``."""
+    M = np.array(stack)
+    n = M.shape[1]
+    b = np.linspace(-1.0, 2.0, n).astype(M.dtype)
+    lu, pivmin = linalg._lu_eliminate(M, b)
+    assert len(pivmin) == len(stack)
+    for A, lu_i, pivmin_i in zip(stack, lu, pivmin):
+        assert ref._bits((lu_i[:, :n], pivmin_i)) == ref.outcome(_ref_factors, A)
+        solution = ref.outcome(linalg._back_substitute, lu_i, pivmin_i, np.abs(A).max())
+        assert solution == ref.outcome(ref.KERNELS["solve_linear"], A, b)
+
+
 @pytest.mark.parametrize("group", sorted(LU_CORPUS))
 def test_lu_kernel_bitwise_matches_reference(group):
     cases = [M.astype(dt) for M in LU_CORPUS[group]() for dt in (np.float32, np.float64)]
-    assert_same_bits(linalg._lu_factor, ref.KERNELS["_lu_factor"], [(M,) for M in cases])
+    stacks = {}
+    for M in cases:
+        _assert_stack_matches_reference([M])
+        stacks.setdefault((M.shape, M.dtype), []).append(M)
+    for stack in stacks.values():  # the whole corpus at once, by size and format
+        _assert_stack_matches_reference(stack)
     assert_same_bits(solve_linear, ref.KERNELS["solve_linear"],
                      [(M, np.linspace(-1.0, 2.0, M.shape[0]).astype(M.dtype)) for M in cases])
+
+
+@st.composite
+def _lu_system(draw, n, dt):
+    """A regular system, one of small integers whose columns tie in
+    magnitude, or one with a zero column, which meets an exact zero pivot
+    at that column's step of the elimination."""
+    kind = draw(st.sampled_from(["regular", "tied", "zero-pivot"]))
+    if kind == "tied":
+        entries = st.integers(-2, 2).map(float)
+    else:
+        entries = st.floats(-1e3, 1e3, allow_subnormal=False, width=32)
+    M = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)), dtype=dt).reshape(n, n)
+    if kind == "zero-pivot":
+        M[:, draw(st.integers(0, n - 1))] = 0.0
+    return M
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), m=st.integers(1, 6),
+       dt=st.sampled_from([np.float32, np.float64]))
+def test_lu_stacks_bitwise_match_reference(data, n, m, dt):
+    # under filterwarnings = error: no system warns because another one
+    # met a zero pivot
+    _assert_stack_matches_reference([data.draw(_lu_system(n, dt)) for _ in range(m)])
 
 
 def test_lu_corpus_reaches_early_return_and_ties():
@@ -321,6 +380,10 @@ def test_lu_corpus_reaches_early_return_and_ties():
     assert sum(np.count_nonzero(c == c.max()) > 1 for c in tied) > len(tied) // 2
     assert {M.dtype for M in LU_CORPUS["integer-family-solves"]()} == {
         np.dtype(np.float32), np.dtype(np.float64)}
+    # the shifted matrices of determinantal and sliding: n = 8..12, both
+    # formats and both pole orders
+    stacks = _suite_calls("_lu_eliminate")
+    assert sum(len(args[0]) for _, args in stacks) == 2 * 2 * 2 * sum(range(8, 13))
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +441,9 @@ def _integer_suite():
 def _integer_suite_corpus():
     """The integer-suite corpus, shared by every kernel test and recorded
     once per session: (kernel name, args) of every call of the five
-    reference kernels, which ``_integer_suite`` runs on, and of
-    ``eigenvalues``, and that run's records."""
+    reference kernels, which ``_integer_suite`` runs on, of
+    ``eigenvalues`` and of the stacked ``_lu_eliminate``, and that run's
+    records."""
     calls = []
 
     def recorder(name, fn):
@@ -391,7 +455,8 @@ def _integer_suite_corpus():
                 raise getattr(errors, type(exc).__name__)(*exc.args) from None
         return call
 
-    kernels = {**REFERENCE_KERNELS, "eigenvalues": linalg.eigenvalues}
+    kernels = {**REFERENCE_KERNELS, "eigenvalues": linalg.eigenvalues,
+               "_lu_eliminate": linalg._lu_eliminate}
     patch = pytest.MonkeyPatch()
     try:
         for module in (linalg, placement, algebroid, bench):

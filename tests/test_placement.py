@@ -13,6 +13,7 @@ from poleplace.errors import (
     InvalidPoleSet,
     ParallelHyperplanes,
     PlacementError,
+    SingularShift,
     UncontrollableSystem,
     ZeroInputComponent,
 )
@@ -222,7 +223,6 @@ def test_hyperplane_normals_worked_example():
 
 
 def test_hyperplane_normal_singular_shift():
-    from poleplace.errors import SingularShift
     sys = StateSpace(np.diag([1.0, 2.0]), [1.0, 1.0])
     with pytest.raises(SingularShift):
         hyperplane_normal(sys.A, sys.B, 1.0)  # shifting by an eigenvalue of A
@@ -278,6 +278,78 @@ def test_sliding_step_containment():
 def test_sliding_uncontrollable():
     with pytest.raises(DegenerateProjection):
         place_sliding(UNCTRL, POLES)
+
+
+# EIGEN_2 has the eigenvalue 2 and BIG the eigenvalue 2e38; at 32 bits,
+# BIG + 1e38 I overflows, STEEP - 3 I is singular and the elimination of
+# STEEP - I overflows
+EIGEN_2 = StateSpace([[1.0, 1, 0], [0, 2, 1], [0, 0, 3]], [0.0, 0, 1])
+BIG = StateSpace([[1e38, 1e38, 0], [0, 2e38, 1e38], [0, 0, 3e38]], [0.0, 0, 1])
+STEEP = StateSpace([[2.0, 3e38], [1, -3e38]], [1.0, 1])
+SHIFT_2 = ("SingularShift", "A - (2.0) I is numerically singular", "SingularSystem",
+           "matrix numerically singular (pivot 0.000e+00, scale 1.000e+00)")
+SHIFT_2E38 = ("SingularShift", "A - (2e+38) I is numerically singular", "SingularSystem",
+              "matrix numerically singular (pivot 0.000e+00, scale 1.000e+38)")
+OVERFLOW = ("ValueError", "matrix entries must be finite", None, None)
+SHIFT_3 = ("SingularShift", "A - (3.0) I is numerically singular", "SingularSystem",
+           "matrix numerically singular (pivot 0.000e+00, scale 3.000e+38)")
+
+
+@pytest.mark.parametrize("fn", [place_determinantal, place_sliding])
+@pytest.mark.parametrize("sys, poles, precision, expected", [
+    (EIGEN_2, [-1.0, 2.0, -3.0], BITS32, SHIFT_2),
+    (EIGEN_2, [-1.0, 2.0, -3.0], BITS64, SHIFT_2),
+    (BIG, [-1.0, 2e38, -1e38], BITS32, SHIFT_2E38),  # the overflow comes after
+    (BIG, [-1.0, -1e38, 2e38], BITS32, OVERFLOW),  # the overflow comes first
+    (BIG, [-1.0, -1e38, 2e38], BITS64, SHIFT_2E38),  # no overflow at 64 bits
+    (STEEP, [3.0, 1.0], BITS32, SHIFT_3),  # and no warning from the second pole
+], ids=["eigenvalue-32", "eigenvalue-64", "eigenvalue-then-overflow-32",
+        "overflow-then-eigenvalue-32", "overflow-then-eigenvalue-64",
+        "singular-then-overflowing-elimination-32"])
+def test_hyperplane_errors_come_in_pole_order(fn, sys, poles, precision, expected):
+    # the first pole that fails decides, as it did when each pole had its
+    # own solve: its class, its message and the message of its cause
+    # (under filterwarnings = error, a warning would fail this too)
+    with pytest.raises(Exception) as info:
+        fn(sys, poles, precision)
+    cause = info.value.__cause__
+    assert (type(info.value).__name__, str(info.value),
+            cause and type(cause).__name__, cause and str(cause)) == expected
+
+
+@pytest.mark.parametrize("fn", [place_determinantal, place_sliding])
+def test_overflowing_elimination_warns_as_its_own_solve(fn):
+    with pytest.raises(SingularShift, match=r"^A - \(1.0\) I is numerically singular$"):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in subtract"):
+            fn(STEEP, [1.0, 3.0], BITS32)
+
+
+def test_hyperplane_normals_and_points_bitwise_equal_to_reference():
+    # one elimination of all the shifted matrices gives each pole the bits
+    # of its own 1.0.0 solve, and the points those of 1.0.0's formula
+    rng = np.random.default_rng(59)
+    cases = [(gen_integer_example(n), [-(k + 1.0) for k in range(n)]) for n in range(3, 13)]
+    cases += [(StateSpace(rng.standard_normal((n, n)), rng.standard_normal(n)),
+               list(rng.uniform(-5.0, 5.0, n))) for n in range(1, 9)]
+    cases += [(WORKED, POLES), (UNCTRL, POLES), (EIGEN_2, [-1.0, 2.0, -3.0]),
+              (StateSpace(3.0 * np.eye(2), [0.0, 0.0]), [-1.0, -2.0])]
+    for precision in (BITS32, BITS64):
+        dt, ref_precision = precision.dtype, ref.precision(precision)
+        for sys, poles in cases:
+            A, B = _sys_arrays(sys, precision)
+            ref_sys = ref.state_space(sys)
+            j = int(np.argmax(np.abs(B)))
+            for order in (poles, poles[::-1]):
+                assert ref.outcome(placement._hyperplane_normals, A, B, order) == ref.outcome(
+                    lambda: [ref.placement.hyperplane_normal(ref_sys, lam, ref_precision)
+                             .normal.astype(dt) for lam in order])
+                assert ref.outcome(lambda: list(placement._hyperplane_points(A, B, order, j))) \
+                    == ref.outcome(lambda: [ref.placement.hyperplane_point(
+                        ref_sys, lam, j, ref_precision) for lam in order])
+                if B.any():
+                    assert_same_bits(place_determinantal, lambda sys, poles, p: ref.placement
+                                     .place_determinantal(ref_sys, poles, ref_precision),
+                                     [(sys, order, precision)])
 
 
 # ---------------------------------------------------------------------------
