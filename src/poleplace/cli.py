@@ -80,10 +80,9 @@ def parse_float_list(text: str):
 
 def _load_system(path):
     try:
-        A, B = linalg.load_system(path)
+        return placement.StateSpace(*linalg.load_system(path))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read system file {path}: {exc}") from exc
-    return placement.StateSpace(A, B)
 
 
 def _family(kind: str, n: int, seed):
@@ -169,6 +168,8 @@ def _cmd_bench(args) -> int:
         lo, hi = int(lo_s), int(hi_s or lo_s)
     except ValueError as exc:
         raise UsageError(f"bad --n-range {args.n_range!r}") from exc
+    if lo > hi:
+        raise UsageError(f"bad --n-range {args.n_range!r}: {lo} > {hi}")
     families = [_family(args.family, n, args.seed)[0] for n in range(lo, hi + 1)]
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     for a in algos:
@@ -251,8 +252,9 @@ def _cmd_exact(args) -> int:
     cp = [1]
     for r in ints:
         cp = [a - r * b for a, b in zip(cp + [0], [0] + cp)]
-    gain = exactring.place_exact(A.astype(np.int64).tolist(),
-                                 B.astype(np.int64).tolist(), cp)
+    # place_exact takes each entry with int(), exact for any integer-valued
+    # float; an int64 cast would wrap at 2**63
+    gain = exactring.place_exact(A.tolist(), B.tolist(), cp)
     fractions = exactring.ratio(gain)
     lines = [str(f) for f in fractions]
     if args.digits:

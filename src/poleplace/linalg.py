@@ -25,7 +25,6 @@ import json
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import FactorizationError, InvalidPoleSet, PrecisionOverflow, SingularSystem
 
@@ -217,6 +216,10 @@ def schur_decompose(A):
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("schur_decompose requires a square matrix")
+    # the only scipy use in the package: importing it here keeps its
+    # ~0.3 s import out of every process that never needs a Schur form
+    import scipy.linalg
+
     try:
         T, U = scipy.linalg.schur(A, output="real")
     except Exception as exc:  # scipy raises LinAlgError on QR breakdown

@@ -124,7 +124,7 @@ def _check_poles(sys: StateSpace, poles, precision: Precision, real: bool = Fals
     (:func:`_pole_list`), the placement's one cast of ``sys`` to
     ``precision``, the range of the pole factors it casts there (a real
     pole, or a complex pair's 2 Re l and |l|^2), and B not identically
-    zero.  Returns (A, B, roots)."""
+    zero.  Returns (A, B, roots, steps), as :func:`_pole_list`."""
     roots, steps = _pole_list(poles, sys.n, real)
     A, B = _sys_arrays(sys, precision)
     if precision.bits == 32:
@@ -132,7 +132,7 @@ def _check_poles(sys: StateSpace, poles, precision: Precision, real: bool = Fals
                       "pole list has entries")
     if not np.any(B):
         raise UncontrollableSystem("B = 0")
-    return A, B, roots
+    return A, B, roots, steps
 
 
 def _given_charpoly(n: int, poles, charpoly):
@@ -189,9 +189,13 @@ def horner_char_matrix(A, roots) -> np.ndarray:
     Each complex-conjugate pair is consumed as one quadratic step at its
     first member's slot, so everything stays in real arithmetic.
     """
-    A = as_matrix(A)
+    return _horner_steps(as_matrix(A), pole_steps(roots))
+
+
+def _horner_steps(A, steps) -> np.ndarray:
+    """:func:`horner_char_matrix` of the poles' :func:`pole_steps`."""
     Phi = np.eye(A.shape[0], dtype=A.dtype)
-    for step in pole_steps(roots):
+    for step in steps:
         if len(step) == 1:
             Phi = A @ Phi - A.dtype.type(step[0]) * Phi
         else:
@@ -206,8 +210,8 @@ def ackermann_direct(sys: StateSpace, poles=None, precision: Precision = BITS64,
     """K = e_n^T C^-1 Phi(A), the closed-form placement gain."""
     cp = _given_charpoly(sys.n, poles, charpoly)
     if cp is None:
-        A, B, roots = _check_poles(sys, poles, precision)
-        return inverse_ctrb_last_row(A, B) @ horner_char_matrix(A, roots)
+        A, B, _, steps = _check_poles(sys, poles, precision)
+        return inverse_ctrb_last_row(A, B) @ _horner_steps(A, steps)
     A, B = _sys_arrays(sys, precision)
     crow = inverse_ctrb_last_row(A, B)
     Phi = np.eye(sys.n, dtype=A.dtype)
@@ -224,9 +228,9 @@ def ackermann_factored(sys: StateSpace, poles,
     real quadratic step (K A^2 - 2 Re(l) K A + |l|^2 K) at its first
     member's slot.
     """
-    A, B, roots = _check_poles(sys, poles, precision)
+    A, B, _, steps = _check_poles(sys, poles, precision)
     K = inverse_ctrb_last_row(A, B)
-    for step in pole_steps(roots):
+    for step in steps:
         if len(step) == 1:
             K = K @ A - A.dtype.type(step[0]) * K
         else:
@@ -310,7 +314,7 @@ def place_determinantal(sys: StateSpace, poles,
     singular N means the planes are parallel, which is exactly the
     uncontrollable geometry.
     """
-    A, B, roots = _check_poles(sys, poles, precision, real=True)
+    A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
     N = np.array(_hyperplane_normals(A, B, roots))
     ones = np.ones(sys.n, dtype=A.dtype)
     try:
@@ -331,7 +335,8 @@ def place_sliding(sys: StateSpace, poles,
     the largest |b_j|, which minimizes the 1/b_j amplification in the
     point formula.
     """
-    return _slide(*_check_poles(sys, poles, precision, real=True))[-1]
+    A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
+    return _slide(A, B, roots)[-1]
 
 
 def _slide_denominator(base, direction, what: str) -> float:
@@ -442,7 +447,7 @@ def place_algebroid1(sys: StateSpace, poles, precision: Precision = BITS64,
     phase: K_i = k_{o,i} + K_{i+1} Q_i, which carries the quotient gain
     back up while leaving the pole fixed at that level unchanged.
     """
-    A, B, roots = _check_poles(sys, poles, precision, real=True)
+    A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
     stack = _descend_quotients(A, B, roots, variant)
     dt = precision.dtype
     K = ((np.asarray(stack.terminal_a, dtype=dt) - dt(roots[-1]))
@@ -681,7 +686,7 @@ def place_miminis(sys: StateSpace, poles, precision: Precision = BITS64) -> np.n
     shifted transpose; the gain is accumulated back through the stored
     orthogonal factors and the reduction basis.
     """
-    A, B, roots = _check_poles(sys, poles, precision, real=True)
+    A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
     n = sys.n
     if n == 1:
         # the deflation threshold below scales with |a|, so the general path
@@ -760,7 +765,7 @@ def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.nda
     through the Schur basis.  2x2 (complex-pair) Schur blocks of A are
     not supported.
     """
-    A, B, roots = _check_poles(sys, poles, precision, real=True)
+    A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
     n = sys.n
     U, T = schur_decompose(A)
     if n > 1 and np.any(np.diag(T, -1) != 0.0):

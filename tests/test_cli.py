@@ -227,17 +227,41 @@ def test_place_and_simulate_share_pole_checks(worked_system, capsys):
             assert msg in capsys.readouterr().err
 
 
-def test_package_import_binds_cli():
+def _fresh_python(*args):
+    """Run a new interpreter on this checkout's package."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", "import poleplace; print(poleplace.cli.main)"],
-                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+
+
+def test_package_import_binds_cli():
+    out = _fresh_python("-c", "import poleplace; print(poleplace.cli.main)")
     assert out.returncode == 0, out.stderr
 
 
+def test_package_import_leaves_scipy_unloaded():
+    # scipy serves only the real Schur form: a command that never needs
+    # one does not pay for its import
+    out = _fresh_python("-c", "import sys, poleplace, poleplace.cli; "
+                        "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])")
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
+
+
+def test_varga_entry_point_imports_scipy_on_first_schur(worked_system, capsys):
+    argv = ["place", "--algo", "varga", "--system", worked_system, "--poles", "-1,-2,-3"]
+    assert cli.main(argv) == 0
+    in_process = capsys.readouterr().out
+    # -X importtime lists every import on stderr, and nothing else may be there
+    out = _fresh_python("-W", "error", "-X", "importtime", "-m", "poleplace", *argv)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == in_process
+    imports = out.stderr.splitlines()
+    assert all(line.startswith("import time:") for line in imports), out.stderr
+    assert "scipy.linalg" in {line.rpartition("|")[2].strip() for line in imports}
+
+
 def test_module_entry_point_runs_without_warning():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-m", "poleplace", "--help"],
-                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    out = _fresh_python("-m", "poleplace", "--help")
     assert out.returncode == 0
     assert out.stderr == ""
     assert "usage: poleplace" in out.stdout
@@ -313,6 +337,25 @@ def test_exact_negative_digits_is_usage_error(worked_system, capsys):
 def test_exact_rejects_noninteger(worked_system, capsys):
     code = cli.main(["exact", "--system", worked_system, "--poles", "-1.5,-2,-3"])
     assert code == 1
+
+
+def test_exact_takes_integers_past_int64(tmp_path, capsys):
+    # 1e20 is an integer beyond 2**63, where an int64 cast wraps around
+    path = tmp_path / "big.txt"
+    path.write_text("2 3\n0 1 0\n1e20 0 1\n")
+    code = cli.main(["exact", "--system", str(path), "--poles", "-1,-2"])
+    assert (code, capsys.readouterr()) == (0, ("100000000000000000002\n3\n", ""))
+
+
+@pytest.mark.parametrize("text", ["2 3\n0 1 0\ninf 0 1\n", '{"A": [[1, 2]], "B": [1]}'],
+                         ids=["infinite", "not-square"])
+def test_system_file_the_system_rejects_is_usage_error(tmp_path, text, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    for cmd in (["exact", "--poles", "-1,-2"], ["place", "--algo", "ackermann", "--poles", "-1,-2"],
+                ["simulate", "--poles", "-1,-2"]):
+        assert cli.main(cmd + ["--system", str(path)]) == 1, cmd
+        assert capsys.readouterr().err.startswith(f"error: cannot read system file {path}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +515,15 @@ def test_simulate_family_route(tmp_path):
 def test_family_size_the_family_cannot_build_exits_1(argv, message, capsys):
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("n_range, message", [
+    ("3..x", "bad --n-range '3..x'"),
+    ("5..3", "bad --n-range '5..3': 5 > 3"),
+], ids=["not-an-integer", "descending"])
+def test_bench_bad_n_range_exits_1(n_range, message, capsys):
+    assert cli.main(["bench", "--family", "integer", "--n-range", n_range]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_check_commutators_passes(capsys):
