@@ -124,6 +124,8 @@ def _cmd_place(args) -> int:
         targets = poles
     else:
         cp = parse_float_list(args.charpoly)
+        if not all(map(math.isfinite, cp)):
+            raise UsageError(f"charpoly {args.charpoly!r} is not finite")
         if args.algo == "ackermann":
             K = placement.ackermann_direct(sys_, charpoly=cp, precision=precision)
         elif args.algo == "algebroid2":

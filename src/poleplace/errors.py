@@ -54,10 +54,9 @@ class DivergedState(PlacementError):
 
 
 class PrecisionOverflow(PlacementError):
-    """A finite input entry, or a product computed from finite input, is
-    beyond the range of the requested precision: a Krylov column A^k B,
-    or an anchor chain level's transfer map A_{t,i} A or quotient input
-    B_i."""
+    """A value past the range of the requested precision: a finite input
+    entry where it is cast, or an overflow or a division by zero in a
+    placement (the range rule of :mod:`poleplace.placement`)."""
 
 
 class FactorizationError(PlacementError):

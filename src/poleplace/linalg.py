@@ -69,18 +69,15 @@ def _precision_of(x) -> Precision:
 def _in_precision(values, precision: Precision, what: str) -> np.ndarray:
     """Float64 ``values`` in ``precision``, checked where they are cast.
 
-    Only the float32 cast can overflow: a value finite in float64 but
-    past the 32-bit range raises :class:`PrecisionOverflow` ("{what}
-    beyond the 32-bit range", ``what`` naming the values, e.g. "x0 has
-    entries") where numpy would warn and give inf.
+    A value not finite once cast (past the float32 range, or a float64
+    charpoly coefficient or |l|^2 that overflowed) raises
+    :class:`PrecisionOverflow`, "{what} beyond the {bits}-bit range", where
+    numpy would warn and give inf; ``what`` names the values ("x0 has entries").
     """
-    values = np.asarray(values, dtype=np.float64)
-    if precision.bits == 64:
-        return values
     with np.errstate(over="ignore"):  # reported below
-        cast = values.astype(np.float32)
-    if np.any(np.isinf(cast) & np.isfinite(values)):
-        raise PrecisionOverflow(f"{what} beyond the 32-bit range")
+        cast = np.asarray(values, dtype=np.float64).astype(precision.dtype, copy=False)
+    if not np.isfinite(cast).all():
+        raise PrecisionOverflow(f"{what} beyond the {precision.bits}-bit range")
     return cast
 
 
@@ -114,9 +111,9 @@ def as_vector(v, precision: Precision | None = None) -> np.ndarray:
 
 
 def _checked_norm2(ss, what: str):
-    """A Householder sum of squares, returned once checked: past the
-    format's range the reflector built from it would be NaN, so an
-    overflow raises :class:`FactorizationError`."""
+    """A Householder sum of squares, returned once checked: an overflow,
+    which would make the reflector NaN, raises :class:`FactorizationError`
+    (inside a placement, the range rule's :class:`PrecisionOverflow` first)."""
     if not math.isfinite(ss):
         raise FactorizationError(f"{what} overflowed: sum of squares is {ss}")
     return ss

@@ -96,6 +96,21 @@ class StateSpace:
         return self.B.size
 
 
+def _range_rule(fn):
+    """``fn`` under ``np.errstate(over="raise", divide="raise", invalid="ignore")``, its
+    ``FloatingPointError`` raised as :class:`PrecisionOverflow` with numpy's text, e.g.
+    "ackermann_direct: overflow encountered in matmul".  Invalid is off: OpenBLAS's
+    small float32 gemv can set it on a finite product (0.3.31, ~1 process in 350)."""
+    @functools.wraps(fn)
+    def ruled(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="ignore"):
+                return fn(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise PrecisionOverflow(f"{fn.__qualname__}: {exc}") from exc
+    return ruled
+
+
 def _sys_arrays(sys: StateSpace, precision: Precision):
     """A and B in ``precision``, range-checked (:func:`_in_precision`)."""
     return (_in_precision(sys.A, precision, "A has entries"),
@@ -127,9 +142,7 @@ def _check_poles(sys: StateSpace, poles, precision: Precision, real: bool = Fals
     zero.  Returns (A, B, roots, steps), as :func:`_pole_list`."""
     roots, steps = _pole_list(poles, sys.n, real)
     A, B = _sys_arrays(sys, precision)
-    if precision.bits == 32:
-        _in_precision([c for step in steps for c in step], precision,
-                      "pole list has entries")
+    _in_precision([c for step in steps for c in step], precision, "pole list has entries")
     if not np.any(B):
         raise UncontrollableSystem("B = 0")
     return A, B, roots, steps
@@ -138,12 +151,14 @@ def _check_poles(sys: StateSpace, poles, precision: Precision, real: bool = Fals
 def _given_charpoly(n: int, poles, charpoly):
     """Require exactly one of poles and charpoly; None when poles are
     given (the caller checks them), else the charpoly as float64, checked
-    to be monic of length n+1."""
+    to be finite and monic of length n+1."""
     if (poles is None) == (charpoly is None):
         raise ValueError("give exactly one of poles or charpoly")
     if charpoly is None:
         return None
     cp = np.asarray(charpoly, dtype=np.float64).ravel()
+    if not np.isfinite(cp).all():
+        raise InvalidPoleSet(f"charpoly {cp.tolist()} is not finite")
     if cp.size != n + 1 or cp[0] != 1.0:
         raise InvalidPoleSet("charpoly must be monic of length n+1")
     return cp
@@ -154,19 +169,13 @@ def _given_charpoly(n: int, poles, charpoly):
 
 
 def controllability_matrix(A, B) -> np.ndarray:
-    """[B, AB, ..., A^(n-1) B] in A's format; a column past the format's
-    range raises :class:`PrecisionOverflow`."""
+    """[B, AB, ..., A^(n-1) B] in A's format (an overflowing column raises
+    :class:`PrecisionOverflow` only inside a placement: the range rule)."""
     A, B = as_matrix(A), as_vector(B)
     cols = [B]
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        for _ in range(B.size - 1):
-            cols.append(A @ cols[-1])
-    C = np.column_stack(cols)
-    if not np.isfinite(C).all():
-        k = int(np.isfinite(C).all(axis=0).argmin())
-        bits = _precision_of(C).bits
-        raise PrecisionOverflow(f"Krylov column A^{k} B is beyond the {bits}-bit range")
-    return C
+    for _ in range(B.size - 1):
+        cols.append(A @ cols[-1])
+    return np.column_stack(cols)
 
 
 def inverse_ctrb_last_row(A, B) -> np.ndarray:
@@ -205,6 +214,7 @@ def _horner_steps(A, steps) -> np.ndarray:
     return Phi
 
 
+@_range_rule
 def ackermann_direct(sys: StateSpace, poles=None, precision: Precision = BITS64,
                      charpoly=None) -> np.ndarray:
     """K = e_n^T C^-1 Phi(A), the closed-form placement gain."""
@@ -220,6 +230,7 @@ def ackermann_direct(sys: StateSpace, poles=None, precision: Precision = BITS64,
     return crow @ Phi
 
 
+@_range_rule
 def ackermann_factored(sys: StateSpace, poles,
                        precision: Precision = BITS64) -> np.ndarray:
     """Factorized Ackermann: K_0 = e_n^T C^-1, then K_i = K_{i-1} A - l_i K_{i-1}.
@@ -276,23 +287,15 @@ def _hyperplane_normals(A, B, roots) -> list:
     """:func:`hyperplane_normal` of each pole in ``roots``, for arrays
     already checked: the shifted matrices A - l I are eliminated as one
     stack (:func:`~poleplace.linalg._lu_eliminate`).  Poles are taken in
-    order, each warning as its own solve would, and the first that fails
-    raises what its solve would: ``ValueError`` when A - l I is not
-    finite, :class:`SingularShift` from :class:`SingularSystem`, or
-    ``ValueError`` for a zero normal."""
-    lams = np.array(roots, dtype=A.dtype)[:, None, None]
-    with np.errstate(over="ignore"):  # reported below
-        shifted = A - lams * np.eye(B.size, dtype=A.dtype)
-    finite = np.isfinite(shifted).all(axis=(1, 2)).tolist()
-    shifted = shifted[:finite.index(False)] if False in finite else shifted
-    with np.errstate(over="ignore", invalid="ignore"):  # warned pole by pole below
-        lu, pivmin = _lu_eliminate(shifted, B)
-    finite_lu = np.isfinite(lu).all(axis=(1, 2)).tolist()
+    order, and the first that fails raises what its solve would:
+    :class:`SingularShift` from :class:`SingularSystem`, or ``ValueError``
+    for a zero normal.  Inside a placement, an overflow anywhere in the
+    stack raises :class:`PrecisionOverflow` first (the range rule)."""
+    shifted = A - np.array(roots, dtype=A.dtype)[:, None, None] * np.eye(B.size, dtype=A.dtype)
+    lu, pivmin = _lu_eliminate(shifted, B)
     scales = np.abs(shifted).max(axis=(1, 2))
     normals = []
-    for s, lam in enumerate(roots[:len(lu)]):
-        if not finite_lu[s]:  # the warnings of this pole's own elimination
-            _lu_eliminate(shifted[s:s + 1], B)
+    for s, lam in enumerate(roots):
         try:
             normal = _back_substitute(lu[s], pivmin[s], scales[s])
         except SingularSystem as exc:
@@ -300,11 +303,10 @@ def _hyperplane_normals(A, B, roots) -> list:
         if not np.any(normal):
             raise ValueError("hyperplane normal must be nonzero")
         normals.append(normal)
-    if len(normals) < len(roots):
-        raise ValueError("matrix entries must be finite")
     return normals
 
 
+@_range_rule
 def place_determinantal(sys: StateSpace, poles,
                         precision: Precision = BITS64) -> np.ndarray:
     """Intersect the n pole hyperplanes directly.
@@ -325,6 +327,7 @@ def place_determinantal(sys: StateSpace, poles,
         ) from exc
 
 
+@_range_rule
 def place_sliding(sys: StateSpace, poles,
                   precision: Precision = BITS64) -> np.ndarray:
     """Successive sliding along the hyperplanes.
@@ -435,6 +438,7 @@ def _descend_quotients(A, B, roots, variant: str) -> QuotientStack:
     return QuotientStack(tuple(levels), float(Ab.ravel()[0]), float(Bb.ravel()[0]))
 
 
+@_range_rule
 def place_algebroid1(sys: StateSpace, poles, precision: Precision = BITS64,
                      variant: str = "qr") -> np.ndarray:
     """Quotient into the pole hyperplanes, one dimension at a time.
@@ -487,6 +491,7 @@ class AnchorChain:
         return _precision_of(self.A)
 
 
+@_range_rule
 def build_anchor_chain(sys: StateSpace, precision: Precision = BITS64) -> AnchorChain:
     """Forward sweep: an_i annihilates B_{i-1} (orthonormal rows, scaled
     by the left singular basis of the running transfer map), and
@@ -494,29 +499,20 @@ def build_anchor_chain(sys: StateSpace, precision: Precision = BITS64) -> Anchor
         A_{t,i} = an_i A_{t,i-1} A      B_i = A_{t,i} B
 
     Degeneracy (loss of controllability) shows up as a small B_i; it is
-    reported by :func:`chain_controllability_report`, not raised here.
-    A level whose A_{t,i} A or B_i is past the format's range raises
-    :class:`PrecisionOverflow`.
+    reported by :func:`chain_controllability_report`, not raised here;
+    an overflowing level raises :class:`PrecisionOverflow` (the range rule).
     """
     A, B = _sys_arrays(sys, precision)
-    n = sys.n
     levels = []
     At, Bt = A, B
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        for k in range(1, n):
-            ann = householder_annihilator(Bt)
-            u, _, _ = svd_decompose(ann @ At)
-            an_i = u.T @ ann
-            transfer = an_i @ At
-            b_i = transfer @ B
-            At = transfer @ A
-            if not (np.isfinite(At).all() and np.isfinite(b_i).all()):
-                name = (f"A_(t,{k}) A" if not np.isfinite(At).all()
-                        else f"quotient input B_({k})")
-                raise PrecisionOverflow(
-                    f"level {k}: {name} is beyond the {precision.bits}-bit range")
-            levels.append(ChainLevel(an_i, transfer, b_i))
-            Bt = b_i
+    for _ in range(sys.n - 1):
+        ann = householder_annihilator(Bt)
+        u, _, _ = svd_decompose(ann @ At)
+        an_i = u.T @ ann
+        transfer = an_i @ At
+        Bt = transfer @ B
+        At = transfer @ A
+        levels.append(ChainLevel(an_i, transfer, Bt))
     return AnchorChain(sys, A, B, tuple(levels))
 
 
@@ -554,9 +550,10 @@ class ChainFeedback:
     coefficient) steps of the recursion, ``A_{t,n-1} A`` and the final
     quotient input are computed, and the denominator checked, here.
     After that, :meth:`gain` and each call ``law(x)`` run the nested
-    recursion alone.
+    recursion alone (:meth:`gain` under the range rule, ``law(x)`` not).
     """
 
+    @_range_rule
     def __init__(self, chain: AnchorChain, poles=None, charpoly=None):
         A, B = chain.A, chain.B
         self.precision = chain.precision
@@ -588,6 +585,7 @@ class ChainFeedback:
             )
         self._den = den
 
+    @_range_rule
     def gain(self) -> np.ndarray:
         """K from the recursion K_i = A_{t,i} p_{n-i} + an_i K_{i-1},
         K_0 = p_n I, closed with the leading-power term A_{t,n-1} A and
@@ -644,6 +642,7 @@ def feedback_eval(chain: AnchorChain, x, poles=None, charpoly=None) -> float:
     return ChainFeedback(chain, poles, charpoly)(x)
 
 
+@_range_rule
 def place_algebroid2(sys: StateSpace, poles,
                      precision: Precision = BITS64) -> np.ndarray:
     """Chain-of-anchors placement from a pole list (builds the chain,
@@ -678,6 +677,7 @@ def controller_hessenberg(A, B):
     return V, Ah
 
 
+@_range_rule
 def place_miminis(sys: StateSpace, poles, precision: Precision = BITS64) -> np.ndarray:
     """Hessenberg reduction plus per-pole RQ deflation.
 
@@ -755,6 +755,7 @@ def _exchange_adjacent(As: np.ndarray, j: int):
     return H, Q
 
 
+@_range_rule
 def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.ndarray:
     """Pole shifting on the real Schur form.
 

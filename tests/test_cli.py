@@ -131,20 +131,31 @@ def test_place_zero_input_exits_2(tmp_path, capsys):
     assert "UncontrollableSystem: B = 0" in capsys.readouterr().err
 
 
-# numpy reports the 64-bit overflow on the way; the placement then fails typed
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# at 64 bits, a method whose arithmetic overflows on B = 1e200 fails with
+# one typed line (the range rule); the others place or fail as usual
+BIG_B_OUTCOMES = {
+    "ackermann": (0, ""),
+    "ackermann-factored": (0, ""),
+    "algebroid1": (2, "PrecisionOverflow: place_algebroid1: overflow encountered in multiply\n"),
+    "algebroid1-solve": (2, "PrecisionOverflow: place_algebroid1: overflow encountered in dot\n"),
+    "algebroid2": (2, "PrecisionOverflow: build_anchor_chain: overflow encountered in multiply\n"),
+    "determinantal": (0, ""),
+    "miminis": (2, "PrecisionOverflow: place_miminis: overflow encountered in multiply\n"),
+    "sliding": (2, "PrecisionOverflow: place_sliding: overflow encountered in matmul\n"),
+    "varga": (2, "ComplexBlockUnsupported: A has complex eigenvalues (2x2 Schur block); "
+                 "this method handles real-spectrum systems only\n"),
+}
+
+
 def test_place_overflowing_input_norm_exits_typed(tmp_path, capsys):
     big_a, big_b = tmp_path / "big_a.txt", tmp_path / "big_b.txt"
     big_a.write_text(WORKED_TEXT.replace("1 3 5 1", "1e200 3 5 1"))
     big_b.write_text("3 4\n1 2 3 1e200\n1 0 0 1e200\n0 1 0 1e200\n")
+    assert sorted(BIG_B_OUTCOMES) == sorted(placement.ALGORITHMS)
     for algo in sorted(placement.ALGORITHMS):
         code = cli.main(["place", "--algo", algo, "--system", str(big_b),
                          "--poles", "-1,-2,-3"])
-        err = capsys.readouterr().err
-        assert code in (0, 2), (algo, err)
-        if algo in ("algebroid1", "algebroid1-solve", "algebroid2", "miminis"):
-            assert err == "FactorizationError: reflected vector norm overflowed: " \
-                          "sum of squares is inf\n", algo
+        assert (code, capsys.readouterr().err) == BIG_B_OUTCOMES[algo], algo
         # finite in 64 bits, beyond the 32-bit range: no warning, one typed line
         for path, matrix in ((big_a, "A"), (big_b, "B")):
             with warnings.catch_warnings():
@@ -162,25 +173,27 @@ def test_place_overflowing_input_norm_exits_typed(tmp_path, capsys):
 
 
 def test_place_overflowing_krylov_column_exits_typed(tmp_path, capsys):
+    # A^2 B overflows in the Krylov matrix
     big_a = tmp_path / "big_a.txt"
     big_a.write_text(WORKED_TEXT.replace("1 3 5 1", "1e200 3 5 1"))
-    for algo in ("ackermann", "ackermann-factored"):
+    for algo, fn in (("ackermann", "ackermann_direct"), ("ackermann-factored", "ackermann_factored")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = cli.main(["place", "--algo", algo, "--system", str(big_a),
                              "--poles", "-1,-2,-3"])
         assert (code, capsys.readouterr().err) == (
-            2, "PrecisionOverflow: Krylov column A^2 B is beyond the 64-bit range\n"), algo
+            2, f"PrecisionOverflow: {fn}: overflow encountered in matmul\n"), algo
 
 
-# finite in float32, but a level's product is not; unchecked, the first
-# and the last case ended in a ValueError traceback, the second in K = 0
-@pytest.mark.parametrize("text, name", [
-    ("2 3\n0 1e30 0\n-1e30 0 1\n", "A_(t,1) A"),
-    ("2 3\n0 0 1e18\n1e30 0 0\n", "quotient input B_(1)"),
-    ("3 4\n0 0 0 1e18\n1e30 0 0 0\n0 1 0 0\n", "quotient input B_(1)"),
+# finite in float32, but a level's product is not (the transfer map
+# A_(t,1) A, or the quotient input B_(1)); unchecked, the first and the
+# last case ended in a ValueError traceback, the second in K = 0
+@pytest.mark.parametrize("text", [
+    "2 3\n0 1e30 0\n-1e30 0 1\n",
+    "2 3\n0 0 1e18\n1e30 0 0\n",
+    "3 4\n0 0 0 1e18\n1e30 0 0 0\n0 1 0 0\n",
 ], ids=["transfer-map", "last-quotient-input", "inner-quotient-input"])
-def test_chain_level_beyond_the_32bit_range_exits_typed(tmp_path, text, name, capsys):
+def test_chain_level_beyond_the_32bit_range_exits_typed(tmp_path, text, capsys):
     path = tmp_path / "chain.txt"
     path.write_text(text)
     poles = ",".join(str(-k) for k in range(1, int(text[0]) + 1))
@@ -188,7 +201,7 @@ def test_chain_level_beyond_the_32bit_range_exits_typed(tmp_path, text, name, ca
         code = cli.main(command + ["--system", str(path), "--poles", poles,
                                    "--precision", "32"])
         assert (code, capsys.readouterr()) == (
-            2, ("", f"PrecisionOverflow: level 1: {name} is beyond the 32-bit range\n"))
+            2, ("", "PrecisionOverflow: build_anchor_chain: overflow encountered in matmul\n"))
 
 
 def test_place_reports_nan_error_for_nonfinite_spectrum(tmp_path, capsys):
@@ -461,10 +474,55 @@ def test_place_coefficients_beyond_the_32bit_range_exit_typed(worked_system, alg
     what = "pole list has entries" if algo == "ackermann-factored" else "charpoly has coefficients"
     assert (code, capsys.readouterr()) == (
         2, ("", f"PrecisionOverflow: {what} beyond the 32-bit range\n"))
-    # the same input at 64 bits casts nothing
+    # the same input fits the 64-bit range
     code = cli.main(["place", "--algo", algo, "--system", worked_system, flag, value])
     assert code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    # each pole fits float32, a product of the placement does not
+    (["place", "--algo", "ackermann", "--poles", "-1e37,-1e37,-3", "--precision", "32"],
+     "ackermann_direct: overflow encountered in multiply"),
+    (["place", "--algo", "ackermann-factored", "--poles", "-1e37,-1e37,-3", "--precision", "32"],
+     "ackermann_factored: overflow encountered in multiply"),
+    (["place", "--algo", "miminis", "--poles", "-1e37,-1e37,-3", "--precision", "32"],
+     "place_miminis: overflow encountered in multiply"),
+    # the same at 64 bits; the coefficient 2e400 of the charpoly is past the range
+    (["place", "--algo", "ackermann", "--poles", "-1e200,-2e200,-3"],
+     "ackermann_direct: overflow encountered in multiply"),
+    (["place", "--algo", "algebroid2", "--poles", "-1e200,-2e200,-3"],
+     "charpoly has coefficients beyond the 64-bit range"),
+    # the pair's |l|^2 = 2e400 is past the 64-bit range
+    (["place", "--algo", "ackermann", "--poles", "-1e200+1e200i,-1e200-1e200i,-3"],
+     "pole list has entries beyond the 64-bit range"),
+    (["place", "--algo", "ackermann-factored", "--poles", "-1e200+1e200i,-1e200-1e200i,-3"],
+     "pole list has entries beyond the 64-bit range"),
+    (["place", "--algo", "algebroid2", "--poles", "-1e200+1e200i,-1e200-1e200i,-3"],
+     "charpoly has coefficients beyond the 64-bit range"),
+    (["simulate", "--mode", "gain", "--poles", "-1e200,-2e200,-3"],
+     "charpoly has coefficients beyond the 64-bit range"),
+    (["simulate", "--mode", "chain", "--poles", "-1e200,-2e200,-3"],
+     "charpoly has coefficients beyond the 64-bit range"),
+], ids=["ackermann-32", "ackermann-factored-32", "miminis-32", "ackermann-64", "algebroid2-64",
+        "ackermann-pair-64", "ackermann-factored-pair-64", "algebroid2-pair-64",
+        "simulate-gain-64", "simulate-chain-64"])
+def test_place_arithmetic_overflow_exits_typed(worked_system, argv, message, capsys):
+    # finite poles, and an overflow in the arithmetic rather than in a cast:
+    # one typed line and no numpy warning (the suite turns warnings into errors)
+    code = cli.main(argv + ["--system", worked_system])
+    assert (code, capsys.readouterr()) == (2, ("", f"PrecisionOverflow: {message}\n"))
+
+
+@pytest.mark.parametrize("algo, charpoly, message", [
+    ("ackermann", "1,nan,11,6", "charpoly '1,nan,11,6' is not finite"),
+    ("algebroid2", "1,inf,11,6", "charpoly '1,inf,11,6' is not finite"),
+], ids=["ackermann-nan", "algebroid2-inf"])
+def test_place_nonfinite_charpoly_is_usage_error(worked_system, algo, charpoly, message,
+                                                 capsys):
+    code = cli.main(["place", "--algo", algo, "--system", worked_system,
+                     "--charpoly", charpoly])
+    assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))
 
 
 @pytest.mark.parametrize("flags, what", [

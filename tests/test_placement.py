@@ -103,6 +103,18 @@ def test_ackermann_charpoly_route():
     np.testing.assert_allclose(K, K_REF, atol=1e-9)
 
 
+@pytest.mark.parametrize("charpoly, message", [
+    ([1, np.nan, 11, 6], r"charpoly \[1.0, nan, 11.0, 6.0\] is not finite"),
+    ([1, 6, -np.inf, 6], r"charpoly \[1.0, 6.0, -inf, 6.0\] is not finite"),
+], ids=["nan", "-inf"])
+def test_nonfinite_charpoly_is_an_invalid_pole_set(charpoly, message):
+    # NaN raises no floating-point error, so the range rule cannot see it
+    with pytest.raises(InvalidPoleSet, match=f"^{message}$"):
+        ackermann_direct(WORKED, charpoly=charpoly)
+    with pytest.raises(InvalidPoleSet, match=f"^{message}$"):
+        gain_from_chain(build_anchor_chain(WORKED), charpoly=charpoly)
+
+
 def test_ackermann_zero_gain_when_spectrum_already_placed():
     sys = StateSpace(np.diag([-1.0, -2.0]), [1.0, 1.0])
     K = ackermann_direct(sys, poles=[-1.0, -2.0])
@@ -290,38 +302,35 @@ SHIFT_2 = ("SingularShift", "A - (2.0) I is numerically singular", "SingularSyst
            "matrix numerically singular (pivot 0.000e+00, scale 1.000e+00)")
 SHIFT_2E38 = ("SingularShift", "A - (2e+38) I is numerically singular", "SingularSystem",
               "matrix numerically singular (pivot 0.000e+00, scale 1.000e+38)")
-OVERFLOW = ("ValueError", "matrix entries must be finite", None, None)
-SHIFT_3 = ("SingularShift", "A - (3.0) I is numerically singular", "SingularSystem",
-           "matrix numerically singular (pivot 0.000e+00, scale 3.000e+38)")
+# {fn} is the placement's name
+OVERFLOW = ("PrecisionOverflow", "{fn}: overflow encountered in subtract", "FloatingPointError",
+            "overflow encountered in subtract")
 
 
 @pytest.mark.parametrize("fn", [place_determinantal, place_sliding])
 @pytest.mark.parametrize("sys, poles, precision, expected", [
     (EIGEN_2, [-1.0, 2.0, -3.0], BITS32, SHIFT_2),
     (EIGEN_2, [-1.0, 2.0, -3.0], BITS64, SHIFT_2),
-    (BIG, [-1.0, 2e38, -1e38], BITS32, SHIFT_2E38),  # the overflow comes after
-    (BIG, [-1.0, -1e38, 2e38], BITS32, OVERFLOW),  # the overflow comes first
+    (BIG, [-1.0, 2e38, -1e38], BITS32, OVERFLOW),  # an overflow comes before any pole
+    (BIG, [-1.0, -1e38, 2e38], BITS32, OVERFLOW),
     (BIG, [-1.0, -1e38, 2e38], BITS64, SHIFT_2E38),  # no overflow at 64 bits
-    (STEEP, [3.0, 1.0], BITS32, SHIFT_3),  # and no warning from the second pole
+    (STEEP, [3.0, 1.0], BITS32, OVERFLOW),
+    (STEEP, [1.0, 3.0], BITS32, OVERFLOW),
 ], ids=["eigenvalue-32", "eigenvalue-64", "eigenvalue-then-overflow-32",
         "overflow-then-eigenvalue-32", "overflow-then-eigenvalue-64",
-        "singular-then-overflowing-elimination-32"])
+        "singular-then-overflowing-elimination-32", "overflowing-elimination-then-singular-32"])
 def test_hyperplane_errors_come_in_pole_order(fn, sys, poles, precision, expected):
-    # the first pole that fails decides, as it did when each pole had its
-    # own solve: its class, its message and the message of its cause
-    # (under filterwarnings = error, a warning would fail this too)
+    # a range overflow anywhere in the stacked elimination is reported
+    # first (the range rule); otherwise the first pole that fails decides,
+    # as it did when each pole had its own solve: its class, its message
+    # and the message of its cause (under filterwarnings = error, a
+    # warning would fail this too)
     with pytest.raises(Exception) as info:
         fn(sys, poles, precision)
     cause = info.value.__cause__
     assert (type(info.value).__name__, str(info.value),
-            cause and type(cause).__name__, cause and str(cause)) == expected
-
-
-@pytest.mark.parametrize("fn", [place_determinantal, place_sliding])
-def test_overflowing_elimination_warns_as_its_own_solve(fn):
-    with pytest.raises(SingularShift, match=r"^A - \(1.0\) I is numerically singular$"):
-        with pytest.warns(RuntimeWarning, match="overflow encountered in subtract"):
-            fn(STEEP, [1.0, 3.0], BITS32)
+            cause and type(cause).__name__, cause and str(cause)) == \
+        tuple(e and e.format(fn=fn.__name__) for e in expected)
 
 
 def test_hyperplane_normals_and_points_bitwise_equal_to_reference():
