@@ -315,10 +315,10 @@ OVERFLOW = ("PrecisionOverflow", "{fn}: overflow encountered in subtract", "Floa
     (BIG, [-1.0, -1e38, 2e38], BITS32, OVERFLOW),
     (BIG, [-1.0, -1e38, 2e38], BITS64, SHIFT_2E38),  # no overflow at 64 bits
     (STEEP, [3.0, 1.0], BITS32, OVERFLOW),
-    (STEEP, [1.0, 3.0], BITS32, OVERFLOW),
+    (STEEP, [1.0, 3.0], BITS32, OVERFLOW),  # the elimination overflows, then 1.0 is singular
 ], ids=["eigenvalue-32", "eigenvalue-64", "eigenvalue-then-overflow-32",
         "overflow-then-eigenvalue-32", "overflow-then-eigenvalue-64",
-        "singular-then-overflowing-elimination-32", "overflowing-elimination-then-singular-32"])
+        "singular-then-overflowing-elimination-32", "steep-1-3-32"])
 def test_hyperplane_errors_come_in_pole_order(fn, sys, poles, precision, expected):
     # a range overflow anywhere in the stacked elimination is reported
     # first (the range rule); otherwise the first pole that fails decides,
