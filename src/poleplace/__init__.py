@@ -33,7 +33,7 @@ from .errors import (
     ZeroInputComponent,
     ZeroVector,
 )
-from .exactring import ExactGain, nullspace_row, place_exact, ratio, simplify
+from .exactring import ExactGain, nullspace_row, place_exact, ratio
 from .linalg import (
     BITS32,
     BITS64,
@@ -57,9 +57,6 @@ from .placement import (
     controllability_matrix,
     feedback_eval,
     gain_from_chain,
-    horner_char_matrix,
-    hyperplane_normal,
-    hyperplane_point,
     place,
     place_algebroid1,
     place_algebroid2,

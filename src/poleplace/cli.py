@@ -29,10 +29,11 @@ class UsageError(Exception):
     pass
 
 
-def parse_pole_list(text: str):
-    """Parse a pole list: comma-separated finite reals, complex literals
-    with a trailing i (e.g. -1+2i), and inclusive integer ranges a..b."""
-    poles = []
+def parse_pole_list(text: str, n: int):
+    """Parse the n poles of an n-state system: comma-separated finite reals,
+    complex literals with a trailing i (e.g. -1+2i), and inclusive integer
+    ranges a..b, each counted before it is expanded."""
+    parts, count = [], 0
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -44,7 +45,8 @@ def parse_pole_list(text: str):
             except ValueError as exc:
                 raise UsageError(f"bad range {token!r}: {exc}") from exc
             step = 1 if hi >= lo else -1
-            poles.extend(complex(v) for v in range(lo, hi + step, step))
+            parts.append(range(lo, hi + step, step))
+            count += abs(hi - lo) + 1
             continue
         try:
             z = complex(token.replace("i", "j"))
@@ -52,22 +54,23 @@ def parse_pole_list(text: str):
             raise UsageError(f"bad pole literal {token!r}") from exc
         if not cmath.isfinite(z):
             raise UsageError(f"pole {token!r} is not finite")
-        poles.append(z)
-    if not poles:
+        parts.append((z,))
+        count += 1
+    if not count:
         raise UsageError("empty pole list")
-    return poles
+    if count != n:
+        raise UsageError(f"system has n={n}, got {count} poles")
+    return [complex(v) for part in parts for v in part]
 
 
 def _parse_poles(text: str, n: int):
     """Parse a --poles value for an n-state system: conjugate-closed,
     one pole per state."""
-    poles = parse_pole_list(text)
+    poles = parse_pole_list(text, n)
     try:
         linalg.pole_steps(poles)
     except InvalidPoleSet as exc:
         raise UsageError(str(exc)) from exc
-    if len(poles) != n:
-        raise UsageError(f"system has n={n}, got {len(poles)} poles")
     return poles
 
 
@@ -126,6 +129,8 @@ def _cmd_place(args) -> int:
         cp = parse_float_list(args.charpoly)
         if not all(map(math.isfinite, cp)):
             raise UsageError(f"charpoly {args.charpoly!r} is not finite")
+        if len(cp) != sys_.n + 1 or cp[0] != 1.0:
+            raise UsageError(f"charpoly {args.charpoly!r} must be monic of length {sys_.n + 1}")
         if args.algo == "ackermann":
             K = placement.ackermann_direct(sys_, charpoly=cp, precision=precision)
         elif args.algo == "algebroid2":
@@ -245,11 +250,9 @@ def _cmd_exact(args) -> int:
     B = sys_.B
     if not (np.all(A == np.round(A)) and np.all(B == np.round(B))):
         raise UsageError("exact placement requires integer A and B")
-    poles = parse_pole_list(args.poles)
+    poles = parse_pole_list(args.poles, sys_.n)
     if any(z.imag != 0 or z.real != int(z.real) for z in poles):
         raise UsageError("exact placement requires integer poles")
-    if len(poles) != sys_.n:
-        raise UsageError(f"system has n={sys_.n}, got {len(poles)} poles")
     ints = [int(z.real) for z in poles]
     cp = [1]
     for r in ints:

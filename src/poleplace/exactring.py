@@ -224,17 +224,6 @@ def place_exact(A, B, charpoly) -> ExactGain:
     return ExactGain(den, num)
 
 
-def simplify(g: ExactGain) -> ExactGain:
-    """Divide numerator entries and denominator by their collective GCD."""
-    vals = [g.denominator, *g.numerator]
-    common = 0
-    for v in vals:
-        common = _gcd(common, abs(v))
-    if common <= 1:
-        return g
-    return ExactGain(g.denominator // common, tuple(x // common for x in g.numerator))
-
-
 def ratio(g: ExactGain):
     """Reduced rational gain entries num_i / den (canonical A - BK sign)."""
     if g.denominator == 0:

@@ -191,18 +191,10 @@ def inverse_ctrb_last_row(A, B) -> np.ndarray:
         ) from exc
 
 
-def horner_char_matrix(A, roots) -> np.ndarray:
-    """Phi(A) = (A - l_n I)...(A - l_1 I) by the nested recursion, in A's
-    format.
-
-    Each complex-conjugate pair is consumed as one quadratic step at its
-    first member's slot, so everything stays in real arithmetic.
-    """
-    return _horner_steps(as_matrix(A), pole_steps(roots))
-
-
 def _horner_steps(A, steps) -> np.ndarray:
-    """:func:`horner_char_matrix` of the poles' :func:`pole_steps`."""
+    """Phi(A) = (A - l_n I)...(A - l_1 I) by the nested recursion, in A's format,
+    from the poles' :func:`~poleplace.linalg.pole_steps`: a conjugate pair is one
+    real quadratic step at its first member's slot, so all stays real."""
     Phi = np.eye(A.shape[0], dtype=A.dtype)
     for step in steps:
         if len(step) == 1:
@@ -254,19 +246,9 @@ def ackermann_factored(sys: StateSpace, poles,
 # Hyperplane geometry
 
 
-def hyperplane_point(A, B, lam: float, j: int) -> np.ndarray:
-    """k_ij = (a_j - lam e_j) / b_j, a gain that assigns the pole lam.
-
-    ``j`` is the 0-based row index used for the construction.
-    """
-    A, B = as_matrix(A), as_vector(B)
-    if not 0 <= j < B.size:
-        raise ValueError(f"row index {j} out of range")
-    return _hyperplane_points(A, B, [lam], j)[0]
-
-
 def _hyperplane_points(A, B, roots, j: int) -> np.ndarray:
-    """Row i is :func:`hyperplane_point` of roots[i], for arrays already
+    """Row i is k = (a_j - l e_j) / b_j for the pole l = roots[i], a gain
+    that assigns l (a_j is the 0-based row j of A), for arrays already
     checked: one elementwise expression for all the poles."""
     bj = float(B[j])
     if abs(bj) <= THRESHOLDS["placement_pivot"](_precision_of(A), float(np.max(np.abs(B)))):
@@ -276,16 +258,10 @@ def _hyperplane_points(A, B, roots, j: int) -> np.ndarray:
     return (A[j, :] - np.array(roots, dtype=A.dtype)[:, None] * e) / A.dtype.type(bj)
 
 
-def hyperplane_normal(A, B, lam: float) -> np.ndarray:
-    """Normal n of the pole-lam gain hyperplane {k : k . n = 1}: solve
-    (A - lam I) n = B."""
-    A, B = as_matrix(A), as_vector(B)
-    return _hyperplane_normals(A, as_vector(B, _precision_of(A)), [lam])[0]
-
-
 def _hyperplane_normals(A, B, roots) -> list:
-    """:func:`hyperplane_normal` of each pole in ``roots``, for arrays
-    already checked: the shifted matrices A - l I are eliminated as one
+    """For each pole l in ``roots``, the normal n of its gain hyperplane
+    {k : k . n = 1}, the solution of (A - l I) n = B, for arrays already
+    checked: the shifted matrices A - l I are eliminated as one
     stack (:func:`~poleplace.linalg._lu_eliminate`).  Poles are taken in
     order, and the first that fails raises what its solve would:
     :class:`SingularShift` from :class:`SingularSystem`, or ``ValueError``
@@ -550,7 +526,7 @@ class ChainFeedback:
     coefficient) steps of the recursion, ``A_{t,n-1} A`` and the final
     quotient input are computed, and the denominator checked, here.
     After that, :meth:`gain` and each call ``law(x)`` run the nested
-    recursion alone (:meth:`gain` under the range rule, ``law(x)`` not).
+    recursion alone, under the range rule (``simulate`` runs :meth:`_apply`).
     """
 
     @_range_rule
@@ -597,6 +573,7 @@ class ChainFeedback:
             Kt = transfer * p + anchor @ Kt
         return ((Kt + self._last_A) / self._den).ravel()
 
+    @_range_rule
     def __call__(self, x) -> float:
         """u = -K x through the same recursion applied to the state."""
         x = as_vector(x, self.precision)

@@ -43,20 +43,28 @@ def unctrl_system(tmp_path):
 
 
 def test_parse_pole_list_forms():
-    assert cli.parse_pole_list("-1,-2,-3") == [-1, -2, -3]
-    assert cli.parse_pole_list("-1..-4") == [-1, -2, -3, -4]
-    assert cli.parse_pole_list("-1+2i,-1-2i") == [complex(-1, 2), complex(-1, -2)]
+    assert cli.parse_pole_list("-1,-2,-3", 3) == [-1, -2, -3]
+    assert cli.parse_pole_list("-1..-4", 4) == [-1, -2, -3, -4]
+    assert cli.parse_pole_list("-1+2i,-1-2i", 2) == [complex(-1, 2), complex(-1, -2)]
 
 
 def test_parse_pole_list_bad_literal():
     with pytest.raises(cli.UsageError):
-        cli.parse_pole_list("-1,bogus")
+        cli.parse_pole_list("-1,bogus", 2)
 
 
 @pytest.mark.parametrize("text", ["nan,-2,-3", "-1,1e400,-3", "-1+nani,-2", "-1-1e400i,-2"])
 def test_parse_pole_list_rejects_nonfinite(text):
     with pytest.raises(cli.UsageError, match="not finite"):
-        cli.parse_pole_list(text)
+        cli.parse_pole_list(text, text.count(",") + 1)
+
+
+def test_pole_range_is_counted_before_it_is_expanded(worked_system, capsys):
+    # a trillion poles would not fit in memory: the count alone decides
+    for cmd in (["place", "--algo", "ackermann"], ["simulate"], ["exact"]):
+        code = cli.main(cmd + ["--system", worked_system, "--poles", "-1..-1000000000000"])
+        assert (code, capsys.readouterr()) == (
+            1, ("", "error: system has n=3, got 1000000000000 poles\n")), cmd
 
 
 def test_nonfinite_pole_is_usage_error_for_every_command(worked_system, capsys):
@@ -93,7 +101,7 @@ def test_place_json_schema(worked_system, capsys):
 
 def test_place_nonconjugate_poles_is_usage_error(worked_system, capsys):
     code = cli.main(["place", "--algo", "ackermann", "--system", worked_system,
-                     "--poles", "-1+2i,-3"])
+                     "--poles", "-1+2i,-3,-4"])
     assert code == 1
     assert "conjugation" in capsys.readouterr().err
 
@@ -517,7 +525,9 @@ def test_place_arithmetic_overflow_exits_typed(worked_system, argv, message, cap
 @pytest.mark.parametrize("algo, charpoly, message", [
     ("ackermann", "1,nan,11,6", "charpoly '1,nan,11,6' is not finite"),
     ("algebroid2", "1,inf,11,6", "charpoly '1,inf,11,6' is not finite"),
-], ids=["ackermann-nan", "algebroid2-inf"])
+    ("ackermann", "2,6,11,6", "charpoly '2,6,11,6' must be monic of length 4"),
+    ("algebroid2", "1,6,11", "charpoly '1,6,11' must be monic of length 4"),
+], ids=["ackermann-nan", "algebroid2-inf", "ackermann-not-monic", "algebroid2-short"])
 def test_place_nonfinite_charpoly_is_usage_error(worked_system, algo, charpoly, message,
                                                  capsys):
     code = cli.main(["place", "--algo", algo, "--system", worked_system,

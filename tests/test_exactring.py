@@ -15,7 +15,6 @@ from poleplace.exactring import (
     nullspace_row,
     place_exact,
     ratio,
-    simplify,
 )
 
 import _reference as ref
@@ -171,8 +170,7 @@ def test_exact_gain_magnitude_bounded():
     # GCD reduction keeps the n = 12 numerators near the printed sizes
     A, B = gen_integer_family(12)
     gain = place_exact(A, B, int_poly([-(k + 1) for k in range(12)]))
-    reduced = simplify(gain)
-    assert max(abs(x) for x in reduced.numerator) < 10**33
+    assert max(abs(f.numerator) for f in ratio(gain)) < 10**33
 
 
 def test_oracle_places_poles_in_float():
@@ -343,23 +341,7 @@ def test_place_exact_errors_equal_dense_reference(A, B, cp):
 
 
 # ---------------------------------------------------------------------------
-# simplify / ratio
-
-
-def test_simplify_divides_collective_gcd():
-    g = simplify(ExactGain(2, (4, 6)))
-    assert g.denominator == 1 and g.numerator == (2, 3)
-
-
-def test_simplify_idempotent():
-    g = ExactGain(36638795621, tuple(f.numerator for f in GOLDEN[8]))
-    assert simplify(simplify(g)) == simplify(g)
-
-
-def test_simplify_leaves_reduced_gain_alone():
-    A, B = gen_integer_family(12)
-    gain = place_exact(A, B, int_poly([-(k + 1) for k in range(12)]))
-    assert ratio(simplify(gain)) == ratio(gain) == GOLDEN[12]
+# ratio
 
 
 def test_ratio_zero_denominator():

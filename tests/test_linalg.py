@@ -27,7 +27,7 @@ from poleplace.linalg import (
     solve_linear,
     svd_decompose,
 )
-from poleplace.placement import ALGORITHMS, horner_char_matrix
+from poleplace.placement import ALGORITHMS, _horner_steps
 
 import _reference as ref
 from _reference import assert_same_bits
@@ -233,7 +233,7 @@ def test_kernels_compute_in_their_input_format():
     for dt in (np.float32, np.float64):
         X = M.astype(dt)
         outputs = [*qr_decompose(X), *svd_decompose(X), *schur_decompose(X),
-                   solve_linear(X, M[:, 0]), horner_char_matrix(X, [-1.0, -2.0]),
+                   solve_linear(X, M[:, 0]), _horner_steps(X, pole_steps([-1.0, -2.0])),
                    linalg.householder_reflector(X[:, 0]),
                    linalg.householder_annihilator(X[:, 0])]
         assert [out.dtype for out in outputs] == [np.dtype(dt)] * len(outputs)

@@ -13,16 +13,20 @@ from poleplace.errors import (
     InvalidPoleSet,
     ParallelHyperplanes,
     PlacementError,
+    PrecisionOverflow,
     SingularShift,
     UncontrollableSystem,
     ZeroInputComponent,
 )
-from poleplace.linalg import BITS32, BITS64, eigenvalues, poly_from_roots
+from poleplace.linalg import BITS32, BITS64, eigenvalues, pole_steps, poly_from_roots
 from poleplace.placement import (
     ALGORITHMS,
     ChainFeedback,
     StateSpace,
     _descend_quotients,
+    _horner_steps,
+    _hyperplane_normals,
+    _hyperplane_points,
     _slide,
     _sys_arrays,
     ackermann_direct,
@@ -33,9 +37,6 @@ from poleplace.placement import (
     controller_hessenberg,
     feedback_eval,
     gain_from_chain,
-    horner_char_matrix,
-    hyperplane_normal,
-    hyperplane_point,
     place,
     place_algebroid1,
     place_determinantal,
@@ -135,24 +136,24 @@ def test_ackermann_matches_oracle_n5():
 
 
 def test_horner_single_root():
-    out = horner_char_matrix(WORKED.A, [-2.0])
+    out = _horner_steps(WORKED.A, pole_steps([-2.0]))
     np.testing.assert_allclose(out, WORKED.A + 2.0 * np.eye(3), atol=0)
 
 
 def test_horner_cayley_hamilton():
     ev = eigenvalues(WORKED.A)
-    out = horner_char_matrix(WORKED.A, list(ev))
+    out = _horner_steps(WORKED.A, pole_steps(list(ev)))
     assert np.max(np.abs(out)) <= 1e-9 * np.max(np.abs(WORKED.A)) ** 3
 
 
 def test_horner_matches_direct_polynomial():
     A = WORKED.A
     direct = A @ A @ A + 6 * A @ A + 11 * A + 6 * np.eye(3)
-    np.testing.assert_allclose(horner_char_matrix(A, POLES), direct, atol=1e-9)
+    np.testing.assert_allclose(_horner_steps(A, pole_steps(POLES)), direct, atol=1e-9)
 
 
 def test_horner_complex_pair_is_real():
-    out = horner_char_matrix(WORKED.A, [-1 + 1j, -1 - 1j, -2.0])
+    out = _horner_steps(WORKED.A, pole_steps([-1 + 1j, -1 - 1j, -2.0]))
     assert out.dtype == np.float64
     direct = (WORKED.A @ WORKED.A + 2 * WORKED.A + 2 * np.eye(3)) @ (WORKED.A + 2 * np.eye(3))
     np.testing.assert_allclose(out, direct, atol=1e-9)
@@ -200,14 +201,14 @@ def test_ackermann_routes_place_a_split_conjugate_pair():
 
 
 def test_hyperplane_points_worked_example():
-    np.testing.assert_allclose(hyperplane_point(WORKED.A, WORKED.B, -1.0, 0), [2, 3, 5], atol=1e-13)
-    np.testing.assert_allclose(hyperplane_point(WORKED.A, WORKED.B, -1.0, 1), [7, 14, 17], atol=1e-13)
-    np.testing.assert_allclose(hyperplane_point(WORKED.A, WORKED.B, -1.0, 2), [1, 1, 2], atol=1e-13)
+    for j, point in enumerate(([2, 3, 5], [7, 14, 17], [1, 1, 2])):
+        np.testing.assert_allclose(_hyperplane_points(WORKED.A, WORKED.B, [-1.0], j)[0], point,
+                                   atol=1e-13)
 
 
 def test_hyperplane_point_assigns_pole():
     for j in range(3):
-        k = hyperplane_point(WORKED.A, WORKED.B, -1.0, j)
+        k = _hyperplane_points(WORKED.A, WORKED.B, [-1.0], j)[0]
         ev = eigenvalues(WORKED.A - np.outer(WORKED.B, k))
         assert np.min(np.abs(ev - (-1.0))) <= 1e-9
 
@@ -215,7 +216,7 @@ def test_hyperplane_point_assigns_pole():
 def test_hyperplane_point_zero_component():
     sys = StateSpace([[1.0, 0], [0, 2.0]], [1.0, 0.0])
     with pytest.raises(ZeroInputComponent):
-        hyperplane_point(sys.A, sys.B, -1.0, 1)
+        _hyperplane_points(sys.A, sys.B, [-1.0], 1)[0]
 
 
 def test_hyperplane_normals_worked_example():
@@ -227,17 +228,18 @@ def test_hyperplane_normals_worked_example():
         -3.0: np.array([-11.0, 33.0, -33.0]) / -110.0,
     }
     for lam, ref in refs.items():
-        normal = hyperplane_normal(WORKED.A, WORKED.B, lam)
+        normal = _hyperplane_normals(WORKED.A, WORKED.B, [lam])[0]
         np.testing.assert_allclose(normal, ref, atol=1e-11)
         # every construction point lies on the plane normal . x = 1
         for j in range(3):
-            assert hyperplane_point(WORKED.A, WORKED.B, lam, j) @ normal == pytest.approx(1.0, abs=1e-10)
+            point = _hyperplane_points(WORKED.A, WORKED.B, [lam], j)[0]
+            assert point @ normal == pytest.approx(1.0, abs=1e-10)
 
 
 def test_hyperplane_normal_singular_shift():
     sys = StateSpace(np.diag([1.0, 2.0]), [1.0, 1.0])
     with pytest.raises(SingularShift):
-        hyperplane_normal(sys.A, sys.B, 1.0)  # shifting by an eigenvalue of A
+        _hyperplane_normals(sys.A, sys.B, [1.0])[0]  # shifting by an eigenvalue of A
 
 
 def test_hyperplane_normal_residual_property():
@@ -247,7 +249,7 @@ def test_hyperplane_normal_residual_property():
         A = rng.standard_normal((n, n))
         B = rng.standard_normal(n)
         lam = -float(rng.uniform(1, 5))
-        normal = hyperplane_normal(A, B, lam)
+        normal = _hyperplane_normals(A, B, [lam])[0]
         res = np.linalg.norm((A - lam * np.eye(n)) @ normal - B)
         assert res <= 1e-11 * max(1.0, np.linalg.norm(B), np.linalg.norm(normal) * np.linalg.norm(A))
 
@@ -562,6 +564,19 @@ def test_feedback_law_rejects_wrong_state_length():
     for x in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
         with pytest.raises(ValueError, match=f"state has {len(x)} entries, system has n = 3"):
             law(x)
+
+
+@pytest.mark.parametrize("precision, x, op", [
+    (BITS64, [1e307] * 3, "dot"),
+    (BITS32, [1e39, 1.0, 1.0], "cast"),
+], ids=["dot-64", "cast-32"])
+def test_chain_law_call_is_under_the_range_rule(precision, x, op):
+    # one typed error where the state or the recursion leaves the range,
+    # not numpy warnings (errors under filterwarnings = error) and a nan
+    chain = build_anchor_chain(WORKED, precision)
+    with pytest.raises(PrecisionOverflow) as info:
+        feedback_eval(chain, x, poles=POLES)
+    assert str(info.value) == f"ChainFeedback.__call__: overflow encountered in {op}"
 
 
 def test_feedback_eval_consistent_with_gain():
@@ -891,7 +906,7 @@ def test_every_algorithm_returns_float32_at_32_bits():
             assert K.dtype == np.float32, (name, sys.n)
             returned.add(name)
     assert returned == set(ALGORITHMS)
-    assert hyperplane_normal(*_sys_arrays(WORKED, BITS32), -1.0).dtype == np.float32
+    assert _hyperplane_normals(*_sys_arrays(WORKED, BITS32), [-1.0])[0].dtype == np.float32
 
 
 def test_algorithms_take_sys_poles_precision():
@@ -994,4 +1009,4 @@ def test_gain_lies_on_every_hyperplane():
         sys, poles = out
         K = ackermann_direct(sys, poles=poles)
         for lam in poles:
-            assert abs(K @ hyperplane_normal(sys.A, sys.B, lam) - 1.0) <= 1e-6
+            assert abs(K @ _hyperplane_normals(sys.A, sys.B, [lam])[0] - 1.0) <= 1e-6
