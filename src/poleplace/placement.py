@@ -5,7 +5,8 @@ variants) compute the same gain vector, each with its own numerical
 personality:
 
 * ``ackermann_direct`` / ``ackermann_factored`` -- the closed form and
-  its one-eigenvalue-at-a-time factorization.
+  its one-eigenvalue-at-a-time factorization: one Horner product
+  Phi(A) = (A - l_n I)...(A - l_1 I), the second run on A^T from the row side.
 * ``place_determinantal`` / ``place_sliding`` -- the affine-hyperplane
   geometry: each requested real pole defines a hyperplane of gains, the
   gain is their intersection, found either by solving the assembled
@@ -191,19 +192,18 @@ def inverse_ctrb_last_row(A, B) -> np.ndarray:
         ) from exc
 
 
-def _horner_steps(A, steps) -> np.ndarray:
-    """Phi(A) = (A - l_n I)...(A - l_1 I) by the nested recursion, in A's format,
+def _horner_steps(A, steps, X) -> np.ndarray:
+    """Phi(A) X = (A - l_n I)...(A - l_1 I) X by the nested recursion, in A's format,
     from the poles' :func:`~poleplace.linalg.pole_steps`: a conjugate pair is one
     real quadratic step at its first member's slot, so all stays real."""
-    Phi = np.eye(A.shape[0], dtype=A.dtype)
     for step in steps:
         if len(step) == 1:
-            Phi = A @ Phi - A.dtype.type(step[0]) * Phi
+            X = A @ X - A.dtype.type(step[0]) * X
         else:
             two_re, mag2 = (A.dtype.type(c) for c in step)
-            APhi = A @ Phi
-            Phi = A @ APhi - two_re * APhi + mag2 * Phi
-    return Phi
+            AX = A @ X
+            X = A @ AX - two_re * AX + mag2 * X
+    return X
 
 
 @_range_rule
@@ -213,7 +213,7 @@ def ackermann_direct(sys: StateSpace, poles=None, precision: Precision = BITS64,
     cp = _given_charpoly(sys.n, poles, charpoly)
     if cp is None:
         A, B, _, steps = _check_poles(sys, poles, precision)
-        return inverse_ctrb_last_row(A, B) @ _horner_steps(A, steps)
+        return inverse_ctrb_last_row(A, B) @ _horner_steps(A, steps, np.eye(sys.n, dtype=A.dtype))
     A, B = _sys_arrays(sys, precision)
     crow = inverse_ctrb_last_row(A, B)
     Phi = np.eye(sys.n, dtype=A.dtype)
@@ -225,21 +225,13 @@ def ackermann_direct(sys: StateSpace, poles=None, precision: Precision = BITS64,
 @_range_rule
 def ackermann_factored(sys: StateSpace, poles,
                        precision: Precision = BITS64) -> np.ndarray:
-    """Factorized Ackermann: K_0 = e_n^T C^-1, then K_i = K_{i-1} A - l_i K_{i-1}.
+    """Factorized Ackermann: K_0 = e_n^T C^-1, then K_i = K_{i-1} A - l_i K_{i-1},
+    the Horner product on A^T, since K_i^T = (A^T - l_i I) K_{i-1}^T.
 
-    The pole order is preserved; each conjugate pair is merged into one
-    real quadratic step (K A^2 - 2 Re(l) K A + |l|^2 K) at its first
-    member's slot.
-    """
+    The pole order is preserved; each conjugate pair is one real quadratic
+    step (K A^2 - 2 Re(l) K A + |l|^2 K) at its first member's slot."""
     A, B, _, steps = _check_poles(sys, poles, precision)
-    K = inverse_ctrb_last_row(A, B)
-    for step in steps:
-        if len(step) == 1:
-            K = K @ A - A.dtype.type(step[0]) * K
-        else:
-            KA = K @ A
-            K = KA @ A - A.dtype.type(step[0]) * KA + A.dtype.type(step[1]) * K
-    return K
+    return _horner_steps(A.T, steps, inverse_ctrb_last_row(A, B))
 
 
 # ---------------------------------------------------------------------------
@@ -565,26 +557,22 @@ class ChainFeedback:
     def gain(self) -> np.ndarray:
         """K from the recursion K_i = A_{t,i} p_{n-i} + an_i K_{i-1},
         K_0 = p_n I, closed with the leading-power term A_{t,n-1} A and
-        scaled by the last quotient input."""
-        if self._scalar is not None:
-            return np.array([self._scalar], dtype=self.precision.dtype)
-        Kt = self._pp0 * np.eye(self.n, dtype=self.precision.dtype)
-        for transfer, anchor, p in self._steps:
-            Kt = transfer * p + anchor @ Kt
-        return ((Kt + self._last_A) / self._den).ravel()
+        scaled by the last quotient input: the law applied to the identity."""
+        return -self._apply(np.eye(self.n, dtype=self.precision.dtype))
 
     @_range_rule
     def __call__(self, x) -> float:
         """u = -K x through the same recursion applied to the state."""
-        x = as_vector(x, self.precision)
+        x = _in_precision(as_vector(x, BITS64), self.precision, "state has entries")
         if x.size != self.n:
             raise ValueError(f"state has {x.size} entries, system has n = {self.n}")
         return float(self._apply(x))
 
     def _apply(self, x):
         """The unchecked recursion: ``x`` is a 1-d state of length n in the
-        law's format, and u comes back as a scalar of that format.  Each
-        ``.dot`` is the BLAS gemv that ``@`` calls, and each in-place
+        law's format, and u comes back as a scalar of that format; an n x m
+        block of states taken as columns gives a row of m controls.  Each
+        ``.dot`` is the BLAS product that ``@`` calls, and each in-place
         update the same elementwise operation, so u has the bits of
         ``transfer @ x * p + anchor @ ut``."""
         if self._scalar is not None:
@@ -746,7 +734,7 @@ def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.nda
     A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
     n = sys.n
     U, T = schur_decompose(A)
-    if n > 1 and np.any(np.diag(T, -1) != 0.0):
+    if np.any(np.diag(T, -1) != 0.0):
         raise ComplexBlockUnsupported(
             "A has complex eigenvalues (2x2 Schur block); this method "
             "handles real-spectrum systems only"
@@ -756,7 +744,7 @@ def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.nda
     Bs = Bsd.copy()
     Qs = np.eye(n, dtype=A.dtype)
     hh = np.zeros(n, dtype=A.dtype)
-    scale = float(np.max(np.abs(Bsd))) if n else 1.0
+    scale = float(np.max(np.abs(Bsd)))
     for ii in range(n - 1, -1, -1):
         if abs(float(Bs[-1])) <= THRESHOLDS["placement_pivot"](precision, scale):
             raise UncontrollableSystem(

@@ -233,7 +233,8 @@ def test_kernels_compute_in_their_input_format():
     for dt in (np.float32, np.float64):
         X = M.astype(dt)
         outputs = [*qr_decompose(X), *svd_decompose(X), *schur_decompose(X),
-                   solve_linear(X, M[:, 0]), _horner_steps(X, pole_steps([-1.0, -2.0])),
+                   solve_linear(X, M[:, 0]),
+                   _horner_steps(X, pole_steps([-1.0, -2.0]), np.eye(4, dtype=dt)),
                    linalg.householder_reflector(X[:, 0]),
                    linalg.householder_annihilator(X[:, 0])]
         assert [out.dtype for out in outputs] == [np.dtype(dt)] * len(outputs)

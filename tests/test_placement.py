@@ -136,24 +136,24 @@ def test_ackermann_matches_oracle_n5():
 
 
 def test_horner_single_root():
-    out = _horner_steps(WORKED.A, pole_steps([-2.0]))
+    out = _horner_steps(WORKED.A, pole_steps([-2.0]), np.eye(3))
     np.testing.assert_allclose(out, WORKED.A + 2.0 * np.eye(3), atol=0)
 
 
 def test_horner_cayley_hamilton():
     ev = eigenvalues(WORKED.A)
-    out = _horner_steps(WORKED.A, pole_steps(list(ev)))
+    out = _horner_steps(WORKED.A, pole_steps(list(ev)), np.eye(3))
     assert np.max(np.abs(out)) <= 1e-9 * np.max(np.abs(WORKED.A)) ** 3
 
 
 def test_horner_matches_direct_polynomial():
     A = WORKED.A
     direct = A @ A @ A + 6 * A @ A + 11 * A + 6 * np.eye(3)
-    np.testing.assert_allclose(_horner_steps(A, pole_steps(POLES)), direct, atol=1e-9)
+    np.testing.assert_allclose(_horner_steps(A, pole_steps(POLES), np.eye(3)), direct, atol=1e-9)
 
 
 def test_horner_complex_pair_is_real():
-    out = _horner_steps(WORKED.A, pole_steps([-1 + 1j, -1 - 1j, -2.0]))
+    out = _horner_steps(WORKED.A, pole_steps([-1 + 1j, -1 - 1j, -2.0]), np.eye(3))
     assert out.dtype == np.float64
     direct = (WORKED.A @ WORKED.A + 2 * WORKED.A + 2 * np.eye(3)) @ (WORKED.A + 2 * np.eye(3))
     np.testing.assert_allclose(out, direct, atol=1e-9)
@@ -162,6 +162,25 @@ def test_horner_complex_pair_is_real():
 def test_factored_worked_example():
     K = ackermann_factored(WORKED, POLES)
     np.testing.assert_allclose(K, K_REF, atol=1e-9)
+
+
+@pytest.mark.parametrize("precision", [BITS32, BITS64], ids=["32", "64"])
+def test_ackermann_factored_bitwise_equal_to_reference(precision):
+    # the Horner product on A^T keeps 1.0.0's row-side K A - l K bits
+    rng = np.random.default_rng(71)
+    cases = []
+    for n in range(1, 13):
+        sys = StateSpace(rng.standard_normal((n, n)), rng.standard_normal(n))
+        real = sorted(rng.uniform(-5.0, -0.1, n).tolist())
+        pairs = [-0.5 - k for k in range(n % 2)] + [
+            complex(-1.0 - k, s * (k + 1.0)) for k in range(n // 2) for s in (1, -1)]
+        cases += [(sys, real), (sys, real[::-1]), (sys, pairs)]
+    for n in range(3, 13):
+        poles = [-(k + 1.0) for k in range(n)]
+        cases += [(gen_integer_example(n), poles), (gen_integer_example(n), poles[::-1])]
+    assert_same_bits(lambda sys, poles: ackermann_factored(sys, poles, precision),
+                     lambda sys, poles: ref.placement.ackermann_factored(
+                         ref.state_space(sys), poles, ref.precision(precision)), cases)
 
 
 def test_factored_complex_pair_places():
@@ -566,17 +585,18 @@ def test_feedback_law_rejects_wrong_state_length():
             law(x)
 
 
-@pytest.mark.parametrize("precision, x, op", [
-    (BITS64, [1e307] * 3, "dot"),
-    (BITS32, [1e39, 1.0, 1.0], "cast"),
+@pytest.mark.parametrize("precision, x, message", [
+    (BITS64, [1e307] * 3, "ChainFeedback.__call__: overflow encountered in dot"),
+    # the state is cast once, checked as simulate checks x0
+    (BITS32, [1e39, 1.0, 1.0], "state has entries beyond the 32-bit range"),
 ], ids=["dot-64", "cast-32"])
-def test_chain_law_call_is_under_the_range_rule(precision, x, op):
+def test_chain_law_call_is_under_the_range_rule(precision, x, message):
     # one typed error where the state or the recursion leaves the range,
     # not numpy warnings (errors under filterwarnings = error) and a nan
     chain = build_anchor_chain(WORKED, precision)
     with pytest.raises(PrecisionOverflow) as info:
         feedback_eval(chain, x, poles=POLES)
-    assert str(info.value) == f"ChainFeedback.__call__: overflow encountered in {op}"
+    assert str(info.value) == message
 
 
 def test_feedback_eval_consistent_with_gain():
