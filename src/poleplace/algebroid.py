@@ -80,24 +80,6 @@ def orthogonal_bracket(A1, A2, anchor: OrthogonalAnchor) -> np.ndarray:
     return A1 @ A2 - A2 @ A1 + A2 @ P @ A1 - A1 @ P @ A2
 
 
-def double_bracket(A1, A2, anchor: OrthogonalAnchor,
-                   alpha: float = 0.0, beta: float = 0.0) -> np.ndarray:
-    """<<A1, A2>>_{alpha,beta} = [A1 (I - qq^T) + alpha qq^T,
-                                  A2 (I - qq^T) + beta  qq^T].
-
-    With alpha = beta = 0 this is the plain projected-commutator form.
-    """
-    A1 = as_matrix(A1, BITS64)
-    A2 = as_matrix(A2, BITS64)
-    n = anchor.q.size
-    if A1.shape != (n, n) or A2.shape != (n, n):
-        raise ValueError("operands must be square and conformal with the anchor")
-    P = np.outer(anchor.q, anchor.q)
-    M1 = A1 @ (np.eye(n) - P) + alpha * P
-    M2 = A2 @ (np.eye(n) - P) + beta * P
-    return M1 @ M2 - M2 @ M1
-
-
 def project(anchor: OrthogonalAnchor, A) -> np.ndarray:
     """Quotient representative Q A Q^T of a square matrix."""
     A = as_matrix(A, BITS64)

@@ -619,23 +619,13 @@ def companion_matrix(coeffs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Matrix / system file formats (shared with the CLI)
-
-
-def format_matrix_text(M) -> str:
-    """Text form: first line "rows cols", then row-major entries.
-
-    Entries are written with repr so a read back is bit-identical.
-    """
-    M = np.atleast_2d(np.asarray(M, dtype=np.float64))
-    lines = [f"{M.shape[0]} {M.shape[1]}"]
-    for row in M:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
+# Matrix / system file formats (read by the CLI)
 
 
 def parse_matrix_text(text: str) -> np.ndarray:
-    """Parse the text format above, or a JSON array-of-arrays."""
+    """Parse a matrix from text: a first line "rows cols", then the
+    row-major entries separated by whitespace (written with repr, they
+    read back bit-identically), or a JSON array-of-arrays."""
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty matrix input")
@@ -683,9 +673,3 @@ def load_system(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_system_text(fh.read())
 
-
-def save_system(path, A, B):
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    B = np.asarray(B, dtype=np.float64).ravel()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix_text(np.column_stack([A, B])))

@@ -541,8 +541,10 @@ class ChainFeedback:
             self._scalar = (A[0, 0] + pp[0]) / B[0]
             return
         self._scalar = None
-        self._pp0 = pp[0]
-        self._steps = tuple((level.transfer, level.anchor, pp[i])
+        # each p_i a 0-d array (a copy): numpy multiplies an array by one
+        # faster than by a scalar, to the same value
+        self._pp0 = np.array(pp[0])
+        self._steps = tuple((level.transfer, level.anchor, np.array(pp[i]))
                             for i, level in enumerate(chain.levels, start=1))
         last = chain.levels[-1].transfer
         self._last_A = last @ A

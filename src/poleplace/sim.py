@@ -72,15 +72,29 @@ class Trace:
 
 def rk4_step(derivative, t, x, h):
     """One classical 4-stage Runge-Kutta update, with h rounded to the
-    state's format (float32 stays float32, all else float64)."""
+    state's format (float32 stays float32, all else float64).
+
+    The arithmetic is 1.0.0's, in its order: the stages at x + k h/2 and
+    x + k h, then x + (k1 + 2 k2 + 2 k3 + k4) h/6: the sum accumulates
+    in place on 2 k2, and x is added in place to its fresh product with
+    h/6.  Addition and multiplication commute, so the bits are 1.0.0's
+    unless k1, k3 or k4 comes back in a wider format than k2.  Neither
+    ``x`` nor an array the derivative returns is written to.
+    """
     x = np.asarray(x)
     h = _precision_of(x).dtype(h)
+    h2 = h / 2
     k1 = derivative(t, x)
-    k2 = derivative(t + h / 2, x + k1 * (h / 2))
-    k3 = derivative(t + h / 2, x + k2 * (h / 2))
+    k2 = derivative(t + h2, x + k1 * h2)
+    k3 = derivative(t + h2, x + k2 * h2)
     k4 = derivative(t + h, x + k3 * h)
-    out = x + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (h / 6.0)
-    if not np.all(np.isfinite(out)):
+    ks = 2.0 * k2
+    ks += k1
+    ks += 2.0 * k3
+    ks += k4
+    out = ks * (h / 6.0)
+    out += x
+    if not np.isfinite(out).all():
         raise DivergedState("derivative produced a non-finite state")
     return out
 
@@ -125,27 +139,30 @@ def simulate(sys: StateSpace, poles, cfg: SimConfig,
     if cfg.feedback == "gain":
         K = law.gain()
 
-        def control(x):
-            return -K.dot(x)
+        def derivative(t, x):
+            return A.dot(x) + B * -K.dot(x)
     else:
         control = law._apply
 
-    def derivative(t, x):
-        return A.dot(x) + B * control(x)
+        def derivative(t, x):
+            return A.dot(x) + B * control(x)
 
     times = np.zeros(cfg.steps + 1)
     states = np.zeros((cfg.steps + 1, sys.n), dtype=dt)
     states[0] = _in_precision(cfg.x0, precision, "x0 has entries")
     h = _in_precision(cfg.h, precision, "the step h is")[()]
+    # the clock adds in float64, as times[i] + h would
+    t, step = 0.0, float(cfg.h)
     # a stage that overflows ends in rk4_step's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(cfg.steps):
-            times[i + 1] = times[i] + cfg.h
-            states[i + 1] = rk4_step(derivative, dt(times[i]), states[i], h)
-            v = states[i + 1].astype(np.float64)
+            states[i + 1] = rk4_step(derivative, dt(t), states[i], h)
+            t += step
+            times[i + 1] = t
+            v = states[i + 1].astype(np.float64, copy=False)
             if math.sqrt(v.dot(v)) > OVERFLOW_GUARD:
                 raise DivergedState(
-                    f"state norm exceeded {OVERFLOW_GUARD:.0e} at t = {times[i + 1]:.3f}"
+                    f"state norm exceeded {OVERFLOW_GUARD:.0e} at t = {t:.3f}"
                 )
     return Trace(times, states.astype(np.float64))
 

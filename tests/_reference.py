@@ -11,6 +11,10 @@ The adapters below bridge the 1.0.0 interfaces: its kernels take an
 explicit precision, passed under today's dtype rule (float32 input stays
 32-bit, all else is 64-bit); its ``_lu_factor`` also returns the swap
 count; its chains take its own ``StateSpace``.
+
+Only tests write system files, so the package has no writer: tests write
+with 1.0.0's ``save_system`` and ``format_matrix_text``, whose text
+today's reader parses back bit for bit.
 """
 
 import dataclasses
@@ -28,6 +32,10 @@ try:
     from poleplace_ref import linalg as ref_linalg
 finally:
     sys.dont_write_bytecode = _saved
+
+
+save_system = ref_linalg.save_system
+format_matrix_text = ref_linalg.format_matrix_text
 
 
 def precision(p):
@@ -68,6 +76,10 @@ KERNELS = {
     "_hqr_eigenvalues": ref_linalg._hqr_eigenvalues,
     "mat_mul": exactring.mat_mul,
     "place_exact": _place_exact,
+    # 1.0.0 rounds h to the state's own dtype, so an integer state took a
+    # zero step; today's rule steps it in float64
+    "rk4_step": lambda derivative, t, x, h: sim.rk4_step(
+        derivative, t, np.asarray(x, dtype=linalg._precision_of(np.asarray(x)).dtype), h),
 }
 
 

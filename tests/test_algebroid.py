@@ -4,7 +4,6 @@ import pytest
 from poleplace.algebroid import (
     ObliqueAnchor,
     OrthogonalAnchor,
-    double_bracket,
     oblique_anchor_apply,
     oblique_anchor_apply_exact,
     oblique_bracket,
@@ -57,35 +56,6 @@ def test_e1_anchor_identity_2x2():
         lhs = project(anchor, orthogonal_bracket(M1, M2, anchor))
         r1, r2 = project(anchor, M1), project(anchor, M2)
         assert np.max(np.abs(lhs - (r1 @ r2 - r2 @ r1))) <= 1e-10
-
-
-def test_double_bracket_equal_args_zero():
-    anchor = random_anchor(np.random.default_rng(4), 4)
-    M = np.random.default_rng(5).standard_normal((4, 4))
-    assert np.max(np.abs(double_bracket(M, M, anchor))) == 0.0
-
-
-def test_double_bracket_projected_identity():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        anchor = random_anchor(rng, 4)
-        M1 = rng.standard_normal((4, 4))
-        M2 = rng.standard_normal((4, 4))
-        lhs = project(anchor, double_bracket(M1, M2, anchor))
-        r1, r2 = project(anchor, M1), project(anchor, M2)
-        assert np.max(np.abs(lhs - (r1 @ r2 - r2 @ r1))) <= 1e-10
-
-
-def test_parameterized_family_reduces_at_zero():
-    rng = np.random.default_rng(7)
-    anchor = random_anchor(rng, 3)
-    M1 = rng.standard_normal((3, 3))
-    M2 = rng.standard_normal((3, 3))
-    plain = double_bracket(M1, M2, anchor)
-    param = double_bracket(M1, M2, anchor, alpha=0.0, beta=0.0)
-    assert np.array_equal(plain, param)
-    shifted = double_bracket(M1, M2, anchor, alpha=1.5, beta=-0.5)
-    assert np.max(np.abs(shifted - plain)) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +147,6 @@ def test_antisymmetry_all_brackets():
         scale = max(1.0, np.abs(M1).max() * np.abs(M2).max())
         assert np.max(np.abs(orthogonal_bracket(M1, M2, anc)
                              + orthogonal_bracket(M2, M1, anc))) <= 1e-10 * scale
-        assert np.max(np.abs(double_bracket(M1, M2, anc)
-                             + double_bracket(M2, M1, anc))) <= 1e-10 * scale
         w = rng.standard_normal(n)
         g = rng.standard_normal(n)
         if abs(w @ g) < 0.1:

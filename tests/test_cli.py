@@ -11,6 +11,8 @@ import pytest
 
 from poleplace import bench, cli, linalg, placement
 
+from _reference import save_system
+
 WORKED_TEXT = """3 4
 1 3 5 1
 7 13 17 1
@@ -341,7 +343,7 @@ def test_exact_range_syntax(tmp_path, capsys):
     from poleplace.bench import gen_integer_example
     sys10 = gen_integer_example(10)
     path = tmp_path / "int10.txt"
-    linalg.save_system(path, sys10.A, sys10.B)
+    save_system(path, sys10.A, sys10.B)
     code = cli.main(["exact", "--system", str(path), "--poles", "-1..-10"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -611,7 +613,7 @@ def test_system_write_read_bit_identical(tmp_path):
     A = rng.standard_normal((5, 5))
     B = rng.standard_normal(5)
     path = tmp_path / "sys.txt"
-    linalg.save_system(path, A, B)
+    save_system(path, A, B)
     A2, B2 = linalg.load_system(path)
     assert np.array_equal(A, A2) and np.array_equal(B, B2)
 

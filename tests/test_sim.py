@@ -59,6 +59,59 @@ def test_rk4_rejects_nonfinite():
         rk4_step(lambda t, x: x * np.inf, 0.0, np.array([1.0]), 0.1)
 
 
+def test_rk4_step_bits_equal_reference():
+    # float64, float32 (with a float32 and with a float64 derivative) and
+    # integer states, linear, nonlinear and time-dependent derivatives,
+    # constant float32 and integer ones, and a diverging one
+    A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-6.0, -11.0, -6.0]]) / 3.0
+    A32 = A.astype(np.float32)
+    cases = []
+    for t, x, h, M in ((0.0, np.array([1.0, -2.0, 0.5]), 0.1, A),
+                       (np.float32(0.5), np.array([1.0, -2.0, 0.5], dtype=np.float32), 0.1, A32),
+                       (np.float32(0.5), np.array([3e-3, 7.0, -1.5], dtype=np.float32), 0.25, A),
+                       (0.25, np.array([1, -2, 3]), 0.1, A),
+                       (0.25, [2, 0, -1], 0.3, A)):
+        cases += [
+            (lambda t, x, M=M: M.dot(x), t, x, h),
+            (lambda t, x: np.sin(x) * t - x ** 3, t, x, h),
+            (lambda t, x, M=M: np.cos(t) * M.dot(x) - x, t, x, h),
+            (lambda t, x: np.float32([0.1, -3.0, 7e-3]), t, x, h),
+            (lambda t, x: np.array([1, -2, 0]), t, x, h),
+            (lambda t, x: x * np.inf, t, np.abs(x) + 1, h),
+        ]
+    outcomes = assert_same_bits(rk4_step, ref.KERNELS["rk4_step"], cases)
+    assert sum(o[0] == "DivergedState" for o in outcomes) == 5
+
+
+def test_rk4_writes_into_neither_the_state_nor_a_stage():
+    # the update is formed in place, so it must start from a fresh array:
+    # a derivative may hand back a buffer it keeps (one of four, each
+    # written by np.dot(out=)) or the state it was given
+    A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-6.0, -11.0, -6.0]])
+    buffers = [np.empty(3) for _ in range(4)]
+    returned = []
+
+    def kept(t, x):
+        k = np.dot(A, x, out=buffers[len(returned)])
+        returned.append((k, k.copy()))
+        return k
+
+    def identity(t, x):
+        returned.append((x, x.copy()))
+        return x
+
+    for derivative in (kept, identity):
+        returned.clear()
+        x = np.array([1.0, -2.0, 0.5])
+        before = x.copy()
+        out = rk4_step(derivative, 0.0, x, 0.1)
+        assert x.tobytes() == before.tobytes()
+        assert len(returned) == 4
+        for k, at_return in returned:
+            assert k.tobytes() == at_return.tobytes()
+            assert out is not k
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
