@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateAnchor
-from .linalg import BITS64, THRESHOLDS, as_matrix, as_vector, householder_annihilator
+from .linalg import BITS64, THRESHOLDS, _guard, as_matrix, as_vector, householder_annihilator
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,12 @@ class OrthogonalAnchor:
         return cls(Q[0, :].copy(), Q[1:, :].copy())
 
 
+def _bracket(A1, A2, P):
+    """A1 A2 - A2 A1 + A2 P A1 - A1 P A2, the bracket of both families for
+    the anchor's projector P (float or Fraction entries)."""
+    return A1 @ A2 - A2 @ A1 + A2 @ P @ A1 - A1 @ P @ A2
+
+
 def orthogonal_bracket(A1, A2, anchor: OrthogonalAnchor) -> np.ndarray:
     """<A1, A2> = A1 A2 - A2 A1 + A2 q q^T A1 - A1 q q^T A2."""
     A1 = as_matrix(A1, BITS64)
@@ -76,8 +82,7 @@ def orthogonal_bracket(A1, A2, anchor: OrthogonalAnchor) -> np.ndarray:
     n = anchor.q.size
     if A1.shape != (n, n) or A2.shape != (n, n):
         raise ValueError("operands must be square and conformal with the anchor")
-    P = np.outer(anchor.q, anchor.q)
-    return A1 @ A2 - A2 @ A1 + A2 @ P @ A1 - A1 @ P @ A2
+    return _bracket(A1, A2, np.outer(anchor.q, anchor.q))
 
 
 def project(anchor: OrthogonalAnchor, A) -> np.ndarray:
@@ -105,11 +110,9 @@ class ObliqueAnchor:
         if omega.size != g.size:
             raise ValueError("omega and g must have equal length")
         pairing = float(omega @ g)
-        scale = float(np.linalg.norm(omega) * np.linalg.norm(g))
-        if abs(pairing) <= THRESHOLDS["oblique_pairing"](BITS64, scale):
-            raise DegenerateAnchor(
-                f"omega^T g = {pairing:.3e} is below the degeneracy threshold"
-            )
+        _guard("oblique_pairing", abs(pairing), BITS64,
+               float(np.linalg.norm(omega) * np.linalg.norm(g)), error=DegenerateAnchor,
+               message=lambda: f"omega^T g = {pairing:.3e} is below the degeneracy threshold")
 
     @property
     def pairing(self) -> float:
@@ -136,8 +139,7 @@ def oblique_bracket(A1, A2, anchor: ObliqueAnchor) -> np.ndarray:
     """{{A1, A2}} = A1 A2 - A2 A1 + A2 G A1 - A1 G A2."""
     A1 = as_matrix(A1, BITS64)
     A2 = as_matrix(A2, BITS64)
-    G = anchor.projector
-    return A1 @ A2 - A2 @ A1 + A2 @ G @ A1 - A1 @ G @ A2
+    return _bracket(A1, A2, anchor.projector)
 
 
 # -- exact-rational evaluation ----------------------------------------------
@@ -167,7 +169,4 @@ def oblique_anchor_apply_exact(A, omega, g):
 
 
 def oblique_bracket_exact(A1, A2, omega, g):
-    A1 = _frac_matrix(A1)
-    A2 = _frac_matrix(A2)
-    G = _exact_projector(omega, g)
-    return A1 @ A2 - A2 @ A1 + A2 @ G @ A1 - A1 @ G @ A2
+    return _bracket(_frac_matrix(A1), _frac_matrix(A2), _exact_projector(omega, g))

@@ -6,11 +6,22 @@ can distinguish algorithmic failures from ordinary usage errors.
 
 
 class PlacementError(Exception):
-    """Base class for failures of the numerical algorithms."""
+    """Base class for failures of the numerical algorithms.
+
+    A failure decided by a numerical-zero bound of ``linalg.THRESHOLDS``
+    (raised by ``linalg._guard``) carries the bound's name in ``check``,
+    the magnitude found at or below it in ``value`` and the bound itself
+    in ``bound``; on any other failure the three are None.
+    """
+
+    check = None
+    value = None
+    bound = None
 
 
 class SingularSystem(PlacementError):
-    """A linear system was numerically singular (pivot below threshold)."""
+    """A linear system was numerically singular: its smallest LU pivot is
+    at or below the ``lu_pivot`` bound."""
 
 
 class SingularShift(PlacementError):
@@ -18,7 +29,11 @@ class SingularShift(PlacementError):
 
 
 class UncontrollableSystem(PlacementError):
-    """The single-input pair (A, B) is not controllable."""
+    """The single-input pair (A, B) is not controllable: B = 0, an exact
+    zero, a singular controllability matrix (its cause a
+    :class:`SingularSystem`), or a quotient, deflated or transformed input
+    or a Hessenberg subdiagonal at or below the ``placement_pivot`` bound,
+    or the chain's final quotient input at or below ``chain_denominator``."""
 
 
 class ParallelHyperplanes(PlacementError):
@@ -26,11 +41,13 @@ class ParallelHyperplanes(PlacementError):
 
 
 class DegenerateProjection(PlacementError):
-    """A sliding projection denominator fell below the safe threshold."""
+    """A sliding projection denominator is at or below the
+    ``placement_pivot`` bound."""
 
 
 class ZeroInputComponent(PlacementError):
-    """A b_j entry required by the hyperplane point formula is zero."""
+    """The b_j entry that the hyperplane point formula divides by is at or
+    below the ``placement_pivot`` bound."""
 
 
 class ComplexBlockUnsupported(PlacementError):
@@ -38,7 +55,8 @@ class ComplexBlockUnsupported(PlacementError):
 
 
 class DegenerateAnchor(PlacementError):
-    """The oblique anchor pairing omega^T g is too close to zero."""
+    """The oblique anchor pairing |omega^T g| is at or below the
+    ``oblique_pairing`` bound (exactly zero in the exact evaluation)."""
 
 
 class InvalidPoleSet(PlacementError):

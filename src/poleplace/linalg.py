@@ -450,7 +450,10 @@ def eigenvalues(A) -> np.ndarray:
 # Every test in the package of whether a computed magnitude is numerically
 # zero compares it with a bound from this table.  Each entry is named for
 # the quantity it guards and maps the precision and the scale factors of
-# that quantity to the bound at or below which it counts as zero.
+# that quantity to the bound at or below which it counts as zero.  Every
+# such test that raises goes through :func:`_guard`, so the error carries
+# the entry's name, the magnitude and the bound (``check``, ``value`` and
+# ``bound`` of :class:`~poleplace.errors.PlacementError`).
 
 THRESHOLDS = {
     # LU pivots of solve_linear, scaled by n and max|A|
@@ -470,6 +473,19 @@ THRESHOLDS = {
     "orthonormality": lambda precision: 1e-10,  # of an orthogonal anchor
     "spectrum_pair": lambda precision: 1e-9,  # Im of a verified eigenvalue in a pair
 }
+
+
+def _guard(check: str, value, *scale, error, message) -> None:
+    """Raise ``error(message())`` when ``value`` is at or below the bound
+    ``THRESHOLDS[check](*scale)``, with the error's ``check``, ``value``
+    and ``bound`` set; else return None.  A NaN value passes (the test is
+    ``<=``), and ``message``, a zero-argument callable, is called only on
+    a failure."""
+    bound = THRESHOLDS[check](*scale)
+    if value <= bound:
+        exc = error(message())
+        exc.check, exc.value, exc.bound = check, float(value), float(bound)
+        raise exc
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +538,8 @@ def _back_substitute(lu: np.ndarray, pivmin: float, scale) -> np.ndarray:
     :class:`SingularSystem` first when pivmin is at or below the
     ``lu_pivot`` bound, eps * n * scale, scale being max|A| of the system."""
     n = lu.shape[0]
-    if pivmin <= THRESHOLDS["lu_pivot"](_precision_of(lu), n, scale):
-        raise SingularSystem(
-            f"matrix numerically singular (pivot {pivmin:.3e}, scale {scale:.3e})"
-        )
+    _guard("lu_pivot", pivmin, _precision_of(lu), n, scale, error=SingularSystem,
+           message=lambda: f"matrix numerically singular (pivot {pivmin:.3e}, scale {scale:.3e})")
     x = lu[:, n].copy()
     x[n - 1] /= lu[n - 1, n - 1]  # the empty dot of the last row is skipped
     for k in range(n - 2, -1, -1):

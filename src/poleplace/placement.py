@@ -59,6 +59,7 @@ from .linalg import (
     THRESHOLDS,
     Precision,
     _back_substitute,
+    _guard,
     _in_precision,
     _lu_eliminate,
     _precision_of,
@@ -243,8 +244,9 @@ def _hyperplane_points(A, B, roots, j: int) -> np.ndarray:
     that assigns l (a_j is the 0-based row j of A), for arrays already
     checked: one elementwise expression for all the poles."""
     bj = float(B[j])
-    if abs(bj) <= THRESHOLDS["placement_pivot"](_precision_of(A), float(np.max(np.abs(B)))):
-        raise ZeroInputComponent(f"b[{j}] = {bj} is too small for the point formula")
+    _guard("placement_pivot", abs(bj), _precision_of(A), float(np.max(np.abs(B))),
+           error=ZeroInputComponent,
+           message=lambda: f"b[{j}] = {bj} is too small for the point formula")
     e = np.zeros(B.size, dtype=A.dtype)
     e[j] = 1.0
     return (A[j, :] - np.array(roots, dtype=A.dtype)[:, None] * e) / A.dtype.type(bj)
@@ -310,11 +312,12 @@ def place_sliding(sys: StateSpace, poles,
     return _slide(A, B, roots)[-1]
 
 
-def _slide_denominator(base, direction, what: str) -> float:
+def _slide_denominator(base, direction, where: str, k: int) -> float:
+    """base . direction, guarded; a failure names ``where`` k."""
     den = float(base @ direction)
-    scale = float(np.linalg.norm(base) * np.linalg.norm(direction))
-    if abs(den) <= THRESHOLDS["placement_pivot"](_precision_of(base), scale):
-        raise DegenerateProjection(f"{what} (planes nearly parallel)")
+    _guard("placement_pivot", abs(den), _precision_of(base),
+           float(np.linalg.norm(base) * np.linalg.norm(direction)), error=DegenerateProjection,
+           message=lambda: f"{where} {k} (planes nearly parallel)")
     return den
 
 
@@ -329,8 +332,7 @@ def _slide(A, B, roots) -> list:
     for k in range(1, n):
         direction = proj[k - 1]
         base = normals[k - 1]
-        den = _slide_denominator(base, direction,
-                                 f"projection denominator vanished at stage {k}")
+        den = _slide_denominator(base, direction, "projection denominator vanished at stage", k)
         P = eye - direction[:, None] * base / A.dtype.type(den)
         for i in range(k, n):
             proj[i] = P @ proj[i]
@@ -339,8 +341,7 @@ def _slide(A, B, roots) -> list:
     for k in range(1, n):
         direction = proj[k]
         base = normals[k]
-        den = _slide_denominator(base, direction,
-                                 f"slide denominator vanished at plane {k + 1}")
+        den = _slide_denominator(base, direction, "slide denominator vanished at plane", k + 1)
         G = direction[:, None] * base / A.dtype.type(den)
         gam = gam - (gam - seeds[k]) @ G.T
         steps.append(gam)
@@ -399,10 +400,9 @@ def _descend_quotients(A, B, roots, variant: str) -> QuotientStack:
         levels.append(QuotientLevel(Ab, Bb, anb, ko))
         Ab = anb @ Ab @ anb.T
         Bb = anb @ Bb
-        if np.max(np.abs(Bb)) <= THRESHOLDS["placement_pivot"](_precision_of(A), bmax):
-            raise UncontrollableSystem(
-                f"quotient input vanished at level {i + 1}"
-            )
+        _guard("placement_pivot", np.max(np.abs(Bb)), _precision_of(A), bmax,
+               error=UncontrollableSystem,
+               message=lambda: f"quotient input vanished at level {i + 1}")
     return QuotientStack(tuple(levels), float(Ab.ravel()[0]), float(Bb.ravel()[0]))
 
 
@@ -549,10 +549,8 @@ class ChainFeedback:
         last = chain.levels[-1].transfer
         self._last_A = last @ A
         den = (last @ B).ravel()[0]
-        if abs(float(den)) <= THRESHOLDS["chain_denominator"](self.precision):
-            raise UncontrollableSystem(
-                f"final quotient input B_(n-1) = {float(den):.3e} is zero"
-            )
+        _guard("chain_denominator", abs(float(den)), self.precision, error=UncontrollableSystem,
+               message=lambda: f"final quotient input B_(n-1) = {float(den):.3e} is zero")
         self._den = den
 
     @_range_rule
@@ -662,11 +660,11 @@ def place_miminis(sys: StateSpace, poles, precision: Precision = BITS64) -> np.n
     roots = roots[::-1]  # the deflation consumes the pole list reversed
     qc, Ah = controller_hessenberg(A, B)
     scale = float(np.max(np.abs(A)))
-    sub = np.abs(np.diag(Ah, -1))
-    if np.any(sub <= THRESHOLDS["placement_pivot"](precision, scale)):
-        raise UncontrollableSystem(
-            "staircase breakdown: Hessenberg subdiagonal vanished"
-        )
+    # the least |subdiagonal entry|, NaN entries skipped by fmin: at or
+    # below the bound exactly when some entry is
+    _guard("placement_pivot", np.fmin.reduce(np.abs(np.diag(Ah, -1))), precision, scale,
+           error=UncontrollableSystem,
+           message=lambda: "staircase breakdown: Hessenberg subdiagonal vanished")
     Ai = (qc.T @ A @ qc)[::-1, ::-1]
     Bi = (qc.T @ B)[::-1]
     qis = []
@@ -675,14 +673,14 @@ def place_miminis(sys: StateSpace, poles, precision: Precision = BITS64) -> np.n
         m = n - i
         shifted = Ai.T - A.dtype.type(roots[i]) * np.eye(m, dtype=A.dtype)
         qi, ri = qr_decompose(shifted)
-        if abs(float(Bi[-1])) <= THRESHOLDS["placement_pivot"](precision, scale):
-            raise UncontrollableSystem(f"deflated input vanished at stage {i + 1}")
+        _guard("placement_pivot", abs(float(Bi[-1])), precision, scale, error=UncontrollableSystem,
+               message=lambda: f"deflated input vanished at stage {i + 1}")
         pph[i] = ri[-1, -1] / Bi[-1]
         qis.append(qi)
         Ai = (qi.T @ Ai @ qi)[:-1, :-1]
         Bi = (qi.T @ Bi)[:-1]
-    if abs(float(Bi[0])) <= THRESHOLDS["placement_pivot"](precision, scale):
-        raise UncontrollableSystem("deflated input vanished at the last stage")
+    _guard("placement_pivot", abs(float(Bi[0])), precision, scale, error=UncontrollableSystem,
+           message=lambda: "deflated input vanished at the last stage")
     pph[n - 1] = (Ai[0, 0] - A.dtype.type(roots[n - 1])) / Bi[0]
     K = pph[n - 1:n].copy()
     for i in range(n - 2, -1, -1):
@@ -748,10 +746,8 @@ def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.nda
     hh = np.zeros(n, dtype=A.dtype)
     scale = float(np.max(np.abs(Bsd)))
     for ii in range(n - 1, -1, -1):
-        if abs(float(Bs[-1])) <= THRESHOLDS["placement_pivot"](precision, scale):
-            raise UncontrollableSystem(
-                f"transformed input component vanished while placing pole {ii + 1}"
-            )
+        _guard("placement_pivot", abs(float(Bs[-1])), precision, scale, error=UncontrollableSystem,
+               message=lambda: f"transformed input component vanished while placing pole {ii + 1}")
         k1 = (A.dtype.type(roots[ii]) - As[-1, -1]) / Bs[-1]
         kk = np.zeros(n, dtype=A.dtype)
         kk[-1] = k1

@@ -129,8 +129,13 @@ def test_oblique_equal_args_zero():
 
 
 def test_degenerate_anchor_rejected():
-    with pytest.raises(DegenerateAnchor):
+    with pytest.raises(DegenerateAnchor) as info:
         ObliqueAnchor(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    # the guard's record: the pairing 0 at or below 1e3 eps ||omega|| ||g||
+    assert (type(info.value), str(info.value)) == (
+        DegenerateAnchor, "omega^T g = 0.000e+00 is below the degeneracy threshold")
+    assert (info.value.check, info.value.value, info.value.bound) == (
+        "oblique_pairing", 0.0, 1e3 * np.finfo(np.float64).eps)
 
 
 # ---------------------------------------------------------------------------

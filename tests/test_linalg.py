@@ -286,8 +286,29 @@ def test_solve_shifted_worked_example_residual():
 
 
 def test_solve_singular_raises():
-    with pytest.raises(SingularSystem):
+    with pytest.raises(SingularSystem) as info:
         solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
+    # the guard's record: the pivot 0 at or below eps * n * max|A|
+    assert (type(info.value), str(info.value)) == (
+        SingularSystem, "matrix numerically singular (pivot 0.000e+00, scale 1.000e+00)")
+    assert (info.value.check, info.value.value, info.value.bound) == (
+        "lu_pivot", 0.0, 2 * BITS64.eps)
+
+
+def test_guard_raises_at_or_below_its_bound_and_passes_nan():
+    # the test is value <= bound, so a NaN passes as it did at every site,
+    # and the message is built only on a failure (None is never called)
+    bound = linalg.THRESHOLDS["lu_pivot"](BITS64, 2, 1.0)
+    for value in (float("nan"), np.nextafter(bound, np.inf)):
+        assert linalg._guard("lu_pivot", value, BITS64, 2, 1.0,
+                             error=SingularSystem, message=None) is None
+    with pytest.raises(SingularSystem, match="^at the bound$") as info:
+        linalg._guard("lu_pivot", bound, BITS64, 2, 1.0,
+                      error=SingularSystem, message=lambda: "at the bound")
+    assert (info.value.check, info.value.value, info.value.bound) == ("lu_pivot", bound, bound)
+    # an error raised without the guard carries no record
+    unguarded = SingularSystem("unguarded")
+    assert (unguarded.check, unguarded.value, unguarded.bound) == (None, None, None)
 
 
 LU_CORPUS = {

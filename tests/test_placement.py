@@ -15,6 +15,7 @@ from poleplace.errors import (
     PlacementError,
     PrecisionOverflow,
     SingularShift,
+    SingularSystem,
     UncontrollableSystem,
     ZeroInputComponent,
 )
@@ -70,6 +71,13 @@ def exact_gain(sys, poles):
     return np.array([float(f) for f in exactring.ratio(g)])
 
 
+def assert_guarded(exc, error, message, check):
+    """``exc`` is ``error(message)`` as the guard raises it: its ``check``
+    fired, with the guarded magnitude at or below the bound."""
+    assert (type(exc), str(exc), exc.check) == (error, message, check)
+    assert 0.0 <= exc.value <= exc.bound
+
+
 # ---------------------------------------------------------------------------
 # Controllability matrix
 
@@ -123,8 +131,11 @@ def test_ackermann_zero_gain_when_spectrum_already_placed():
 
 
 def test_ackermann_uncontrollable():
-    with pytest.raises(UncontrollableSystem):
+    with pytest.raises(UncontrollableSystem) as info:
         ackermann_direct(UNCTRL, poles=POLES)
+    singular = "matrix numerically singular (pivot 0.000e+00, scale 1.000e+00)"
+    assert str(info.value) == f"controllability matrix numerically singular: {singular}"
+    assert_guarded(info.value.__cause__, SingularSystem, singular, "lu_pivot")
 
 
 def test_ackermann_matches_oracle_n5():
@@ -234,8 +245,10 @@ def test_hyperplane_point_assigns_pole():
 
 def test_hyperplane_point_zero_component():
     sys = StateSpace([[1.0, 0], [0, 2.0]], [1.0, 0.0])
-    with pytest.raises(ZeroInputComponent):
+    with pytest.raises(ZeroInputComponent) as info:
         _hyperplane_points(sys.A, sys.B, [-1.0], 1)[0]
+    assert_guarded(info.value, ZeroInputComponent,
+                   "b[1] = 0.0 is too small for the point formula", "placement_pivot")
 
 
 def test_hyperplane_normals_worked_example():
@@ -257,8 +270,10 @@ def test_hyperplane_normals_worked_example():
 
 def test_hyperplane_normal_singular_shift():
     sys = StateSpace(np.diag([1.0, 2.0]), [1.0, 1.0])
-    with pytest.raises(SingularShift):
+    with pytest.raises(SingularShift, match=r"^A - \(1\.0\) I is numerically singular$") as info:
         _hyperplane_normals(sys.A, sys.B, [1.0])[0]  # shifting by an eigenvalue of A
+    assert_guarded(info.value.__cause__, SingularSystem,
+                   "matrix numerically singular (pivot 0.000e+00, scale 1.000e+00)", "lu_pivot")
 
 
 def test_hyperplane_normal_residual_property():
@@ -283,8 +298,13 @@ def test_determinantal_worked_example():
 
 
 def test_determinantal_uncontrollable():
-    with pytest.raises(ParallelHyperplanes):
+    with pytest.raises(ParallelHyperplanes) as info:
         place_determinantal(UNCTRL, POLES)
+    assert str(info.value) == "hyperplane normals are linearly dependent (system uncontrollable)"
+    # the pivot is rounding noise of an exactly singular N, so only its form is pinned
+    cause = info.value.__cause__
+    assert str(cause).startswith("matrix numerically singular (pivot ")
+    assert_guarded(cause, SingularSystem, str(cause), "lu_pivot")
 
 
 def test_determinantal_agrees_with_ackermann_n2():
@@ -309,8 +329,11 @@ def test_sliding_step_containment():
 
 
 def test_sliding_uncontrollable():
-    with pytest.raises(DegenerateProjection):
+    with pytest.raises(DegenerateProjection) as info:
         place_sliding(UNCTRL, POLES)
+    assert_guarded(info.value, DegenerateProjection,
+                   "projection denominator vanished at stage 2 (planes nearly parallel)",
+                   "placement_pivot")
 
 
 # EIGEN_2 has the eigenvalue 2 and BIG the eigenvalue 2e38; at 32 bits,
@@ -548,8 +571,10 @@ def test_gain_from_chain_integer_family_n10():
 
 def test_gain_from_chain_uncontrollable():
     chain = build_anchor_chain(UNCTRL)
-    with pytest.raises(UncontrollableSystem):
+    with pytest.raises(UncontrollableSystem) as info:
         gain_from_chain(chain, poles=POLES)
+    assert_guarded(info.value, UncontrollableSystem,
+                   "final quotient input B_(n-1) = 0.000e+00 is zero", "chain_denominator")
 
 
 def test_chain_scalar_system():
@@ -746,8 +771,10 @@ def test_miminis_scalar():
 
 
 def test_miminis_uncontrollable():
-    with pytest.raises(UncontrollableSystem):
+    with pytest.raises(UncontrollableSystem) as info:
         place_miminis(UNCTRL, POLES)
+    assert_guarded(info.value, UncontrollableSystem,
+                   "staircase breakdown: Hessenberg subdiagonal vanished", "placement_pivot")
 
 
 # ---------------------------------------------------------------------------
@@ -786,6 +813,49 @@ def test_varga_rejects_complex_schur_blocks():
     sys = StateSpace([[0.0, 2.0], [-2.0, 0.0]], [1.0, 1.0])
     with pytest.raises(ComplexBlockUnsupported):
         place_varga(sys, [-1.0, -2.0])
+
+
+# ---------------------------------------------------------------------------
+# Guarded failures
+
+
+# B misses state 2: sliding's slide onto plane 2, the first quotient input
+# and varga's transformed input are exactly 0
+DIAG_12 = StateSpace(np.diag([1.0, 2.0]), [1.0, 0.0])
+HESS_2 = np.array([[0.0, 1.0], [-2.0, -3.0]])
+
+
+# the guarded checks that no test above provokes: (algorithm, sys, poles),
+# the error and message raised, the message of its cause for a re-raised
+# SingularSystem, and the check that fired
+@pytest.mark.parametrize("algorithm, sys, poles, error, message, cause, check", [
+    ("sliding", DIAG_12, [-1.0, -2.0], DegenerateProjection,
+     "slide denominator vanished at plane 2 (planes nearly parallel)", None, "placement_pivot"),
+    ("algebroid1", DIAG_12, [-1.0, -2.0], UncontrollableSystem,
+     "quotient input vanished at level 1", None, "placement_pivot"),
+    # the pole 1.0 is an eigenvalue of A
+    ("algebroid1-solve", StateSpace(np.diag([1.0, 2.0]), [1.0, 1.0]), [1.0, -1.0], SingularShift,
+     "quotient shift by 1.0 is numerically singular",
+     "matrix numerically singular (pivot 0.000e+00, scale 1.000e+00)", "lu_pivot"),
+    # |b| = 1e-20 is far below the deflation bound, which scales with max|A|
+    ("miminis", StateSpace(HESS_2, [0.0, 1e-20]), [-1.0, -2.0], UncontrollableSystem,
+     "deflated input vanished at stage 1", None, "placement_pivot"),
+    # the shift by -1e20 leaves the last deflated input at about 1e-20
+    ("miminis", StateSpace(HESS_2, [0.0, 1.0]), [-1.0, -1e20], UncontrollableSystem,
+     "deflated input vanished at the last stage", None, "placement_pivot"),
+    ("varga", DIAG_12, [-1.0, -2.0], UncontrollableSystem,
+     "transformed input component vanished while placing pole 2", None, "placement_pivot"),
+], ids=["sliding-plane", "algebroid1-quotient", "algebroid1-solve-shift", "miminis-stage",
+        "miminis-last-stage", "varga"])
+def test_guarded_failure_carries_check_value_and_bound(algorithm, sys, poles, error, message,
+                                                       cause, check):
+    with pytest.raises(error) as info:
+        place(sys, poles, algorithm)
+    if cause is None:
+        assert_guarded(info.value, error, message, check)
+    else:
+        assert (type(info.value), str(info.value)) == (error, message)
+        assert_guarded(info.value.__cause__, SingularSystem, cause, check)
 
 
 # ---------------------------------------------------------------------------
