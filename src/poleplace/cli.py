@@ -224,8 +224,7 @@ def _cmd_simulate(args) -> int:
         configs = {mode: sim.SimConfig(T=T, h=args.h, x0=x0, feedback=mode) for mode in modes}
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    chain = placement.build_anchor_chain(sys_, precision)
-    traces = {mode: sim.simulate(sys_, poles, cfg, chain=chain, precision=precision)
+    traces = {mode: sim.simulate(sys_, poles, cfg, precision=precision)
               for mode, cfg in configs.items()}
     primary = traces[modes[0]]
     _emit(primary.to_csv(), args.out)

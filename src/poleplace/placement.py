@@ -39,7 +39,7 @@ take A and B as arrays and compute in their format.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,24 +78,44 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class StateSpace:
-    """A single-input pair (A, B), dx/dt = A x + B u."""
+    """A single-input pair (A, B), dx/dt = A x + B u.
+
+    Immutable: it owns read-only float64 copies of A and B, and keeps, per
+    precision, the work its placements derive from (A, B) alone or from
+    (A, B) and one pole (:func:`_prepared`)."""
 
     A: np.ndarray
     B: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = as_matrix(self.A, BITS64)
-        B = as_vector(self.B, BITS64)
+        A = as_matrix(self.A, BITS64).copy()
+        B = as_vector(self.B, BITS64).copy()
         if A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         if B.size != A.shape[0]:
             raise ValueError("B must have one entry per state")
+        A.flags.writeable = B.flags.writeable = False
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
     @property
     def n(self) -> int:
         return self.B.size
+
+
+def _prepared(sys: StateSpace, precision: Precision, key: str, build, *args):
+    """``build(*args)``, the work ``key`` on ``sys`` at ``precision``, done
+    once: the first call that returns is kept, and a call that raises keeps
+    nothing, so it is done again and raises again.  The one reader and
+    writer of the system's memo.  Keys: "crow" (e_n^T C^-1), "chain",
+    "hessenberg", "schur", and "normals", a dict that
+    :func:`_hyperplane_normals` fills pole by pole."""
+    memo = sys._memo
+    value = memo.get((precision.bits, key))
+    if value is None:
+        value = memo[precision.bits, key] = build(*args)
+    return value
 
 
 def _range_rule(fn):
@@ -214,9 +234,10 @@ def ackermann_direct(sys: StateSpace, poles=None, precision: Precision = BITS64,
     cp = _given_charpoly(sys.n, poles, charpoly)
     if cp is None:
         A, B, _, steps = _check_poles(sys, poles, precision)
-        return inverse_ctrb_last_row(A, B) @ _horner_steps(A, steps, np.eye(sys.n, dtype=A.dtype))
+        return (_prepared(sys, precision, "crow", inverse_ctrb_last_row, A, B)
+                @ _horner_steps(A, steps, np.eye(sys.n, dtype=A.dtype)))
     A, B = _sys_arrays(sys, precision)
-    crow = inverse_ctrb_last_row(A, B)
+    crow = _prepared(sys, precision, "crow", inverse_ctrb_last_row, A, B)
     Phi = np.eye(sys.n, dtype=A.dtype)
     for c in _in_precision(cp[1:], precision, "charpoly has coefficients"):
         Phi = A @ Phi + c * np.eye(sys.n, dtype=A.dtype)
@@ -232,7 +253,7 @@ def ackermann_factored(sys: StateSpace, poles,
     The pole order is preserved; each conjugate pair is one real quadratic
     step (K A^2 - 2 Re(l) K A + |l|^2 K) at its first member's slot."""
     A, B, _, steps = _check_poles(sys, poles, precision)
-    return _horner_steps(A.T, steps, inverse_ctrb_last_row(A, B))
+    return _horner_steps(A.T, steps, _prepared(sys, precision, "crow", inverse_ctrb_last_row, A, B))
 
 
 # ---------------------------------------------------------------------------
@@ -252,27 +273,37 @@ def _hyperplane_points(A, B, roots, j: int) -> np.ndarray:
     return (A[j, :] - np.array(roots, dtype=A.dtype)[:, None] * e) / A.dtype.type(bj)
 
 
-def _hyperplane_normals(A, B, roots) -> list:
+def _hyperplane_normals(A, B, roots, known: dict) -> list:
     """For each pole l in ``roots``, the normal n of its gain hyperplane
     {k : k . n = 1}, the solution of (A - l I) n = B, for arrays already
-    checked: the shifted matrices A - l I are eliminated as one
-    stack (:func:`~poleplace.linalg._lu_eliminate`).  Poles are taken in
-    order, and the first that fails raises what its solve would:
-    :class:`SingularShift` from :class:`SingularSystem`, or ``ValueError``
-    for a zero normal.  Inside a placement, an overflow anywhere in the
-    stack raises :class:`PrecisionOverflow` first (the range rule)."""
-    shifted = A - np.array(roots, dtype=A.dtype)[:, None, None] * np.eye(B.size, dtype=A.dtype)
-    lu, pivmin = _lu_eliminate(shifted, B)
-    scales = np.abs(shifted).max(axis=(1, 2))
+    checked.  ``known`` maps a pole's bit pattern (``float.hex``, so 0.0
+    and -0.0 stay apart) to its normal in this format; the shifted
+    matrices A - l I of the poles it lacks are eliminated as one stack
+    (:func:`~poleplace.linalg._lu_eliminate`), a repeated pole once, and
+    each normal found is added to it.  Poles are taken in order, and the
+    first that fails raises what its solve would: :class:`SingularShift`
+    from :class:`SingularSystem`, or ``ValueError`` for a zero normal.
+    Inside a placement, an overflow anywhere in the stack raises
+    :class:`PrecisionOverflow` first (the range rule)."""
+    keys = [float(lam).hex() for lam in roots]
+    lacking = list(dict.fromkeys(key for key in keys if key not in known))
+    if lacking:
+        shifts = np.array([float.fromhex(key) for key in lacking], dtype=A.dtype)
+        shifted = A - shifts[:, None, None] * np.eye(B.size, dtype=A.dtype)
+        lu, pivmin = _lu_eliminate(shifted, B)
+        scales = np.abs(shifted).max(axis=(1, 2))
     normals = []
-    for s, lam in enumerate(roots):
-        try:
-            normal = _back_substitute(lu[s], pivmin[s], scales[s])
-        except SingularSystem as exc:
-            raise SingularShift(f"A - ({lam}) I is numerically singular") from exc
-        if not np.any(normal):
-            raise ValueError("hyperplane normal must be nonzero")
-        normals.append(normal)
+    for key, lam in zip(keys, roots):
+        if key not in known:
+            s = lacking.index(key)
+            try:
+                normal = _back_substitute(lu[s], pivmin[s], scales[s])
+            except SingularSystem as exc:
+                raise SingularShift(f"A - ({lam}) I is numerically singular") from exc
+            if not np.any(normal):
+                raise ValueError("hyperplane normal must be nonzero")
+            known[key] = normal
+        normals.append(known[key])
     return normals
 
 
@@ -287,7 +318,7 @@ def place_determinantal(sys: StateSpace, poles,
     uncontrollable geometry.
     """
     A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
-    N = np.array(_hyperplane_normals(A, B, roots))
+    N = np.array(_hyperplane_normals(A, B, roots, _prepared(sys, precision, "normals", dict)))
     ones = np.ones(sys.n, dtype=A.dtype)
     try:
         return solve_linear(N, ones)
@@ -309,7 +340,7 @@ def place_sliding(sys: StateSpace, poles,
     point formula.
     """
     A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
-    return _slide(A, B, roots)[-1]
+    return _slide(A, B, roots, _prepared(sys, precision, "normals", dict))[-1]
 
 
 def _slide_denominator(base, direction, where: str, k: int) -> float:
@@ -321,28 +352,33 @@ def _slide_denominator(base, direction, where: str, k: int) -> float:
     return den
 
 
-def _slide(A, B, roots) -> list:
-    """The point reached on each plane in turn; the last is the gain."""
+def _slide(A, B, roots, known: dict) -> list:
+    """The point reached on each plane in turn; the last is the gain.
+    ``known`` is :func:`_hyperplane_normals`'s."""
     n = B.size
-    normals = _hyperplane_normals(A, B, roots)
+    normals = _hyperplane_normals(A, B, roots, known)
     seeds = _hyperplane_points(A, B, roots, int(np.argmax(np.abs(B))))
     # after stage k, proj[i] is normal i after min(i, k) oblique projections
     proj = list(normals)
     eye = np.eye(n, dtype=A.dtype)
+    dens = []  # dens[k - 1] = normals[k - 1] . proj[k - 1], guarded at stage k
     for k in range(1, n):
         direction = proj[k - 1]
         base = normals[k - 1]
         den = _slide_denominator(base, direction, "projection denominator vanished at stage", k)
+        dens.append(den)
         P = eye - direction[:, None] * base / A.dtype.type(den)
         for i in range(k, n):
             proj[i] = P @ proj[i]
     gam = seeds[0]
     steps = [gam]
     for k in range(1, n):
-        direction = proj[k]
-        base = normals[k]
-        den = _slide_denominator(base, direction, "slide denominator vanished at plane", k + 1)
-        G = direction[:, None] * base / A.dtype.type(den)
+        # plane k + 1 slides by stage k + 1's denominator; plane n's is new,
+        # guarded after the slides onto planes 2..n-1
+        if k == n - 1:
+            dens.append(_slide_denominator(normals[k], proj[k],
+                                           "slide denominator vanished at plane", n))
+        G = proj[k][:, None] * normals[k] / A.dtype.type(dens[k])
         gam = gam - (gam - seeds[k]) @ G.T
         steps.append(gam)
     return steps
@@ -613,7 +649,7 @@ def place_algebroid2(sys: StateSpace, poles,
     """Chain-of-anchors placement from a pole list (builds the chain,
     converts the poles to polynomial coefficients, runs the construction
     phase)."""
-    chain = build_anchor_chain(sys, precision)
+    chain = _prepared(sys, precision, "chain", build_anchor_chain, sys, precision)
     return gain_from_chain(chain, poles=poles)
 
 
@@ -658,7 +694,7 @@ def place_miminis(sys: StateSpace, poles, precision: Precision = BITS64) -> np.n
         # would reject controllable scalars with a small |b|
         return np.array([(A[0, 0] - roots[0]) / B[0]], dtype=A.dtype)
     roots = roots[::-1]  # the deflation consumes the pole list reversed
-    qc, Ah = controller_hessenberg(A, B)
+    qc, Ah = _prepared(sys, precision, "hessenberg", controller_hessenberg, A, B)
     scale = float(np.max(np.abs(A)))
     # the least |subdiagonal entry|, NaN entries skipped by fmin: at or
     # below the bound exactly when some entry is
@@ -733,7 +769,7 @@ def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.nda
     """
     A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
     n = sys.n
-    U, T = schur_decompose(A)
+    U, T = _prepared(sys, precision, "schur", schur_decompose, A)
     if np.any(np.diag(T, -1) != 0.0):
         raise ComplexBlockUnsupported(
             "A has complex eigenvalues (2x2 Schur block); this method "

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DivergedState
 from .linalg import BITS64, Precision, _in_precision, _precision_of, as_vector
-from .placement import AnchorChain, ChainFeedback, StateSpace, build_anchor_chain
+from .placement import AnchorChain, ChainFeedback, StateSpace, _prepared, build_anchor_chain
 from .placement import feedback_eval  # noqa: F401 - perfbench's tracer test wraps sim.feedback_eval
 
 OVERFLOW_GUARD = 1e12
@@ -120,13 +120,15 @@ def simulate(sys: StateSpace, poles, cfg: SimConfig,
     chain recursion alone.  States are checked where they are made: x0
     once, in :class:`SimConfig`, and each step's output in
     :func:`rk4_step`; the stages in between run unchecked.  A given
-    ``chain`` must have been built from this system at this precision.
+    ``chain`` must have been built from this system at this precision;
+    without one, the system's own chain at this precision is used, built
+    on its first use, so the two modes of one system share it.
     The trajectory aborts with DivergedState if a step's output is not
     finite or leaves the overflow guard region.
     """
     dt = precision.dtype
     if chain is None:
-        chain = build_anchor_chain(sys, precision)
+        chain = _prepared(sys, precision, "chain", build_anchor_chain, sys, precision)
     elif chain.precision != precision:
         raise ValueError(f"chain was built at {chain.precision}, simulating at {precision}")
     elif not (np.array_equal(chain.system.A, sys.A)

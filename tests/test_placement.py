@@ -260,7 +260,7 @@ def test_hyperplane_normals_worked_example():
         -3.0: np.array([-11.0, 33.0, -33.0]) / -110.0,
     }
     for lam, ref in refs.items():
-        normal = _hyperplane_normals(WORKED.A, WORKED.B, [lam])[0]
+        normal = _hyperplane_normals(WORKED.A, WORKED.B, [lam], {})[0]
         np.testing.assert_allclose(normal, ref, atol=1e-11)
         # every construction point lies on the plane normal . x = 1
         for j in range(3):
@@ -271,7 +271,7 @@ def test_hyperplane_normals_worked_example():
 def test_hyperplane_normal_singular_shift():
     sys = StateSpace(np.diag([1.0, 2.0]), [1.0, 1.0])
     with pytest.raises(SingularShift, match=r"^A - \(1\.0\) I is numerically singular$") as info:
-        _hyperplane_normals(sys.A, sys.B, [1.0])[0]  # shifting by an eigenvalue of A
+        _hyperplane_normals(sys.A, sys.B, [1.0], {})[0]  # shifting by an eigenvalue of A
     assert_guarded(info.value.__cause__, SingularSystem,
                    "matrix numerically singular (pivot 0.000e+00, scale 1.000e+00)", "lu_pivot")
 
@@ -283,7 +283,7 @@ def test_hyperplane_normal_residual_property():
         A = rng.standard_normal((n, n))
         B = rng.standard_normal(n)
         lam = -float(rng.uniform(1, 5))
-        normal = _hyperplane_normals(A, B, [lam])[0]
+        normal = _hyperplane_normals(A, B, [lam], {})[0]
         res = np.linalg.norm((A - lam * np.eye(n)) @ normal - B)
         assert res <= 1e-11 * max(1.0, np.linalg.norm(B), np.linalg.norm(normal) * np.linalg.norm(A))
 
@@ -320,7 +320,7 @@ def test_sliding_worked_example():
 
 
 def test_sliding_step_containment():
-    steps = _slide(WORKED.A, WORKED.B, POLES)
+    steps = _slide(WORKED.A, WORKED.B, POLES, {})
     assert steps[-1].tobytes() == place_sliding(WORKED, POLES).tobytes()
     for k, gam in enumerate(steps):
         ev = eigenvalues(WORKED.A - np.outer(WORKED.B, gam))
@@ -393,7 +393,7 @@ def test_hyperplane_normals_and_points_bitwise_equal_to_reference():
             ref_sys = ref.state_space(sys)
             j = int(np.argmax(np.abs(B)))
             for order in (poles, poles[::-1]):
-                assert ref.outcome(placement._hyperplane_normals, A, B, order) == ref.outcome(
+                assert ref.outcome(placement._hyperplane_normals, A, B, order, {}) == ref.outcome(
                     lambda: [ref.placement.hyperplane_normal(ref_sys, lam, ref_precision)
                              .normal.astype(dt) for lam in order])
                 assert ref.outcome(lambda: list(placement._hyperplane_points(A, B, order, j))) \
@@ -930,7 +930,7 @@ def _float32_intermediates(sys, poles):
         out += [a for level in stack.levels for a in (level.A_level, level.B_level,
                                                       level.anchor, level.k_o)]
     try:
-        out += _slide(A, B, poles)
+        out += _slide(A, B, poles, {})
     except PlacementError:
         pass
     return out
@@ -996,7 +996,7 @@ def test_every_algorithm_returns_float32_at_32_bits():
             assert K.dtype == np.float32, (name, sys.n)
             returned.add(name)
     assert returned == set(ALGORITHMS)
-    assert _hyperplane_normals(*_sys_arrays(WORKED, BITS32), [-1.0])[0].dtype == np.float32
+    assert _hyperplane_normals(*_sys_arrays(WORKED, BITS32), [-1.0], {})[0].dtype == np.float32
 
 
 def test_algorithms_take_sys_poles_precision():
@@ -1011,7 +1011,9 @@ def test_algorithms_take_sys_poles_precision():
 def test_every_placement_casts_its_system_once(monkeypatch):
     # the cast happens where a system meets a precision; the helpers below
     # share its arrays (read-only here: none may write into them), and a
-    # typed failure after the cast counts as well
+    # typed failure after the cast counts as well.  Each call places on a
+    # fresh system, since a repeat may find its work kept (algebroid2's
+    # chain holds the cast arrays) and then casts at most once
     casts = []
     cast = placement._sys_arrays
 
@@ -1023,21 +1025,26 @@ def test_every_placement_casts_its_system_once(monkeypatch):
         return arrays
 
     monkeypatch.setattr(placement, "_sys_arrays", counting)
-    calls = [(name, fn, sys, n) for name, fn in ALGORITHMS.items()
-             for sys, n in ((WORKED, 3), (gen_integer_example(8), 8), (gen_integer_example(12), 12))]
+    fresh_worked = functools.partial(StateSpace, WORKED.A, WORKED.B)
+    calls = [(name, fn, make, n) for name, fn in ALGORITHMS.items()
+             for make, n in ((fresh_worked, 3), (functools.partial(gen_integer_example, 8), 8),
+                             (functools.partial(gen_integer_example, 12), 12))]
     calls.append(("ackermann charpoly",
                   lambda sys, poles, precision: ackermann_direct(
                       sys, charpoly=poly_from_roots(poles), precision=precision),
-                  WORKED, 3))
+                  fresh_worked, 3))
     failures = 0
-    for name, fn, sys, n in calls:
+    for name, fn, make, n in calls:
         for precision in (BITS32, BITS64):
-            casts.clear()
-            try:
-                fn(sys, [-(k + 1.0) for k in range(n)], precision)
-            except PlacementError:
-                failures += 1
-            assert casts == [precision.bits], (name, n, precision)
+            sys = make()
+            for repeat in (False, True):
+                casts.clear()
+                try:
+                    fn(sys, [-(k + 1.0) for k in range(n)], precision)
+                except PlacementError:
+                    failures += 1
+                assert casts == [precision.bits] or repeat and casts == [], \
+                    (name, n, precision, repeat)
     assert failures > 0
 
 
@@ -1099,4 +1106,115 @@ def test_gain_lies_on_every_hyperplane():
         sys, poles = out
         K = ackermann_direct(sys, poles=poles)
         for lam in poles:
-            assert abs(K @ _hyperplane_normals(sys.A, sys.B, [lam])[0] - 1.0) <= 1e-6
+            assert abs(K @ _hyperplane_normals(sys.A, sys.B, [lam], {})[0] - 1.0) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Work kept on a system
+
+
+def test_state_space_owns_read_only_copies():
+    A, B = np.array(WORKED.A), np.array(WORKED.B)
+    sys = StateSpace(A, B)
+    for M in (sys.A, sys.B):
+        with pytest.raises(ValueError, match="read-only"):
+            M[0] = 2.0
+    A[0, 0], B[0] = 99.0, 99.0
+    assert sys.A[0, 0] == sys.B[0] == 1.0
+    assert "_memo" not in repr(sys)
+
+
+def test_sliding_guards_each_denominator_once(monkeypatch):
+    # plane k + 1's slide reuses the denominator that projection stage
+    # k + 1 guarded; only plane n's is guarded in the slide loop
+    calls = []
+    guard = placement._guard
+
+    def spy(check, value, *scale, error, message):
+        calls.append((check, error, message()))
+        return guard(check, value, *scale, error=error, message=message)
+
+    monkeypatch.setattr(placement, "_guard", spy)
+    for n in (3, 8, 9):
+        calls.clear()
+        try:
+            place_sliding(gen_integer_example(n), [-(k + 1.0) for k in range(n)])
+        except DegenerateProjection as exc:  # the last guard fires
+            assert (n, str(exc)) == (9, calls[-1][2])
+        assert [(check, error) for check, error, _ in calls] == \
+            [("placement_pivot", ZeroInputComponent)] + [("placement_pivot", DegenerateProjection)] * n
+        assert [message for _, _, message in calls[1:]] == [
+            *(f"projection denominator vanished at stage {k} (planes nearly parallel)"
+              for k in range(1, n)),
+            f"slide denominator vanished at plane {n} (planes nearly parallel)"]
+
+
+def _kept_outcome(fn, *args):
+    """ref.outcome of ``fn(*args)``, and of an error also its check, value
+    and bound, and those of its cause."""
+    try:
+        return ref._bits(fn(*args))
+    except Exception as exc:  # the exception is the outcome compared
+        return [(type(e).__name__, str(e), getattr(e, "check", None), getattr(e, "value", None),
+                 getattr(e, "bound", None)) for e in (exc, exc.__cause__) if e is not None]
+
+
+# A holds -0.0 entries, and the normals of the poles 0.0 and -0.0 differ
+# in the sign of a zero
+SIGNED_ZEROS = StateSpace([[-0.0, -1, 0, 1], [-0.0, -0.0, -1, 0], [0, 1, -0.0, 1], [1, 1, 1, 0]],
+                          [0.0, -0.0, 1, 0])
+
+
+def _kept_cases():
+    """(system, pole lists): the integer family, seeded random systems and
+    the systems whose placements fail in the hyperplane normals, each
+    forward, reversed and with its first pole repeated; SIGNED_ZEROS with
+    the poles 0.0 and -0.0."""
+    rng = np.random.default_rng(101)
+    cases = [(gen_integer_example(n), [-(k + 1.0) for k in range(n)]) for n in range(3, 13)]
+    while len(cases) < 18:
+        if (out := gen_random_controllable(rng, int(rng.integers(2, 8)))) is not None:
+            cases.append(out)
+    cases += [(EIGEN_2, [-1.0, 2.0, -3.0]), (BIG, [-1.0, -1e38, 2e38]), (STEEP, [1.0, 3.0]),
+              (StateSpace(WORKED.A, [1e200] * 3), POLES)]
+    out = [(sys, [poles, poles[::-1], [poles[0], *poles[:-1]]]) for sys, poles in cases]
+    tail = [-1.0, -2.0, -3.0]
+    out.append((SIGNED_ZEROS, [[0.0, *tail], [-0.0, *tail], [*tail, -0.0], [*tail, 0.0]]))
+    return out
+
+
+def test_kept_work_is_invisible():
+    # every placement made on one system, in the suite's order, has the
+    # outcome it has on a fresh copy of that system: the same gain bits,
+    # or the same error with the same check, value and bound
+    sims = 0
+    for sys, pole_lists in _kept_cases():
+        kept = []
+        for poles in pole_lists:
+            for name, fn in ALGORITHMS.items():
+                for precision in (BITS32, BITS64):
+                    kept.append(((name, poles, precision),
+                                 _kept_outcome(fn, sys, poles, precision)))
+        for (name, poles, precision), outcome in kept:
+            fresh = StateSpace(sys.A, sys.B)
+            assert _kept_outcome(ALGORITHMS[name], fresh, poles, precision) == outcome, \
+                (name, sys.n, poles, precision)
+        # simulate's own chain is the one algebroid2 kept
+        cfg = SimConfig(T=0.05, h=0.01, x0=np.arange(1.0, sys.n + 1), feedback="chain")
+        for precision in (BITS32, BITS64):
+            run = functools.partial(simulate, poles=pole_lists[0], cfg=cfg, precision=precision)
+            outcome = _kept_outcome(run, sys)
+            assert _kept_outcome(run, StateSpace(sys.A, sys.B)) == outcome
+            sims += outcome[0][0] == "ndarray"
+    assert sims > 0
+
+
+def test_kept_normals_keep_signed_zero_poles_apart():
+    for precision in (BITS32, BITS64):
+        A, B = _sys_arrays(SIGNED_ZEROS, precision)
+        fresh = [ref._bits(_hyperplane_normals(A, B, [lam], {})) for lam in (0.0, -0.0)]
+        assert fresh[0] != fresh[1]
+        known = {}
+        assert [ref._bits(_hyperplane_normals(A, B, [lam], known)) for lam in (0.0, -0.0)] == fresh
+        assert ref._bits(_hyperplane_normals(A, B, [-0.0, 0.0, -0.0], known)) == \
+            [fresh[1][0], fresh[0][0], fresh[1][0]]
