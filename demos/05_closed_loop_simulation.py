@@ -11,17 +11,15 @@ import numpy as np
 
 from poleplace import BITS32, StateSpace
 from poleplace.bench import gen_scaled_diagonal
-from poleplace.placement import build_anchor_chain
 from poleplace.sim import SimConfig, simulate, trace_diff
 
 system = StateSpace(A=[[1, 3, 5], [7, 13, 17], [1, 1, 1]], B=[1, 1, 1])
 poles = [-1.0, -2.0, -3.0]
 
-chain = build_anchor_chain(system)
 traces = {}
 for mode in ("gain", "chain"):
     cfg = SimConfig(T=10.0, h=0.01, x0=[1.0, 2.0, 3.0], feedback=mode)
-    traces[mode] = simulate(system, poles, cfg, chain=chain)
+    traces[mode] = simulate(system, poles, cfg)
     print(f"{mode:>5} feedback: ||x(0)|| = {np.linalg.norm(traces[mode].states[0]):.3f}"
           f"   ||x(10)|| = {np.linalg.norm(traces[mode].states[-1]):.3e}")
 
@@ -34,11 +32,10 @@ print()
 print("slow scaled-diagonal family, n = 7, placed at -0.01 .. -0.07, 32-bit:")
 slow = gen_scaled_diagonal(7, seed=341)
 slow_poles = [-0.01 * (k + 1) for k in range(7)]
-chain32 = build_anchor_chain(slow, BITS32)
 for mode in ("gain", "chain"):
     cfg = SimConfig(T=1000.0, h=0.25, x0=[float(k + 1) for k in range(7)],
                     feedback=mode)
-    tr = simulate(slow, slow_poles, cfg, chain=chain32, precision=BITS32)
+    tr = simulate(slow, slow_poles, cfg, precision=BITS32)
     print(f"  {mode:>5}: ||x(0)|| = {np.linalg.norm(tr.states[0]):.2f}"
           f"   peak = {np.max(np.abs(tr.states)):.1f}"
           f"   ||x(T)|| = {np.linalg.norm(tr.states[-1]):.3f}")

@@ -134,7 +134,8 @@ def _cmd_place(args) -> int:
         if args.algo == "ackermann":
             K = placement.ackermann_direct(sys_, charpoly=cp, precision=precision)
         elif args.algo == "algebroid2":
-            chain = placement.build_anchor_chain(sys_, precision)
+            chain = placement._prepared(sys_, precision, "chain",
+                                        placement.build_anchor_chain, sys_, precision)
             K = placement.gain_from_chain(chain, charpoly=cp)
         else:
             raise UsageError(

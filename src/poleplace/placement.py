@@ -237,6 +237,8 @@ def ackermann_direct(sys: StateSpace, poles=None, precision: Precision = BITS64,
         return (_prepared(sys, precision, "crow", inverse_ctrb_last_row, A, B)
                 @ _horner_steps(A, steps, np.eye(sys.n, dtype=A.dtype)))
     A, B = _sys_arrays(sys, precision)
+    if not np.any(B):
+        raise UncontrollableSystem("B = 0")
     crow = _prepared(sys, precision, "crow", inverse_ctrb_last_row, A, B)
     Phi = np.eye(sys.n, dtype=A.dtype)
     for c in _in_precision(cp[1:], precision, "charpoly has coefficients"):
@@ -481,11 +483,12 @@ class ChainLevel:
 
 @dataclass(frozen=True)
 class AnchorChain:
-    """Stored anchors and transfer maps of the forward sweep, bound to
-    the system they were built from and to its arrays A, B in the chain's
-    precision."""
+    """Stored anchors and transfer maps of the forward sweep, with the
+    arrays A, B it was swept from, in the chain's precision (at 64 bits,
+    the system's own arrays).  It holds no reference to the system, so a
+    system that keeps its chain (:func:`_prepared`) is freed by reference
+    counting alone."""
 
-    system: StateSpace
     A: np.ndarray
     B: np.ndarray
     levels: tuple
@@ -517,7 +520,7 @@ def build_anchor_chain(sys: StateSpace, precision: Precision = BITS64) -> Anchor
         Bt = transfer @ B
         At = transfer @ A
         levels.append(ChainLevel(an_i, transfer, Bt))
-    return AnchorChain(sys, A, B, tuple(levels))
+    return AnchorChain(A, B, tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -529,11 +532,10 @@ class ChainReport:
 
 def chain_controllability_report(chain: AnchorChain) -> ChainReport:
     """Flag levels whose quotient input is at or below the ``chain_input``
-    bound, 1e-9 ||A||^k ||B||."""
-    A = chain.system.A
-    B = chain.system.B
-    anorm = float(np.linalg.norm(A, 2))
-    bnorm = float(np.linalg.norm(B))
+    bound, 1e-9 ||A||^k ||B||, the norms taken in float64 of the chain's
+    own A and B (at 32 bits, the rounded data the chain was swept from)."""
+    anorm = float(np.linalg.norm(chain.A.astype(np.float64), 2))
+    bnorm = float(np.linalg.norm(chain.B.astype(np.float64)))
     if not chain.levels:  # n == 1: the input vector itself decides
         return ChainReport(bnorm > 0.0, None if bnorm > 0.0 else 1, bnorm)
     first = None
@@ -565,15 +567,13 @@ class ChainFeedback:
         cp = _given_charpoly(self.n, poles, charpoly)
         if cp is None:
             roots, _ = _pole_list(poles, self.n)
-            if not np.any(B):
-                raise UncontrollableSystem("B = 0")
             cp = poly_from_roots(roots)
+        if not np.any(B):
+            raise UncontrollableSystem("B = 0")
         # constant term first, [p_n, ..., p_1, 1]
         pp = _in_precision(cp[::-1], self.precision, "charpoly has coefficients")
         if self.n == 1:
             # (a + p)/b x rounds differently from the general p x + a x over b
-            if B[0] == 0:
-                raise UncontrollableSystem("scalar system with b = 0")
             self._scalar = (A[0, 0] + pp[0]) / B[0]
             return
         self._scalar = None

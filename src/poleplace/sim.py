@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DivergedState
 from .linalg import BITS64, Precision, _in_precision, _precision_of, as_vector
-from .placement import AnchorChain, ChainFeedback, StateSpace, _prepared, build_anchor_chain
+from .placement import ChainFeedback, StateSpace, _prepared, build_anchor_chain
 from .placement import feedback_eval  # noqa: F401 - perfbench's tracer test wraps sim.feedback_eval
 
 OVERFLOW_GUARD = 1e12
@@ -108,7 +108,6 @@ def default_horizon(poles) -> float:
 
 
 def simulate(sys: StateSpace, poles, cfg: SimConfig,
-             chain: AnchorChain | None = None,
              precision: Precision = BITS64) -> Trace:
     """Integrate dx/dt = A x + B u with u = -K x under the selected
     feedback realization.
@@ -119,21 +118,14 @@ def simulate(sys: StateSpace, poles, cfg: SimConfig,
     nested feedback function at every stage, so each stage costs the
     chain recursion alone.  States are checked where they are made: x0
     once, in :class:`SimConfig`, and each step's output in
-    :func:`rk4_step`; the stages in between run unchecked.  A given
-    ``chain`` must have been built from this system at this precision;
-    without one, the system's own chain at this precision is used, built
-    on its first use, so the two modes of one system share it.
+    :func:`rk4_step`; the stages in between run unchecked.  The law runs
+    on the system's own anchor chain at this precision, built on its
+    first use, so both modes of one system, and its placements, share it.
     The trajectory aborts with DivergedState if a step's output is not
     finite or leaves the overflow guard region.
     """
     dt = precision.dtype
-    if chain is None:
-        chain = _prepared(sys, precision, "chain", build_anchor_chain, sys, precision)
-    elif chain.precision != precision:
-        raise ValueError(f"chain was built at {chain.precision}, simulating at {precision}")
-    elif not (np.array_equal(chain.system.A, sys.A)
-              and np.array_equal(chain.system.B, sys.B)):
-        raise ValueError("chain was built from a different system")
+    chain = _prepared(sys, precision, "chain", build_anchor_chain, sys, precision)
     A, B = chain.A, chain.B
     if cfg.x0.size != sys.n:
         raise ValueError("x0 dimension mismatch")

@@ -139,6 +139,15 @@ def test_place_zero_input_exits_2(tmp_path, capsys):
                      "--poles", "-1,-2,-3"])
     assert code == 2
     assert "UncontrollableSystem: B = 0" in capsys.readouterr().err
+    # a charpoly target meets the same check, for both its entries and at n = 1
+    scalar = tmp_path / "zero_b1.txt"
+    scalar.write_text("1 2\n2 0\n")
+    for system, charpoly in ((path, "1,6,11,6"), (scalar, "1,3")):
+        for algo in ("ackermann", "algebroid2"):
+            code = cli.main(["place", "--algo", algo, "--system", str(system),
+                             "--charpoly", charpoly])
+            assert code == 2, (algo, charpoly)
+            assert "UncontrollableSystem: B = 0" in capsys.readouterr().err, (algo, charpoly)
 
 
 # at 64 bits, a method whose arithmetic overflows on B = 1e200 fails with

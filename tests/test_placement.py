@@ -1,4 +1,7 @@
 import functools
+import gc
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from poleplace.linalg import BITS32, BITS64, eigenvalues, pole_steps, poly_from_
 from poleplace.placement import (
     ALGORITHMS,
     ChainFeedback,
+    ChainReport,
     StateSpace,
     _descend_quotients,
     _horner_steps,
@@ -532,6 +536,29 @@ def test_chain_report_zero_input():
     assert rep.first_vanishing_level == 1
 
 
+def test_chain_report_64bit_equal_to_reference():
+    # at 64 bits the chain's A and B are the system's own arrays, so the
+    # report is 1.0.0's, which read them from the system
+    for sys in (WORKED, UNCTRL, *(gen_integer_example(n) for n in range(3, 15))):
+        chain = build_anchor_chain(sys)
+        assert chain.A is sys.A and chain.B is sys.B
+        assert_same_bits(
+            chain_controllability_report,
+            lambda _: ref.placement.chain_controllability_report(ref.anchor_chain(sys, BITS64)),
+            [(chain,)])
+
+
+def test_chain_report_32bit_scalar_norm_in_float64():
+    # changed since 1.0.0 on purpose: a 32-bit report judges the chain's own rounded
+    # B, not the float64 system's, so |b| reads |fl32(b)|; its norm is taken in
+    # float64, where a float32 norm of b = 2e19 would overflow (b^2 > 3.4e38)
+    chain = build_anchor_chain(StateSpace([[1.0]], [2e19]), BITS32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = chain_controllability_report(chain)
+    assert rep == ChainReport(True, None, float(np.float32(2e19)))
+
+
 def test_chain_dimension_monotonicity_on_controllable_systems():
     rng = np.random.default_rng(43)
     checked = 0
@@ -688,7 +715,7 @@ def test_chain_law_bitwise_equal_to_reference(case):
     for mode in ("gain", "chain"):
         assert_same_bits(
             lambda: simulate(sys, spec["poles"], SimConfig(T=T, h=h, x0=x0, feedback=mode),
-                             chain=chain, precision=precision),
+                             precision=precision),
             lambda: ref.sim.simulate(ref.state_space(sys), spec["poles"],
                                      ref.sim.SimConfig(T=T, h=h, x0=x0, feedback=mode),
                                      chain=ref_chain, precision=ref.precision(precision)),
@@ -727,7 +754,7 @@ def test_chain_law_and_simulate_sweep_bitwise_equal_to_reference(precision):
         for mode in ("gain", "chain"):
             out, = assert_same_bits(
                 lambda: simulate(sys, poles, SimConfig(T=1.0, h=0.1, x0=x0, feedback=mode),
-                                 chain=chain, precision=precision),
+                                 precision=precision),
                 lambda: ref.sim.simulate(ref.state_space(sys), poles,
                                          ref.sim.SimConfig(T=1.0, h=0.1, x0=x0, feedback=mode),
                                          chain=ref_chain, precision=ref.precision(precision)),
@@ -1207,6 +1234,33 @@ def test_kept_work_is_invisible():
             assert _kept_outcome(run, StateSpace(sys.A, sys.B)) == outcome
             sims += outcome[0][0] == "ndarray"
     assert sims > 0
+
+
+@pytest.mark.parametrize("precision", [BITS32, BITS64], ids=["32", "64"])
+def test_system_is_freed_by_reference_counting(precision):
+    # a kept chain holds no reference to its system, so no cycle keeps a
+    # system alive until the cyclic collector runs
+    poles = [-(k + 1.0) for k in range(8)]
+    cfg = {mode: SimConfig(T=0.05, h=0.01, x0=np.arange(1.0, 9.0), feedback=mode)
+           for mode in ("gain", "chain")}
+    runs = {
+        "ackermann": lambda sys: place(sys, poles, "ackermann", precision),
+        "algebroid2": lambda sys: place(sys, poles, "algebroid2", precision),
+        "simulate gain": lambda sys: simulate(sys, poles, cfg["gain"], precision),
+        "simulate chain": lambda sys: simulate(sys, poles, cfg["chain"], precision),
+    }
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name, run in runs.items():
+            sys = gen_integer_example(8)
+            alive = weakref.ref(sys)
+            run(sys)
+            del sys
+            assert alive() is None, name
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_kept_normals_keep_signed_zero_poles_apart():
