@@ -34,17 +34,16 @@ print()
 # --- oblique splitting: omega = (1,2,3), g = (14,-2,-3), omega.g = 1
 omega = [1, 2, 3]
 g = [14, -2, -3]
-obl = algebroid.ObliqueAnchor(np.array(omega, float), np.array(g, float))
+a1 = algebroid.oblique_anchor_apply_exact(A1.astype(int), omega, g)
+a2 = algebroid.oblique_anchor_apply_exact(A2.astype(int), omega, g)
 print("anchored A1 = (I - G) A1 =")
-print(np.round(algebroid.oblique_anchor_apply(A1, obl)).astype(int))
+print(a1.astype(int))
 print("anchored A2 =")
-print(np.round(algebroid.oblique_anchor_apply(A2, obl)).astype(int))
+print(a2.astype(int))
 
 # exact rational evaluation: the identity holds with zero residue
 br = algebroid.oblique_bracket_exact(A1.astype(int), A2.astype(int), omega, g)
 lhs_exact = algebroid.oblique_anchor_apply_exact(br, omega, g)
-a1 = algebroid.oblique_anchor_apply_exact(A1.astype(int), omega, g)
-a2 = algebroid.oblique_anchor_apply_exact(A2.astype(int), omega, g)
 rhs_exact = a1 @ a2 - a2 @ a1
 print()
 print("an({{A1,A2}}) over the rationals:")

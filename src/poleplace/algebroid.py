@@ -3,10 +3,12 @@
 Two families are implemented.  The orthogonal family splits the state
 space with an orthonormal pair (q, Q) and modifies the matrix commutator
 so that projecting with Q turns the bracket of ambient matrices into the
-plain commutator of the projected ones.  The oblique family does the
-same with a rank-one projector G built from a row 1-form and a column
-vector.  These are exactly the structural maps the pole-placement
-quotients instantiate, exposed here with executable identity checks.
+plain commutator of the projected ones; it is evaluated in float64.  The
+oblique family does the same with a rank-one projector G built from a row
+1-form and a column vector; it is evaluated in exact rational arithmetic
+only, so its identities hold with zero residue and need no tolerance.
+These are exactly the structural maps the pole-placement quotients
+instantiate, exposed here with executable identity checks.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateAnchor
-from .linalg import BITS64, THRESHOLDS, _guard, as_matrix, as_vector, householder_annihilator
+from .linalg import BITS64, THRESHOLDS, as_matrix, as_vector, householder_annihilator
 
 
 @dataclass(frozen=True)
@@ -91,72 +93,23 @@ def project(anchor: OrthogonalAnchor, A) -> np.ndarray:
     return anchor.basis @ A @ anchor.basis.T
 
 
-@dataclass(frozen=True)
-class ObliqueAnchor:
-    """Rank-one oblique splitting from a 1-form omega and a vector g.
-
-    G = g omega^T / (omega^T g) is the associated projector; the anchor
-    map itself is A -> (I - G) A.
-    """
-
-    omega: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self):
-        omega = as_vector(self.omega, BITS64)
-        g = as_vector(self.g, BITS64)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "g", g)
-        if omega.size != g.size:
-            raise ValueError("omega and g must have equal length")
-        pairing = float(omega @ g)
-        _guard("oblique_pairing", abs(pairing), BITS64,
-               float(np.linalg.norm(omega) * np.linalg.norm(g)), error=DegenerateAnchor,
-               message=lambda: f"omega^T g = {pairing:.3e} is below the degeneracy threshold")
-
-    @property
-    def pairing(self) -> float:
-        return float(self.omega @ self.g)
-
-    @property
-    def projector(self) -> np.ndarray:
-        return np.outer(self.g, self.omega) / self.pairing
-
-
-def oblique_anchor_apply(A, anchor: ObliqueAnchor) -> np.ndarray:
-    """an_{omega,g}(A) = A - g (omega^T A) / (omega^T g).
-
-    The result satisfies omega^T an(A) = 0.
-    """
-    A = as_matrix(A, BITS64)
-    n = anchor.g.size
-    if A.shape != (n, n):
-        raise ValueError("operand must be square and conformal with the anchor")
-    return A - np.outer(anchor.g, anchor.omega @ A) / anchor.pairing
-
-
-def oblique_bracket(A1, A2, anchor: ObliqueAnchor) -> np.ndarray:
-    """{{A1, A2}} = A1 A2 - A2 A1 + A2 G A1 - A1 G A2."""
-    A1 = as_matrix(A1, BITS64)
-    A2 = as_matrix(A2, BITS64)
-    return _bracket(A1, A2, anchor.projector)
-
-
-# -- exact-rational evaluation ----------------------------------------------
+# -- oblique family, exact-rational evaluation ------------------------------
 #
-# With integer data the oblique identities hold exactly; evaluating them
-# in Fraction arithmetic gives integer-exact reference values.
+# With integer (or rational) data the oblique identities hold exactly;
+# evaluating them in Fraction arithmetic gives integer-exact values.
+# Entries pass through tolist() first: a Fraction of a numpy int64 keeps
+# int64 parts, whose products wrap around instead of growing.
 
 
 def _frac_matrix(M):
-    return np.array([[Fraction(x) for x in row] for row in np.atleast_2d(M)],
+    return np.array([[Fraction(x) for x in row] for row in np.atleast_2d(M).tolist()],
                     dtype=object)
 
 
 def _exact_projector(omega, g):
     """G = g omega^T / (omega^T g) in Fractions."""
-    omega = np.array([Fraction(x) for x in omega], dtype=object)
-    g = np.array([Fraction(x) for x in g], dtype=object)
+    omega = np.array([Fraction(x) for x in np.ravel(omega).tolist()], dtype=object)
+    g = np.array([Fraction(x) for x in np.ravel(g).tolist()], dtype=object)
     pairing = omega @ g
     if pairing == 0:
         raise DegenerateAnchor("omega^T g = 0")
@@ -164,9 +117,12 @@ def _exact_projector(omega, g):
 
 
 def oblique_anchor_apply_exact(A, omega, g):
+    """an_{omega,g}(A) = (I - G) A = A - g (omega^T A) / (omega^T g), in
+    Fractions; omega^T an(A) = 0.  Raises DegenerateAnchor for omega^T g = 0."""
     A = _frac_matrix(A)
     return A - _exact_projector(omega, g) @ A
 
 
 def oblique_bracket_exact(A1, A2, omega, g):
+    """{{A1, A2}} = A1 A2 - A2 A1 + A2 G A1 - A1 G A2, in Fractions."""
     return _bracket(_frac_matrix(A1), _frac_matrix(A2), _exact_projector(omega, g))

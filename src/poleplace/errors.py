@@ -55,8 +55,8 @@ class ComplexBlockUnsupported(PlacementError):
 
 
 class DegenerateAnchor(PlacementError):
-    """The oblique anchor pairing |omega^T g| is at or below the
-    ``oblique_pairing`` bound (exactly zero in the exact evaluation)."""
+    """The oblique anchor pairing omega^T g is exactly zero, so the
+    projector G = g omega^T / (omega^T g) does not exist."""
 
 
 class InvalidPoleSet(PlacementError):

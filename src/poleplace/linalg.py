@@ -468,8 +468,6 @@ THRESHOLDS = {
     "chain_denominator": lambda precision: 1e3 * float(np.finfo(precision.dtype).tiny),
     # distance of a pole from the conjugate of its partner, scale |partner|
     "conjugate_match": lambda precision, scale: 1e-9 * max(1.0, scale),
-    # omega^T g of an oblique anchor, scale ||omega|| ||g||
-    "oblique_pairing": lambda precision, scale: 1e3 * (precision.eps * scale),
     "orthonormality": lambda precision: 1e-10,  # of an orthogonal anchor
     "spectrum_pair": lambda precision: 1e-9,  # Im of a verified eigenvalue in a pair
 }
@@ -636,6 +634,17 @@ def companion_matrix(coeffs) -> np.ndarray:
 # Matrix / system file formats (read by the CLI)
 
 
+def _json_array(data, what: str) -> np.ndarray:
+    """A parsed JSON value as a float64 array; ValueError names a value
+    that is no array of numbers."""
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a JSON array, got {type(data).__name__}")
+    try:
+        return np.asarray(data, dtype=np.float64)
+    except TypeError as exc:
+        raise ValueError(f"{what} must hold only numbers: {exc}") from exc
+
+
 def parse_matrix_text(text: str) -> np.ndarray:
     """Parse a matrix from text: a first line "rows cols", then the
     row-major entries separated by whitespace (written with repr, they
@@ -644,10 +653,7 @@ def parse_matrix_text(text: str) -> np.ndarray:
     if not stripped:
         raise ValueError("empty matrix input")
     if stripped[0] in "[{":
-        data = json.loads(stripped)
-        if isinstance(data, dict):
-            raise ValueError("expected a JSON array-of-arrays")
-        M = np.asarray(data, dtype=np.float64)
+        M = _json_array(json.loads(stripped), "matrix")
         if M.ndim == 1:
             M = M[None, :]
         return M
@@ -671,9 +677,10 @@ def parse_system_text(text: str):
     stripped = text.strip()
     if stripped and stripped[0] == "{":
         data = json.loads(stripped)
-        A = np.asarray(data["A"], dtype=np.float64)
-        B = np.asarray(data["B"], dtype=np.float64).ravel()
-        return A, B
+        for key in ("A", "B"):
+            if key not in data:
+                raise ValueError(f"system object has no {key!r} entry")
+        return _json_array(data["A"], "A"), _json_array(data["B"], "B").ravel()
     M = parse_matrix_text(text)
     n = M.shape[0]
     if M.shape[1] != n + 1:

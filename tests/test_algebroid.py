@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 from poleplace.algebroid import (
-    ObliqueAnchor,
     OrthogonalAnchor,
-    oblique_anchor_apply,
     oblique_anchor_apply_exact,
-    oblique_bracket,
     oblique_bracket_exact,
     orthogonal_bracket,
     project,
@@ -63,35 +60,20 @@ def test_e1_anchor_identity_2x2():
 
 
 def test_oblique_anchor_values():
-    anchor = ObliqueAnchor(np.array(OMEGA, dtype=float), np.array(G, dtype=float))
-    an1 = oblique_anchor_apply(A1, anchor)
-    np.testing.assert_allclose(
-        an1, [[-251, -445, -583], [43, 77, 101], [55, 97, 127]], atol=1e-9)
-    an2 = oblique_anchor_apply(A2, anchor)
-    np.testing.assert_allclose(
-        an2, [[-684, -346, -232], [111, 53, 35], [154, 80, 54]], atol=1e-9)
+    an1 = oblique_anchor_apply_exact(A1.astype(int), OMEGA, G)
+    assert [[int(x) for x in row] for row in an1] == [
+        [-251, -445, -583], [43, 77, 101], [55, 97, 127]]
+    an2 = oblique_anchor_apply_exact(A2.astype(int), OMEGA, G)
+    assert [[int(x) for x in row] for row in an2] == [
+        [-684, -346, -232], [111, 53, 35], [154, 80, 54]]
     # anchored matrices are annihilated by omega
-    assert np.max(np.abs(np.array(OMEGA, dtype=float) @ an1)) <= 1e-9
+    assert not np.any(np.array(OMEGA) @ an1)
 
 
 def test_oblique_anchor_annihilates_projector():
-    anchor = ObliqueAnchor(np.array(OMEGA, dtype=float), np.array(G, dtype=float))
-    out = oblique_anchor_apply(anchor.projector, anchor)
-    assert np.max(np.abs(out)) <= 1e-12
-
-
-def test_oblique_bracket_identity_float():
-    anchor = ObliqueAnchor(np.array(OMEGA, dtype=float), np.array(G, dtype=float))
-    bracket = oblique_bracket(A1, A2, anchor)
-    lhs = oblique_anchor_apply(bracket, anchor)
-    an1 = oblique_anchor_apply(A1, anchor)
-    an2 = oblique_anchor_apply(A2, anchor)
-    rhs = an1 @ an2 - an2 @ an1
-    ref = np.array([[-111539, -238613, -323187],
-                    [18346, 39202, 53088],
-                    [24949, 53403, 72337]])
-    np.testing.assert_allclose(lhs, rhs, atol=1e-8)
-    np.testing.assert_allclose(lhs, ref, atol=1e-7)
+    # G = g omega^T / (omega^T g); omega^T g = 1 here
+    projector = np.outer(G, OMEGA)
+    assert not np.any(oblique_anchor_apply_exact(projector, OMEGA, G))
 
 
 def test_oblique_bracket_exact_rational():
@@ -124,18 +106,22 @@ def test_oblique_identity_exact_on_random_integers():
 
 
 def test_oblique_equal_args_zero():
-    anchor = ObliqueAnchor(np.array(OMEGA, dtype=float), np.array(G, dtype=float))
-    assert np.max(np.abs(oblique_bracket(A1, A1, anchor))) == 0.0
+    assert not np.any(oblique_bracket_exact(A1.astype(int), A1.astype(int), OMEGA, G))
 
 
 def test_degenerate_anchor_rejected():
     with pytest.raises(DegenerateAnchor) as info:
-        ObliqueAnchor(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    # the guard's record: the pairing 0 at or below 1e3 eps ||omega|| ||g||
-    assert (type(info.value), str(info.value)) == (
-        DegenerateAnchor, "omega^T g = 0.000e+00 is below the degeneracy threshold")
-    assert (info.value.check, info.value.value, info.value.bound) == (
-        "oblique_pairing", 0.0, 1e3 * np.finfo(np.float64).eps)
+        oblique_anchor_apply_exact(np.eye(2, dtype=int), [1, 0], [0, 1])
+    # decided exactly, not by a THRESHOLDS bound: no guard record
+    assert (type(info.value), str(info.value)) == (DegenerateAnchor, "omega^T g = 0")
+    assert (info.value.check, info.value.value, info.value.bound) == (None, None, None)
+
+
+def test_oblique_exact_on_int64_arrays_does_not_wrap():
+    # omega^T g = 2**64 wraps to 0 in int64 arithmetic
+    big = np.array([2 ** 32])
+    out = oblique_anchor_apply_exact(np.array([[1]]), big, big)
+    assert out.tolist() == [[0]] and type(out[0, 0].numerator) is int
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +138,12 @@ def test_antisymmetry_all_brackets():
         scale = max(1.0, np.abs(M1).max() * np.abs(M2).max())
         assert np.max(np.abs(orthogonal_bracket(M1, M2, anc)
                              + orthogonal_bracket(M2, M1, anc))) <= 1e-10 * scale
-        w = rng.standard_normal(n)
-        g = rng.standard_normal(n)
-        if abs(w @ g) < 0.1:
+        w = rng.integers(-5, 6, n)
+        g = rng.integers(-5, 6, n)
+        if int(w @ g) == 0:
             continue
-        obl = ObliqueAnchor(w, g)
-        assert np.max(np.abs(oblique_bracket(M1, M2, obl)
-                             + oblique_bracket(M2, M1, obl))) <= 1e-9 * scale
+        # float entries convert to Fractions exactly: antisymmetry is exact
+        assert not np.any(oblique_bracket_exact(M1, M2, w, g) + oblique_bracket_exact(M2, M1, w, g))
 
 
 def test_orthogonal_algebroid_property_random():
@@ -178,12 +163,13 @@ def test_projector_laws():
     rng = np.random.default_rng(14)
     for _ in range(20):
         n = int(rng.integers(2, 7))
-        w = rng.standard_normal(n)
-        g = rng.standard_normal(n)
-        if abs(w @ g) < 0.1:
+        M = rng.integers(-9, 10, (n, n))
+        w = rng.integers(-5, 6, n)
+        g = rng.integers(-5, 6, n)
+        if int(w @ g) == 0:
             continue
-        G_ = ObliqueAnchor(w, g).projector
-        eye = np.eye(n)
-        assert np.max(np.abs(G_ @ G_ - G_)) <= 1e-10
-        assert np.max(np.abs((eye - G_) @ (eye - G_) - (eye - G_))) <= 1e-10
-        np.testing.assert_allclose(G_ @ g, g, atol=1e-10 * max(1, np.abs(g).max()))
+        # the anchor map I - G is idempotent exactly when G is
+        an = oblique_anchor_apply_exact(M, w, g)
+        assert np.array_equal(oblique_anchor_apply_exact(an, w, g), an)
+        # G g = g, i.e. (I - G) g = 0
+        assert not np.any(oblique_anchor_apply_exact(g[:, None], w, g))

@@ -379,8 +379,10 @@ def test_exact_takes_integers_past_int64(tmp_path, capsys):
     assert (code, capsys.readouterr()) == (0, ("100000000000000000002\n3\n", ""))
 
 
-@pytest.mark.parametrize("text", ["2 3\n0 1 0\ninf 0 1\n", '{"A": [[1, 2]], "B": [1]}'],
-                         ids=["infinite", "not-square"])
+@pytest.mark.parametrize("text", [
+    "2 3\n0 1 0\ninf 0 1\n", '{"A": [[1, 2]], "B": [1]}', '{"B": [1]}', '{"A": [[1]]}',
+    '{"A": {"x": 1}, "B": [1]}', '{"A": [[1]], "B": {"a": 1}}', '[{"a": 1}]',
+], ids=["infinite", "not-square", "no-A", "no-B", "A-object", "B-object", "array-of-objects"])
 def test_system_file_the_system_rejects_is_usage_error(tmp_path, text, capsys):
     path = tmp_path / "bad.txt"
     path.write_text(text)
@@ -388,6 +390,16 @@ def test_system_file_the_system_rejects_is_usage_error(tmp_path, text, capsys):
                 ["simulate", "--poles", "-1,-2"]):
         assert cli.main(cmd + ["--system", str(path)]) == 1, cmd
         assert capsys.readouterr().err.startswith(f"error: cannot read system file {path}: ")
+
+
+def test_unwritable_out_is_usage_error_for_every_command(worked_system, tmp_path, capsys):
+    out = str(tmp_path / "missing" / "x")
+    for cmd in (["place", "--system", worked_system, "--algo", "ackermann", "--poles", "-1,-2,-3"],
+                ["bench", "--family", "integer", "--n-range", "3..3", "--algos", "ackermann"],
+                ["simulate", "--system", worked_system, "--poles", "-1,-2,-3"],
+                ["exact", "--system", worked_system, "--poles", "-1,-2,-3"]):
+        assert cli.main(cmd + ["--out", out]) == 1, cmd
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: "), cmd
 
 
 # ---------------------------------------------------------------------------

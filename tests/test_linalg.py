@@ -875,7 +875,6 @@ def test_threshold_table_values():
         ("chain_input", BITS64, 2.0, 3, 5.0): 4e-08,
         ("chain_denominator", BITS32): 1.1754943508222875e-35,
         ("conjugate_match", BITS64, 4.0): 4e-09,
-        ("oblique_pairing", BITS64, 6.0): 1.3322676295501878e-12,
         ("orthonormality", BITS64): 1e-10,
         ("spectrum_pair", BITS64): 1e-09,
     }
