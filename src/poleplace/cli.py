@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
 import json
 import math
@@ -29,6 +30,16 @@ class UsageError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _usage_error(errors, prefix: str = ""):
+    """Raise an exception of type ``errors`` from the block as a UsageError:
+    ``prefix`` and then the exception's own message."""
+    try:
+        yield
+    except errors as exc:
+        raise UsageError(f"{prefix}{exc}") from exc
+
+
 def parse_pole_list(text: str, n: int):
     """Parse the n poles of an n-state system: comma-separated finite reals,
     complex literals with a trailing i (e.g. -1+2i), and inclusive integer
@@ -40,10 +51,8 @@ def parse_pole_list(text: str, n: int):
             continue
         if ".." in token:
             lo_s, hi_s = token.split("..", 1)
-            try:
+            with _usage_error(ValueError, f"bad range {token!r}: "):
                 lo, hi = int(lo_s), int(hi_s)
-            except ValueError as exc:
-                raise UsageError(f"bad range {token!r}: {exc}") from exc
             step = 1 if hi >= lo else -1
             parts.append(range(lo, hi + step, step))
             count += abs(hi - lo) + 1
@@ -67,34 +76,28 @@ def _parse_poles(text: str, n: int):
     """Parse a --poles value for an n-state system: conjugate-closed,
     one pole per state."""
     poles = parse_pole_list(text, n)
-    try:
+    with _usage_error(InvalidPoleSet):
         linalg.pole_steps(poles)
-    except InvalidPoleSet as exc:
-        raise UsageError(str(exc)) from exc
     return poles
 
 
 def parse_float_list(text: str):
-    try:
+    with _usage_error(ValueError, f"bad number list {text!r}: "):
         return [float(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise UsageError(f"bad number list {text!r}: {exc}") from exc
 
 
 def _load_system(path):
-    try:
+    # a json.JSONDecodeError is a ValueError; JSON nested past the
+    # interpreter's recursion limit raises RecursionError
+    with _usage_error((OSError, ValueError, RecursionError), f"cannot read system file {path}: "):
         return placement.StateSpace(*linalg.load_system(path))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read system file {path}: {exc}") from exc
 
 
 def _family(kind: str, n: int, seed):
     """A family instance and its system; a size it cannot build is a usage error."""
     family = bench.ExampleFamily(kind, n, seed)
-    try:
+    with _usage_error(ValueError):
         return family, family.make()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _json_number(x):
@@ -107,11 +110,9 @@ def _json_number(x):
 def _emit(text: str, out_path):
     """Write text to out_path, or to stdout when no path is given."""
     if out_path:
-        try:
+        with _usage_error(OSError, f"cannot write {out_path}: "):
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {out_path}: {exc}") from exc
     else:
         _sys.stdout.write(text)
 
@@ -123,29 +124,17 @@ def _emit(text: str, out_path):
 def _cmd_place(args) -> int:
     sys_ = _load_system(args.system)
     precision = as_precision(args.precision)
-    if args.poles:
-        poles = _parse_poles(args.poles, sys_.n)
-        if args.reverse_poles:
-            poles = poles[::-1]
-        K = placement.place(sys_, poles, algorithm=args.algo, precision=precision)
-        targets = poles
+    if args.poles is not None:
+        targets = _parse_poles(args.poles, sys_.n)
+        given = {"poles": targets}
+    elif args.algo not in ("ackermann", "algebroid2"):
+        raise UsageError(f"--charpoly works with ackermann or algebroid2, not {args.algo}")
     else:
-        cp = parse_float_list(args.charpoly)
-        if not all(map(math.isfinite, cp)):
-            raise UsageError(f"charpoly {args.charpoly!r} is not finite")
-        if len(cp) != sys_.n + 1 or cp[0] != 1.0:
-            raise UsageError(f"charpoly {args.charpoly!r} must be monic of length {sys_.n + 1}")
-        if args.algo == "ackermann":
-            K = placement.ackermann_direct(sys_, charpoly=cp, precision=precision)
-        elif args.algo == "algebroid2":
-            chain = placement._prepared(sys_, precision, "chain",
-                                        placement.build_anchor_chain, sys_, precision)
-            K = placement.gain_from_chain(chain, charpoly=cp)
-        else:
-            raise UsageError(
-                f"--charpoly works with ackermann or algebroid2, not {args.algo}"
-            )
+        with _usage_error(InvalidPoleSet):
+            cp = placement.given_charpoly(sys_.n, None, parse_float_list(args.charpoly))
+        given = {"charpoly": cp}
         targets = linalg.eigenvalues(linalg.companion_matrix(cp))
+    K = placement.ALGORITHMS[args.algo](sys_, precision=precision, **given)
     rec = bench.evaluate_placement(sys_, targets, K, algorithm=args.algo,
                                    precision=precision)
     if args.format == "json":
@@ -190,6 +179,8 @@ def _cmd_bench(args) -> int:
     precisions = {"32": [32], "64": [64], "both": [32, 64]}[args.precision]
     orders = {"fwd": ["forward"], "rev": ["reversed"],
               "both": ["forward", "reversed"]}[args.order]
+    if args.out:
+        _emit("", args.out)  # an unwritable path fails before the suite runs
     records = bench.run_suite(families, algos, precisions, orders)
     # render only what is written
     if args.out:
@@ -223,11 +214,9 @@ def _cmd_simulate(args) -> int:
     if len(x0) != sys_.n:
         raise UsageError(f"x0 needs {sys_.n} entries")
     modes = ["gain", "chain"] if args.mode == "both" else [args.mode]
-    try:
+    with _usage_error(ValueError):
         T = sim.default_horizon(poles) if args.T is None else args.T
         configs = {mode: sim.SimConfig(T=T, h=args.h, x0=x0, feedback=mode) for mode in modes}
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     traces = {mode: sim.simulate(sys_, poles, cfg, precision=precision)
               for mode, cfg in configs.items()}
     primary = traces[modes[0]]
@@ -281,6 +270,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_check_commutators(args) -> int:
+    with _usage_error(ValueError):
+        rng = np.random.default_rng(args.seed)
     results = []
 
     A1 = np.array([[1.0, 3, 5], [7, 13, 17], [1, 1, 1]])
@@ -321,7 +312,6 @@ def _cmd_check_commutators(args) -> int:
           and np.array_equal(anchored.astype(object), ref_b.astype(object)))
     results.append(("oblique algebroid identity", ok, "integer-exact"))
 
-    rng = np.random.default_rng(args.seed)
     worst_anti = worst_orth = 0.0
     oblique_ok = projector_ok = True
     for _ in range(50):
@@ -382,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--poles", help="e.g. '-1,-2,-3' or '-1..-10' or '-1+2i,-1-2i'")
     g.add_argument("--charpoly", help="monic coefficients '1,6,11,6'")
     sp.add_argument("--precision", choices=["32", "64"], default="64")
-    sp.add_argument("--reverse-poles", action="store_true")
     sp.add_argument("--format", choices=["text", "json"], default="text")
     sp.add_argument("--out")
     sp.set_defaults(fn=_cmd_place)

@@ -635,14 +635,20 @@ def companion_matrix(coeffs) -> np.ndarray:
 
 
 def _json_array(data, what: str) -> np.ndarray:
-    """A parsed JSON value as a float64 array; ValueError names a value
-    that is no array of numbers."""
+    """A parsed JSON value as a float64 array; ValueError names a value that
+    is no array of numbers (numpy would take a string, boolean or null)."""
     if not isinstance(data, list):
         raise ValueError(f"{what} must be a JSON array, got {type(data).__name__}")
+    entries = list(data)
+    for x in entries:  # each nested list is appended, and walked in turn
+        if isinstance(x, list):
+            entries += x
+        elif type(x) not in (int, float):
+            raise ValueError(f"{what} must hold only numbers, got {json.dumps(x)}")
     try:
         return np.asarray(data, dtype=np.float64)
-    except TypeError as exc:
-        raise ValueError(f"{what} must hold only numbers: {exc}") from exc
+    except OverflowError as exc:
+        raise ValueError(f"{what} has an integer beyond the float64 range: {exc}") from exc
 
 
 def parse_matrix_text(text: str) -> np.ndarray:

@@ -170,10 +170,10 @@ def _check_poles(sys: StateSpace, poles, precision: Precision, real: bool = Fals
     return A, B, roots, steps
 
 
-def _given_charpoly(n: int, poles, charpoly):
+def given_charpoly(n: int, poles, charpoly):
     """Require exactly one of poles and charpoly; None when poles are
     given (the caller checks them), else the charpoly as float64, checked
-    to be finite and monic of length n+1."""
+    to be finite and monic of length n+1 (else :class:`InvalidPoleSet`)."""
     if (poles is None) == (charpoly is None):
         raise ValueError("give exactly one of poles or charpoly")
     if charpoly is None:
@@ -182,7 +182,7 @@ def _given_charpoly(n: int, poles, charpoly):
     if not np.isfinite(cp).all():
         raise InvalidPoleSet(f"charpoly {cp.tolist()} is not finite")
     if cp.size != n + 1 or cp[0] != 1.0:
-        raise InvalidPoleSet("charpoly must be monic of length n+1")
+        raise InvalidPoleSet(f"charpoly {cp.tolist()} must be monic of length {n + 1}")
     return cp
 
 
@@ -231,7 +231,7 @@ def _horner_steps(A, steps, X) -> np.ndarray:
 def ackermann_direct(sys: StateSpace, poles=None, precision: Precision = BITS64,
                      charpoly=None) -> np.ndarray:
     """K = e_n^T C^-1 Phi(A), the closed-form placement gain."""
-    cp = _given_charpoly(sys.n, poles, charpoly)
+    cp = given_charpoly(sys.n, poles, charpoly)
     if cp is None:
         A, B, _, steps = _check_poles(sys, poles, precision)
         return (_prepared(sys, precision, "crow", inverse_ctrb_last_row, A, B)
@@ -564,7 +564,7 @@ class ChainFeedback:
         A, B = chain.A, chain.B
         self.precision = chain.precision
         self.n = B.size
-        cp = _given_charpoly(self.n, poles, charpoly)
+        cp = given_charpoly(self.n, poles, charpoly)
         if cp is None:
             roots, _ = _pole_list(poles, self.n)
             cp = poly_from_roots(roots)
@@ -644,13 +644,14 @@ def feedback_eval(chain: AnchorChain, x, poles=None, charpoly=None) -> float:
 
 
 @_range_rule
-def place_algebroid2(sys: StateSpace, poles,
-                     precision: Precision = BITS64) -> np.ndarray:
-    """Chain-of-anchors placement from a pole list (builds the chain,
-    converts the poles to polynomial coefficients, runs the construction
-    phase)."""
+def place_algebroid2(sys: StateSpace, poles=None, precision: Precision = BITS64,
+                     charpoly=None) -> np.ndarray:
+    """Chain-of-anchors placement from a pole list or a monic
+    characteristic polynomial, as :func:`ackermann_direct` takes them: the
+    construction phase (:func:`gain_from_chain`) on the system's chain,
+    built once per precision."""
     chain = _prepared(sys, precision, "chain", build_anchor_chain, sys, precision)
-    return gain_from_chain(chain, poles=poles)
+    return gain_from_chain(chain, poles, charpoly)
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +802,8 @@ def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.nda
 
 
 # Every entry is called as fn(sys, poles, precision) and returns the gain K
-# with eigenvalues(A - B K) equal to the poles, or raises a PlacementError.
+# with eigenvalues(A - B K) equal to the poles, or raises a PlacementError;
+# ackermann and algebroid2 take charpoly= (monic, n+1 terms) for the poles.
 ALGORITHMS = {
     "ackermann": ackermann_direct,
     "ackermann-factored": ackermann_factored,

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from poleplace import bench, cli, linalg, placement
+from poleplace import bench, cli, errors, linalg, placement
 
 from _reference import save_system
 
@@ -322,10 +327,20 @@ def test_place_charpoly_route(worked_system, capsys):
 
 
 def test_place_reverse_poles(worked_system, capsys):
+    # the pole list states the order; there is no flag that reverses it
     code = cli.main(["place", "--algo", "algebroid1", "--system", worked_system,
-                     "--poles", "-1,-2,-3", "--reverse-poles"])
+                     "--poles", "-3,-2,-1"])
     assert code == 0
     assert "K = 4  7.5  9.5" in capsys.readouterr().out
+    assert cli.main(["place", "--algo", "algebroid1", "--system", worked_system,
+                     "--poles", "-1,-2,-3", "--reverse-poles"]) == 1
+    assert "unrecognized arguments: --reverse-poles" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", sorted(placement.ALGORITHMS))
+def test_place_empty_pole_list_is_usage_error(worked_system, algo, capsys):
+    code = cli.main(["place", "--algo", algo, "--system", worked_system, "--poles="])
+    assert (code, capsys.readouterr()) == (1, ("", "error: empty pole list\n"))
 
 
 def test_place_32bit_mode(worked_system, capsys):
@@ -379,17 +394,30 @@ def test_exact_takes_integers_past_int64(tmp_path, capsys):
     assert (code, capsys.readouterr()) == (0, ("100000000000000000002\n3\n", ""))
 
 
-@pytest.mark.parametrize("text", [
-    "2 3\n0 1 0\ninf 0 1\n", '{"A": [[1, 2]], "B": [1]}', '{"B": [1]}', '{"A": [[1]]}',
-    '{"A": {"x": 1}, "B": [1]}', '{"A": [[1]], "B": {"a": 1}}', '[{"a": 1}]',
-], ids=["infinite", "not-square", "no-A", "no-B", "A-object", "B-object", "array-of-objects"])
-def test_system_file_the_system_rejects_is_usage_error(tmp_path, text, capsys):
+@pytest.mark.parametrize("text, fault", [
+    ("2 3\n0 1 0\ninf 0 1\n", "matrix entries must be finite"),
+    ('{"A": [[1, 2]], "B": [1]}', "A must be square"),
+    ('{"B": [1]}', "system object has no 'A' entry"),
+    ('{"A": [[1]]}', "system object has no 'B' entry"),
+    ('{"A": {"x": 1}, "B": [1]}', "A must be a JSON array, got dict"),
+    ('{"A": [[1]], "B": {"a": 1}}', "B must be a JSON array, got dict"),
+    ('[{"a": 1}]', 'matrix must hold only numbers, got {"a": 1}'),
+    ('{"A": [[1' + "0" * 400 + ']], "B": [1]}',
+     "A has an integer beyond the float64 range: int too large to convert to float"),
+    ('{"A": [["2"]], "B": ["1"]}', 'A must hold only numbers, got "2"'),
+    ('{"A": [[2]], "B": [true]}', "B must hold only numbers, got true"),
+    ('{"A": [[null]], "B": [1]}', "A must hold only numbers, got null"),
+    ("[" * 100000 + "]" * 100000,
+     "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+], ids=["infinite", "not-square", "no-A", "no-B", "A-object", "B-object", "array-of-objects",
+        "400-digit-integer", "strings", "boolean", "null", "nested-past-the-recursion-limit"])
+def test_system_file_the_system_rejects_is_usage_error(tmp_path, text, fault, capsys):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     for cmd in (["exact", "--poles", "-1,-2"], ["place", "--algo", "ackermann", "--poles", "-1,-2"],
                 ["simulate", "--poles", "-1,-2"]):
         assert cli.main(cmd + ["--system", str(path)]) == 1, cmd
-        assert capsys.readouterr().err.startswith(f"error: cannot read system file {path}: ")
+        assert capsys.readouterr().err == f"error: cannot read system file {path}: {fault}\n"
 
 
 def test_unwritable_out_is_usage_error_for_every_command(worked_system, tmp_path, capsys):
@@ -546,10 +574,10 @@ def test_place_arithmetic_overflow_exits_typed(worked_system, argv, message, cap
 
 
 @pytest.mark.parametrize("algo, charpoly, message", [
-    ("ackermann", "1,nan,11,6", "charpoly '1,nan,11,6' is not finite"),
-    ("algebroid2", "1,inf,11,6", "charpoly '1,inf,11,6' is not finite"),
-    ("ackermann", "2,6,11,6", "charpoly '2,6,11,6' must be monic of length 4"),
-    ("algebroid2", "1,6,11", "charpoly '1,6,11' must be monic of length 4"),
+    ("ackermann", "1,nan,11,6", "charpoly [1.0, nan, 11.0, 6.0] is not finite"),
+    ("algebroid2", "1,inf,11,6", "charpoly [1.0, inf, 11.0, 6.0] is not finite"),
+    ("ackermann", "2,6,11,6", "charpoly [2.0, 6.0, 11.0, 6.0] must be monic of length 4"),
+    ("algebroid2", "1,6,11", "charpoly [1.0, 6.0, 11.0] must be monic of length 4"),
 ], ids=["ackermann-nan", "algebroid2-inf", "ackermann-not-monic", "algebroid2-short"])
 def test_place_nonfinite_charpoly_is_usage_error(worked_system, algo, charpoly, message,
                                                  capsys):
@@ -623,6 +651,12 @@ def test_check_commutators_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 8
+
+
+def test_check_commutators_negative_seed_is_usage_error(capsys):
+    # as simulate and bench report numpy's refusal of the same seed
+    assert cli.main(["check-commutators", "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: expected non-negative integer\n")
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +739,16 @@ def test_shared_parser_carries_no_state_between_calls(worked_system, capsys):
     assert shared == run(fresh=True)
 
 
+def test_bench_checks_its_out_path_before_the_suite_runs(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli.bench, "run_suite", lambda *args: calls.append(args))
+    out = str(tmp_path / "missing" / "x")
+    code = cli.main(["bench", "--family", "integer", "--n-range", "3..3",
+                     "--algos", "ackermann", "--out", out])
+    assert (code, len(calls)) == (1, 0)
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
 def test_bench_renders_only_what_it_writes(monkeypatch, capsys):
     def no_table(records):
         raise AssertionError("render_table called for CSV on stdout")
@@ -714,3 +758,128 @@ def test_bench_renders_only_what_it_writes(monkeypatch, capsys):
                      "--algos", "ackermann", "--format", "csv"])
     assert code == 0
     assert capsys.readouterr().out.startswith("family,n,algorithm")
+
+
+# ---------------------------------------------------------------------------
+# Every argv ends in exit 0, 1 or 2
+
+
+CORPUS = {
+    "worked": WORKED_TEXT,
+    "unctrl": UNCTRL_TEXT,
+    "json": '{"A": [[1, 3, 5], [7, 13, 17], [1, 1, 1]], "B": [1, 1, 1]}',
+    "scalar": "[[2, 4]]",
+    "zero-b": "2 3\n0 1 0\n1 0 0\n",
+    "huge": "3 4\n1e300 3 5 1\n7 13 17 1\n1 1 1 1\n",
+    "nan": "1 2\nnan 1\n",
+    "ragged": "[[1, 2], [3]]",
+    "empty": "",
+    "big-integer": '{"A": [[1' + "0" * 400 + ']], "B": [1]}',
+    "strings": '{"A": [["2"]], "B": ["1"]}',
+    "boolean": '{"A": [[true]], "B": [1]}',
+    "deep": "[" * 100000 + "]" * 100000,
+}
+
+PLACEMENT_ERRORS = {name for name, cls in vars(errors).items()
+                    if isinstance(cls, type) and issubclass(cls, errors.PlacementError)}
+
+
+def _opt(flag, *values):
+    """No flag, or the flag with one of ``values``."""
+    return st.one_of(st.just([]), _req(flag, *values))
+
+
+def _req(flag, *values):
+    """The flag with one of ``values``."""
+    return st.sampled_from(values).map(lambda v: [flag, v])
+
+
+def _argv(*parts):
+    """The concatenation of the argv pieces that ``parts`` draw."""
+    return st.tuples(*parts).map(lambda parts: [tok for part in parts for tok in part])
+
+
+# well-formed argv lists for 3-state systems, valid and boundary values
+_SYSTEM = _req("--system", "@worked", "@unctrl", "@json", "@huge")
+_POLES = _req("--poles", "-1,-2,-3", "-3..-1", "-1+2i,-1-2i,-3", "0,0,0")
+_OUT = _opt("--out", "@out")
+_COMMANDS = [
+    _argv(st.just(["place"]), st.one_of(
+        _argv(_req("--algo", *sorted(placement.ALGORITHMS)), _POLES),
+        _argv(_req("--algo", "ackermann", "algebroid2"),
+              _req("--charpoly", "1,6,11,6", "1,0,0,0", "1,-6,11,-6"))),
+          _SYSTEM, _opt("--precision", "32", "64"), _opt("--format", "text", "json"), _OUT),
+    _argv(st.just(["bench"]), _req("--family", "integer", "diag"),
+          _req("--n-range", "3..3", "4", "3..4"),
+          _opt("--algos", "ackermann", "algebroid2,varga", "sliding,miminis,determinantal"),
+          _opt("--precision", "32", "64", "both"), _opt("--order", "fwd", "rev", "both"),
+          _opt("--seed", "0", "341"), _opt("--format", "text", "csv"), _OUT),
+    _argv(st.just(["simulate"]),
+          st.one_of(_SYSTEM, _argv(_req("--family", "integer", "diag"), st.just(["--n", "3"]),
+                                   _opt("--seed", "0", "341"))),
+          _POLES, _opt("--mode", "gain", "chain", "both"), _opt("--T", "0.05", "0.1"),
+          _opt("--h", "0.01", "0.05"), _opt("--x0", "1,2,3", "0,0,0"),
+          _opt("--precision", "32", "64"), _OUT),
+    _argv(st.just(["exact"]), _SYSTEM, _req("--poles", "-1,-2,-3", "-3..-1", "0,0,0"),
+          _opt("--digits", "0", "5"), _OUT),
+    _argv(st.just(["check-commutators"]), _opt("--seed", "0", "341", str(2**64))),
+]
+# the first four three times each: a check-commutators run costs as much as
+# a hundred of the others
+WELL_FORMED = st.sampled_from(_COMMANDS[:4] * 3 + _COMMANDS[4:]).flatmap(lambda argv: argv)
+# what a malformed argv puts in place of a token, or between two
+MALFORMED = ["", "x", "nan", "inf", "-1", "0", "1e400", "-1+2i", "a..b", "--bogus",
+             "@missing", "@missing/x"] + [f"@{name}" for name in CORPUS]
+
+
+@st.composite
+def argvs(draw):
+    """A well-formed argv, as it is or with one token replaced, dropped or
+    inserted."""
+    argv = draw(WELL_FORMED)
+    i = draw(st.integers(1, len(argv)))
+    mutation = draw(st.sampled_from(["none", "none", "replace", "drop", "insert"]))
+    if mutation == "insert":
+        argv.insert(i, draw(st.sampled_from(MALFORMED)))
+    elif mutation != "none" and i < len(argv):
+        argv[i:i + 1] = [draw(st.sampled_from(MALFORMED))] if mutation == "replace" else []
+    return argv
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corpus")
+    for name, text in CORPUS.items():
+        (root / name).write_text(text)
+    return root
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(argvs())
+@example(["place", "--algo", "ackermann", "--system", "@worked", "--poles="])
+@example(["place", "--algo", "ackermann", "--system", "@big-integer", "--poles", "-1"])
+@example(["exact", "--system", "@big-integer", "--poles", "-1"])
+@example(["simulate", "--system", "@big-integer", "--poles", "-1", "--T", "0.05"])
+@example(["check-commutators", "--seed", "-1"])
+def test_main_ends_every_argv_in_exit_0_1_or_2(corpus, argv):
+    # "@name" is the file name in the corpus directory; a RuntimeWarning
+    # fails here too (filterwarnings = error)
+    argv = [str(corpus / tok[1:]) if tok.startswith("@") else tok for tok in argv]
+    out, err = io.StringIO(), io.StringIO()
+    # a malformed token can be a relative --out path: write it in a new
+    # directory each time
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as cwd:
+        os.chdir(cwd)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            os.chdir(home)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(lines) == 1 and lines[0].split(":")[0] in PLACEMENT_ERRORS, lines
+    if code == 1:
+        # argparse prints its usage line before its error line
+        assert lines and "error:" in lines[-1], lines

@@ -1,5 +1,6 @@
 import functools
 import gc
+import inspect
 import warnings
 import weakref
 
@@ -44,6 +45,7 @@ from poleplace.placement import (
     gain_from_chain,
     place,
     place_algebroid1,
+    place_algebroid2,
     place_determinantal,
     place_miminis,
     place_sliding,
@@ -119,13 +121,31 @@ def test_ackermann_charpoly_route():
 @pytest.mark.parametrize("charpoly, message", [
     ([1, np.nan, 11, 6], r"charpoly \[1.0, nan, 11.0, 6.0\] is not finite"),
     ([1, 6, -np.inf, 6], r"charpoly \[1.0, 6.0, -inf, 6.0\] is not finite"),
-], ids=["nan", "-inf"])
+    ([2, 6, 11, 6], r"charpoly \[2.0, 6.0, 11.0, 6.0\] must be monic of length 4"),
+    ([1, 6, 11], r"charpoly \[1.0, 6.0, 11.0\] must be monic of length 4"),
+], ids=["nan", "-inf", "not-monic", "short"])
 def test_nonfinite_charpoly_is_an_invalid_pole_set(charpoly, message):
     # NaN raises no floating-point error, so the range rule cannot see it
     with pytest.raises(InvalidPoleSet, match=f"^{message}$"):
         ackermann_direct(WORKED, charpoly=charpoly)
     with pytest.raises(InvalidPoleSet, match=f"^{message}$"):
         gain_from_chain(build_anchor_chain(WORKED), charpoly=charpoly)
+
+
+@pytest.mark.parametrize("precision", [BITS32, BITS64], ids=["32", "64"])
+def test_algebroid2_charpoly_route_is_gain_from_chain(precision):
+    # a fresh system each time, so that the entry builds its chain itself
+    sys = StateSpace(WORKED.A, WORKED.B)
+    K = place_algebroid2(sys, precision=precision, charpoly=[1, 6, 11, 6])
+    ref = gain_from_chain(build_anchor_chain(WORKED, precision), charpoly=[1, 6, 11, 6])
+    assert K.dtype == ref.dtype == precision.dtype
+    assert K.tobytes() == ref.tobytes()
+
+
+def test_coefficient_entries_share_one_signature():
+    assert inspect.signature(place_algebroid2) == inspect.signature(ackermann_direct)
+    assert list(inspect.signature(place_algebroid2).parameters) == [
+        "sys", "poles", "precision", "charpoly"]
 
 
 def test_ackermann_zero_gain_when_spectrum_already_placed():
