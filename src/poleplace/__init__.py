@@ -57,7 +57,6 @@ from .placement import (
     controllability_matrix,
     feedback_eval,
     gain_from_chain,
-    place,
     place_algebroid1,
     place_algebroid2,
     place_determinantal,

@@ -71,12 +71,6 @@ class OrthogonalAnchor:
         return cls(Q[0, :].copy(), Q[1:, :].copy())
 
 
-def _bracket(A1, A2, P):
-    """A1 A2 - A2 A1 + A2 P A1 - A1 P A2, the bracket of both families for
-    the anchor's projector P (float or Fraction entries)."""
-    return A1 @ A2 - A2 @ A1 + A2 @ P @ A1 - A1 @ P @ A2
-
-
 def orthogonal_bracket(A1, A2, anchor: OrthogonalAnchor) -> np.ndarray:
     """<A1, A2> = A1 A2 - A2 A1 + A2 q q^T A1 - A1 q q^T A2."""
     A1 = as_matrix(A1, BITS64)
@@ -84,7 +78,8 @@ def orthogonal_bracket(A1, A2, anchor: OrthogonalAnchor) -> np.ndarray:
     n = anchor.q.size
     if A1.shape != (n, n) or A2.shape != (n, n):
         raise ValueError("operands must be square and conformal with the anchor")
-    return _bracket(A1, A2, np.outer(anchor.q, anchor.q))
+    P = np.outer(anchor.q, anchor.q)
+    return A1 @ A2 - A2 @ A1 + A2 @ P @ A1 - A1 @ P @ A2
 
 
 def project(anchor: OrthogonalAnchor, A) -> np.ndarray:
@@ -106,23 +101,27 @@ def _frac_matrix(M):
                     dtype=object)
 
 
-def _exact_projector(omega, g):
-    """G = g omega^T / (omega^T g) in Fractions."""
-    omega = np.array([Fraction(x) for x in np.ravel(omega).tolist()], dtype=object)
-    g = np.array([Fraction(x) for x in np.ravel(g).tolist()], dtype=object)
+def _exact_anchor(omega, g):
+    """omega and g / (omega^T g) in Fractions: G = g omega^T / (omega^T g)
+    is their outer product, applied as a rank-one update, never formed."""
+    omega, g = (_frac_matrix(np.ravel(v))[0] for v in (omega, g))
     pairing = omega @ g
     if pairing == 0:
         raise DegenerateAnchor("omega^T g = 0")
-    return np.outer(g, omega) / pairing
+    return omega, g / pairing
 
 
 def oblique_anchor_apply_exact(A, omega, g):
     """an_{omega,g}(A) = (I - G) A = A - g (omega^T A) / (omega^T g), in
     Fractions; omega^T an(A) = 0.  Raises DegenerateAnchor for omega^T g = 0."""
     A = _frac_matrix(A)
-    return A - _exact_projector(omega, g) @ A
+    omega, g_d = _exact_anchor(omega, g)
+    return A - np.outer(g_d, omega @ A)
 
 
 def oblique_bracket_exact(A1, A2, omega, g):
     """{{A1, A2}} = A1 A2 - A2 A1 + A2 G A1 - A1 G A2, in Fractions."""
-    return _bracket(_frac_matrix(A1), _frac_matrix(A2), _exact_projector(omega, g))
+    A1, A2 = _frac_matrix(A1), _frac_matrix(A2)
+    omega, g_d = _exact_anchor(omega, g)
+    return (A1 @ A2 - A2 @ A1 + np.outer(A2 @ g_d, omega @ A1)
+            - np.outer(A1 @ g_d, omega @ A2))

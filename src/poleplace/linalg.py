@@ -664,7 +664,12 @@ def parse_matrix_text(text: str) -> np.ndarray:
             M = M[None, :]
         return M
     tokens = stripped.split()
-    rows, cols = int(tokens[0]), int(tokens[1])
+    try:
+        rows, cols = map(int, tokens[:2])
+    except ValueError:
+        rows = cols = -1
+    if min(rows, cols) < 0:
+        raise ValueError(f"matrix header {' '.join(tokens[:2])!r} is not two non-negative integers")
     vals = [float(tok) for tok in tokens[2:]]
     if len(vals) != rows * cols:
         raise ValueError(

@@ -409,6 +409,8 @@ class QuotientStack:
 
 
 def _descend_quotients(A, B, roots, variant: str) -> QuotientStack:
+    if variant not in ("qr", "solve"):
+        raise ValueError(f"unknown variant {variant!r}")
     n = B.size
     Ab, Bb = A, B
     levels = []
@@ -424,7 +426,7 @@ def _descend_quotients(A, B, roots, variant: str) -> QuotientStack:
             k = (Bb / np.dot(Bb, Bb)) @ shifted
             ko = (k @ koh) * koh
             anb = qs[:, :-1].T
-        elif variant == "solve":
+        else:
             try:
                 nvec = solve_linear(shifted, Bb)
             except SingularSystem as exc:
@@ -433,8 +435,6 @@ def _descend_quotients(A, B, roots, variant: str) -> QuotientStack:
                 ) from exc
             ko = nvec / np.dot(nvec, nvec)
             anb = householder_annihilator(nvec)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
         levels.append(QuotientLevel(Ab, Bb, anb, ko))
         Ab = anb @ Ab @ anb.T
         Bb = anb @ Bb
@@ -815,15 +815,3 @@ ALGORITHMS = {
     "miminis": place_miminis,
     "varga": place_varga,
 }
-
-
-def place(sys: StateSpace, poles, algorithm: str = "ackermann",
-          precision: Precision = BITS64) -> np.ndarray:
-    """Dispatch to a placement algorithm by name (see ALGORITHMS)."""
-    try:
-        fn = ALGORITHMS[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
-        ) from None
-    return fn(sys, poles, precision)

@@ -396,6 +396,8 @@ def test_exact_takes_integers_past_int64(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, fault", [
     ("2 3\n0 1 0\ninf 0 1\n", "matrix entries must be finite"),
+    ("2", "matrix header '2' is not two non-negative integers"),
+    ("-1 -1\n5\n", "matrix header '-1 -1' is not two non-negative integers"),
     ('{"A": [[1, 2]], "B": [1]}', "A must be square"),
     ('{"B": [1]}', "system object has no 'A' entry"),
     ('{"A": [[1]]}', "system object has no 'B' entry"),
@@ -409,7 +411,7 @@ def test_exact_takes_integers_past_int64(tmp_path, capsys):
     ('{"A": [[null]], "B": [1]}', "A must hold only numbers, got null"),
     ("[" * 100000 + "]" * 100000,
      "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
-], ids=["infinite", "not-square", "no-A", "no-B", "A-object", "B-object", "array-of-objects",
+], ids=["infinite", "one-token-header", "negative-header", "not-square", "no-A", "no-B", "A-object", "B-object", "array-of-objects",
         "400-digit-integer", "strings", "boolean", "null", "nested-past-the-recursion-limit"])
 def test_system_file_the_system_rejects_is_usage_error(tmp_path, text, fault, capsys):
     path = tmp_path / "bad.txt"
@@ -770,6 +772,8 @@ CORPUS = {
     "json": '{"A": [[1, 3, 5], [7, 13, 17], [1, 1, 1]], "B": [1, 1, 1]}',
     "scalar": "[[2, 4]]",
     "zero-b": "2 3\n0 1 0\n1 0 0\n",
+    "one-token": "2",
+    "negative-header": "-1 -1\n5\n",
     "huge": "3 4\n1e300 3 5 1\n7 13 17 1\n1 1 1 1\n",
     "nan": "1 2\nnan 1\n",
     "ragged": "[[1, 2], [3]]",
@@ -858,6 +862,7 @@ def corpus(tmp_path_factory):
 @given(argvs())
 @example(["place", "--algo", "ackermann", "--system", "@worked", "--poles="])
 @example(["place", "--algo", "ackermann", "--system", "@big-integer", "--poles", "-1"])
+@example(["place", "--algo", "ackermann", "--system", "@one-token", "--poles", "-1"])
 @example(["exact", "--system", "@big-integer", "--poles", "-1"])
 @example(["simulate", "--system", "@big-integer", "--poles", "-1", "--T", "0.05"])
 @example(["check-commutators", "--seed", "-1"])

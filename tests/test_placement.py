@@ -43,7 +43,6 @@ from poleplace.placement import (
     controller_hessenberg,
     feedback_eval,
     gain_from_chain,
-    place,
     place_algebroid1,
     place_algebroid2,
     place_determinantal,
@@ -437,6 +436,15 @@ def test_algebroid1_worked_example_both_variants():
     for variant in ("qr", "solve"):
         K = place_algebroid1(WORKED, POLES, variant=variant)
         np.testing.assert_allclose(K, K_REF, atol=1e-9)
+
+
+@pytest.mark.parametrize("sys, poles", [(StateSpace([[5.0]], [2.0]), [-3.0]), (WORKED, POLES)],
+                         ids=["n1", "n3"])
+def test_algebroid1_rejects_an_unknown_variant_at_every_n(sys, poles):
+    # at n = 1 there is no quotient level, so the name is checked before
+    # the descent, not inside it
+    with pytest.raises(ValueError, match="^unknown variant 'bogus'$"):
+        place_algebroid1(sys, poles, variant="bogus")
 
 
 def test_algebroid1_first_level_trace_values():
@@ -897,7 +905,7 @@ HESS_2 = np.array([[0.0, 1.0], [-2.0, -3.0]])
 def test_guarded_failure_carries_check_value_and_bound(algorithm, sys, poles, error, message,
                                                        cause, check):
     with pytest.raises(error) as info:
-        place(sys, poles, algorithm)
+        ALGORITHMS[algorithm](sys, poles)
     if cause is None:
         assert_guarded(info.value, error, message, check)
     else:
@@ -924,7 +932,7 @@ def test_every_algorithm_rejects_wrong_pole_count():
     for name in ALGORITHMS:
         for poles in (POLES[:2], POLES + [-4.0]):
             with pytest.raises(InvalidPoleSet, match=f"expected 3 poles, got {len(poles)}"):
-                place(WORKED, poles, name)
+                ALGORITHMS[name](WORKED, poles)
 
 
 def test_every_algorithm_rejects_a_near_real_pole():
@@ -1264,8 +1272,8 @@ def test_system_is_freed_by_reference_counting(precision):
     cfg = {mode: SimConfig(T=0.05, h=0.01, x0=np.arange(1.0, 9.0), feedback=mode)
            for mode in ("gain", "chain")}
     runs = {
-        "ackermann": lambda sys: place(sys, poles, "ackermann", precision),
-        "algebroid2": lambda sys: place(sys, poles, "algebroid2", precision),
+        "ackermann": lambda sys: ALGORITHMS["ackermann"](sys, poles, precision),
+        "algebroid2": lambda sys: ALGORITHMS["algebroid2"](sys, poles, precision),
         "simulate gain": lambda sys: simulate(sys, poles, cfg["gain"], precision),
         "simulate chain": lambda sys: simulate(sys, poles, cfg["chain"], precision),
     }
