@@ -11,6 +11,7 @@ into complex conjugate pairs through rounding.
 
 from __future__ import annotations
 
+import cmath
 import io
 from dataclasses import dataclass
 
@@ -150,16 +151,23 @@ class BenchRecord:
 
 
 def _match_error(achieved: np.ndarray, targets: np.ndarray) -> float:
-    """Greedy nearest-pair matching between two sorted spectra; nan when
-    an achieved eigenvalue is not finite (``max`` and ``min`` would drop
-    its nan distances)."""
-    if not np.isfinite(achieved).all():
+    """Greedy nearest-pair matching between two sorted spectra: each
+    achieved eigenvalue takes the first nearest remaining target.  nan
+    when an achieved eigenvalue is not finite (``max`` and ``min`` would
+    drop its nan distances).
+
+    Works on Python complex values: their ``abs`` is the same ``hypot``
+    as numpy's, without numpy's per-scalar dispatch."""
+    achieved = achieved.tolist()
+    if not all(map(cmath.isfinite, achieved)):
         return float("nan")
-    remaining = sorted(targets, key=lambda z: (z.real, z.imag))
+    remaining = sorted(map(complex, targets), key=lambda z: (z.real, z.imag))
     worst = 0.0
     for z in sorted(achieved, key=lambda z: (z.real, z.imag)):
-        best = min(range(len(remaining)), key=lambda i: abs(z - remaining[i]))
-        worst = max(worst, abs(z - remaining.pop(best)))
+        dist = [abs(z - w) for w in remaining]
+        best = dist.index(min(dist))
+        worst = max(worst, dist[best])
+        del remaining[best]
     return worst
 
 
@@ -289,7 +297,7 @@ def render_csv(records) -> str:
               "complex_pair_count,failure,gain,achieved\n")
     for r in records:
         gain = ";".join(repr(g) for g in r.gain)
-        achieved = ";".join(f"{float(z.real)!r}{z.imag:+}j" for z in r.achieved)
+        achieved = ";".join(f"{z.real!r}{z.imag:+}j" for z in map(complex, r.achieved))
         failure = (r.failure or "").replace(",", ";")
         out.write(f"{r.family},{r.n},{r.algorithm},{r.precision},"
                   f"{r.pole_order},{r.max_abs_error!r},{r.complex_pair_count},"

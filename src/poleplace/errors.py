@@ -73,8 +73,9 @@ class DivergedState(PlacementError):
 
 class PrecisionOverflow(PlacementError):
     """A value past the range of the requested precision: a finite input
-    entry where it is cast, or an overflow or a division by zero in a
-    placement (the range rule of :mod:`poleplace.placement`)."""
+    entry where it is cast, an overflow or a division by zero in a
+    placement (the range rule of :mod:`poleplace.placement`), or a
+    divisor that underflowed to 0 (the ``normal_square`` bound)."""
 
 
 class FactorizationError(PlacementError):

@@ -21,6 +21,7 @@ Conventions fixed here (they make every downstream fixture reproducible):
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 
@@ -61,9 +62,23 @@ def as_precision(mode) -> Precision:
     return Precision(int(mode))
 
 
+_FLOAT32 = np.dtype(np.float32)
+
+
 def _precision_of(x) -> Precision:
     """The one dtype rule: float32 arrays are 32-bit, all else 64-bit."""
-    return BITS32 if getattr(x, "dtype", None) == np.float32 else BITS64
+    return BITS32 if getattr(x, "dtype", None) == _FLOAT32 else BITS64
+
+
+@functools.lru_cache(maxsize=64)
+def _identity(m: int, dtype) -> np.ndarray:
+    """The read-only m x m identity in ``dtype``, built once per (m, dtype)
+    (the 64 kept cover every size to 32 at both precisions): a caller
+    that writes into it takes a copy, a shift ``A - l * I`` reads it as
+    it is."""
+    eye = np.eye(m, dtype=dtype)
+    eye.flags.writeable = False
+    return eye
 
 
 def _in_precision(values, precision: Precision, what: str) -> np.ndarray:
@@ -130,20 +145,21 @@ def qr_decompose(M):
     At n <= 12 the cost is numpy dispatch, so each step uses the cheapest
     call that performs the same IEEE operations: the rank-one updates
     write into views of R and Q, with ``u[:, None] * w`` for the multiply
-    ``np.outer`` performs.
+    ``np.outer`` performs, and ``np.add.reduce`` is the pairwise sum that
+    ``ndarray.sum`` reaches through numpy's Python wrapper.
     """
     M = as_matrix(M)
     m, k = M.shape
     R = M.copy()
-    Q = np.eye(m, dtype=R.dtype)
+    Q = _identity(m, R.dtype).copy()
     for c in range(min(m - 1, k)):
         x = R[c:, c]
-        nx = np.sqrt(_checked_norm2((x * x).sum(), "QR column norm"))
+        nx = np.sqrt(_checked_norm2(np.add.reduce(x * x), "QR column norm"))
         if nx == 0.0:
             continue
         u = x.copy()
         u[0] += (nx if x[0] >= 0 else -nx)
-        beta = 2.0 / _checked_norm2((u * u).sum(), "QR reflector norm")
+        beta = 2.0 / _checked_norm2(np.add.reduce(u * u), "QR reflector norm")
         Rc = R[c:, c:]
         Rc -= beta * (u[:, None] * (u @ Rc))
         Qc = Q[:, c:]
@@ -165,10 +181,10 @@ def householder_reflector(v) -> np.ndarray:
     v = as_vector(v)
     m = v.size
     u = v.copy()
-    s = np.sqrt(_checked_norm2((v * v).sum(), "reflected vector norm"))
+    s = np.sqrt(_checked_norm2(np.add.reduce(v * v), "reflected vector norm"))
     u[0] += (s if v[0] >= 0 else -s)
     uu = _checked_norm2(np.dot(u, u), "reflector norm")
-    H = np.eye(m, dtype=v.dtype)
+    H = _identity(m, v.dtype).copy()
     if uu == 0.0:
         return H
     H -= 2.0 * (u[:, None] * u) / uu
@@ -408,12 +424,12 @@ def _hqr_eigenvalues(h: list) -> np.ndarray:
                         hk[j] -= p * x
                         hk1[j] -= p * y
                         hk2[j] -= p * zz
-                    for i in range(l, min(nn, k + 3) + 1):
-                        hi = h[i]
-                        p = x * hi[k] + y * hi[k + 1] + zz * hi[k + 2]
+                    k1, k2 = k + 1, k + 2
+                    for hi in h[l:min(nn, k + 3) + 1]:
+                        p = x * hi[k] + y * hi[k1] + zz * hi[k2]
                         hi[k] -= p
-                        hi[k + 1] -= p * q
-                        hi[k + 2] -= p * r
+                        hi[k1] -= p * q
+                        hi[k2] -= p * r
     wr = np.array(wr)
     wi = np.array(wi)
     order = np.lexsort((wi, wr))
@@ -466,6 +482,9 @@ THRESHOLDS = {
     # final quotient input of the chain feedback law: weak controllability
     # is that method's home turf, so only an underflow-level zero is fatal
     "chain_denominator": lambda precision: 1e3 * float(np.finfo(precision.dtype).tiny),
+    # squared norm of a solve-variant quotient normal, which the level's gain
+    # divides by: only an underflow to exactly 0 is fatal
+    "normal_square": lambda precision: 0.0,
     # distance of a pole from the conjugate of its partner, scale |partner|
     "conjugate_match": lambda precision, scale: 1e-9 * max(1.0, scale),
     "orthonormality": lambda precision: 1e-10,  # of an orthogonal anchor

@@ -60,6 +60,7 @@ from .linalg import (
     Precision,
     _back_substitute,
     _guard,
+    _identity,
     _in_precision,
     _lu_eliminate,
     _precision_of,
@@ -414,11 +415,12 @@ def _descend_quotients(A, B, roots, variant: str) -> QuotientStack:
     n = B.size
     Ab, Bb = A, B
     levels = []
-    bmax = float(np.max(np.abs(B)))
+    precision = _precision_of(A)
+    bmax = float(np.abs(B).max())
     for i in range(n - 1):
         m = Ab.shape[0]
         lam = A.dtype.type(roots[i])
-        shifted = Ab - lam * np.eye(m, dtype=A.dtype)
+        shifted = Ab - lam * _identity(m, A.dtype)
         if variant == "qr":
             QT = householder_annihilator(Bb)
             qs, _ = qr_decompose((QT @ shifted).T)
@@ -433,12 +435,16 @@ def _descend_quotients(A, B, roots, variant: str) -> QuotientStack:
                 raise SingularShift(
                     f"quotient shift by {float(lam)} is numerically singular"
                 ) from exc
-            ko = nvec / np.dot(nvec, nvec)
+            nsq = np.dot(nvec, nvec)
+            _guard("normal_square", nsq, precision, error=PrecisionOverflow,
+                   message=lambda: f"quotient normal underflowed at level {i + 1}: "
+                                   "its squared norm is 0")
+            ko = nvec / nsq
             anb = householder_annihilator(nvec)
         levels.append(QuotientLevel(Ab, Bb, anb, ko))
         Ab = anb @ Ab @ anb.T
         Bb = anb @ Bb
-        _guard("placement_pivot", np.max(np.abs(Bb)), _precision_of(A), bmax,
+        _guard("placement_pivot", np.abs(Bb).max(), precision, bmax,
                error=UncontrollableSystem,
                message=lambda: f"quotient input vanished at level {i + 1}")
     return QuotientStack(tuple(levels), float(Ab.ravel()[0]), float(Bb.ravel()[0]))
@@ -456,6 +462,13 @@ def place_algebroid1(sys: StateSpace, poles, precision: Precision = BITS64,
     along the plane normal, and reduce A, B to the quotient.  Ascending
     phase: K_i = k_{o,i} + K_{i+1} Q_i, which carries the quotient gain
     back up while leaving the pole fixed at that level unchanged.
+
+    The solve variant raises :class:`SingularShift` when a level's pole is
+    an eigenvalue of that level's matrix, whatever the multiplicities: on
+    the integer family at n = 5, whose A has the eigenvalue -1, it fails
+    on -1,-1,-1,-1,-1 and -1,-1,-2,-2,-3 (the first level solves
+    (A + I) n = B) and places -2,-1,-1,-2,-3 and -3,-2,-2,-1,-1.  The QR
+    variant solves nothing and places all four.
     """
     A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
     stack = _descend_quotients(A, B, roots, variant)
@@ -708,7 +721,7 @@ def place_miminis(sys: StateSpace, poles, precision: Precision = BITS64) -> np.n
     pph = np.zeros(n, dtype=A.dtype)
     for i in range(n - 1):
         m = n - i
-        shifted = Ai.T - A.dtype.type(roots[i]) * np.eye(m, dtype=A.dtype)
+        shifted = Ai.T - A.dtype.type(roots[i]) * _identity(m, A.dtype)
         qi, ri = qr_decompose(shifted)
         _guard("placement_pivot", abs(float(Bi[-1])), precision, scale, error=UncontrollableSystem,
                message=lambda: f"deflated input vanished at stage {i + 1}")

@@ -94,7 +94,8 @@ def rk4_step(derivative, t, x, h):
     ks += k4
     out = ks * (h / 6.0)
     out += x
-    if not np.isfinite(out).all():
+    # the ufunc reduction itself: ndarray.all would add numpy's Python wrapper
+    if not np.logical_and.reduce(np.isfinite(out), axis=None):
         raise DivergedState("derivative produced a non-finite state")
     return out
 

@@ -99,6 +99,39 @@ def test_match_error_is_nan_for_a_nonfinite_eigenvalue():
         assert np.isnan(bench._match_error(np.array([-1.0, -2.0, bad]), targets))
 
 
+def _match_error_on_numpy_scalars(achieved, targets):
+    # the matching as it was written on numpy complex scalars: the first
+    # index of the least distance, by min over indices
+    if not np.isfinite(achieved).all():
+        return float("nan")
+    remaining = sorted(targets, key=lambda z: (z.real, z.imag))
+    worst = 0.0
+    for z in sorted(achieved, key=lambda z: (z.real, z.imag)):
+        best = min(range(len(remaining)), key=lambda i: abs(z - remaining[i]))
+        worst = max(worst, abs(z - remaining.pop(best)))
+    return worst
+
+
+def test_match_error_takes_the_first_of_tied_targets():
+    # 0 is 1 away from -1 and from 1 (and from -1j and 1j): it takes the
+    # first in (real, imag) order, which leaves the far one to 5 (or 5j)
+    for achieved, targets, want in (([0.0, 5.0], [1.0, -1.0], 4.0),
+                                    ([0.0, 5.0], [-1.0, 1.0], 4.0),
+                                    ([0.0, 5j], [1j, -1j], 4.0)):
+        achieved, targets = np.array(achieved, dtype=complex), np.array(targets, dtype=complex)
+        got = bench._match_error(achieved, targets)
+        assert got == want == _match_error_on_numpy_scalars(achieved, targets)
+    # and on spectra near their targets, bit for bit
+    rng = np.random.default_rng(3)
+    for n in (1, 4, 12):
+        targets = np.array(fwd_poles(n), dtype=complex)
+        noise = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-12, 0, size=(2, n))
+        achieved = np.sort_complex(targets + noise[0] + 1j * noise[1])
+        got = bench._match_error(achieved, targets)
+        assert type(got) is float
+        assert got == _match_error_on_numpy_scalars(achieved, targets)
+
+
 def test_count_complex_pairs():
     assert count_complex_pairs([1 + 0j, 2 + 0j]) == 0
     assert count_complex_pairs([1 + 2j, 1 - 2j, 3 + 0j]) == 1

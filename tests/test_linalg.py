@@ -91,6 +91,31 @@ def test_householder_reflector():
         assert np.array_equal(linalg.householder_reflector(np.zeros(3, dtype=dt)), np.eye(3))
 
 
+def test_cached_identity_is_read_only_and_returned_factors_are_copies():
+    # the QR's Q and the reflector's H start from one cached identity per
+    # (size, dtype); writing into a returned factor, the reflector's
+    # identity for v = 0 included, must not reach a later call
+    rng = np.random.default_rng(5)
+    for dt in (np.float32, np.float64):
+        eye = linalg._identity(4, np.dtype(dt))
+        assert eye is linalg._identity(4, np.dtype(dt))
+        assert not eye.flags.writeable and np.array_equal(eye, np.eye(4))
+        with pytest.raises(ValueError, match="read-only"):
+            eye[0, 0] = 2.0
+        M = rng.standard_normal((4, 3)).astype(dt)
+        v = rng.standard_normal(4).astype(dt)
+        want = [f.tobytes() for f in (*qr_decompose(M), linalg.householder_reflector(v))]
+        for outputs in (qr_decompose(M), (linalg.householder_reflector(v),),
+                        (linalg.householder_reflector(np.zeros(4, dtype=dt)),)):
+            for out in outputs:
+                assert out.flags.writeable
+                out[...] = 7.0
+        got = [f.tobytes() for f in (*qr_decompose(M), linalg.householder_reflector(v))]
+        assert got == want
+        assert np.array_equal(linalg.householder_reflector(np.zeros(4, dtype=dt)), np.eye(4))
+        assert np.array_equal(eye, np.eye(4))
+
+
 # ---------------------------------------------------------------------------
 # SVD
 
@@ -874,6 +899,7 @@ def test_threshold_table_values():
         ("placement_pivot", BITS32, 10.0): 0.0011920928955078125,
         ("chain_input", BITS64, 2.0, 3, 5.0): 4e-08,
         ("chain_denominator", BITS32): 1.1754943508222875e-35,
+        ("normal_square", BITS64): 0.0,
         ("conjugate_match", BITS64, 4.0): 4e-09,
         ("orthonormality", BITS64): 1e-10,
         ("spectrum_pair", BITS64): 1e-09,

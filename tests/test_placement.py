@@ -913,6 +913,52 @@ def test_guarded_failure_carries_check_value_and_bound(algorithm, sys, poles, er
         assert_guarded(info.value.__cause__, SingularSystem, cause, check)
 
 
+def test_solve_variant_reports_an_underflowed_quotient_normal():
+    # on the integer family at n = 3, a pole of -1e37 (32 bits), -1e200 or
+    # a second pole of -2e160 (64 bits) makes a normal whose squared norm
+    # underflows to 0; at smaller magnitudes the quotient input vanishes
+    # first, and small poles still place (or vanish at level 2, at 32 bits)
+    sys = gen_integer_example(3)
+    underflowed = "quotient normal underflowed at level {}: its squared norm is 0"
+    vanished = "quotient input vanished at level {}"
+    cases = [((-1e37, -1e37, -3.0), BITS32, underflowed.format(1)),
+             ((-1e160, -2e160, -3.0), BITS64, underflowed.format(2)),
+             ((-1e200, -2e200, -3.0), BITS64, underflowed.format(1)),
+             ((-1e18, -2e18, -3.0), BITS32, vanished.format(1)),
+             ((-1e20, -2e20, -3.0), BITS32, vanished.format(1)),
+             ((-1e100, -2e100, -3.0), BITS64, vanished.format(1)),
+             ((-1e150, -2e150, -3.0), BITS64, vanished.format(1)),
+             ((-1e3, -2e3, -3.0), BITS32, vanished.format(2)),
+             ((-1e3, -2e3, -3.0), BITS64, None)]
+    for poles, precision, message in cases:
+        if message is None:
+            K = ALGORITHMS["algebroid1-solve"](sys, poles, precision)
+            assert spectrum_error(sys, K, poles) < 1e-6
+            continue
+        with pytest.raises(PlacementError) as info:
+            ALGORITHMS["algebroid1-solve"](sys, poles, precision)
+        if message.startswith("quotient normal"):
+            assert_guarded(info.value, PrecisionOverflow, message, "normal_square")
+            assert info.value.value == info.value.bound == 0.0
+        else:
+            assert_guarded(info.value, UncontrollableSystem, message, "placement_pivot")
+
+
+def test_solve_variant_fails_where_a_first_pole_is_an_eigenvalue():
+    # -1 is an eigenvalue of the integer family's A at n = 5, and the solve
+    # variant's first level solves (A + I) n = B: repeated poles are not
+    # the cause, the two sets that start at -1 fail and the two that
+    # start elsewhere place
+    sys = gen_integer_example(5)
+    assert np.min(np.abs(eigenvalues(sys.A) + 1.0)) < 1e-12
+    for poles in ([-1.0] * 5, [-1.0, -1.0, -2.0, -2.0, -3.0]):
+        with pytest.raises(SingularShift, match=r"^quotient shift by -1\.0 is numerically singular$"):
+            ALGORITHMS["algebroid1-solve"](sys, poles)
+    for poles in ([-2.0, -1.0, -1.0, -2.0, -3.0], [-3.0, -2.0, -2.0, -1.0, -1.0]):
+        K = ALGORITHMS["algebroid1-solve"](sys, poles)
+        assert spectrum_error(sys, K, poles) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # Cross-algorithm invariants
 

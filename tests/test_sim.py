@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,25 @@ def test_rk4_integer_state_takes_a_float64_step():
 def test_rk4_rejects_nonfinite():
     with pytest.raises(DivergedState):
         rk4_step(lambda t, x: x * np.inf, 0.0, np.array([1.0]), 0.1)
+
+
+@pytest.mark.parametrize("dt, big", [(np.float64, 1e308), (np.float32, 3e38)])
+def test_rk4_finiteness_test_reads_each_entry(dt, big):
+    # a state with an inf or a nan entry raises, a finite one whose sum
+    # overflows does not, a 0-d state is read as one entry, and the test
+    # itself warns of nothing
+    def constant(value):
+        return lambda t, x: np.asarray(value, dtype=dt)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([np.inf, 0.0], [0.0, np.nan], np.inf):
+            x = np.zeros(np.shape(bad), dtype=dt)
+            with pytest.raises(DivergedState):
+                rk4_step(constant(bad), 0.0, x, 0.1)
+        for x in (np.array([big, big], dtype=dt), dt(big)):
+            out = rk4_step(constant(np.zeros_like(x)), 0.0, x, 0.1)
+            assert out.dtype == dt and out.tobytes() == np.asarray(x).tobytes()
 
 
 def test_rk4_step_bits_equal_reference():

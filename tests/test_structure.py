@@ -1,11 +1,17 @@
-"""Structural rules of the package, checked on its source by AST walks.
+"""Structural rules of the package, checked on its source by AST walks
+and, for its calls into numpy, under a profiler.
 
-Each test names the one place where a kind of work is done and fails
+Each AST test names the one place where a kind of work is done and fails
 when the same work appears anywhere else in ``src/poleplace``.
 """
 
 import ast
 import pathlib
+import sys
+
+import numpy as np
+
+from poleplace import bench, linalg
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "poleplace"
 
@@ -86,3 +92,39 @@ def test_one_chain_owner():
                            getattr(node, "value", None), getattr(node, "name", None))]
     assert found == [], f"build_anchor_chain named outside _prepared: {sorted(found)}"
     assert memo_users == [], f"_prepared named outside placement and sim: {sorted(memo_users)}"
+
+
+def test_study_kernels_skip_numpy_python_wrappers():
+    # at n <= 12 a study cell's cost is numpy's per-call overhead: the QR,
+    # the reflector, the verifier's matching and the CSV call the ufuncs
+    # and Python scalars directly, so no frame of ndarray.sum's wrapper, of
+    # fromnumeric or of np.eye may run in them (as_matrix's .all() may)
+    banned = {("_methods.py", "_sum"), ("fromnumeric.py", None), ("_twodim_base_impl.py", "eye")}
+    rng = np.random.default_rng(1)
+    M, v = rng.standard_normal((10, 10)), rng.standard_normal(10)
+    system, poles = bench.gen_integer_example(10), [-float(k) for k in range(1, 11)]
+    K = bench.ALGORITHMS["algebroid1"](system, poles)
+    record = bench.evaluate_placement(system, poles, K)
+    achieved, targets = np.array(record.achieved), np.array(poles, dtype=complex)
+
+    def calls():
+        linalg.qr_decompose(M)
+        linalg.householder_reflector(v)
+        bench._match_error(achieved, targets)
+        bench.render_csv([record])
+
+    calls()  # warm-up: first-use work (the cached identities) is not counted
+    entered = []
+
+    def profile(frame, event, arg):
+        path = pathlib.Path(frame.f_code.co_filename)
+        if event == "call" and "numpy" in path.parts:
+            if {(path.name, frame.f_code.co_name), (path.name, None)} & banned:
+                entered.append(f"{path.name}:{frame.f_code.co_name}")
+
+    sys.setprofile(profile)
+    try:
+        calls()
+    finally:
+        sys.setprofile(None)
+    assert entered == []
