@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateAnchor
-from .linalg import BITS64, THRESHOLDS, as_matrix, as_vector, householder_annihilator
+from .linalg import BITS64, THRESHOLDS, _identity, as_matrix, as_vector, householder_annihilator
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class OrthogonalAnchor:
             raise ValueError("q must have unit norm")
         if np.max(np.abs(Q @ q)) > tol:
             raise ValueError("basis rows must annihilate q")
-        if np.max(np.abs(Q @ Q.T - np.eye(n - 1))) > tol:
+        if np.max(np.abs(Q @ Q.T - _identity(n - 1, Q.dtype))) > tol:
             raise ValueError("basis rows must be orthonormal")
 
     @classmethod

@@ -19,7 +19,15 @@ import numpy as np
 
 from .errors import PlacementError
 from .exactring import controllability_det_exact
-from .linalg import BITS64, THRESHOLDS, Precision, as_precision, eigenvalues, qr_decompose
+from .linalg import (
+    BITS64,
+    THRESHOLDS,
+    Precision,
+    _identity,
+    as_precision,
+    eigenvalues,
+    qr_decompose,
+)
 from .placement import ALGORITHMS, StateSpace
 
 
@@ -34,7 +42,7 @@ def gen_integer_example(n: int) -> StateSpace:
         raise ValueError("integer example needs n >= 3")
     A = np.zeros((n, n))
     A[0, :] = np.arange(1, n + 1)
-    A[1:, : n - 1] = np.eye(n - 1)
+    A[1:, : n - 1] = _identity(n - 1, A.dtype)
     A[1:, -1] = 1.0
     A[2:, 0] = -1.0
     return StateSpace(A, np.ones(n))
@@ -104,7 +112,7 @@ def gen_random_controllable(rng, n: int, cond_limit: float = 1e4):
     Bf = B.astype(float)
     try:
         normals = np.array(
-            [np.linalg.solve(Af - lam * np.eye(n), Bf) for lam in poles]
+            [np.linalg.solve(Af - lam * _identity(n, Af.dtype), Bf) for lam in poles]
         )
     except np.linalg.LinAlgError:
         return None

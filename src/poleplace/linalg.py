@@ -40,6 +40,7 @@ class Precision:
         self.bits = bits
         self.dtype = np.float32 if bits == 32 else np.float64
         self.eps = float(np.finfo(self.dtype).eps)
+        self.tiny = float(np.finfo(self.dtype).tiny)
 
     def __repr__(self):
         return f"Precision({self.bits})"
@@ -56,10 +57,12 @@ BITS64 = Precision(64)
 
 
 def as_precision(mode) -> Precision:
-    """Coerce 32/64/'32'/'64'/Precision to a Precision instance."""
+    """Coerce 32/64/'32'/'64'/Precision to a Precision instance (for bits,
+    the shared :data:`BITS32` or :data:`BITS64`)."""
     if isinstance(mode, Precision):
         return mode
-    return Precision(int(mode))
+    bits = int(mode)
+    return BITS32 if bits == 32 else BITS64 if bits == 64 else Precision(bits)
 
 
 _FLOAT32 = np.dtype(np.float32)
@@ -73,12 +76,20 @@ def _precision_of(x) -> Precision:
 @functools.lru_cache(maxsize=64)
 def _identity(m: int, dtype) -> np.ndarray:
     """The read-only m x m identity in ``dtype``, built once per (m, dtype)
-    (the 64 kept cover every size to 32 at both precisions): a caller
-    that writes into it takes a copy, a shift ``A - l * I`` reads it as
-    it is."""
+    (the 64 kept cover every size to 32 at both precisions; ``dtype`` is a
+    ``np.dtype``, an array's ``.dtype``, since a scalar type such as
+    ``np.float64`` hashes apart from it): a caller that writes into it
+    takes a copy, a product or a shift ``A - l * I`` reads it as it is.
+    The package's one way to make a float identity."""
     eye = np.eye(m, dtype=dtype)
     eye.flags.writeable = False
     return eye
+
+
+def _all_finite(x) -> bool:
+    """Whether every entry of ``x`` is finite: the reduction ``.all()``
+    performs, without numpy's Python wrapper around it."""
+    return np.logical_and.reduce(np.isfinite(x), axis=None)
 
 
 def _in_precision(values, precision: Precision, what: str) -> np.ndarray:
@@ -89,9 +100,11 @@ def _in_precision(values, precision: Precision, what: str) -> np.ndarray:
     :class:`PrecisionOverflow`, "{what} beyond the {bits}-bit range", where
     numpy would warn and give inf; ``what`` names the values ("x0 has entries").
     """
-    with np.errstate(over="ignore"):  # reported below
-        cast = np.asarray(values, dtype=np.float64).astype(precision.dtype, copy=False)
-    if not np.isfinite(cast).all():
+    cast = np.asarray(values, dtype=np.float64)
+    if precision.bits == 32:
+        with np.errstate(over="ignore"):  # reported below
+            cast = cast.astype(np.float32)
+    if not _all_finite(cast):
         raise PrecisionOverflow(f"{what} beyond the {precision.bits}-bit range")
     return cast
 
@@ -103,20 +116,26 @@ def as_matrix(M, precision: Precision | None = None) -> np.ndarray:
     Rejects empty and non-finite input up front so the factorizations
     never have to deal with NaN/Inf propagation.
     """
-    A = np.asarray(M, dtype=(precision or _precision_of(M)).dtype)
+    try:
+        A = np.asarray(M, dtype=(precision or _precision_of(M)).dtype)
+    except OverflowError as exc:  # an int beyond the float64 range
+        raise ValueError("matrix entries must be finite") from exc
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise ValueError(f"expected a 2-d matrix, got shape {A.shape}")
-    if not np.isfinite(A).all():
+    if not _all_finite(A):
         raise ValueError("matrix entries must be finite")
     return A
 
 
 def as_vector(v, precision: Precision | None = None) -> np.ndarray:
     """The 1-d counterpart of :func:`as_matrix`."""
-    A = np.asarray(v, dtype=(precision or _precision_of(v)).dtype).ravel()
+    try:
+        A = np.asarray(v, dtype=(precision or _precision_of(v)).dtype).ravel()
+    except OverflowError as exc:  # an int beyond the float64 range
+        raise ValueError("vector entries must be finite") from exc
     if A.size < 1:
         raise ValueError("expected a non-empty vector")
-    if not np.isfinite(A).all():
+    if not _all_finite(A):
         raise ValueError("vector entries must be finite")
     return A
 
@@ -164,7 +183,8 @@ def qr_decompose(M):
         Rc -= beta * (u[:, None] * (u @ Rc))
         Qc = Q[:, c:]
         Qc -= beta * ((Qc @ u)[:, None] * u)
-    D = np.ones(m, dtype=R.dtype)
+    D = np.empty(m, dtype=R.dtype)
+    D.fill(1.0)
     D[: min(m, k)] = np.sign(R.diagonal())
     D[D == 0] = 1.0
     Q *= D
@@ -183,7 +203,7 @@ def householder_reflector(v) -> np.ndarray:
     u = v.copy()
     s = np.sqrt(_checked_norm2(np.add.reduce(v * v), "reflected vector norm"))
     u[0] += (s if v[0] >= 0 else -s)
-    uu = _checked_norm2(np.dot(u, u), "reflector norm")
+    uu = _checked_norm2(u.dot(u), "reflector norm")
     H = _identity(m, v.dtype).copy()
     if uu == 0.0:
         return H
@@ -250,7 +270,9 @@ def schur_decompose(A):
 # LAPACK would reorder operations and change bits.  Python floats round
 # exactly as numpy float64 scalars do, without numpy's per-element
 # indexing and dispatch cost; they differ only on a zero divisor (see
-# ``eigenvalues``).
+# ``eigenvalues``).  Inner updates read ``a[j] = a[j] - p * x``: the
+# float operation of ``a[j] -= p * x`` without its stack-shuffling
+# bytecodes.
 
 # Iteration budget of the double-shift QR, in sweeps per matrix row.
 _HQR_SWEEPS_PER_ROW = 30
@@ -286,7 +308,7 @@ def _elmhes(a: list) -> list:
                     ai[m - 1] = y
                     ai[m:] = [v - y * w for v, w in zip(ai[m:], am[m:])]
                     for row in a:
-                        row[m] += y * row[i]
+                        row[m] = row[m] + y * row[i]
     for i in range(2, n):
         a[i][: i - 1] = [0.0] * (i - 1)
     return a
@@ -301,7 +323,7 @@ def _hqr_eigenvalues(h: list) -> np.ndarray:
     n = len(h)
     wr = [0.0] * n
     wi = [0.0] * n
-    anorm = float(np.sum(np.abs(np.array(h))))
+    anorm = float(np.add.reduce(np.abs(np.array(h)), axis=None))
     nn = n - 1
     t = 0.0
     itn = _HQR_SWEEPS_PER_ROW * n
@@ -410,26 +432,26 @@ def _hqr_eigenvalues(h: list) -> np.ndarray:
                 if k == nn - 1:
                     for j in range(k, nn + 1):
                         p = hk[j] + q * hk1[j]
-                        hk[j] -= p * x
-                        hk1[j] -= p * y
+                        hk[j] = hk[j] - p * x
+                        hk1[j] = hk1[j] - p * y
                     for i in range(l, min(nn, k + 3) + 1):
                         hi = h[i]
                         p = x * hi[k] + y * hi[k + 1]
-                        hi[k] -= p
-                        hi[k + 1] -= p * q
+                        hi[k] = hi[k] - p
+                        hi[k + 1] = hi[k + 1] - p * q
                 else:
                     hk2 = h[k + 2]
                     for j in range(k, nn + 1):
                         p = hk[j] + q * hk1[j] + r * hk2[j]
-                        hk[j] -= p * x
-                        hk1[j] -= p * y
-                        hk2[j] -= p * zz
+                        hk[j] = hk[j] - p * x
+                        hk1[j] = hk1[j] - p * y
+                        hk2[j] = hk2[j] - p * zz
                     k1, k2 = k + 1, k + 2
                     for hi in h[l:min(nn, k + 3) + 1]:
                         p = x * hi[k] + y * hi[k1] + zz * hi[k2]
-                        hi[k] -= p
-                        hi[k1] -= p * q
-                        hi[k2] -= p * r
+                        hi[k] = hi[k] - p
+                        hi[k1] = hi[k1] - p * q
+                        hi[k2] = hi[k2] - p * r
     wr = np.array(wr)
     wi = np.array(wi)
     order = np.lexsort((wi, wr))
@@ -481,7 +503,7 @@ THRESHOLDS = {
     "chain_input": lambda precision, anorm, k, bnorm: 1e-9 * (anorm ** k) * bnorm,
     # final quotient input of the chain feedback law: weak controllability
     # is that method's home turf, so only an underflow-level zero is fatal
-    "chain_denominator": lambda precision: 1e3 * float(np.finfo(precision.dtype).tiny),
+    "chain_denominator": lambda precision: 1e3 * precision.tiny,
     # squared norm of a solve-variant quotient normal, which the level's gain
     # divides by: only an underflow to exactly 0 is fatal
     "normal_square": lambda precision: 0.0,
@@ -540,7 +562,8 @@ def _lu_eliminate(M: np.ndarray, rhs):
         if 0.0 in lu[:, k, k].tolist():
             zero = pivot == 0.0
             lu[zero[:, 0], k:, k:] = 0.0
-            pivot = np.where(zero, 1.0, pivot)
+            pivot = pivot.copy()
+            pivot[zero] = 1.0
         if k + 1 < n:
             col = lu[:, k + 1:, k]
             col /= pivot
@@ -551,7 +574,8 @@ def _lu_eliminate(M: np.ndarray, rhs):
 
 def _back_substitute(lu: np.ndarray, pivmin: float, scale) -> np.ndarray:
     """The solution of one system of :func:`_lu_eliminate` (its slice of
-    lu and its pivmin), one BLAS dot per row.  Raises
+    lu and its pivmin), one BLAS dot per row (``a.dot(b) + 0.0``, which has
+    the bits of ``a @ b``: that adds the BLAS dot to +0.0).  Raises
     :class:`SingularSystem` first when pivmin is at or below the
     ``lu_pivot`` bound, eps * n * scale, scale being max|A| of the system."""
     n = lu.shape[0]
@@ -560,7 +584,7 @@ def _back_substitute(lu: np.ndarray, pivmin: float, scale) -> np.ndarray:
     x = lu[:, n].copy()
     x[n - 1] /= lu[n - 1, n - 1]  # the empty dot of the last row is skipped
     for k in range(n - 2, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1:n] @ x[k + 1:]) / lu[k, k]
+        x[k] = (x[k] - (lu[k, k + 1:n].dot(x[k + 1:]) + 0.0)) / lu[k, k]
     return x
 
 
@@ -577,7 +601,7 @@ def solve_linear(A, b) -> np.ndarray:
     if A.shape[1] != n or b.size != n:
         raise ValueError("solve_linear requires square A conformal with b")
     lu, pivmin = _lu_eliminate(A[None], b)
-    return _back_substitute(lu[0], pivmin[0], np.abs(A).max())
+    return _back_substitute(lu[0], pivmin[0], np.maximum.reduce(np.abs(A), axis=None))
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +615,16 @@ def is_conjugate_pair(z: complex, w: complex) -> bool:
     return opposite and abs(w - z.conjugate()) <= THRESHOLDS["conjugate_match"](BITS64, abs(z))
 
 
+def _complex_poles(roots) -> list:
+    """The poles as Python complex numbers; an integer beyond the float64
+    range raises :class:`InvalidPoleSet`, where ``complex`` would raise
+    ``OverflowError``."""
+    try:
+        return [complex(r) for r in roots]
+    except OverflowError as exc:
+        raise InvalidPoleSet("pole list has an integer beyond the float64 range") from exc
+
+
 def pole_steps(roots) -> list:
     """The real factor of each pole step, in the caller's order: ``(l,)``
     for a real pole (imaginary part exactly 0), ``(2 Re l, |l|^2)`` for a
@@ -601,7 +635,7 @@ def pole_steps(roots) -> list:
     left without a partner.
     """
     steps, pending = [], []  # pending: (slot, pole) of unpaired complex poles
-    for z in (complex(r) for r in roots):
+    for z in _complex_poles(roots):
         if not cmath.isfinite(z):
             raise InvalidPoleSet(f"pole {z} is not finite")
         if z.imag == 0.0:
@@ -631,8 +665,7 @@ def poly_from_roots(roots) -> np.ndarray:
     caller ordered them.
     """
     p = np.array([1.0])
-    for step in pole_steps(sorted((complex(r) for r in roots),
-                                  key=lambda z: (z.real, z.imag))):
+    for step in pole_steps(sorted(_complex_poles(roots), key=lambda z: (z.real, z.imag))):
         p = np.convolve(p, [1.0, -step[0]] if len(step) == 1 else [1.0, -step[0], step[1]])
     return p
 
@@ -645,7 +678,7 @@ def companion_matrix(coeffs) -> np.ndarray:
     n = c.size - 1
     C = np.zeros((n, n))
     C[0, :] = -c[1:]
-    C[1:, :-1] = np.eye(n - 1)
+    C[1:, :-1] = _identity(n - 1, C.dtype)
     return C
 
 

@@ -58,7 +58,9 @@ from .linalg import (
     BITS64,
     THRESHOLDS,
     Precision,
+    _all_finite,
     _back_substitute,
+    _complex_poles,
     _guard,
     _identity,
     _in_precision,
@@ -145,7 +147,7 @@ def _pole_list(poles, n: int, real: bool = False):
     (:func:`~poleplace.linalg.pole_steps`), all real when ``real``
     (returned as floats, else as complex).  Returns (roots, steps), steps
     being the poles' :func:`~poleplace.linalg.pole_steps`."""
-    roots = [complex(p) for p in poles]
+    roots = _complex_poles(poles)
     steps = pole_steps(roots)
     if real:
         for z in roots:
@@ -166,7 +168,7 @@ def _check_poles(sys: StateSpace, poles, precision: Precision, real: bool = Fals
     roots, steps = _pole_list(poles, sys.n, real)
     A, B = _sys_arrays(sys, precision)
     _in_precision([c for step in steps for c in step], precision, "pole list has entries")
-    if not np.any(B):
+    if not np.logical_or.reduce(B, axis=None):
         raise UncontrollableSystem("B = 0")
     return A, B, roots, steps
 
@@ -179,8 +181,11 @@ def given_charpoly(n: int, poles, charpoly):
         raise ValueError("give exactly one of poles or charpoly")
     if charpoly is None:
         return None
-    cp = np.asarray(charpoly, dtype=np.float64).ravel()
-    if not np.isfinite(cp).all():
+    try:
+        cp = np.asarray(charpoly, dtype=np.float64).ravel()
+    except OverflowError as exc:
+        raise InvalidPoleSet("charpoly has an integer beyond the float64 range") from exc
+    if not _all_finite(cp):
         raise InvalidPoleSet(f"charpoly {cp.tolist()} is not finite")
     if cp.size != n + 1 or cp[0] != 1.0:
         raise InvalidPoleSet(f"charpoly {cp.tolist()} must be monic of length {n + 1}")
@@ -198,7 +203,7 @@ def controllability_matrix(A, B) -> np.ndarray:
     cols = [B]
     for _ in range(B.size - 1):
         cols.append(A @ cols[-1])
-    return np.column_stack(cols)
+    return np.array(cols).T
 
 
 def inverse_ctrb_last_row(A, B) -> np.ndarray:
@@ -236,14 +241,15 @@ def ackermann_direct(sys: StateSpace, poles=None, precision: Precision = BITS64,
     if cp is None:
         A, B, _, steps = _check_poles(sys, poles, precision)
         return (_prepared(sys, precision, "crow", inverse_ctrb_last_row, A, B)
-                @ _horner_steps(A, steps, np.eye(sys.n, dtype=A.dtype)))
+                @ _horner_steps(A, steps, _identity(sys.n, A.dtype)))
     A, B = _sys_arrays(sys, precision)
-    if not np.any(B):
+    if not np.logical_or.reduce(B, axis=None):
         raise UncontrollableSystem("B = 0")
     crow = _prepared(sys, precision, "crow", inverse_ctrb_last_row, A, B)
-    Phi = np.eye(sys.n, dtype=A.dtype)
+    eye = _identity(sys.n, A.dtype)
+    Phi = eye
     for c in _in_precision(cp[1:], precision, "charpoly has coefficients"):
-        Phi = A @ Phi + c * np.eye(sys.n, dtype=A.dtype)
+        Phi = A @ Phi + c * eye
     return crow @ Phi
 
 
@@ -268,7 +274,7 @@ def _hyperplane_points(A, B, roots, j: int) -> np.ndarray:
     that assigns l (a_j is the 0-based row j of A), for arrays already
     checked: one elementwise expression for all the poles."""
     bj = float(B[j])
-    _guard("placement_pivot", abs(bj), _precision_of(A), float(np.max(np.abs(B))),
+    _guard("placement_pivot", abs(bj), _precision_of(A), float(np.maximum.reduce(np.abs(B))),
            error=ZeroInputComponent,
            message=lambda: f"b[{j}] = {bj} is too small for the point formula")
     e = np.zeros(B.size, dtype=A.dtype)
@@ -292,9 +298,9 @@ def _hyperplane_normals(A, B, roots, known: dict) -> list:
     lacking = list(dict.fromkeys(key for key in keys if key not in known))
     if lacking:
         shifts = np.array([float.fromhex(key) for key in lacking], dtype=A.dtype)
-        shifted = A - shifts[:, None, None] * np.eye(B.size, dtype=A.dtype)
+        shifted = A - shifts[:, None, None] * _identity(B.size, A.dtype)
         lu, pivmin = _lu_eliminate(shifted, B)
-        scales = np.abs(shifted).max(axis=(1, 2))
+        scales = np.maximum.reduce(np.abs(shifted), axis=(1, 2))
     normals = []
     for key, lam in zip(keys, roots):
         if key not in known:
@@ -303,7 +309,7 @@ def _hyperplane_normals(A, B, roots, known: dict) -> list:
                 normal = _back_substitute(lu[s], pivmin[s], scales[s])
             except SingularSystem as exc:
                 raise SingularShift(f"A - ({lam}) I is numerically singular") from exc
-            if not np.any(normal):
+            if not np.logical_or.reduce(normal):
                 raise ValueError("hyperplane normal must be nonzero")
             known[key] = normal
         normals.append(known[key])
@@ -322,7 +328,8 @@ def place_determinantal(sys: StateSpace, poles,
     """
     A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
     N = np.array(_hyperplane_normals(A, B, roots, _prepared(sys, precision, "normals", dict)))
-    ones = np.ones(sys.n, dtype=A.dtype)
+    ones = np.empty(sys.n, dtype=A.dtype)
+    ones.fill(1.0)
     try:
         return solve_linear(N, ones)
     except SingularSystem as exc:
@@ -348,9 +355,12 @@ def place_sliding(sys: StateSpace, poles,
 
 def _slide_denominator(base, direction, where: str, k: int) -> float:
     """base . direction, guarded; a failure names ``where`` k."""
-    den = float(base @ direction)
+    # a 1-d a @ b is a.dot(b) + 0.0, and a vector's np.linalg.norm is
+    # np.sqrt(x.dot(x)), bit for bit, each without numpy's Python layer
+    den = float(base.dot(direction) + 0.0)
     _guard("placement_pivot", abs(den), _precision_of(base),
-           float(np.linalg.norm(base) * np.linalg.norm(direction)), error=DegenerateProjection,
+           float(np.sqrt(base.dot(base)) * np.sqrt(direction.dot(direction))),
+           error=DegenerateProjection,
            message=lambda: f"{where} {k} (planes nearly parallel)")
     return den
 
@@ -360,10 +370,10 @@ def _slide(A, B, roots, known: dict) -> list:
     ``known`` is :func:`_hyperplane_normals`'s."""
     n = B.size
     normals = _hyperplane_normals(A, B, roots, known)
-    seeds = _hyperplane_points(A, B, roots, int(np.argmax(np.abs(B))))
+    seeds = _hyperplane_points(A, B, roots, int(np.abs(B).argmax()))
     # after stage k, proj[i] is normal i after min(i, k) oblique projections
     proj = list(normals)
-    eye = np.eye(n, dtype=A.dtype)
+    eye = _identity(n, A.dtype)
     dens = []  # dens[k - 1] = normals[k - 1] . proj[k - 1], guarded at stage k
     for k in range(1, n):
         direction = proj[k - 1]
@@ -416,7 +426,7 @@ def _descend_quotients(A, B, roots, variant: str) -> QuotientStack:
     Ab, Bb = A, B
     levels = []
     precision = _precision_of(A)
-    bmax = float(np.abs(B).max())
+    bmax = float(np.maximum.reduce(np.abs(B)))
     for i in range(n - 1):
         m = Ab.shape[0]
         lam = A.dtype.type(roots[i])
@@ -425,8 +435,8 @@ def _descend_quotients(A, B, roots, variant: str) -> QuotientStack:
             QT = householder_annihilator(Bb)
             qs, _ = qr_decompose((QT @ shifted).T)
             koh = qs[:, -1]
-            k = (Bb / np.dot(Bb, Bb)) @ shifted
-            ko = (k @ koh) * koh
+            k = (Bb / Bb.dot(Bb)) @ shifted
+            ko = (k.dot(koh) + 0.0) * koh  # k @ koh
             anb = qs[:, :-1].T
         else:
             try:
@@ -435,7 +445,7 @@ def _descend_quotients(A, B, roots, variant: str) -> QuotientStack:
                 raise SingularShift(
                     f"quotient shift by {float(lam)} is numerically singular"
                 ) from exc
-            nsq = np.dot(nvec, nvec)
+            nsq = nvec.dot(nvec)
             _guard("normal_square", nsq, precision, error=PrecisionOverflow,
                    message=lambda: f"quotient normal underflowed at level {i + 1}: "
                                    "its squared norm is 0")
@@ -444,7 +454,7 @@ def _descend_quotients(A, B, roots, variant: str) -> QuotientStack:
         levels.append(QuotientLevel(Ab, Bb, anb, ko))
         Ab = anb @ Ab @ anb.T
         Bb = anb @ Bb
-        _guard("placement_pivot", np.abs(Bb).max(), precision, bmax,
+        _guard("placement_pivot", np.maximum.reduce(np.abs(Bb)), precision, bmax,
                error=UncontrollableSystem,
                message=lambda: f"quotient input vanished at level {i + 1}")
     return QuotientStack(tuple(levels), float(Ab.ravel()[0]), float(Bb.ravel()[0]))
@@ -581,7 +591,7 @@ class ChainFeedback:
         if cp is None:
             roots, _ = _pole_list(poles, self.n)
             cp = poly_from_roots(roots)
-        if not np.any(B):
+        if not np.logical_or.reduce(B):
             raise UncontrollableSystem("B = 0")
         # constant term first, [p_n, ..., p_1, 1]
         pp = _in_precision(cp[::-1], self.precision, "charpoly has coefficients")
@@ -607,7 +617,7 @@ class ChainFeedback:
         """K from the recursion K_i = A_{t,i} p_{n-i} + an_i K_{i-1},
         K_0 = p_n I, closed with the leading-power term A_{t,n-1} A and
         scaled by the last quotient input: the law applied to the identity."""
-        return -self._apply(np.eye(self.n, dtype=self.precision.dtype))
+        return -self._apply(_identity(self.n, np.dtype(self.precision.dtype)))
 
     @_range_rule
     def __call__(self, x) -> float:
@@ -676,16 +686,16 @@ def controller_hessenberg(A, B):
     A, B = as_matrix(A), as_vector(B)
     n = B.size
     # a zero sum of squares (B = 0, or an underflow) leaves no reflector
-    if np.sum(B * B) == 0.0:
+    if np.add.reduce(B * B) == 0.0:
         raise UncontrollableSystem("B = 0")
     H0 = householder_reflector(B)
     V = H0.copy()
     Ah = H0 @ A @ H0
     for k in range(n - 2):
         x = Ah[k + 1:, k]
-        if np.sum(x * x) == 0.0:
+        if np.add.reduce(x * x) == 0.0:
             continue
-        P = np.eye(n, dtype=A.dtype)
+        P = _identity(n, A.dtype).copy()
         P[k + 1:, k + 1:] = householder_reflector(x)
         Ah = P @ Ah @ P
         V = V @ P
@@ -709,10 +719,10 @@ def place_miminis(sys: StateSpace, poles, precision: Precision = BITS64) -> np.n
         return np.array([(A[0, 0] - roots[0]) / B[0]], dtype=A.dtype)
     roots = roots[::-1]  # the deflation consumes the pole list reversed
     qc, Ah = _prepared(sys, precision, "hessenberg", controller_hessenberg, A, B)
-    scale = float(np.max(np.abs(A)))
+    scale = float(np.maximum.reduce(np.abs(A), axis=None))
     # the least |subdiagonal entry|, NaN entries skipped by fmin: at or
     # below the bound exactly when some entry is
-    _guard("placement_pivot", np.fmin.reduce(np.abs(np.diag(Ah, -1))), precision, scale,
+    _guard("placement_pivot", np.fmin.reduce(np.abs(Ah.diagonal(-1))), precision, scale,
            error=UncontrollableSystem,
            message=lambda: "staircase breakdown: Hessenberg subdiagonal vanished")
     Ai = (qc.T @ A @ qc)[::-1, ::-1]
@@ -732,9 +742,11 @@ def place_miminis(sys: StateSpace, poles, precision: Precision = BITS64) -> np.n
     _guard("placement_pivot", abs(float(Bi[0])), precision, scale, error=UncontrollableSystem,
            message=lambda: "deflated input vanished at the last stage")
     pph[n - 1] = (Ai[0, 0] - A.dtype.type(roots[n - 1])) / Bi[0]
-    K = pph[n - 1:n].copy()
+    # before step i, K[:n - 1 - i] is the gain carried up so far and
+    # K[n - 1 - i] is pph[i]
+    K = pph[::-1].copy()
     for i in range(n - 2, -1, -1):
-        K = np.concatenate([K, pph[i:i + 1]]) @ qis[i].T
+        K[:n - i] = K[:n - i] @ qis[i].T
     return K[::-1] @ qc.T
 
 
@@ -747,7 +759,7 @@ def _exchange_adjacent(As: np.ndarray, j: int):
     permutation plus one Givens rotation; returns (new As, transform)."""
     n = As.shape[0]
     dt = As.dtype
-    P = np.eye(n, dtype=dt)
+    P = _identity(n, dt).copy()
     P[[j - 1, j], :] = P[[j, j - 1], :]
     H = P @ As @ P
     c = H[j - 1, j - 1] - H[j, j]
@@ -756,7 +768,7 @@ def _exchange_adjacent(As: np.ndarray, j: int):
     if den > 0:
         c = c / den
         s = s / den
-        G = np.eye(n, dtype=dt)
+        G = _identity(n, dt).copy()
         G[j - 1, j - 1] = c
         G[j - 1, j] = s
         G[j, j - 1] = -s
@@ -784,7 +796,7 @@ def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.nda
     A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
     n = sys.n
     U, T = _prepared(sys, precision, "schur", schur_decompose, A)
-    if np.any(np.diag(T, -1) != 0.0):
+    if np.logical_or.reduce(T.diagonal(-1) != 0.0):
         raise ComplexBlockUnsupported(
             "A has complex eigenvalues (2x2 Schur block); this method "
             "handles real-spectrum systems only"
@@ -792,9 +804,9 @@ def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.nda
     As = T.copy()
     Bsd = U.T @ B
     Bs = Bsd.copy()
-    Qs = np.eye(n, dtype=A.dtype)
+    Qs = _identity(n, A.dtype)
     hh = np.zeros(n, dtype=A.dtype)
-    scale = float(np.max(np.abs(Bsd)))
+    scale = float(np.maximum.reduce(np.abs(Bsd)))
     for ii in range(n - 1, -1, -1):
         _guard("placement_pivot", abs(float(Bs[-1])), precision, scale, error=UncontrollableSystem,
                message=lambda: f"transformed input component vanished while placing pole {ii + 1}")
@@ -802,7 +814,7 @@ def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.nda
         kk = np.zeros(n, dtype=A.dtype)
         kk[-1] = k1
         hh = hh + kk @ Qs
-        As = As + np.outer(Bs, kk)
+        As = As + Bs[:, None] * kk  # np.outer's multiply
         for jj in range(1, n):
             As, Q = _exchange_adjacent(As, jj)
             Qs = Q @ Qs

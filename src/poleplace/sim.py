@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedState
-from .linalg import BITS64, Precision, _in_precision, _precision_of, as_vector
+from .linalg import BITS64, Precision, _all_finite, _in_precision, _precision_of, as_vector
 from .placement import ChainFeedback, StateSpace, _prepared, build_anchor_chain
 from .placement import feedback_eval  # noqa: F401 - perfbench's tracer test wraps sim.feedback_eval
 
@@ -94,8 +94,7 @@ def rk4_step(derivative, t, x, h):
     ks += k4
     out = ks * (h / 6.0)
     out += x
-    # the ufunc reduction itself: ndarray.all would add numpy's Python wrapper
-    if not np.logical_and.reduce(np.isfinite(out), axis=None):
+    if not _all_finite(out):
         raise DivergedState("derivative produced a non-finite state")
     return out
 

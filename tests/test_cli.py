@@ -165,7 +165,7 @@ BIG_B_OUTCOMES = {
     "algebroid2": (2, "PrecisionOverflow: build_anchor_chain: overflow encountered in multiply\n"),
     "determinantal": (0, ""),
     "miminis": (2, "PrecisionOverflow: place_miminis: overflow encountered in multiply\n"),
-    "sliding": (2, "PrecisionOverflow: place_sliding: overflow encountered in matmul\n"),
+    "sliding": (2, "PrecisionOverflow: place_sliding: overflow encountered in dot\n"),
     "varga": (2, "ComplexBlockUnsupported: A has complex eigenvalues (2x2 Schur block); "
                  "this method handles real-spectrum systems only\n"),
 }
@@ -298,9 +298,11 @@ def test_varga_entry_point_imports_scipy_on_first_schur(worked_system, capsys):
 
 
 def test_module_entry_point_runs_without_warning():
-    out = _fresh_python("-m", "poleplace", "--help")
-    assert out.returncode == 0
-    assert out.stderr == ""
+    # python3 -m poleplace runs __main__.py, which imports the CLI once:
+    # runpy's RuntimeWarning about a module found in sys.modules before
+    # its execution would be an error here
+    out = _fresh_python("-W", "error", "-m", "poleplace", "--help")
+    assert (out.returncode, out.stderr) == (0, ""), out.stderr
     assert "usage: poleplace" in out.stdout
 
 

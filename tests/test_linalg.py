@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from poleplace import algebroid, bench, errors, linalg, placement
 from poleplace.bench import ExampleFamily, gen_integer_example, gen_scaled_diagonal, run_suite
@@ -601,6 +602,24 @@ def test_as_vector_rejects_like_reference(value, message):
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("check, value, message", [
+    (linalg.as_matrix, [[1.0, 10**400]], "matrix entries must be finite"),
+    (linalg.as_matrix, [[-10**400]], "matrix entries must be finite"),
+    (linalg.as_vector, [10**400, 1], "vector entries must be finite"),
+], ids=["matrix", "matrix-negative", "vector"])
+def test_input_checks_reject_an_integer_beyond_float64(check, value, message):
+    # numpy's conversion raises OverflowError for such an int; the checks
+    # state the documented reason instead
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(value)
+
+
+def test_pole_checks_reject_an_integer_beyond_float64():
+    for fn in (pole_steps, poly_from_roots):
+        with pytest.raises(InvalidPoleSet, match="^pole list has an integer beyond the float64 range$"):
+            fn([-1.0, 10**400])
+
+
 def test_input_checks_keep_float32_and_widen_the_rest():
     m32 = np.ones((2, 2), dtype=np.float32)
     assert linalg.as_matrix(m32).dtype == np.float32
@@ -924,3 +943,51 @@ def test_conjugate_pair_predicate():
         pole_steps([z, z, -3.0])
     with pytest.raises(InvalidPoleSet):
         poly_from_roots([z, z, -3.0])
+
+
+# ---------------------------------------------------------------------------
+# numpy equivalences the kernels rely on
+#
+# At n <= 12 the kernels call ufuncs and ndarray methods instead of the
+# Python wrappers around them, on the grounds that each pair below gives
+# the same bytes.  A numpy or BLAS upgrade that breaks one fails here by
+# name, before a fingerprint moves.  A 1-d a @ b adds the BLAS dot to
+# +0.0, so where a.dot(b) is -0.0 it is +0.0: the kernels write
+# a.dot(b) + 0.0 for it.
+
+WRAPPER_FREE_FORMS = {
+    "matmul": (lambda a, b: a.dot(b) + 0.0, lambda a, b: a @ b),
+    "np.dot": (lambda a, b: a.dot(b), lambda a, b: np.dot(a, b)),
+    "max": (lambda a, b: np.maximum.reduce(a, axis=None), lambda a, b: a.max()),
+    "any": (lambda a, b: np.logical_or.reduce(a, axis=None), lambda a, b: np.any(a)),
+    "all-finite": (lambda a, b: np.logical_and.reduce(np.isfinite(a), axis=None),
+                   lambda a, b: np.isfinite(a).all()),
+    "sum": (lambda a, b: np.add.reduce(a, axis=None), lambda a, b: np.sum(a)),
+    "norm": (lambda a, b: np.sqrt(a.dot(a)), lambda a, b: np.linalg.norm(a)),
+}
+
+
+@st.composite
+def _operands(draw, vector_only):
+    """Two arrays of one format and shape: 0-d or of length 1..64, with
+    NaN, +-0.0, infinities and subnormals among the entries."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    info = np.finfo(dtype)
+    special = st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf, float(info.smallest_subnormal),
+                               -float(info.smallest_subnormal)])
+    entries = st.one_of(st.floats(width=info.bits), special)
+    length = st.integers(1, 64).map(lambda n: (n,))
+    shape = draw(length if vector_only else st.one_of(st.just(()), length))
+    a, b = (draw(hnp.arrays(dtype, shape, elements=entries)) for _ in range(2))
+    return a, b
+
+
+@pytest.mark.parametrize("name", sorted(WRAPPER_FREE_FORMS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_wrapper_free_form_gives_the_wrappers_bytes(name, data):
+    a, b = data.draw(_operands(vector_only=name in ("matmul", "np.dot")))
+    used, wrapper = WRAPPER_FREE_FORMS[name]
+    with np.errstate(all="ignore"):
+        got, want = np.asarray(used(a, b)), np.asarray(wrapper(a, b))
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())

@@ -655,6 +655,21 @@ def test_feedback_eval_reference_state():
     assert u == pytest.approx(-21.0, abs=1e-9)
 
 
+def test_an_integer_beyond_float64_is_a_typed_input_error():
+    # numpy and complex() raise OverflowError for such an int; each input
+    # check states what is true of it instead
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        StateSpace([[10**400]], [1.0])
+    with pytest.raises(ValueError, match="^vector entries must be finite$"):
+        feedback_eval(build_anchor_chain(WORKED), [10**400, 1, 1], poles=POLES)
+    for name, fn in ALGORITHMS.items():
+        with pytest.raises(InvalidPoleSet, match="^pole list has an integer beyond the float64 range$"):
+            fn(WORKED, [10**400, -2, -3])
+    for fn in (ALGORITHMS["ackermann"], ALGORITHMS["algebroid2"]):
+        with pytest.raises(InvalidPoleSet, match="^charpoly has an integer beyond the float64 range$"):
+            fn(WORKED, charpoly=[1, 10**400, 11, 6])
+
+
 def test_feedback_law_rejects_wrong_state_length():
     scalar = StateSpace([[2.0]], [4.0])
     with pytest.raises(ValueError, match="state has 3 entries, system has n = 1"):

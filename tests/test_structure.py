@@ -11,7 +11,8 @@ import sys
 
 import numpy as np
 
-from poleplace import bench, linalg
+from poleplace import bench, linalg, placement
+from poleplace.errors import PlacementError
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "poleplace"
 
@@ -94,37 +95,85 @@ def test_one_chain_owner():
     assert memo_users == [], f"_prepared named outside placement and sim: {sorted(memo_users)}"
 
 
+def test_one_way_to_make_an_identity():
+    # a float identity comes from linalg._identity, one read-only array per
+    # (size, dtype), copied where it is written; gen_random_controllable's
+    # int64 identities are exact integer constructions, not float kernels
+    found = sorted((_where(stem, top), "dtype=np.int64" in map(ast.unparse, node.keywords))
+                   for stem, tree in _modules() for top in tree.body for node in ast.walk(top)
+                   if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.eye")
+    assert [where for where, integer in found if not integer] == ["linalg._identity"], found
+    assert {where for where, integer in found if integer} <= {"bench.gen_random_controllable"}, found
+
+
+# numpy's and scipy's Python-level functions that a study cell may still
+# call from the package, each with the reason it stays; a C function's
+# dispatcher frame counts as the function
+ALLOWED_WRAPPERS = {
+    ("_linalg.py", "svd"): "svd_decompose: np.linalg.svd is the anchor chain's only public "
+                           "route to LAPACK gesdd",
+    ("_util.py", "wrapper"): "schur_decompose: scipy.linalg.schur (varga's real Schur form), "
+                             "entered through scipy's batching wrapper",
+    ("numeric.py", "convolve"): "poly_from_roots: np.convolve's short dots may be fused by BLAS, "
+                                "so replacing them is not proven bit-safe",
+    ("multiarray.py", "lexsort"): "_hqr_eigenvalues: the spectrum's (real, imag) order with NaN "
+                                  "last, which a Python sort does not have",
+}
+
+
 def test_study_kernels_skip_numpy_python_wrappers():
-    # at n <= 12 a study cell's cost is numpy's per-call overhead: the QR,
-    # the reflector, the verifier's matching and the CSV call the ufuncs
-    # and Python scalars directly, so no frame of ndarray.sum's wrapper, of
-    # fromnumeric or of np.eye may run in them (as_matrix's .all() may)
-    banned = {("_methods.py", "_sum"), ("fromnumeric.py", None), ("_twodim_base_impl.py", "eye")}
-    rng = np.random.default_rng(1)
-    M, v = rng.standard_normal((10, 10)), rng.standard_normal(10)
-    system, poles = bench.gen_integer_example(10), [-float(k) for k in range(1, 11)]
-    K = bench.ALGORITHMS["algebroid1"](system, poles)
-    record = bench.evaluate_placement(system, poles, K)
-    achieved, targets = np.array(record.achieved), np.array(poles, dtype=complex)
+    # at n <= 12 a study cell's cost is numpy's per-call overhead, so its
+    # placements and verifications call ufuncs, ndarray methods and cached
+    # arrays, not the Python wrappers around them (.all(), .max(), np.any,
+    # np.sum, np.ones, np.eye, np.linalg.norm, np.dot, ...), and set
+    # np.errstate only as the range rule and around _in_precision's float32
+    # cast.  One study cell per ALGORITHMS entry runs at n = 10, both
+    # precisions and both pole orders, on fresh systems, so each system's
+    # kept work (anchor chain, Hessenberg and Schur forms, normals) runs too
+    package = pathlib.Path(linalg.__file__).parent
+    poles = [-float(k) for k in range(1, 11)]
 
-    def calls():
-        linalg.qr_decompose(M)
-        linalg.householder_reflector(v)
-        bench._match_error(achieved, targets)
-        bench.render_csv([record])
+    def cells(systems):
+        records = []
+        for (name, fn), system in zip(placement.ALGORITHMS.items(), systems):
+            for order in (poles, poles[::-1]):
+                for precision in (linalg.BITS32, linalg.BITS64):
+                    try:
+                        K = fn(system, order, precision)
+                    except PlacementError:
+                        continue
+                    records.append(bench.evaluate_placement(system, order, K, name,
+                                                            precision=precision))
+        bench.render_csv(records)
+        return records
 
-    calls()  # warm-up: first-use work (the cached identities) is not counted
-    entered = []
+    def fresh():
+        return [bench.gen_integer_example(10) for _ in placement.ALGORITHMS]
+
+    assert cells(fresh())  # warm-up: first-use work (imports, cached identities) is not counted
+    systems, entered = fresh(), []
 
     def profile(frame, event, arg):
+        caller = frame.f_back
         path = pathlib.Path(frame.f_code.co_filename)
-        if event == "call" and "numpy" in path.parts:
-            if {(path.name, frame.f_code.co_name), (path.name, None)} & banned:
-                entered.append(f"{path.name}:{frame.f_code.co_name}")
+        if (event != "call" or caller is None or "numpy" not in path.parts and "scipy" not in path.parts
+                or pathlib.Path(caller.f_code.co_filename).parent != package):
+            return
+        name = frame.f_code.co_name
+        if name.startswith("_") and name.endswith("_dispatcher"):
+            name = name[1:-len("_dispatcher")]
+        if path.name == "_ufunc_config.py":  # np.errstate
+            if caller.f_code.co_name == "ruled" or (
+                    caller.f_code.co_name == "_in_precision"
+                    and caller.f_locals["precision"].bits == 32):
+                return
+        elif (path.name, name) in ALLOWED_WRAPPERS:
+            return
+        entered.append(f"{path.name}:{name} <- {caller.f_code.co_name}")
 
     sys.setprofile(profile)
     try:
-        calls()
+        cells(systems)
     finally:
         sys.setprofile(None)
-    assert entered == []
+    assert entered == [], sorted(set(entered))
