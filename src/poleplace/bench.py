@@ -243,21 +243,26 @@ def run_suite(families, algorithms, precisions=(BITS64,),
               orders=("forward",)):
     """Run every (family, algorithm, precision, order) combination.
 
+    The algorithm names, precisions and orders are checked, and every
+    family's system built, before the first placement (``ValueError``).
     Individual algorithm failures become records with ``failure`` set
     rather than aborting the suite.  Returns the list of records.
     """
     if not set(orders) <= {"forward", "reversed"}:
         raise ValueError(f"pole orders must be 'forward' or 'reversed', got {list(orders)}")
+    for name in algorithms:
+        if name not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {name!r}")
+    precisions = [as_precision(prec) for prec in precisions]
+    systems = [fam.make() for fam in families]
     records = []
-    for fam in families:
-        sys = fam.make()
+    for fam, sys in zip(families, systems):
         base_poles = fam.default_poles()
         for order in orders:
             poles = list(base_poles) if order == "forward" else list(base_poles)[::-1]
             for name in algorithms:
                 fn = ALGORITHMS[name]
                 for prec in precisions:
-                    prec = as_precision(prec)
                     try:
                         K = fn(sys, poles, prec)
                     except PlacementError as exc:

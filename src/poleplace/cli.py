@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: place, bench, simulate, exact, check-commutators.
-Exit codes: 0 success, 1 usage error (bad flags, malformed files or pole
-lists), 2 algorithmic failure (uncontrollable system, singular shift,
-parallel hyperplanes, ...).  Diagnostics go to stderr, results to stdout
-or --out.
+Exit codes: 0 success, 1 usage error (bad flags, malformed files, or input
+the library rejects, such as a target set the method cannot take), 2
+algorithmic failure (uncontrollable system, singular shift, parallel
+hyperplanes, ...).  Each input is checked by the library function that
+uses it.  Diagnostics go to stderr, results to stdout or --out.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ def _usage_error(errors, prefix: str = ""):
 def parse_pole_list(text: str, n: int):
     """Parse the n poles of an n-state system: comma-separated finite reals,
     complex literals with a trailing i (e.g. -1+2i), and inclusive integer
-    ranges a..b, each counted before it is expanded."""
+    ranges a..b, each counted before it is expanded; a range's poles stay
+    ints, exact however large, for the method that takes them to check."""
     parts, count = [], 0
     for token in text.split(","):
         token = token.strip()
@@ -69,16 +71,7 @@ def parse_pole_list(text: str, n: int):
         raise UsageError("empty pole list")
     if count != n:
         raise UsageError(f"system has n={n}, got {count} poles")
-    return [complex(v) for part in parts for v in part]
-
-
-def _parse_poles(text: str, n: int):
-    """Parse a --poles value for an n-state system: conjugate-closed,
-    one pole per state."""
-    poles = parse_pole_list(text, n)
-    with _usage_error(InvalidPoleSet):
-        linalg.pole_steps(poles)
-    return poles
+    return [v for part in parts for v in part]
 
 
 def parse_float_list(text: str):
@@ -91,13 +84,6 @@ def _load_system(path):
     # interpreter's recursion limit raises RecursionError
     with _usage_error((OSError, ValueError, RecursionError), f"cannot read system file {path}: "):
         return placement.StateSpace(*linalg.load_system(path))
-
-
-def _family(kind: str, n: int, seed):
-    """A family instance and its system; a size it cannot build is a usage error."""
-    family = bench.ExampleFamily(kind, n, seed)
-    with _usage_error(ValueError):
-        return family, family.make()
 
 
 def _json_number(x):
@@ -125,16 +111,14 @@ def _cmd_place(args) -> int:
     sys_ = _load_system(args.system)
     precision = as_precision(args.precision)
     if args.poles is not None:
-        targets = _parse_poles(args.poles, sys_.n)
-        given = {"poles": targets}
+        given = {"poles": parse_pole_list(args.poles, sys_.n)}
     elif args.algo not in ("ackermann", "algebroid2"):
         raise UsageError(f"--charpoly works with ackermann or algebroid2, not {args.algo}")
     else:
-        with _usage_error(InvalidPoleSet):
-            cp = placement.given_charpoly(sys_.n, None, parse_float_list(args.charpoly))
-        given = {"charpoly": cp}
-        targets = linalg.eigenvalues(linalg.companion_matrix(cp))
+        given = {"charpoly": parse_float_list(args.charpoly)}
     K = placement.ALGORITHMS[args.algo](sys_, precision=precision, **given)
+    # the entry has checked the targets: a charpoly's poles are found after it
+    targets = given.get("poles") or linalg.eigenvalues(linalg.companion_matrix(given["charpoly"]))
     rec = bench.evaluate_placement(sys_, targets, K, algorithm=args.algo,
                                    precision=precision)
     if args.format == "json":
@@ -171,17 +155,15 @@ def _cmd_bench(args) -> int:
         raise UsageError(f"bad --n-range {args.n_range!r}") from exc
     if lo > hi:
         raise UsageError(f"bad --n-range {args.n_range!r}: {lo} > {hi}")
-    families = [_family(args.family, n, args.seed)[0] for n in range(lo, hi + 1)]
+    families = [bench.ExampleFamily(args.family, n, args.seed) for n in range(lo, hi + 1)]
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    for a in algos:
-        if a not in placement.ALGORITHMS:
-            raise UsageError(f"unknown algorithm {a!r}")
     precisions = {"32": [32], "64": [64], "both": [32, 64]}[args.precision]
     orders = {"fwd": ["forward"], "rev": ["reversed"],
               "both": ["forward", "reversed"]}[args.order]
     if args.out:
         _emit("", args.out)  # an unwritable path fails before the suite runs
-    records = bench.run_suite(families, algos, precisions, orders)
+    with _usage_error(ValueError):  # an unknown algorithm, a size the family cannot build
+        records = bench.run_suite(families, algos, precisions, orders)
     # render only what is written
     if args.out:
         as_csv = args.out.endswith(".csv") or args.format == "csv"
@@ -205,20 +187,19 @@ def _cmd_simulate(args) -> int:
     elif args.family:
         if args.n is None:
             raise UsageError(f"--family {args.family} requires --n")
-        _, sys_ = _family(args.family, args.n, args.seed)
+        with _usage_error(ValueError):  # a size the family cannot build
+            sys_ = bench.ExampleFamily(args.family, args.n, args.seed).make()
     else:
         raise UsageError("give --system or --family")
-    poles = _parse_poles(args.poles, sys_.n)
+    poles = parse_pole_list(args.poles, sys_.n)
     x0 = (parse_float_list(args.x0) if args.x0
           else [float(k) for k in range(1, sys_.n + 1)])
-    if len(x0) != sys_.n:
-        raise UsageError(f"x0 needs {sys_.n} entries")
     modes = ["gain", "chain"] if args.mode == "both" else [args.mode]
-    with _usage_error(ValueError):
+    with _usage_error(ValueError):  # a horizon, step or x0 the simulation rejects
         T = sim.default_horizon(poles) if args.T is None else args.T
         configs = {mode: sim.SimConfig(T=T, h=args.h, x0=x0, feedback=mode) for mode in modes}
-    traces = {mode: sim.simulate(sys_, poles, cfg, precision=precision)
-              for mode, cfg in configs.items()}
+        traces = {mode: sim.simulate(sys_, poles, cfg, precision=precision)
+                  for mode, cfg in configs.items()}
     primary = traces[modes[0]]
     _emit(primary.to_csv(), args.out)
     if len(modes) == 2:
@@ -238,10 +219,6 @@ def _cmd_exact(args) -> int:
     if args.digits < 0:
         raise UsageError(f"--digits must be >= 0, got {args.digits}")
     sys_ = _load_system(args.system)
-    A = sys_.A
-    B = sys_.B
-    if not (np.all(A == np.round(A)) and np.all(B == np.round(B))):
-        raise UsageError("exact placement requires integer A and B")
     poles = parse_pole_list(args.poles, sys_.n)
     if any(z.imag != 0 or z.real != int(z.real) for z in poles):
         raise UsageError("exact placement requires integer poles")
@@ -249,9 +226,10 @@ def _cmd_exact(args) -> int:
     cp = [1]
     for r in ints:
         cp = [a - r * b for a, b in zip(cp + [0], [0] + cp)]
-    # place_exact takes each entry with int(), exact for any integer-valued
-    # float; an int64 cast would wrap at 2**63
-    gain = exactring.place_exact(A.tolist(), B.tolist(), cp)
+    # place_exact converts each entry with int() and rejects a non-integer
+    # one; a float list keeps an integer past 2**63, where an int64 cast wraps
+    with _usage_error(ValueError):
+        gain = exactring.place_exact(sys_.A.tolist(), sys_.B.tolist(), cp)
     fractions = exactring.ratio(gain)
     lines = [str(f) for f in fractions]
     if args.digits:
@@ -446,7 +424,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, InvalidPoleSet) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
     except PlacementError as exc:

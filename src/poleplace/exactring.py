@@ -8,16 +8,31 @@ algorithm in this package is validated.
 
 Everything here works on plain Python ints (arbitrary precision) in
 list-of-lists form; :func:`ratio` converts the result to
-``fractions.Fraction`` values at the very end.
+``fractions.Fraction`` values at the very end.  A non-integer input entry
+(2.5, NaN) raises ``ValueError``, where ``int()`` alone would truncate it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _gcd
+from math import gcd as _gcd, inf
 
 from .errors import UncontrollableSystem, ZeroVector
+
+
+def _integers(xs, what: str) -> list:
+    """The entries of ``xs`` as ints, by one ``int()`` pass; ``ValueError`` if
+    it changed an entry (2.5, ``Fraction(5, 2)``) or failed on one (NaN)."""
+    xs = list(xs)
+    try:
+        ints = [int(x) for x in xs]
+    except (ValueError, OverflowError):  # int() of NaN or an infinity
+        ints = None
+    if ints != xs:
+        bad = next(x for x in xs if x != x or x in (inf, -inf) or int(x) != x)
+        raise ValueError(f"{what} has a non-integer entry {bad}")
+    return ints
 
 
 def _annihilator_terms(v) -> list:
@@ -57,7 +72,7 @@ def nullspace_row(v) -> list:
     Each row has at most two nonzeros; this is the dense form of
     :func:`_annihilator_terms`.
     """
-    v = [int(x) for x in v]
+    v = _integers(v, "v")
     n = len(v)
     if all(x == 0 for x in v):
         raise ZeroVector("annihilator of the zero vector is ill-defined")
@@ -115,7 +130,7 @@ def _krylov_rows(A, b):
 
 def exact_determinant(M) -> int:
     """Fraction-free (Bareiss) determinant of an integer matrix."""
-    a = [[int(x) for x in row] for row in M]
+    a = [_integers(row, "M") for row in M]
     n = len(a)
     sign = 1
     prev = 1
@@ -137,8 +152,8 @@ def exact_determinant(M) -> int:
 
 def controllability_det_exact(A, B) -> int:
     """Exact determinant of [B, AB, ..., A^(n-1) B] for integer input."""
-    A = [[int(x) for x in row] for row in A]
-    return exact_determinant(_krylov_rows(A, [int(x) for x in B]))
+    A = [_integers(row, "A") for row in A]
+    return exact_determinant(_krylov_rows(A, _integers(B, "B")))
 
 
 # -- the placement oracle ----------------------------------------------------
@@ -185,10 +200,10 @@ def place_exact(A, B, charpoly) -> ExactGain:
     ``Y_(s-1)``'s first column, the denominator is the 1 x 1 ``Y_(n-1)``,
     and the numerator is the row ``P_(n-1)`` times phi(A), by Horner.
     """
-    A = [[int(x) for x in row] for row in A]
-    B = [int(x) for x in B]
+    A = [_integers(row, "A") for row in A]
+    B = _integers(B, "B")
     n = len(B)
-    pp = [int(c) for c in charpoly]
+    pp = _integers(charpoly, "charpoly")
     if len(pp) != n + 1 or pp[0] != 1:
         raise ValueError("charpoly must be monic of length n+1, degree-descending")
     Y = _krylov_rows(A, B)

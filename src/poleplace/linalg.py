@@ -616,13 +616,14 @@ def is_conjugate_pair(z: complex, w: complex) -> bool:
 
 
 def _complex_poles(roots) -> list:
-    """The poles as Python complex numbers; an integer beyond the float64
-    range raises :class:`InvalidPoleSet`, where ``complex`` would raise
-    ``OverflowError``."""
+    """The poles as Python complex numbers; :class:`InvalidPoleSet` for an
+    integer beyond the float64 range or a list that is not of numbers."""
     try:
         return [complex(r) for r in roots]
     except OverflowError as exc:
         raise InvalidPoleSet("pole list has an integer beyond the float64 range") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidPoleSet(f"poles must be a sequence of numbers, got {roots!r}") from exc
 
 
 def pole_steps(roots) -> list:

@@ -508,13 +508,14 @@ class ChainLevel:
 class AnchorChain:
     """Stored anchors and transfer maps of the forward sweep, with the
     arrays A, B it was swept from, in the chain's precision (at 64 bits,
-    the system's own arrays).  It holds no reference to the system, so a
-    system that keeps its chain (:func:`_prepared`) is freed by reference
-    counting alone."""
+    the system's own arrays), and its last product ``leading`` = A_{t,n-1} A
+    (A when n = 1).  It holds no reference to the system, so a system that
+    keeps its chain (:func:`_prepared`) is freed by reference counting."""
 
     A: np.ndarray
     B: np.ndarray
     levels: tuple
+    leading: np.ndarray
 
     @property
     def precision(self) -> Precision:
@@ -543,7 +544,7 @@ def build_anchor_chain(sys: StateSpace, precision: Precision = BITS64) -> Anchor
         Bt = transfer @ B
         At = transfer @ A
         levels.append(ChainLevel(an_i, transfer, Bt))
-    return AnchorChain(A, B, tuple(levels))
+    return AnchorChain(A, B, tuple(levels), At)
 
 
 @dataclass(frozen=True)
@@ -575,9 +576,9 @@ class ChainFeedback:
     """The chain method's feedback law with its poles bound.
 
     Built once from a chain and a pole set (or a monic characteristic
-    polynomial): the ascending coefficients, the (transfer, anchor,
-    coefficient) steps of the recursion, ``A_{t,n-1} A`` and the final
-    quotient input are computed, and the denominator checked, here.
+    polynomial): the ascending coefficients and the (transfer, anchor,
+    coefficient) steps of the recursion are computed, and the chain's final
+    quotient input, the denominator, checked, here.
     After that, :meth:`gain` and each call ``law(x)`` run the nested
     recursion alone, under the range rule (``simulate`` runs :meth:`_apply`).
     """
@@ -605,9 +606,8 @@ class ChainFeedback:
         self._pp0 = np.array(pp[0])
         self._steps = tuple((level.transfer, level.anchor, np.array(pp[i]))
                             for i, level in enumerate(chain.levels, start=1))
-        last = chain.levels[-1].transfer
-        self._last_A = last @ A
-        den = (last @ B).ravel()[0]
+        self._last_A = chain.leading
+        den = chain.levels[-1].quotient_input.ravel()[0]
         _guard("chain_denominator", abs(float(den)), self.precision, error=UncontrollableSystem,
                message=lambda: f"final quotient input B_(n-1) = {float(den):.3e} is zero")
         self._den = den
@@ -666,7 +666,6 @@ def feedback_eval(chain: AnchorChain, x, poles=None, charpoly=None) -> float:
     return ChainFeedback(chain, poles, charpoly)(x)
 
 
-@_range_rule
 def place_algebroid2(sys: StateSpace, poles=None, precision: Precision = BITS64,
                      charpoly=None) -> np.ndarray:
     """Chain-of-anchors placement from a pole list or a monic

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedState
-from .linalg import BITS64, Precision, _all_finite, _in_precision, _precision_of, as_vector
+from .linalg import (BITS64, Precision, _all_finite, _complex_poles, _in_precision, _precision_of,
+                     as_vector)
 from .placement import ChainFeedback, StateSpace, _prepared, build_anchor_chain
 from .placement import feedback_eval  # noqa: F401 - perfbench's tracer test wraps sim.feedback_eval
 
@@ -101,7 +102,7 @@ def rk4_step(derivative, t, x, h):
 
 def default_horizon(poles) -> float:
     """HORIZON_TIME_CONSTANTS times the slowest closed-loop time constant."""
-    slowest = min(abs(complex(p).real) for p in poles)
+    slowest = min(abs(p.real) for p in _complex_poles(poles))
     if slowest == 0:
         raise ValueError("the default horizon needs poles with nonzero real part")
     return HORIZON_TIME_CONSTANTS / slowest
@@ -124,11 +125,11 @@ def simulate(sys: StateSpace, poles, cfg: SimConfig,
     The trajectory aborts with DivergedState if a step's output is not
     finite or leaves the overflow guard region.
     """
+    if cfg.x0.size != sys.n:
+        raise ValueError(f"x0 needs {sys.n} entries")
     dt = precision.dtype
     chain = _prepared(sys, precision, "chain", build_anchor_chain, sys, precision)
     A, B = chain.A, chain.B
-    if cfg.x0.size != sys.n:
-        raise ValueError("x0 dimension mismatch")
     law = ChainFeedback(chain, poles=poles)
     if cfg.feedback == "gain":
         K = law.gain()

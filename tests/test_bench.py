@@ -187,6 +187,21 @@ def test_suite_records_failures_per_row():
     assert by_alg["algebroid2"].failure is None
 
 
+@pytest.mark.parametrize("families, algorithms, precisions, message", [
+    ([ExampleFamily("integer", 5)], ["ackermann", "nosuch"], [BITS64], "unknown algorithm 'nosuch'"),
+    ([ExampleFamily("integer", 5)], ["ackermann"], [64, 16], "precision must be 32 or 64 bits"),
+    ([ExampleFamily("integer", 5), ExampleFamily("integer", 2)], ["ackermann"], [BITS64],
+     "integer example needs n >= 3"),
+], ids=["algorithm", "precision", "family-size"])
+def test_suite_checks_its_arguments_before_the_first_placement(monkeypatch, families, algorithms,
+                                                               precisions, message):
+    placed = []
+    monkeypatch.setitem(bench.ALGORITHMS, "ackermann", lambda *args: placed.append(args))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_suite(families, algorithms, precisions)
+    assert placed == []
+
+
 def test_32bit_degradation_at_n8():
     fams = [ExampleFamily("integer", 8)]
     recs32 = run_suite(fams, ["algebroid1", "algebroid2"], [BITS32], ["forward"])

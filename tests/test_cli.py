@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poleplace import bench, cli, errors, linalg, placement
+from poleplace import bench, cli, errors, exactring, linalg, placement
 
 from _reference import save_system
 
@@ -345,6 +345,62 @@ def test_place_empty_pole_list_is_usage_error(worked_system, algo, capsys):
     assert (code, capsys.readouterr()) == (1, ("", "error: empty pole list\n"))
 
 
+def test_place_charpoly_with_a_pole_only_algorithm_is_usage_error(worked_system, capsys):
+    code = cli.main(["place", "--algo", "miminis", "--system", worked_system,
+                     "--charpoly", "1,6,11,6"])
+    assert (code, capsys.readouterr()) == (
+        1, ("", "error: --charpoly works with ackermann or algebroid2, not miminis\n"))
+
+
+BIG = "1" + "0" * 400
+UNPAIRED = "pole set not closed under conjugation: unmatched (-1+2j)"
+
+
+@pytest.mark.parametrize("algo, flag, value, message", [
+    ("ackermann", "--poles", "-1+2i,-2,-3", UNPAIRED),
+    ("algebroid2", "--poles", "-1+2i,-2,-3", UNPAIRED),
+    ("ackermann", "--charpoly", "1,nan,11,6", "charpoly [1.0, nan, 11.0, 6.0] is not finite"),
+    ("algebroid2", "--charpoly", "2,6,11,6",
+     "charpoly [2.0, 6.0, 11.0, 6.0] must be monic of length 4"),
+    ("ackermann", "--charpoly", "1,6,11", "charpoly [1.0, 6.0, 11.0] must be monic of length 4"),
+    *[(algo, "--poles", "-1+2i,-1-2i,-3", "this method handles real poles only, got (-1+2j)")
+      for algo in ("determinantal", "sliding", "algebroid1", "algebroid1-solve", "miminis",
+                   "varga")],
+    *[(algo, "--poles", f"{BIG}..{BIG},-2,-3", "pole list has an integer beyond the float64 range")
+      for algo in ("ackermann", "algebroid2", "varga")],
+], ids=["unpaired", "unpaired-algebroid2", "charpoly-not-finite", "charpoly-not-monic",
+        "charpoly-too-short", "pair-determinantal", "pair-sliding", "pair-algebroid1",
+        "pair-algebroid1-solve", "pair-miminis", "pair-varga", "400-digit-ackermann",
+        "400-digit-algebroid2", "400-digit-varga"])
+def test_place_reports_the_entrys_own_error_for_a_malformed_target_set(
+        worked_system, algo, flag, value, message, capsys):
+    # the ALGORITHMS entry alone checks the targets; the CLI reports its
+    # InvalidPoleSet as a usage error, word for word
+    sys_ = placement.StateSpace(*linalg.load_system(worked_system))
+    given = ({"poles": cli.parse_pole_list(value, 3)} if flag == "--poles"
+             else {"charpoly": cli.parse_float_list(value)})
+    with pytest.raises(errors.InvalidPoleSet) as raised:
+        placement.ALGORITHMS[algo](sys_, **given)
+    assert str(raised.value) == message
+    code = cli.main(["place", "--algo", algo, "--system", worked_system, flag, value])
+    assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))
+
+
+def test_a_400_digit_range_pole_reaches_the_library_in_every_command(worked_system, capsys):
+    # a range's poles stay ints: the placement rejects one past the float64
+    # range (a bare OverflowError before), and the exact oracle takes it
+    poles = ["--poles", f"{BIG}..{BIG},-2,-3"]
+    code = cli.main(["simulate", "--system", worked_system] + poles)
+    assert (code, capsys.readouterr()) == (
+        1, ("", "error: pole list has an integer beyond the float64 range\n"))
+    assert cli.main(["exact", "--system", worked_system] + poles) == 0
+    big = 10**400  # (s - big)(s + 2)(s + 3)
+    charpoly = [1, 5 - big, 6 - 5 * big, -6 * big]
+    expected = exactring.ratio(exactring.place_exact(
+        [[1, 3, 5], [7, 13, 17], [1, 1, 1]], [1, 1, 1], charpoly))
+    assert capsys.readouterr() == ("".join(f"{f}\n" for f in expected), "")
+
+
 def test_place_32bit_mode(worked_system, capsys):
     code = cli.main(["place", "--algo", "algebroid2", "--system", worked_system,
                      "--poles", "-1,-2,-3", "--precision", "32",
@@ -386,6 +442,22 @@ def test_exact_negative_digits_is_usage_error(worked_system, capsys):
 def test_exact_rejects_noninteger(worked_system, capsys):
     code = cli.main(["exact", "--system", worked_system, "--poles", "-1.5,-2,-3"])
     assert code == 1
+
+
+def test_exact_digits_renders_each_entry_in_decimals(worked_system, capsys):
+    # the README's example
+    code = cli.main(["exact", "--system", worked_system, "--poles", "-1,-2,-3", "--digits", "8"])
+    assert (code, capsys.readouterr()) == (
+        0, ("4  ~  4.00000000\n15/2  ~  7.50000000\n19/2  ~  9.50000000\n", ""))
+
+
+def test_exact_on_a_non_integer_system_prints_the_oracles_error(tmp_path, capsys):
+    # the oracle's own check: it converts each entry with int() and
+    # rejects one that int() would truncate
+    path = tmp_path / "half.txt"
+    path.write_text("2 3\n0 1 0\n2.5 0 1\n")
+    code = cli.main(["exact", "--system", str(path), "--poles", "-1,-2"])
+    assert (code, capsys.readouterr()) == (1, ("", "error: A has a non-integer entry 2.5\n"))
 
 
 def test_exact_takes_integers_past_int64(tmp_path, capsys):
@@ -452,7 +524,7 @@ def test_bench_csv_output(tmp_path, capsys):
 def test_bench_unknown_algorithm(capsys):
     code = cli.main(["bench", "--family", "integer", "--n-range", "5..5",
                      "--algos", "nosuch"])
-    assert code == 1
+    assert (code, capsys.readouterr()) == (1, ("", "error: unknown algorithm 'nosuch'\n"))
 
 
 def test_simulate_writes_trace(tmp_path, capsys):
@@ -616,6 +688,16 @@ def test_simulate_32bit_divergence_exits_typed(tmp_path, mode, message, capsys):
     code = cli.main(["simulate", "--system", str(path), "--poles", "-1,-2", "--T", "1",
                      "--h", "0.5", "--precision", "32", "--mode", mode])
     assert (code, capsys.readouterr()) == (2, ("", f"DivergedState: {message}\n"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--poles", "-1,-2,-3"], "give --system or --family"),
+    (["--family", "integer", "--poles", "-1,-2,-3"], "--family integer requires --n"),
+    (["--system", "@worked", "--poles", "-1,-2,-3", "--x0", "1,2"], "x0 needs 3 entries"),
+], ids=["no-system", "family-without-n", "short-x0"])
+def test_simulate_incomplete_input_is_usage_error(worked_system, argv, message, capsys):
+    argv = [worked_system if tok == "@worked" else tok for tok in argv]
+    assert (cli.main(["simulate"] + argv), capsys.readouterr()) == (1, ("", f"error: {message}\n"))
 
 
 def test_simulate_family_route(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -370,3 +371,47 @@ def test_controllability_det_exact():
     for n in range(3, 13):
         A, B = gen_integer_family(n)
         assert controllability_det_exact(A, B) != 0
+
+
+# ---------------------------------------------------------------------------
+# integer input
+
+
+NON_INTEGERS = [2.5, Fraction(5, 2), float("nan"), np.float64(-0.5), float("inf")]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=["float", "fraction", "nan", "numpy", "inf"])
+@pytest.mark.parametrize("call, what", [
+    (lambda x: place_exact([[x, 0], [0, 1]], [1, 2], [1, 3, 2]), "A"),
+    (lambda x: place_exact([[1, 0], [0, 2]], [1, x], [1, 3, 2]), "B"),
+    (lambda x: place_exact([[1, 0], [0, 2]], [1, 1], [1, x, 2]), "charpoly"),
+    (lambda x: controllability_det_exact([[x, 0], [0, 1]], [1, 2]), "A"),
+    (lambda x: controllability_det_exact([[1, 0], [0, 2]], [1, x]), "B"),
+    (lambda x: exactring.exact_determinant([[1, 0], [x, 1]]), "M"),
+    (lambda x: nullspace_row([1, x, 3]), "v"),
+], ids=["place-A", "place-B", "place-charpoly", "det-A", "det-B", "determinant", "nullspace"])
+def test_exact_oracle_rejects_a_non_integer_entry(call, what, bad):
+    # int() alone would truncate 2.5 to 2: the conversion is checked
+    with pytest.raises(ValueError, match=f"^{what} has a non-integer entry {re.escape(str(bad))}$"):
+        call(bad)
+
+
+def test_exact_oracle_no_longer_truncates():
+    # truncated, A = [[2]] would give K = 3 and a closed loop at -0.5;
+    # [[1.7, 0], [0, 1]] with B = [1, 1.2] would read as uncontrollable
+    with pytest.raises(ValueError, match="^A has a non-integer entry 2.5$"):
+        place_exact([[2.5]], [1], [1, 1])
+    with pytest.raises(ValueError, match="^A has a non-integer entry 1.7$"):
+        controllability_det_exact([[1.7, 0], [0, 1]], [1, 1.2])
+
+
+def test_exact_oracle_takes_integer_valued_input_of_any_type():
+    # integer floats, numpy integers and floats, and ints past int64 are
+    # integers: the same gain as from plain ints
+    expected = place_exact(A_WORKED, B_WORKED, [1, 6, 11, 6])
+    for A, B in ((np.array(A_WORKED, dtype=float), np.array(B_WORKED, dtype=float)),
+                 (np.array(A_WORKED), np.array(B_WORKED)),
+                 ([[float(x) for x in row] for row in A_WORKED], [1.0, 1.0, 1.0])):
+        assert place_exact(A, B, [1.0, 6.0, 11.0, 6.0]) == expected
+        assert controllability_det_exact(A, B) == 352
+    assert place_exact([[0, 1], [1e20, 0]], [0, 1], [1, 3, 2]).numerator == (10**20 + 2, 3)

@@ -1,6 +1,7 @@
 import functools
 import gc
 import inspect
+import re
 import warnings
 import weakref
 
@@ -1018,6 +1019,23 @@ def test_every_algorithm_gives_one_message_per_bad_set():
             for precision in (BITS32, BITS64):
                 with pytest.raises(InvalidPoleSet, match=msg):
                     fn(WORKED, poles, precision)
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_every_algorithm_takes_a_sequence_of_numbers(name):
+    # None is "no poles" to the two entries that also take a charpoly; to
+    # the others, as a scalar or a string is to all nine, it is no pole list
+    fn = ALGORITHMS[name]
+    if name in ("ackermann", "algebroid2"):
+        with pytest.raises(ValueError, match="^give exactly one of poles or charpoly$"):
+            fn(WORKED, None)
+    else:
+        with pytest.raises(InvalidPoleSet, match="^poles must be a sequence of numbers, got None$"):
+            fn(WORKED, None)
+    for poles in (-1.0, [-1.0, None, -3.0], "-1,-2,-3"):
+        with pytest.raises(InvalidPoleSet,
+                           match=re.escape(f"poles must be a sequence of numbers, got {poles!r}")):
+            fn(WORKED, poles)
 
 
 def _float32_intermediates(sys, poles):

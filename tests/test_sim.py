@@ -169,6 +169,15 @@ def test_simulate_grid_shape():
     assert np.all(np.diff(trace.times) > 0)
 
 
+def test_simulate_checks_the_length_of_x0_first():
+    # before the chain is built: the 32-bit cast of this system would
+    # overflow, but the short x0 is the error
+    big = StateSpace(WORKED.A * 1e39, WORKED.B)
+    for sys in (WORKED, big):
+        with pytest.raises(ValueError, match="^x0 needs 3 entries$"):
+            simulate(sys, POLES, SimConfig(T=1.0, h=0.5, x0=[1.0, 2.0]), precision=BITS32)
+
+
 def test_simulate_diverged_state_guard():
     # placing the spectrum in the right half plane blows the trajectory up
     cfg = SimConfig(T=12.0, h=0.01, x0=[1.0, 2.0, 3.0], feedback="gain")

@@ -106,6 +106,17 @@ def test_one_way_to_make_an_identity():
     assert {where for where, integer in found if integer} <= {"bench.gen_random_controllable"}, found
 
 
+def test_cli_leaves_each_input_check_to_the_library():
+    # the CLI parses argv and reports the library's errors: the pole set and
+    # the charpoly are the ALGORITHMS entry's to check, integrality the
+    # exact oracle's, so cli.py names neither check nor rounds a value
+    tree = dict(_modules())["cli"]
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+    assert not names & {"pole_steps", "given_charpoly", "_parse_poles"}
+    calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not {call for call in calls if call.endswith("round")}, calls
+
+
 # numpy's and scipy's Python-level functions that a study cell may still
 # call from the package, each with the reason it stays; a C function's
 # dispatcher frame counts as the function
