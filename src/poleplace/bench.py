@@ -158,20 +158,18 @@ class BenchRecord:
     failure: str | None = None
 
 
-def _match_error(achieved: np.ndarray, targets: np.ndarray) -> float:
-    """Greedy nearest-pair matching between two sorted spectra: each
-    achieved eigenvalue takes the first nearest remaining target.  nan
-    when an achieved eigenvalue is not finite (``max`` and ``min`` would
-    drop its nan distances).
-
-    Works on Python complex values: their ``abs`` is the same ``hypot``
-    as numpy's, without numpy's per-scalar dispatch."""
-    achieved = achieved.tolist()
+def _match_error(achieved: list, targets: list) -> float:
+    """Greedy nearest-pair matching between two spectra, each a list of
+    Python complex values sorted by (real, imag): each achieved eigenvalue
+    takes the first nearest remaining target.  nan when an achieved
+    eigenvalue is not finite (``max`` and ``min`` would drop its nan
+    distances).  Python complex ``abs`` is the same ``hypot`` as numpy's,
+    without numpy's per-scalar dispatch."""
     if not all(map(cmath.isfinite, achieved)):
         return float("nan")
-    remaining = sorted(map(complex, targets), key=lambda z: (z.real, z.imag))
+    remaining = list(targets)
     worst = 0.0
-    for z in sorted(achieved, key=lambda z: (z.real, z.imag)):
+    for z in achieved:
         dist = [abs(z - w) for w in remaining]
         best = dist.index(min(dist))
         worst = max(worst, dist[best])
@@ -182,7 +180,7 @@ def _match_error(achieved: np.ndarray, targets: np.ndarray) -> float:
 def count_complex_pairs(spectrum) -> int:
     """Eigenvalues with an imaginary part above the ``spectrum_pair`` bound."""
     tol = THRESHOLDS["spectrum_pair"](BITS64)
-    return int(sum(1 for z in spectrum if z.imag > tol))
+    return sum(1 for z in spectrum if z.imag > tol)
 
 
 def evaluate_placement(sys: StateSpace, poles, gain,
@@ -194,10 +192,13 @@ def evaluate_placement(sys: StateSpace, poles, gain,
     The achieved spectrum is always computed in 64-bit arithmetic, no
     matter what precision produced the gain (a 32-bit gain evaluated
     with 64-bit eigenvalues isolates the gain's own representability).
+    The record holds plain Python values: ``achieved`` is a tuple of
+    complex in :func:`~poleplace.linalg.eigenvalues`' (real, imag) order,
+    and ``gain`` a tuple of float.
     """
     gain = np.asarray(gain, dtype=np.float64).ravel()
-    achieved = eigenvalues(sys.A - sys.B[:, None] * gain)
-    targets = np.array([complex(p) for p in poles])
+    achieved = eigenvalues(sys.A - sys.B[:, None] * gain).tolist()
+    targets = sorted(map(complex, poles), key=lambda z: (z.real, z.imag))
     return BenchRecord(
         algorithm=algorithm,
         family=family,
@@ -205,9 +206,9 @@ def evaluate_placement(sys: StateSpace, poles, gain,
         precision=precision.bits,
         pole_order=pole_order,
         achieved=tuple(achieved),
-        max_abs_error=float(_match_error(achieved, targets)),
+        max_abs_error=_match_error(achieved, targets),
         complex_pair_count=count_complex_pairs(achieved),
-        gain=tuple(float(g) for g in gain),
+        gain=tuple(gain.tolist()),
     )
 
 
@@ -310,7 +311,7 @@ def render_csv(records) -> str:
               "complex_pair_count,failure,gain,achieved\n")
     for r in records:
         gain = ";".join(repr(g) for g in r.gain)
-        achieved = ";".join(f"{z.real!r}{z.imag:+}j" for z in map(complex, r.achieved))
+        achieved = ";".join(f"{z.real!r}{z.imag:+}j" for z in r.achieved)
         failure = (r.failure or "").replace(",", ";")
         out.write(f"{r.family},{r.n},{r.algorithm},{r.precision},"
                   f"{r.pole_order},{r.max_abs_error!r},{r.complex_pair_count},"

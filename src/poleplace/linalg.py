@@ -463,7 +463,8 @@ def eigenvalues(A) -> np.ndarray:
 
     Complex eigenvalues come out in exact conjugate pairs.  Unlike the
     other kernels this one runs in 64-bit arithmetic whatever the input's
-    format, on its entries widened exactly.
+    format, on its entries widened exactly.  ``bench``'s matching relies
+    on the order: it takes the spectrum's ``.tolist()`` as sorted.
     """
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:

@@ -412,14 +412,9 @@ class QuotientLevel:
     k_o: np.ndarray      # gain component along the hyperplane normal
 
 
-@dataclass(frozen=True)
-class QuotientStack:
-    levels: tuple
-    terminal_a: float
-    terminal_b: float
-
-
-def _descend_quotients(A, B, roots, variant: str) -> QuotientStack:
+def _descend_quotients(A, B, roots, variant: str):
+    """The n - 1 :class:`QuotientLevel` stages, and the terminal 1x1 pair
+    (a, b) as scalars of A's format."""
     if variant not in ("qr", "solve"):
         raise ValueError(f"unknown variant {variant!r}")
     n = B.size
@@ -457,7 +452,7 @@ def _descend_quotients(A, B, roots, variant: str) -> QuotientStack:
         _guard("placement_pivot", np.maximum.reduce(np.abs(Bb)), precision, bmax,
                error=UncontrollableSystem,
                message=lambda: f"quotient input vanished at level {i + 1}")
-    return QuotientStack(tuple(levels), float(Ab.ravel()[0]), float(Bb.ravel()[0]))
+    return levels, Ab.ravel()[0], Bb.ravel()[0]
 
 
 @_range_rule
@@ -481,11 +476,9 @@ def place_algebroid1(sys: StateSpace, poles, precision: Precision = BITS64,
     variant solves nothing and places all four.
     """
     A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
-    stack = _descend_quotients(A, B, roots, variant)
-    dt = precision.dtype
-    K = ((np.asarray(stack.terminal_a, dtype=dt) - dt(roots[-1]))
-         / np.asarray(stack.terminal_b, dtype=dt)).reshape(1)
-    for level in reversed(stack.levels):
+    levels, a, b = _descend_quotients(A, B, roots, variant)
+    K = ((a - precision.dtype(roots[-1])) / b).reshape(1)
+    for level in reversed(levels):
         K = level.k_o + K @ level.anchor
     return K
 

@@ -1,5 +1,9 @@
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poleplace import bench
 from poleplace.bench import (
@@ -13,8 +17,8 @@ from poleplace.bench import (
     render_table,
     run_suite,
 )
-from poleplace.linalg import BITS32, BITS64, eigenvalues
-from poleplace.placement import place_algebroid1, place_algebroid2
+from poleplace.linalg import BITS32, BITS64, companion_matrix, eigenvalues
+from poleplace.placement import ALGORITHMS, place_algebroid1, place_algebroid2
 
 
 def fwd_poles(n):
@@ -90,13 +94,18 @@ def test_evaluate_n12_bifurcation_band():
     assert 2 <= rec.complex_pair_count <= 4
 
 
+def _sorted(spectrum):
+    """A spectrum as _match_error takes it: Python complexes in (real, imag) order."""
+    return sorted(map(complex, spectrum), key=lambda z: (z.real, z.imag))
+
+
 def test_match_error_is_nan_for_a_nonfinite_eigenvalue():
-    targets = np.array([-1.0, -2.0, -3.0], dtype=complex)
-    finite = np.array([-1.0, -2.5 + 0.5j, -2.5 - 0.5j])
+    targets = [-3.0 + 0j, -2.0 + 0j, -1.0 + 0j]
+    finite = [-2.5 - 0.5j, -2.5 + 0.5j, -1.0 + 0j]
     assert bench._match_error(finite, targets) == abs(-2.5 + 0.5j + 3.0)
     for bad in (complex(np.nan, np.nan), complex(np.inf, 0.0), complex(-1.0, np.nan)):
-        assert np.isnan(bench._match_error(np.array([bad, -2.0, -3.0]), targets))
-        assert np.isnan(bench._match_error(np.array([-1.0, -2.0, bad]), targets))
+        assert np.isnan(bench._match_error([bad, -3.0 + 0j, -2.0 + 0j], targets))
+        assert np.isnan(bench._match_error([-3.0 + 0j, -2.0 + 0j, bad], targets))
 
 
 def _match_error_on_numpy_scalars(achieved, targets):
@@ -119,7 +128,7 @@ def test_match_error_takes_the_first_of_tied_targets():
                                     ([0.0, 5.0], [-1.0, 1.0], 4.0),
                                     ([0.0, 5j], [1j, -1j], 4.0)):
         achieved, targets = np.array(achieved, dtype=complex), np.array(targets, dtype=complex)
-        got = bench._match_error(achieved, targets)
+        got = bench._match_error(_sorted(achieved), _sorted(targets))
         assert got == want == _match_error_on_numpy_scalars(achieved, targets)
     # and on spectra near their targets, bit for bit
     rng = np.random.default_rng(3)
@@ -127,9 +136,108 @@ def test_match_error_takes_the_first_of_tied_targets():
         targets = np.array(fwd_poles(n), dtype=complex)
         noise = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-12, 0, size=(2, n))
         achieved = np.sort_complex(targets + noise[0] + 1j * noise[1])
-        got = bench._match_error(achieved, targets)
+        got = bench._match_error(achieved.tolist(), _sorted(targets))
         assert type(got) is float
         assert got == _match_error_on_numpy_scalars(achieved, targets)
+
+
+def _in_key_order(spectrum):
+    """True when a list of Python complexes is its own stable sort by
+    (real, imag): the sort returns the very same objects in the same order."""
+    return all(a is b for a, b in zip(spectrum, sorted(spectrum, key=lambda z: (z.real, z.imag))))
+
+
+@pytest.fixture(scope="module")
+def study_records():
+    # the conditioning study: integer family, n = 8..12, every entry, both
+    # precisions and both pole orders
+    return run_suite([ExampleFamily("integer", n) for n in range(8, 13)], list(ALGORITHMS),
+                     [BITS32, BITS64], ["forward", "reversed"])
+
+
+def test_eigenvalues_come_in_match_error_order_on_the_study(study_records):
+    # _match_error takes the spectrum as given: eigenvalues' own order must
+    # be the (real, imag) sort that it used to redo
+    verified = [r for r in study_records if r.failure is None]
+    assert len(verified) == 100
+    for rec in verified:
+        assert all(map(cmath.isfinite, rec.achieved)), rec
+        assert _in_key_order(list(rec.achieved)), rec
+
+
+def _block(a, b):
+    return [[a]] if b is None else [[a, b], [-b, a]]
+
+
+@st.composite
+def tied_spectra(draw):
+    """Block-diagonal matrices, rows and columns permuted, from a small
+    alphabet: real 1x1 blocks and rotation blocks [[a, b], [-b, a]] share
+    real parts, repeat eigenvalues and hold -0.0 and 0.0 entries, so the
+    spectrum has ties in its real and its imaginary parts."""
+    values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0])
+    blocks = draw(st.lists(st.builds(_block, values, st.sampled_from([None, None, 0.5, 2.0])),
+                           min_size=1, max_size=6))
+    n = sum(len(b) for b in blocks)
+    M = np.zeros((n, n))
+    at = 0
+    for b in blocks:
+        M[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    perm = draw(st.permutations(range(n)))
+    return M[np.ix_(perm, perm)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(tied_spectra())
+def test_eigenvalues_come_in_match_error_order_on_tied_spectra(M):
+    spectrum = eigenvalues(M).tolist()
+    assert all(map(cmath.isfinite, spectrum))
+    assert _in_key_order(spectrum)
+
+
+def test_eigenvalues_order_on_crafted_ties():
+    # a zero matrix and a -0.0 one (all eigenvalues tied at zero), a
+    # repeated real eigenvalue beside a pair with the same real part, and
+    # two pairs with one real part
+    for M in (np.zeros((3, 3)), np.array([[-0.0]]), np.full((2, 2), -0.0),
+              np.array([[-1.0, 0, 0], [0, -1.0, 1.0], [0, -1.0, -1.0]]),
+              np.array([[0.0, 2.0, 0, 0], [-2.0, 0.0, 0, 0], [0, 0, -0.0, 0.5], [0, 0, -0.5, -0.0]])):
+        spectrum = eigenvalues(M).tolist()
+        assert _in_key_order(spectrum), spectrum
+
+
+finite_parts = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]) | st.floats(-4, 4)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.builds(complex, finite_parts, finite_parts), min_size=1, max_size=8),
+       st.data())
+def test_match_error_on_sorted_lists_is_the_numpy_scalar_matching(achieved, data):
+    # on any spectrum given in (real, imag) order, ties and signed zeros
+    # included, matching without a re-sort gives the reference's bits
+    achieved = _sorted(achieved)
+    targets = data.draw(st.lists(st.builds(complex, finite_parts, finite_parts),
+                                 min_size=len(achieved), max_size=len(achieved)))
+    got = bench._match_error(achieved, _sorted(targets))
+    assert type(got) is float
+    assert got == _match_error_on_numpy_scalars(np.array(achieved), np.array(targets))
+
+
+def test_records_hold_plain_python_values(study_records):
+    # one conversion per cell: achieved is Python complex and gain Python
+    # float, in run_suite's records and evaluate_placement's
+    system = gen_integer_example(4)
+    charpoly = [1.0, 10.0, 35.0, 50.0, 24.0]
+    targets = eigenvalues(companion_matrix(charpoly))  # numpy complex targets, as place --charpoly
+    records = [r for r in study_records if r.failure is None] + [
+        evaluate_placement(system, fwd_poles(4), place_algebroid2(system, fwd_poles(4))),
+        evaluate_placement(system, targets, place_algebroid2(system, charpoly=charpoly)),
+    ]
+    for rec in records:
+        assert {type(z) for z in rec.achieved} == {complex}, rec
+        assert {type(g) for g in rec.gain} == {float}, rec
+        assert type(rec.max_abs_error) is float and type(rec.complex_pair_count) is int
 
 
 def test_count_complex_pairs():

@@ -449,8 +449,8 @@ def test_algebroid1_rejects_an_unknown_variant_at_every_n(sys, poles):
 
 
 def test_algebroid1_first_level_trace_values():
-    stack = _descend_quotients(WORKED.A, WORKED.B, POLES, "qr")
-    ko1 = stack.levels[0].k_o
+    levels, _, _ = _descend_quotients(WORKED.A, WORKED.B, POLES, "qr")
+    ko1 = levels[0].k_o
     np.testing.assert_allclose(ko1, [0.3956, -0.1319, -0.0440], atol=5e-5)
     ev = eigenvalues(WORKED.A - np.outer(WORKED.B, ko1))
     np.testing.assert_allclose(np.sort(ev.real), [-1.0, -0.3087, 16.0889], atol=5e-5)
@@ -458,9 +458,9 @@ def test_algebroid1_first_level_trace_values():
 
 
 def test_algebroid1_quotient_values_up_to_basis_sign():
-    stack = _descend_quotients(WORKED.A, WORKED.B, POLES, "qr")
-    Ab = stack.levels[1].A_level
-    Bb = stack.levels[1].B_level
+    levels, _, _ = _descend_quotients(WORKED.A, WORKED.B, POLES, "qr")
+    Ab = levels[1].A_level
+    Bb = levels[1].B_level
     ref_A = np.array([[17.2209, -1.2808], [15.4917, -1.4406]])
     ref_B = np.array([-1.6429, -0.1614])
     np.testing.assert_allclose(np.abs(Ab), np.abs(ref_A), atol=5e-4)
@@ -471,8 +471,8 @@ def test_algebroid1_quotient_values_up_to_basis_sign():
 
 
 def test_algebroid1_second_level_places_next_pole():
-    stack = _descend_quotients(WORKED.A, WORKED.B, POLES, "qr")
-    lvl = stack.levels[1]
+    levels, _, _ = _descend_quotients(WORKED.A, WORKED.B, POLES, "qr")
+    lvl = levels[1]
     ko2 = lvl.k_o
     ev = eigenvalues(lvl.A_level - np.outer(lvl.B_level, ko2))
     assert np.min(np.abs(ev - (-2.0))) <= 1e-9
@@ -493,11 +493,11 @@ def test_algebroid1_pull_preserves_eigenvalues():
             continue
         sys, poles = out
         checked += 1
-        stack = _descend_quotients(sys.A, sys.B, poles, "qr")
+        levels, terminal_a, terminal_b = _descend_quotients(sys.A, sys.B, poles, "qr")
         n = sys.n
-        partial = np.array([(stack.terminal_a - poles[n - 1]) / stack.terminal_b])
+        partial = np.array([(terminal_a - poles[n - 1]) / terminal_b])
         for i in range(n - 2, -1, -1):
-            lvl = stack.levels[i]
+            lvl = levels[i]
             partial = lvl.k_o + partial @ lvl.anchor
             ev = eigenvalues(lvl.A_level - np.outer(lvl.B_level, partial))
             for lam in poles[i:]:
@@ -1058,11 +1058,12 @@ def _float32_intermediates(sys, poles):
             out += [a for step in law._steps for a in step]
     for variant in ("qr", "solve"):
         try:
-            stack = _descend_quotients(A, B, poles, variant)
+            levels, terminal_a, terminal_b = _descend_quotients(A, B, poles, variant)
         except PlacementError:
             continue
-        out += [a for level in stack.levels for a in (level.A_level, level.B_level,
-                                                      level.anchor, level.k_o)]
+        out += [a for level in levels for a in (level.A_level, level.B_level,
+                                                level.anchor, level.k_o)]
+        out += [terminal_a, terminal_b]
     try:
         out += _slide(A, B, poles, {})
     except PlacementError:

@@ -6,7 +6,9 @@ when the same work appears anywhere else in ``src/poleplace``.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -104,6 +106,19 @@ def test_one_way_to_make_an_identity():
                    if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.eye")
     assert [where for where, integer in found if not integer] == ["linalg._identity"], found
     assert {where for where, integer in found if integer} <= {"bench.gen_random_controllable"}, found
+
+
+def test_cli_imports_without_scipy():
+    # scipy serves only the real Schur form (varga); importing the CLI must
+    # not load it, or every command pays ~0.3 s of start-up.  A fresh
+    # process, since this one may have imported scipy already
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, poleplace.cli; print(sorted(m for m in sys.modules"
+                               " if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n", run.stdout
 
 
 def test_cli_leaves_each_input_check_to_the_library():
