@@ -401,25 +401,16 @@ def _slide(A, B, roots, known: dict) -> list:
 # First algebroid method (quotienting into the hyperplanes)
 
 
-@dataclass(frozen=True)
-class QuotientLevel:
-    """One descending stage: quotient pair before reduction, the anchor
-    basis of the current hyperplane, and the partial gain fixed there."""
-
-    A_level: np.ndarray
-    B_level: np.ndarray
-    anchor: np.ndarray   # orthonormal rows spanning the hyperplane
-    k_o: np.ndarray      # gain component along the hyperplane normal
-
-
 def _descend_quotients(A, B, roots, variant: str):
-    """The n - 1 :class:`QuotientLevel` stages, and the terminal 1x1 pair
-    (a, b) as scalars of A's format."""
+    """The n - 1 stages as (anchor, k_o) pairs: orthonormal rows spanning the
+    stage's hyperplane, and the gain component along its normal; then the
+    terminal 1x1 pair (a, b) as scalars of A's format.  Each quotient pair
+    only feeds the next stage, so none is kept."""
     if variant not in ("qr", "solve"):
         raise ValueError(f"unknown variant {variant!r}")
     n = B.size
     Ab, Bb = A, B
-    levels = []
+    stages = []
     precision = _precision_of(A)
     bmax = float(np.maximum.reduce(np.abs(B)))
     for i in range(n - 1):
@@ -446,13 +437,13 @@ def _descend_quotients(A, B, roots, variant: str):
                                    "its squared norm is 0")
             ko = nvec / nsq
             anb = householder_annihilator(nvec)
-        levels.append(QuotientLevel(Ab, Bb, anb, ko))
+        stages.append((anb, ko))
         Ab = anb @ Ab @ anb.T
         Bb = anb @ Bb
         _guard("placement_pivot", np.maximum.reduce(np.abs(Bb)), precision, bmax,
                error=UncontrollableSystem,
                message=lambda: f"quotient input vanished at level {i + 1}")
-    return levels, Ab.ravel()[0], Bb.ravel()[0]
+    return stages, Ab.ravel()[0], Bb.ravel()[0]
 
 
 @_range_rule
@@ -463,10 +454,11 @@ def place_algebroid1(sys: StateSpace, poles, precision: Precision = BITS64,
     Descending phase: for each pole, build an orthonormal basis of its
     gain hyperplane (``variant="qr"``: QR of the shifted map restricted
     to the complement of B; ``variant="solve"``: annihilate the plane
-    normal obtained from a linear solve), record the gain component
+    normal obtained from a linear solve), keep it with the gain component
     along the plane normal, and reduce A, B to the quotient.  Ascending
-    phase: K_i = k_{o,i} + K_{i+1} Q_i, which carries the quotient gain
-    back up while leaving the pole fixed at that level unchanged.
+    phase: K_i = k_{o,i} + K_{i+1} Q_i over the kept pairs, which carries
+    the quotient gain back up while leaving the pole fixed at that level
+    unchanged.
 
     The solve variant raises :class:`SingularShift` when a level's pole is
     an eigenvalue of that level's matrix, whatever the multiplicities: on
@@ -476,10 +468,10 @@ def place_algebroid1(sys: StateSpace, poles, precision: Precision = BITS64,
     variant solves nothing and places all four.
     """
     A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
-    levels, a, b = _descend_quotients(A, B, roots, variant)
+    stages, a, b = _descend_quotients(A, B, roots, variant)
     K = ((a - precision.dtype(roots[-1])) / b).reshape(1)
-    for level in reversed(levels):
-        K = level.k_o + K @ level.anchor
+    for anchor, k_o in reversed(stages):
+        K = k_o + K @ anchor
     return K
 
 
@@ -680,9 +672,8 @@ def controller_hessenberg(A, B):
     # a zero sum of squares (B = 0, or an underflow) leaves no reflector
     if np.add.reduce(B * B) == 0.0:
         raise UncontrollableSystem("B = 0")
-    H0 = householder_reflector(B)
-    V = H0.copy()
-    Ah = H0 @ A @ H0
+    V = householder_reflector(B)
+    Ah = V @ A @ V
     for k in range(n - 2):
         x = Ah[k + 1:, k]
         if np.add.reduce(x * x) == 0.0:
@@ -782,20 +773,20 @@ def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.nda
     component of the transformed input; Givens exchanges then cycle the
     diagonal so every remaining eigenvalue gets its turn at the trailing
     position.  Bookkeeping of the exchanges yields the gain, mapped back
-    through the Schur basis.  2x2 (complex-pair) Schur blocks of A are
+    through the Schur basis.  The gain is complete once the last pole's
+    row is added, so that pole's shift and exchanges are not made: n poles
+    take (n - 1)^2 exchanges.  2x2 (complex-pair) Schur blocks of A are
     not supported.
     """
     A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
     n = sys.n
-    U, T = _prepared(sys, precision, "schur", schur_decompose, A)
-    if np.logical_or.reduce(T.diagonal(-1) != 0.0):
+    U, As = _prepared(sys, precision, "schur", schur_decompose, A)
+    if np.logical_or.reduce(As.diagonal(-1) != 0.0):
         raise ComplexBlockUnsupported(
             "A has complex eigenvalues (2x2 Schur block); this method "
             "handles real-spectrum systems only"
         )
-    As = T.copy()
-    Bsd = U.T @ B
-    Bs = Bsd.copy()
+    Bsd = Bs = U.T @ B
     Qs = _identity(n, A.dtype)
     hh = np.zeros(n, dtype=A.dtype)
     scale = float(np.maximum.reduce(np.abs(Bsd)))
@@ -806,12 +797,13 @@ def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.nda
         kk = np.zeros(n, dtype=A.dtype)
         kk[-1] = k1
         hh = hh + kk @ Qs
+        if ii == 0:
+            return -(hh @ U.T)
         As = As + Bs[:, None] * kk  # np.outer's multiply
         for jj in range(1, n):
             As, Q = _exchange_adjacent(As, jj)
             Qs = Q @ Qs
         Bs = Qs @ Bsd
-    return -(hh @ U.T)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,24 @@ def random_anchor(rng, n):
 # Orthogonal brackets
 
 
+E3 = np.eye(3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: OrthogonalAnchor(E3[0], E3), r"basis must be \(n-1\) x n, got \(3, 3\)"),
+    (lambda: OrthogonalAnchor(2.0 * E3[0], E3[1:]), "q must have unit norm"),
+    (lambda: OrthogonalAnchor(E3[0], E3[:2]), "basis rows must annihilate q"),
+    (lambda: OrthogonalAnchor(E3[0], E3[[1, 1]]), "basis rows must be orthonormal"),
+    (lambda: OrthogonalAnchor.from_direction([0.0, 0.0]), "cannot anchor on the zero vector"),
+    (lambda: orthogonal_bracket(np.eye(2), A2, OrthogonalAnchor.from_direction(OMEGA)),
+     "operands must be square and conformal with the anchor"),
+], ids=["basis-shape", "q-norm", "basis-meets-q", "basis-not-orthonormal", "zero-direction",
+        "bracket-shape"])
+def test_orthogonal_anchor_rejects_what_is_no_anchor(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_orthogonal_bracket_antisymmetric_on_equal_args():
     anchor = random_anchor(np.random.default_rng(0), 3)
     assert np.max(np.abs(orthogonal_bracket(A1, A1, anchor))) == 0.0

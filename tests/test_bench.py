@@ -47,6 +47,11 @@ def test_integer_example_requires_n3():
         gen_integer_example(2)
 
 
+def test_example_family_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="^kind must be 'integer' or 'diag'$"):
+        ExampleFamily("random", 5)
+
+
 def test_scaled_diagonal_unrotated():
     sys = gen_scaled_diagonal(3)
     np.testing.assert_allclose(sys.A, np.diag([1.0, 0.25, 1.0 / 9.0]))

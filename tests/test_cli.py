@@ -473,6 +473,9 @@ def test_exact_takes_integers_past_int64(tmp_path, capsys):
     ("2", "matrix header '2' is not two non-negative integers"),
     ("-1 -1\n5\n", "matrix header '-1 -1' is not two non-negative integers"),
     ('{"A": [[1, 2]], "B": [1]}', "A must be square"),
+    ('{"A": [[1, 2], [3, 4]], "B": [1]}', "B must have one entry per state"),
+    ("2 2\n1 2\n3 4\n", "system matrix must be n x (n+1) ([A | B]); got (2, 2)"),
+    (" \n", "empty matrix input"),
     ('{"B": [1]}', "system object has no 'A' entry"),
     ('{"A": [[1]]}', "system object has no 'B' entry"),
     ('{"A": {"x": 1}, "B": [1]}', "A must be a JSON array, got dict"),
@@ -485,7 +488,8 @@ def test_exact_takes_integers_past_int64(tmp_path, capsys):
     ('{"A": [[null]], "B": [1]}', "A must hold only numbers, got null"),
     ("[" * 100000 + "]" * 100000,
      "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
-], ids=["infinite", "one-token-header", "negative-header", "not-square", "no-A", "no-B", "A-object", "B-object", "array-of-objects",
+], ids=["infinite", "one-token-header", "negative-header", "not-square", "B-length",
+        "not-augmented", "empty", "no-A", "no-B", "A-object", "B-object", "array-of-objects",
         "400-digit-integer", "strings", "boolean", "null", "nested-past-the-recursion-limit"])
 def test_system_file_the_system_rejects_is_usage_error(tmp_path, text, fault, capsys):
     path = tmp_path / "bad.txt"

@@ -114,6 +114,12 @@ def test_place_exact_scalar_system():
     assert ratio(gain) == [Fraction(3)]
 
 
+def test_place_exact_rejects_a_charpoly_that_is_not_monic_of_length_n_plus_1():
+    for charpoly in ([2, 6, 11, 6], [1, 6, 11], [1, 6, 11, 6, 0]):
+        with pytest.raises(ValueError, match="^charpoly must be monic of length n\\+1, degree-descending$"):
+            place_exact(A_WORKED, B_WORKED, charpoly)
+
+
 def test_place_exact_uncontrollable():
     with pytest.raises(UncontrollableSystem):
         place_exact([[6, 4, -9], [5, 2, -6], [0, 0, 1]], [1, 1, 1], [1, 6, 11, 6])

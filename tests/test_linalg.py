@@ -614,6 +614,21 @@ def test_input_checks_reject_an_integer_beyond_float64(check, value, message):
         check(value)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: schur_decompose(np.ones((2, 3))), "schur_decompose requires a square matrix"),
+    (lambda: eigenvalues(np.ones((2, 3))), "eigenvalues requires a square matrix"),
+    (lambda: solve_linear(np.ones((2, 3)), np.ones(2)),
+     "solve_linear requires square A conformal with b"),
+    (lambda: solve_linear(np.eye(2), np.ones(3)),
+     "solve_linear requires square A conformal with b"),
+    (lambda: companion_matrix([2.0, 1.0]), r"expected monic coefficients \[1, p1, ..., pn\]"),
+    (lambda: companion_matrix([1.0]), r"expected monic coefficients \[1, p1, ..., pn\]"),
+], ids=["schur", "eigenvalues", "solve-A", "solve-b", "companion-not-monic", "companion-degree-0"])
+def test_kernels_reject_a_shape_they_cannot_take(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_pole_checks_reject_an_integer_beyond_float64():
     for fn in (pole_steps, poly_from_roots):
         with pytest.raises(InvalidPoleSet, match="^pole list has an integer beyond the float64 range$"):
@@ -895,6 +910,9 @@ def test_system_formats(tmp_path):
     jpath.write_text('{"A": [[1,3,5],[7,13,17],[1,1,1]], "B": [1,1,1]}')
     A2, B2 = linalg.load_system(jpath)
     assert np.array_equal(A2, A_WORKED) and np.array_equal(B2, B_WORKED)
+    # a 1-d JSON array is one row of [A | B]
+    A1, B1 = linalg.parse_system_text("[5, 2]")
+    assert (A1.tolist(), B1.tolist()) == ([[5.0]], [2.0])
 
 
 def test_matrix_rejects_nonfinite():

@@ -199,9 +199,10 @@ def test_factored_worked_example():
     np.testing.assert_allclose(K, K_REF, atol=1e-9)
 
 
-@pytest.mark.parametrize("precision", [BITS32, BITS64], ids=["32", "64"])
-def test_ackermann_factored_bitwise_equal_to_reference(precision):
-    # the Horner product on A^T keeps 1.0.0's row-side K A - l K bits
+def entry_cases():
+    """(system, poles) in both orders: Gaussian systems with real and with
+    conjugate-pair poles, the integer family, and the seeded scaled-diagonal
+    family, whose real spectra take varga past its Schur-block check."""
     rng = np.random.default_rng(71)
     cases = []
     for n in range(1, 13):
@@ -209,13 +210,25 @@ def test_ackermann_factored_bitwise_equal_to_reference(precision):
         real = sorted(rng.uniform(-5.0, -0.1, n).tolist())
         pairs = [-0.5 - k for k in range(n % 2)] + [
             complex(-1.0 - k, s * (k + 1.0)) for k in range(n // 2) for s in (1, -1)]
-        cases += [(sys, real), (sys, real[::-1]), (sys, pairs)]
-    for n in range(3, 13):
-        poles = [-(k + 1.0) for k in range(n)]
-        cases += [(gen_integer_example(n), poles), (gen_integer_example(n), poles[::-1])]
-    assert_same_bits(lambda sys, poles: ackermann_factored(sys, poles, precision),
-                     lambda sys, poles: ref.placement.ackermann_factored(
-                         ref.state_space(sys), poles, ref.precision(precision)), cases)
+        cases += [(sys, real), (sys, pairs)]
+    cases += [(gen_integer_example(n), [-(k + 1.0) for k in range(n)]) for n in range(3, 15)]
+    cases += [(gen_scaled_diagonal(n, 341), [-0.01 * (k + 1) for k in range(n)])
+              for n in range(1, 13)]
+    return [(sys, order) for sys, poles in cases for order in (poles, poles[::-1])]
+
+
+# 32-bit sliding is left out: its gains became float32 on purpose, 1.0.0's
+# were float64
+@pytest.mark.parametrize("name, precision", [
+    (name, precision) for name in ALGORITHMS for precision in (BITS32, BITS64)
+    if (name, precision.bits) != ("sliding", 32)],
+    ids=lambda v: str(getattr(v, "bits", v)))
+def test_every_entry_bitwise_equal_to_reference(name, precision):
+    # every entry gives 1.0.0's gain bits, or its error type and message
+    assert_same_bits(lambda sys, poles: ALGORITHMS[name](sys, poles, precision),
+                     lambda sys, poles: ref.placement.place(
+                         ref.state_space(sys), poles, name, ref.precision(precision)),
+                     entry_cases())
 
 
 def test_factored_complex_pair_places():
@@ -448,9 +461,19 @@ def test_algebroid1_rejects_an_unknown_variant_at_every_n(sys, poles):
         place_algebroid1(sys, poles, variant="bogus")
 
 
+def quotient_pairs(A, B, stages):
+    """The quotient pair (A_i, B_i) that each descending stage starts from,
+    rebuilt from the stages' anchors with _descend_quotients' own products."""
+    pairs = [(A, B)]
+    for anchor, _ in stages[:-1]:
+        Ab, Bb = pairs[-1]
+        pairs.append((anchor @ Ab @ anchor.T, anchor @ Bb))
+    return pairs
+
+
 def test_algebroid1_first_level_trace_values():
-    levels, _, _ = _descend_quotients(WORKED.A, WORKED.B, POLES, "qr")
-    ko1 = levels[0].k_o
+    stages, _, _ = _descend_quotients(WORKED.A, WORKED.B, POLES, "qr")
+    ko1 = stages[0][1]
     np.testing.assert_allclose(ko1, [0.3956, -0.1319, -0.0440], atol=5e-5)
     ev = eigenvalues(WORKED.A - np.outer(WORKED.B, ko1))
     np.testing.assert_allclose(np.sort(ev.real), [-1.0, -0.3087, 16.0889], atol=5e-5)
@@ -458,9 +481,8 @@ def test_algebroid1_first_level_trace_values():
 
 
 def test_algebroid1_quotient_values_up_to_basis_sign():
-    levels, _, _ = _descend_quotients(WORKED.A, WORKED.B, POLES, "qr")
-    Ab = levels[1].A_level
-    Bb = levels[1].B_level
+    stages, _, _ = _descend_quotients(WORKED.A, WORKED.B, POLES, "qr")
+    Ab, Bb = quotient_pairs(WORKED.A, WORKED.B, stages)[1]
     ref_A = np.array([[17.2209, -1.2808], [15.4917, -1.4406]])
     ref_B = np.array([-1.6429, -0.1614])
     np.testing.assert_allclose(np.abs(Ab), np.abs(ref_A), atol=5e-4)
@@ -471,10 +493,9 @@ def test_algebroid1_quotient_values_up_to_basis_sign():
 
 
 def test_algebroid1_second_level_places_next_pole():
-    levels, _, _ = _descend_quotients(WORKED.A, WORKED.B, POLES, "qr")
-    lvl = levels[1]
-    ko2 = lvl.k_o
-    ev = eigenvalues(lvl.A_level - np.outer(lvl.B_level, ko2))
+    stages, _, _ = _descend_quotients(WORKED.A, WORKED.B, POLES, "qr")
+    Ab, Bb = quotient_pairs(WORKED.A, WORKED.B, stages)[1]
+    ev = eigenvalues(Ab - np.outer(Bb, stages[1][1]))
     assert np.min(np.abs(ev - (-2.0))) <= 1e-9
 
 
@@ -493,13 +514,15 @@ def test_algebroid1_pull_preserves_eigenvalues():
             continue
         sys, poles = out
         checked += 1
-        levels, terminal_a, terminal_b = _descend_quotients(sys.A, sys.B, poles, "qr")
+        stages, terminal_a, terminal_b = _descend_quotients(sys.A, sys.B, poles, "qr")
+        pairs = quotient_pairs(sys.A, sys.B, stages)
         n = sys.n
         partial = np.array([(terminal_a - poles[n - 1]) / terminal_b])
         for i in range(n - 2, -1, -1):
-            lvl = levels[i]
-            partial = lvl.k_o + partial @ lvl.anchor
-            ev = eigenvalues(lvl.A_level - np.outer(lvl.B_level, partial))
+            anchor, k_o = stages[i]
+            partial = k_o + partial @ anchor
+            Ab, Bb = pairs[i]
+            ev = eigenvalues(Ab - np.outer(Bb, partial))
             for lam in poles[i:]:
                 assert np.min(np.abs(ev - lam)) <= 1e-7 * max(1.0, abs(lam))
 
@@ -886,6 +909,45 @@ def test_varga_rejects_complex_schur_blocks():
         place_varga(sys, [-1.0, -2.0])
 
 
+def spy_exchanges(monkeypatch):
+    """Make _exchange_adjacent record, for each call, the diagonal entries
+    j - 1 and j of its input and their coupling; return that record."""
+    calls = []
+    exchange = placement._exchange_adjacent
+
+    def spy(As, j):
+        calls.append((As[j - 1, j - 1], As[j, j], As[j - 1, j]))
+        return exchange(As, j)
+
+    monkeypatch.setattr(placement, "_exchange_adjacent", spy)
+    return calls
+
+
+def test_varga_makes_no_exchanges_after_the_last_pole(monkeypatch):
+    # the gain is complete once the last pole is placed, so its n - 1
+    # exchanges are not made: n - 1 sweeps of n - 1
+    calls = spy_exchanges(monkeypatch)
+    for n in range(1, 8):
+        calls.clear()
+        place_varga(gen_scaled_diagonal(n, 341), [-0.01 * (k + 1) for k in range(n)])
+        assert len(calls) == (n - 1) ** 2, n
+
+
+def test_varga_swaps_equal_diagonal_entries_by_the_permutation_alone(monkeypatch):
+    # an exactly uncontrollable pair: the eigenvalue 3 is double with one
+    # input, so it stays; placing it among the poles takes the exchange to
+    # two equal diagonal entries with zero coupling
+    sys = StateSpace(np.diag([-1.0, -3.0, 3.0, 3.0]), [2.0, 1.0, 1.0, 2.0])
+    poles = [2.0, -3.0, -3.0, 3.0]
+    calls = spy_exchanges(monkeypatch)
+    K = place_varga(sys, poles)
+    assert any(a == b and coupling == 0.0 for a, b, coupling in calls)
+    assert K.tolist() == [0.75, -0.0, 1.5, -0.0]
+    assert ref.outcome(place_varga, sys, poles) == ref.outcome(
+        ref.placement.place_varga, ref.state_space(sys), poles)
+    assert spectrum_error(sys, K, poles) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # Guarded failures
 
@@ -1058,11 +1120,10 @@ def _float32_intermediates(sys, poles):
             out += [a for step in law._steps for a in step]
     for variant in ("qr", "solve"):
         try:
-            levels, terminal_a, terminal_b = _descend_quotients(A, B, poles, variant)
+            stages, terminal_a, terminal_b = _descend_quotients(A, B, poles, variant)
         except PlacementError:
             continue
-        out += [a for level in levels for a in (level.A_level, level.B_level,
-                                                level.anchor, level.k_o)]
+        out += [a for stage in stages for a in stage]
         out += [terminal_a, terminal_b]
     try:
         out += _slide(A, B, poles, {})

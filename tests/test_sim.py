@@ -266,8 +266,11 @@ def test_trace_diff_32bit_n10_bounded():
 def test_trace_diff_grid_mismatch():
     a = Trace(np.array([0.0, 0.1]), np.zeros((2, 2)))
     b = Trace(np.array([0.0, 0.2]), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^traces are on different time grids$"):
         trace_diff(a, b)
+    c = Trace(np.array([0.0, 0.1]), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="^traces have different state dimensions$"):
+        trace_diff(a, c)
 
 
 def test_trace_csv_format():
