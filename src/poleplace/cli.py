@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: place, bench, simulate, exact, check-commutators.
+Subcommands: place, bench, simulate, exact.
 Exit codes: 0 success, 1 usage error (bad flags, malformed files, or input
 the library rejects, such as a target set the method cannot take), 2
 algorithmic failure (uncontrollable system, singular shift, parallel
@@ -20,7 +20,7 @@ import sys as _sys
 
 import numpy as np
 
-from . import algebroid, bench, exactring, linalg, placement, sim
+from . import bench, exactring, linalg, placement, sim
 from .errors import InvalidPoleSet, PlacementError
 from .linalg import as_precision
 
@@ -244,92 +244,6 @@ def _cmd_exact(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# check-commutators
-
-
-def _cmd_check_commutators(args) -> int:
-    with _usage_error(ValueError):
-        rng = np.random.default_rng(args.seed)
-    results = []
-
-    A1 = np.array([[1.0, 3, 5], [7, 13, 17], [1, 1, 1]])
-    A2 = np.array([[2.0, 4, 6], [13, 3, 1], [7, 5, 3]])
-
-    anchor = algebroid.OrthogonalAnchor.from_qr_rows(
-        np.array([[-21.0, -5, 5], [1, 38, 49], [-4, 12, 3]]))
-    lhs = algebroid.project(anchor, algebroid.orthogonal_bracket(A1, A2, anchor))
-    r1 = algebroid.project(anchor, A1)
-    r2 = algebroid.project(anchor, A2)
-    rhs = r1 @ r2 - r2 @ r1
-    err = float(np.max(np.abs(lhs - rhs)))
-    results.append(("orthogonal 3x3 identity", err <= 1e-9, f"max err {err:.2e}"))
-    ref = np.array([[16.7141, 89.8467], [83.5973, -16.7141]])
-    val_err = float(np.max(np.abs(np.abs(rhs) - np.abs(ref))))
-    signs_match = bool(np.max(np.abs(rhs - ref)) <= 5e-4)
-    results.append(("orthogonal 3x3 reference values",
-                    val_err <= 5e-4,
-                    "exact basis match" if signs_match else "match up to basis signs"))
-
-    omega = [1, 2, 3]
-    g = [14, -2, -3]
-    an1 = algebroid.oblique_anchor_apply_exact(A1.astype(int), omega, g)
-    an1_ref = np.array([[-251, -445, -583], [43, 77, 101], [55, 97, 127]])
-    results.append(("oblique anchor of A1", np.array_equal(an1.astype(object), an1_ref.astype(object)),
-                    "integer-exact"))
-    an2 = algebroid.oblique_anchor_apply_exact(A2.astype(int), omega, g)
-    an2_ref = np.array([[-684, -346, -232], [111, 53, 35], [154, 80, 54]])
-    results.append(("oblique anchor of A2", np.array_equal(an2.astype(object), an2_ref.astype(object)),
-                    "integer-exact"))
-    bracket = algebroid.oblique_bracket_exact(A1.astype(int), A2.astype(int), omega, g)
-    anchored = algebroid.oblique_anchor_apply_exact(bracket, omega, g)
-    commut = an1 @ an2 - an2 @ an1
-    ref_b = np.array([[-111539, -238613, -323187],
-                      [18346, 39202, 53088],
-                      [24949, 53403, 72337]])
-    ok = (np.array_equal(anchored, commut)
-          and np.array_equal(anchored.astype(object), ref_b.astype(object)))
-    results.append(("oblique algebroid identity", ok, "integer-exact"))
-
-    worst_anti = worst_orth = 0.0
-    oblique_ok = projector_ok = True
-    for _ in range(50):
-        n = int(rng.integers(2, 7))
-        N1 = rng.integers(-9, 10, (n, n))
-        N2 = rng.integers(-9, 10, (n, n))
-        M1, M2 = N1.astype(float), N2.astype(float)
-        anc = algebroid.OrthogonalAnchor.from_direction(rng.standard_normal(n))
-        br = algebroid.orthogonal_bracket(M1, M2, anc)
-        worst_anti = max(worst_anti, float(np.max(np.abs(
-            br + algebroid.orthogonal_bracket(M2, M1, anc)))))
-        p1 = algebroid.project(anc, M1)
-        p2 = algebroid.project(anc, M2)
-        worst_orth = max(worst_orth, float(np.max(np.abs(
-            algebroid.project(anc, br) - (p1 @ p2 - p2 @ p1)))))
-        w = rng.integers(-5, 6, n)
-        gg = rng.integers(-5, 6, n)
-        if int(w @ gg) == 0:
-            continue
-        lhs_o = algebroid.oblique_anchor_apply_exact(
-            algebroid.oblique_bracket_exact(N1, N2, w, gg), w, gg)
-        a1 = algebroid.oblique_anchor_apply_exact(N1, w, gg)
-        a2 = algebroid.oblique_anchor_apply_exact(N2, w, gg)
-        oblique_ok &= np.array_equal(lhs_o, a1 @ a2 - a2 @ a1)
-        # G^2 = G exactly when the anchor map I - G is idempotent
-        projector_ok &= np.array_equal(algebroid.oblique_anchor_apply_exact(a1, w, gg), a1)
-    results.append(("random antisymmetry", worst_anti <= 1e-9, f"max {worst_anti:.2e}"))
-    results.append(("random orthogonal identity", worst_orth <= 1e-9, f"max {worst_orth:.2e}"))
-    results.append(("random oblique identity", oblique_ok, "integer-exact"))
-    results.append(("projector law G^2 = G", projector_ok, "integer-exact"))
-
-    width = max(len(name) for name, _, _ in results)
-    all_ok = True
-    for name, ok, detail in results:
-        all_ok &= ok
-        print(f"{'PASS' if ok else 'FAIL'}  {name.ljust(width)}  {detail}")
-    return 0 if all_ok else 2
-
-
-# ---------------------------------------------------------------------------
 
 
 @functools.cache
@@ -386,11 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also render each entry with this many decimals")
     se.add_argument("--out")
     se.set_defaults(fn=_cmd_exact)
-
-    sc = sub.add_parser("check-commutators",
-                        help="verify the bracket identities and reference values")
-    sc.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sc.set_defaults(fn=_cmd_check_commutators)
 
     return p
 

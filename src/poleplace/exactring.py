@@ -165,15 +165,16 @@ class ExactGain:
 
     ``denominator`` is the scalar quotient input of the last level; the
     reduced rationals come out of :func:`ratio` under the convention
-    that eigenvalues(A - B K) are the requested poles.
+    that eigenvalues(A - B K) are the requested poles.  Entries go
+    through the oracle's checked ``int()`` pass: 2.5 is a ``ValueError``.
     """
 
     denominator: int
     numerator: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "numerator", tuple(int(x) for x in self.numerator))
-        object.__setattr__(self, "denominator", int(self.denominator))
+        object.__setattr__(self, "denominator", _integers([self.denominator], "denominator")[0])
+        object.__setattr__(self, "numerator", tuple(_integers(self.numerator, "numerator")))
 
 
 def place_exact(A, B, charpoly) -> ExactGain:

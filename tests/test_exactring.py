@@ -395,7 +395,10 @@ NON_INTEGERS = [2.5, Fraction(5, 2), float("nan"), np.float64(-0.5), float("inf"
     (lambda x: controllability_det_exact([[1, 0], [0, 2]], [1, x]), "B"),
     (lambda x: exactring.exact_determinant([[1, 0], [x, 1]]), "M"),
     (lambda x: nullspace_row([1, x, 3]), "v"),
-], ids=["place-A", "place-B", "place-charpoly", "det-A", "det-B", "determinant", "nullspace"])
+    (lambda x: ExactGain(x, (1, 3)), "denominator"),
+    (lambda x: ExactGain(2, (1, x)), "numerator"),
+], ids=["place-A", "place-B", "place-charpoly", "det-A", "det-B", "determinant", "nullspace",
+        "gain-denominator", "gain-numerator"])
 def test_exact_oracle_rejects_a_non_integer_entry(call, what, bad):
     # int() alone would truncate 2.5 to 2: the conversion is checked
     with pytest.raises(ValueError, match=f"^{what} has a non-integer entry {re.escape(str(bad))}$"):
@@ -409,6 +412,9 @@ def test_exact_oracle_no_longer_truncates():
         place_exact([[2.5]], [1], [1, 1])
     with pytest.raises(ValueError, match="^A has a non-integer entry 1.7$"):
         controllability_det_exact([[1.7, 0], [0, 1]], [1, 1.2])
+    # truncated, ExactGain(2.5, (1, 3.7)) would read 2 and (1, 3)
+    with pytest.raises(ValueError, match="^denominator has a non-integer entry 2.5$"):
+        ExactGain(2.5, (1, 3.7))
 
 
 def test_exact_oracle_takes_integer_valued_input_of_any_type():
@@ -421,3 +427,6 @@ def test_exact_oracle_takes_integer_valued_input_of_any_type():
         assert place_exact(A, B, [1.0, 6.0, 11.0, 6.0]) == expected
         assert controllability_det_exact(A, B) == 352
     assert place_exact([[0, 1], [1e20, 0]], [0, 1], [1, 3, 2]).numerator == (10**20 + 2, 3)
+    gain = ExactGain(np.int64(-2), (4.0, np.int32(-6), 2**70))
+    assert gain == ExactGain(-2, (4, -6, 2**70))
+    assert all(type(x) is int for x in (gain.denominator, *gain.numerator))
