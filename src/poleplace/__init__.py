@@ -19,7 +19,6 @@ from .bench import (
 )
 from .errors import (
     ComplexBlockUnsupported,
-    DegenerateAnchor,
     DegenerateProjection,
     DivergedState,
     FactorizationError,
@@ -31,7 +30,6 @@ from .errors import (
     SingularSystem,
     UncontrollableSystem,
     ZeroInputComponent,
-    ZeroVector,
 )
 from .exactring import ExactGain, nullspace_row, place_exact, ratio
 from .linalg import (

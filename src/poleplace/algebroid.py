@@ -18,7 +18,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateAnchor
 from .linalg import BITS64, THRESHOLDS, _identity, as_matrix, as_vector, householder_annihilator
 
 
@@ -107,13 +106,13 @@ def _exact_anchor(omega, g):
     omega, g = (_frac_matrix(np.ravel(v))[0] for v in (omega, g))
     pairing = omega @ g
     if pairing == 0:
-        raise DegenerateAnchor("omega^T g = 0")
+        raise ValueError("omega^T g = 0")
     return omega, g / pairing
 
 
 def oblique_anchor_apply_exact(A, omega, g):
     """an_{omega,g}(A) = (I - G) A = A - g (omega^T A) / (omega^T g), in
-    Fractions; omega^T an(A) = 0.  Raises DegenerateAnchor for omega^T g = 0."""
+    Fractions; omega^T an(A) = 0.  Raises ValueError for omega^T g = 0."""
     A = _frac_matrix(A)
     omega, g_d = _exact_anchor(omega, g)
     return A - np.outer(g_d, omega @ A)

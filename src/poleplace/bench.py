@@ -67,9 +67,10 @@ def gen_random_controllable(rng, n: int, cond_limit: float = 1e4):
     """A random controllable integer system with an all-real spectrum.
 
     Built as S T S^-1 with T integer upper triangular (distinct diagonal)
-    and S a product of integer shear matrices (det 1), so A stays integer
-    while every eigenvalue is a known integer.  Draws are rejected until
-    the pole-hyperplane normals are well conditioned (cond <= cond_limit):
+    and S a product of integer shears E(i, j, c) (det 1), its inverse the
+    reversed product of the E(i, j, -c), so A stays integer while every
+    eigenvalue is a known integer.  Draws are rejected until the
+    pole-hyperplane normals are well conditioned (cond <= cond_limit):
     this keeps oracle-equivalence checks away from the conditioning
     regime that the integer family studies on purpose.
 
@@ -81,16 +82,14 @@ def gen_random_controllable(rng, n: int, cond_limit: float = 1e4):
         for j in range(i + 1, n):
             T[i, j] = rng.integers(-3, 4)
     S = np.eye(n, dtype=np.int64)
+    Sinv = np.eye(n, dtype=np.int64)
     for _ in range(n):
         i, j = rng.integers(0, n, 2)
         if i == j:
             continue
-        E = np.eye(n, dtype=np.int64)
-        E[i, j] = rng.integers(-1, 2)
-        S = S @ E
-    Sinv = np.round(np.linalg.inv(S.astype(float))).astype(np.int64)
-    if not np.array_equal(S @ Sinv, np.eye(n, dtype=np.int64)):
-        return None
+        c = rng.integers(-1, 2)
+        S[:, j] += c * S[:, i]  # S E(i, j, c)
+        Sinv[i] -= c * Sinv[j]  # E(i, j, -c) Sinv
     A = S @ T @ Sinv
     if np.max(np.abs(A)) > 99:
         return None

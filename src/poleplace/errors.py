@@ -1,7 +1,11 @@
 """Exception hierarchy shared by all numerical routines.
 
 Everything derives from :class:`PlacementError` so callers (and the CLI)
-can distinguish algorithmic failures from ordinary usage errors.
+can distinguish algorithmic failures from ordinary usage errors.  Each
+subclass names one cause, and each is raised on a placement, kernel or
+simulation path; an argument that a kernel or utility cannot take (a
+wrong shape, a non-finite or non-integer entry, a zero vector, a
+degenerate anchor) is a :class:`ValueError`.
 """
 
 
@@ -54,17 +58,8 @@ class ComplexBlockUnsupported(PlacementError):
     """The real Schur form has a 2x2 block the pole-shifting method rejects."""
 
 
-class DegenerateAnchor(PlacementError):
-    """The oblique anchor pairing omega^T g is exactly zero, so the
-    projector G = g omega^T / (omega^T g) does not exist."""
-
-
 class InvalidPoleSet(PlacementError):
     """A pole specification is malformed (e.g. not conjugate-closed)."""
-
-
-class ZeroVector(PlacementError):
-    """An all-zero vector where a nonzero one is required."""
 
 
 class DivergedState(PlacementError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _gcd, inf
 
-from .errors import UncontrollableSystem, ZeroVector
+from .errors import UncontrollableSystem
 
 
 def _integers(xs, what: str) -> list:
@@ -75,7 +75,7 @@ def nullspace_row(v) -> list:
     v = _integers(v, "v")
     n = len(v)
     if all(x == 0 for x in v):
-        raise ZeroVector("annihilator of the zero vector is ill-defined")
+        raise ValueError("annihilator of the zero vector is ill-defined")
     if n < 2:
         raise ValueError("need at least two entries")
     rows = []

@@ -109,6 +109,29 @@ def _in_precision(values, precision: Precision, what: str) -> np.ndarray:
     return cast
 
 
+def _as_array(x, precision: Precision | None, kind: str) -> np.ndarray:
+    """``x`` as a checked "matrix" or "vector" (``kind``) in ``precision``,
+    by default in its own format: first the shape, then the entries.  A
+    non-finite entry raises ValueError; a finite one that a narrowing to
+    float32 takes past its range is cast by :func:`_in_precision`, so it
+    raises :class:`PrecisionOverflow` with no numpy warning."""
+    dtype = (precision or _precision_of(x)).dtype
+    narrow = dtype == _FLOAT32 and getattr(x, "dtype", None) != _FLOAT32
+    try:
+        A = np.asarray(x, dtype=np.float64 if narrow else dtype)
+    except OverflowError as exc:  # an int beyond the float64 range
+        raise ValueError(f"{kind} entries must be finite") from exc
+    if kind == "vector":
+        A = A.ravel()
+        if A.size < 1:
+            raise ValueError("expected a non-empty vector")
+    elif A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
+        raise ValueError(f"expected a 2-d matrix, got shape {A.shape}")
+    if not _all_finite(A):
+        raise ValueError(f"{kind} entries must be finite")
+    return _in_precision(A, BITS32, f"{kind} entries") if narrow else A
+
+
 def as_matrix(M, precision: Precision | None = None) -> np.ndarray:
     """Validate and convert input to a 2-d array in ``precision``, by
     default in the input's own format (see the module docstring).
@@ -116,28 +139,12 @@ def as_matrix(M, precision: Precision | None = None) -> np.ndarray:
     Rejects empty and non-finite input up front so the factorizations
     never have to deal with NaN/Inf propagation.
     """
-    try:
-        A = np.asarray(M, dtype=(precision or _precision_of(M)).dtype)
-    except OverflowError as exc:  # an int beyond the float64 range
-        raise ValueError("matrix entries must be finite") from exc
-    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
-        raise ValueError(f"expected a 2-d matrix, got shape {A.shape}")
-    if not _all_finite(A):
-        raise ValueError("matrix entries must be finite")
-    return A
+    return _as_array(M, precision, "matrix")
 
 
 def as_vector(v, precision: Precision | None = None) -> np.ndarray:
     """The 1-d counterpart of :func:`as_matrix`."""
-    try:
-        A = np.asarray(v, dtype=(precision or _precision_of(v)).dtype).ravel()
-    except OverflowError as exc:  # an int beyond the float64 range
-        raise ValueError("vector entries must be finite") from exc
-    if A.size < 1:
-        raise ValueError("expected a non-empty vector")
-    if not _all_finite(A):
-        raise ValueError("vector entries must be finite")
-    return A
+    return _as_array(v, precision, "vector")
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,15 @@ def _place_exact(A, B, charpoly):
         raise errors.UncontrollableSystem("exact denominator Ab.B is zero") from None
 
 
+def _nullspace_row(v):
+    try:
+        return exactring.nullspace_row(v)
+    except errors.ZeroVector as exc:
+        # the zero vector is an argument error, a ValueError, on purpose:
+        # 1.0.0's ZeroVector named no failure of a placement
+        raise ValueError(str(exc)) from None
+
+
 # today's name -> 1.0.0 called as today's kernel is
 KERNELS = {
     "as_matrix": lambda M, p=None: ref_linalg.as_matrix(M, _own(M, p)),
@@ -75,6 +84,7 @@ KERNELS = {
     "_elmhes": ref_linalg._elmhes,
     "_hqr_eigenvalues": ref_linalg._hqr_eigenvalues,
     "mat_mul": exactring.mat_mul,
+    "nullspace_row": _nullspace_row,
     "place_exact": _place_exact,
     # 1.0.0 rounds h to the state's own dtype, so an integer state took a
     # zero step; today's rule steps it in float64

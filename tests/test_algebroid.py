@@ -8,7 +8,6 @@ from poleplace.algebroid import (
     orthogonal_bracket,
     project,
 )
-from poleplace.errors import DegenerateAnchor
 
 A1 = np.array([[1.0, 3, 5], [7, 13, 17], [1, 1, 1]])
 A2 = np.array([[2.0, 4, 6], [13, 3, 1], [7, 5, 3]])
@@ -128,11 +127,14 @@ def test_oblique_equal_args_zero():
 
 
 def test_degenerate_anchor_rejected():
-    with pytest.raises(DegenerateAnchor) as info:
-        oblique_anchor_apply_exact(np.eye(2, dtype=int), [1, 0], [0, 1])
-    # decided exactly, not by a THRESHOLDS bound: no guard record
-    assert (type(info.value), str(info.value)) == (DegenerateAnchor, "omega^T g = 0")
-    assert (info.value.check, info.value.value, info.value.bound) == (None, None, None)
+    # decided exactly, on the arguments: a ValueError, as the orthogonal
+    # family's zero direction is, not a failed placement
+    eye = np.eye(2, dtype=int)
+    for call in (lambda: oblique_anchor_apply_exact(eye, [1, 0], [0, 1]),
+                 lambda: oblique_bracket_exact(eye, eye, [1, 0], [0, 1])):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (ValueError, "omega^T g = 0")
 
 
 def test_oblique_exact_on_int64_arrays_does_not_wrap():

@@ -13,6 +13,7 @@ from poleplace.bench import ExampleFamily, gen_integer_example, gen_scaled_diago
 from poleplace.errors import (
     FactorizationError,
     InvalidPoleSet,
+    PrecisionOverflow,
     SingularSystem,
 )
 from poleplace.linalg import (
@@ -633,6 +634,23 @@ def test_pole_checks_reject_an_integer_beyond_float64():
     for fn in (pole_steps, poly_from_roots):
         with pytest.raises(InvalidPoleSet, match="^pole list has an integer beyond the float64 range$"):
             fn([-1.0, 10**400])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: solve_linear(np.eye(2, dtype=np.float32), [1e39, 1.0]),
+     PrecisionOverflow, "vector entries beyond the 32-bit range"),
+    (lambda: linalg.as_vector(np.array([1.0, -1e39]), BITS32),
+     PrecisionOverflow, "vector entries beyond the 32-bit range"),
+    (lambda: linalg.as_matrix([[1.0], [3.5e38]], BITS32),
+     PrecisionOverflow, "matrix entries beyond the 32-bit range"),
+    (lambda: linalg.as_vector([1.0, np.inf], BITS32), ValueError, "vector entries must be finite"),
+], ids=["solve-b", "vector", "matrix", "non-finite"])
+def test_input_checks_narrowing_to_float32(call, error, message):
+    # a finite entry beyond float32's range is a value past the format's
+    # range, as _in_precision reports it, with no numpy cast warning (the
+    # suite turns warnings into errors); a non-finite one stays ValueError
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def test_input_checks_keep_float32_and_widen_the_rest():

@@ -8,12 +8,13 @@ when the same work appears anywhere else in ``src/poleplace``.
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import numpy as np
 
-from poleplace import bench, linalg, placement
+from poleplace import bench, errors, linalg, placement
 from poleplace.errors import PlacementError
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "poleplace"
@@ -130,6 +131,56 @@ def test_cli_leaves_each_input_check_to_the_library():
     assert not names & {"pole_steps", "given_charpoly", "_parse_poles"}
     calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert not {call for call in calls if call.endswith("round")}, calls
+
+
+def _names(node):
+    """Every name an AST ``Name`` or ``Attribute`` node under ``node`` reads."""
+    return {getattr(sub, "id", getattr(sub, "attr", None)) for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+# public names that nothing but the tests uses, each with the reason it stays
+UNUSED_BUT_KEPT = {
+    "exactring.mat_mul": "perfbench's tracer wraps it by name",
+    "bench.gen_random_controllable": "criterion 8 imports it",
+}
+
+
+def test_every_public_name_has_a_user():
+    # a public top-level function or class is named by another definition
+    # in the package (__init__'s re-exports do not count), by a demo or by
+    # a README line; anything else is code only tests call
+    root = SRC.parents[1]
+    readme = set(re.findall(r"\w+", (root / "README.md").read_text()))
+    demos = set().union(*(_names(ast.parse(path.read_text())) for path in (root / "demos").glob("*.py")))
+    used, public = readme | demos, {}
+    for stem, tree in _modules():
+        for top in tree.body:
+            name = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("_"):
+                public[f"{stem}.{name}"] = name
+            if stem != "__init__":
+                used |= _names(top) - {name}
+    unused = sorted(where for where, name in public.items() if name not in used)
+    assert unused == sorted(UNUSED_BUT_KEPT), unused
+
+
+def test_every_error_class_names_a_raised_cause():
+    # each PlacementError subclass is raised somewhere in the package, by a
+    # raise statement or as the error of a linalg._guard call; an argument
+    # a kernel or utility cannot take is a ValueError, never a class here
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, PlacementError)
+               and value is not PlacementError}
+    raised = set()
+    for _, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised.add(ast.unparse(getattr(node.exc, "func", node.exc)))
+            elif isinstance(node, ast.keyword) and node.arg == "error":
+                raised.add(ast.unparse(node.value))
+    assert len(classes) == 11
+    assert classes <= raised, sorted(classes - raised)
 
 
 # numpy's and scipy's Python-level functions that a study cell may still
