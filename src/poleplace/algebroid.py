@@ -21,7 +21,7 @@ import numpy as np
 from .linalg import BITS64, THRESHOLDS, _identity, as_matrix, as_vector, householder_annihilator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthogonalAnchor:
     """Unit direction q plus an orthonormal basis Q of its complement.
 

@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import sys as _sys
+from decimal import Decimal
 
 import numpy as np
 
@@ -79,11 +80,64 @@ def parse_float_list(text: str):
         return [float(tok) for tok in text.replace(",", " ").split()]
 
 
+def _json_floats(data, what: str) -> np.ndarray:
+    """A parsed JSON value as a float64 array; ValueError names a value that
+    is no array of numbers (numpy would take a string, boolean or null)."""
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a JSON array, got {type(data).__name__}")
+    entries = list(data)
+    for x in entries:  # each nested list is appended, and walked in turn
+        if isinstance(x, list):
+            entries += x
+        elif type(x) not in (int, float):
+            raise ValueError(f"{what} must hold only numbers, got {json.dumps(x)}")
+    try:
+        return np.asarray(data, dtype=np.float64)
+    except OverflowError as exc:
+        raise ValueError(f"{what} has an integer beyond the float64 range: {exc}") from exc
+
+
+def _read_system(path):
+    """The float64 (A, B) of a system file: the n x (n+1) block [A | B] as
+    a line "rows cols" and then the row-major entries, or as a JSON
+    array-of-arrays (a flat array is one row); or a JSON object
+    {"A": [[...]], "B": [...]}.  ValueError names what is malformed."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read().strip()
+    if not text:
+        raise ValueError("empty matrix input")
+    if text[0] == "{":
+        data = json.loads(text)
+        for key in ("A", "B"):
+            if key not in data:
+                raise ValueError(f"system object has no {key!r} entry")
+        return _json_floats(data["A"], "A"), _json_floats(data["B"], "B")
+    if text[0] == "[":
+        M = _json_floats(json.loads(text), "matrix")
+        M = M[None, :] if M.ndim == 1 else M
+    else:
+        tokens = text.split()
+        try:
+            rows, cols = map(int, tokens[:2])
+        except ValueError:
+            rows = cols = -1
+        if min(rows, cols) < 0:
+            raise ValueError(f"matrix header {' '.join(tokens[:2])!r} is not two non-negative integers")
+        vals = [float(tok) for tok in tokens[2:]]
+        if len(vals) != rows * cols:
+            raise ValueError(f"matrix body has {len(vals)} entries, expected {rows * cols}")
+        M = np.array(vals, dtype=np.float64).reshape(rows, cols)
+    n = M.shape[0]
+    if M.shape[1] != n + 1:
+        raise ValueError(f"system matrix must be n x (n+1) ([A | B]); got {M.shape}")
+    return M[:, :n], M[:, n]
+
+
 def _load_system(path):
     # a json.JSONDecodeError is a ValueError; JSON nested past the
     # interpreter's recursion limit raises RecursionError
     with _usage_error((OSError, ValueError, RecursionError), f"cannot read system file {path}: "):
-        return placement.StateSpace(*linalg.load_system(path))
+        return placement.StateSpace(*_read_system(path))
 
 
 def _json_number(x):
@@ -215,6 +269,17 @@ def _cmd_simulate(args) -> int:
 # exact
 
 
+def _decimals(f, digits: int) -> str:
+    """The rational ``f`` rounded to ``digits`` places, ties to even, in
+    decimal: exact, and independent of the ``decimal`` context.  The
+    rounded int goes through ``Decimal``, which, unlike ``str``, renders
+    an int of any number of digits."""
+    q, r = divmod(abs(f.numerator) * 10**digits, f.denominator)
+    if 2 * r > f.denominator or (2 * r == f.denominator and q % 2):  # ties to even
+        q += 1
+    return f"{Decimal((int(f < 0), Decimal(q).as_tuple().digits, -digits)):f}"
+
+
 def _cmd_exact(args) -> int:
     if args.digits < 0:
         raise UsageError(f"--digits must be >= 0, got {args.digits}")
@@ -230,15 +295,8 @@ def _cmd_exact(args) -> int:
     # one; a float list keeps an integer past 2**63, where an int64 cast wraps
     with _usage_error(ValueError):
         gain = exactring.place_exact(sys_.A.tolist(), sys_.B.tolist(), cp)
-    fractions = exactring.ratio(gain)
-    lines = [str(f) for f in fractions]
-    if args.digits:
-        from decimal import Decimal, getcontext
-        getcontext().prec = args.digits + 5
-        lines = [
-            f"{f}  ~  {Decimal(f.numerator) / Decimal(f.denominator):.{args.digits}f}"
-            for f in fractions
-        ]
+    lines = [f"{f}  ~  {_decimals(f, args.digits)}" if args.digits else str(f)
+             for f in exactring.ratio(gain)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -283,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--system")
     ss.add_argument("--family", choices=["integer", "diag"])
     ss.add_argument("--n", type=int)
-    ss.add_argument("--seed", type=int, default=None)
+    ss.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ss.add_argument("--poles", required=True)
     ss.add_argument("--mode", choices=["gain", "chain", "both"], default="gain")
     ss.add_argument("--T", type=float, default=None)

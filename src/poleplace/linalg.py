@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import json
 import math
 
 import numpy as np
@@ -689,80 +688,3 @@ def companion_matrix(coeffs) -> np.ndarray:
     C[0, :] = -c[1:]
     C[1:, :-1] = _identity(n - 1, C.dtype)
     return C
-
-
-# ---------------------------------------------------------------------------
-# Matrix / system file formats (read by the CLI)
-
-
-def _json_array(data, what: str) -> np.ndarray:
-    """A parsed JSON value as a float64 array; ValueError names a value that
-    is no array of numbers (numpy would take a string, boolean or null)."""
-    if not isinstance(data, list):
-        raise ValueError(f"{what} must be a JSON array, got {type(data).__name__}")
-    entries = list(data)
-    for x in entries:  # each nested list is appended, and walked in turn
-        if isinstance(x, list):
-            entries += x
-        elif type(x) not in (int, float):
-            raise ValueError(f"{what} must hold only numbers, got {json.dumps(x)}")
-    try:
-        return np.asarray(data, dtype=np.float64)
-    except OverflowError as exc:
-        raise ValueError(f"{what} has an integer beyond the float64 range: {exc}") from exc
-
-
-def parse_matrix_text(text: str) -> np.ndarray:
-    """Parse a matrix from text: a first line "rows cols", then the
-    row-major entries separated by whitespace (written with repr, they
-    read back bit-identically), or a JSON array-of-arrays."""
-    stripped = text.strip()
-    if not stripped:
-        raise ValueError("empty matrix input")
-    if stripped[0] in "[{":
-        M = _json_array(json.loads(stripped), "matrix")
-        if M.ndim == 1:
-            M = M[None, :]
-        return M
-    tokens = stripped.split()
-    try:
-        rows, cols = map(int, tokens[:2])
-    except ValueError:
-        rows = cols = -1
-    if min(rows, cols) < 0:
-        raise ValueError(f"matrix header {' '.join(tokens[:2])!r} is not two non-negative integers")
-    vals = [float(tok) for tok in tokens[2:]]
-    if len(vals) != rows * cols:
-        raise ValueError(
-            f"matrix body has {len(vals)} entries, expected {rows * cols}"
-        )
-    return np.array(vals, dtype=np.float64).reshape(rows, cols)
-
-
-def parse_system_text(text: str):
-    """Parse a single-input system (A, B).
-
-    Accepted forms: the matrix text format with n rows and n+1 columns
-    ([A | B] augmented), a JSON array of the same shape, or a JSON
-    object {"A": [[...]], "B": [...]}.
-    """
-    stripped = text.strip()
-    if stripped and stripped[0] == "{":
-        data = json.loads(stripped)
-        for key in ("A", "B"):
-            if key not in data:
-                raise ValueError(f"system object has no {key!r} entry")
-        return _json_array(data["A"], "A"), _json_array(data["B"], "B").ravel()
-    M = parse_matrix_text(text)
-    n = M.shape[0]
-    if M.shape[1] != n + 1:
-        raise ValueError(
-            f"system matrix must be n x (n+1) ([A | B]); got {M.shape}"
-        )
-    return M[:, :n].copy(), M[:, n].copy()
-
-
-def load_system(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_system_text(fh.read())
-

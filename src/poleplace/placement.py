@@ -79,7 +79,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpace:
     """A single-input pair (A, B), dx/dt = A x + B u.
 
@@ -89,7 +89,7 @@ class StateSpace:
 
     A: np.ndarray
     B: np.ndarray
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         A = as_matrix(self.A, BITS64).copy()
@@ -479,7 +479,7 @@ def place_algebroid1(sys: StateSpace, poles, precision: Precision = BITS64,
 # Second algebroid method (chain of anchors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainLevel:
     """Level i of the forward sweep: anchor an_i, transfer A_{t,i} (the
     map making an_i ... an_1 A^i commute), and quotient input B_i."""
@@ -489,7 +489,7 @@ class ChainLevel:
     quotient_input: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnchorChain:
     """Stored anchors and transfer maps of the forward sweep, with the
     arrays A, B it was swept from, in the chain's precision (at 64 bits,

@@ -23,7 +23,7 @@ OVERFLOW_GUARD = 1e12
 HORIZON_TIME_CONSTANTS = 5.0  # default horizon, in slowest time constants
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimConfig:
     """Horizon, step, initial state, and feedback realization
     ('gain' or 'chain')."""
@@ -53,7 +53,7 @@ class SimConfig:
         return int(round(self.T / self.h))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
     """Sampled trajectory: times (strictly increasing) and one state row
     per time."""

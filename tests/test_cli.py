@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -188,7 +190,7 @@ def test_place_overflowing_input_norm_exits_typed(tmp_path, capsys):
                                  "--poles", "-1,-2,-3", "--precision", "32"])
             assert (code, capsys.readouterr().err) == (
                 2, f"PrecisionOverflow: {matrix} has entries beyond the 32-bit range\n"), algo
-    system = placement.StateSpace(*linalg.load_system(big_a))
+    system = cli._load_system(str(big_a))
     family = SimpleNamespace(kind="big-a", n=3, make=lambda: system,
                              default_poles=lambda: [-1.0, -2.0, -3.0])
     records = bench.run_suite([family], list(placement.ALGORITHMS), [linalg.BITS32])
@@ -376,7 +378,7 @@ def test_place_reports_the_entrys_own_error_for_a_malformed_target_set(
         worked_system, algo, flag, value, message, capsys):
     # the ALGORITHMS entry alone checks the targets; the CLI reports its
     # InvalidPoleSet as a usage error, word for word
-    sys_ = placement.StateSpace(*linalg.load_system(worked_system))
+    sys_ = cli._load_system(worked_system)
     given = ({"poles": cli.parse_pole_list(value, 3)} if flag == "--poles"
              else {"charpoly": cli.parse_float_list(value)})
     with pytest.raises(errors.InvalidPoleSet) as raised:
@@ -449,6 +451,30 @@ def test_exact_digits_renders_each_entry_in_decimals(worked_system, capsys):
     code = cli.main(["exact", "--system", worked_system, "--poles", "-1,-2,-3", "--digits", "8"])
     assert (code, capsys.readouterr()) == (
         0, ("4  ~  4.00000000\n15/2  ~  7.50000000\n19/2  ~  9.50000000\n", ""))
+
+
+def test_exact_digits_are_the_exactly_rounded_decimals(tmp_path, capsys):
+    # entries of 7 integer digits: each decimal is its rational rounded to
+    # 8 places, ties to even, and the decimal context is left as it was
+    path = tmp_path / "int12.txt"
+    system = bench.gen_integer_example(12)
+    save_system(path, system.A, system.B)
+    code = cli.main(["exact", "--system", str(path), "--poles", "-1..-12", "--digits", "8"])
+    assert (code, decimal.getcontext().prec) == (0, decimal.DefaultContext.prec)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[9].endswith("  ~  -2884922.56803163")
+    for line in lines:
+        f = Fraction(line.split()[0])
+        q = round(abs(f) * 10**8)  # Fraction rounds exactly, ties to even
+        assert line.split()[-1] == f"{'-' * (f < 0)}{q // 10**8}.{q % 10**8:08d}", line
+
+
+def test_exact_digits_past_python_int_string_limit(worked_system, capsys):
+    # str() refuses an int of more than 4300 digits; the decimals do not pass through one
+    code = cli.main(["exact", "--system", worked_system, "--poles", "-1,-2,-3",
+                     "--digits", "5000"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1] == "15/2  ~  7.5" + "0" * 4999
 
 
 def test_exact_on_a_non_integer_system_prints_the_oracles_error(tmp_path, capsys):
@@ -713,6 +739,18 @@ def test_simulate_family_route(tmp_path):
     assert out.read_text().startswith("t,x1,x2,x3,x4")
 
 
+def test_simulate_family_seed_defaults_to_benchs(capsys):
+    # simulate and bench build the same family: behind the seed-341 rotation
+    argv = ["simulate", "--family", "diag", "--n", "4", "--poles", "-0.5,-1,-1.5,-2",
+            "--T", "0.5", "--h", "0.05"]
+    assert cli.main(argv) == 0
+    default = capsys.readouterr()
+    assert cli.main(argv + ["--seed", str(cli.DEFAULT_SEED)]) == 0
+    assert capsys.readouterr() == default
+    assert cli.main(argv + ["--seed", "0"]) == 0
+    assert capsys.readouterr().out != default.out
+
+
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--family", "integer", "--n", "2", "--poles", "-1,-2"],
      "integer example needs n >= 3"),
@@ -755,8 +793,8 @@ def test_system_write_read_bit_identical(tmp_path):
     B = rng.standard_normal(5)
     path = tmp_path / "sys.txt"
     save_system(path, A, B)
-    A2, B2 = linalg.load_system(path)
-    assert np.array_equal(A, A2) and np.array_equal(B, B2)
+    read = cli._load_system(str(path))
+    assert np.array_equal(A, read.A) and np.array_equal(B, read.B)
 
 
 def test_help_exits_zero():
@@ -946,21 +984,26 @@ def corpus(tmp_path_factory):
 @example(["place", "--algo", "ackermann", "--system", "@one-token", "--poles", "-1"])
 @example(["exact", "--system", "@big-integer", "--poles", "-1"])
 @example(["simulate", "--system", "@big-integer", "--poles", "-1", "--T", "0.05"])
+@example(["exact", "--system", "@worked", "--poles", "-1,-2,-3", "--digits", "5"])
 def test_main_ends_every_argv_in_exit_0_1_or_2(corpus, argv):
     # "@name" is the file name in the corpus directory; a RuntimeWarning
     # fails here too (filterwarnings = error)
     argv = [str(corpus / tok[1:]) if tok.startswith("@") else tok for tok in argv]
     out, err = io.StringIO(), io.StringIO()
     # a malformed token can be a relative --out path: write it in a new
-    # directory each time
+    # directory each time; and main runs in a fresh decimal context and
+    # numpy error state, so an argv that changes either fails on every replay
     home = os.getcwd()
-    with tempfile.TemporaryDirectory() as cwd:
+    with tempfile.TemporaryDirectory() as cwd, decimal.localcontext(), np.errstate():
+        found = decimal.getcontext().prec, np.geterr()
         os.chdir(cwd)
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
         finally:
             os.chdir(home)
+        left = decimal.getcontext().prec, np.geterr()
+    assert left == found  # main leaves the process as it found it
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2)
     if code == 2:

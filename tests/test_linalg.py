@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from poleplace import algebroid, bench, errors, linalg, placement
+from poleplace import algebroid, bench, cli, errors, linalg, placement
 from poleplace.bench import ExampleFamily, gen_integer_example, gen_scaled_diagonal, run_suite
 from poleplace.errors import (
     FactorizationError,
@@ -904,32 +904,39 @@ def test_poly_roots_roundtrip_via_companion():
 
 
 # ---------------------------------------------------------------------------
-# File formats
+# File formats: the system file, read by the CLI into float64 arrays
 
 
-def test_matrix_text_roundtrip_bit_identical():
+def _read(tmp_path, text):
+    path = tmp_path / "sys.txt"
+    path.write_text(text)
+    return cli._read_system(path)
+
+
+def test_matrix_text_roundtrip_bit_identical(tmp_path):
+    # 1.0.0's text writer puts each entry with repr: it reads back bit for bit
     rng = np.random.default_rng(13)
-    M = rng.standard_normal((4, 7))
-    back = linalg.parse_matrix_text(ref.format_matrix_text(M))
-    assert np.array_equal(back, M)
+    M = rng.standard_normal((4, 5))
+    A, B = _read(tmp_path, ref.format_matrix_text(M))
+    assert np.array_equal(A, M[:, :4]) and np.array_equal(B, M[:, 4])
 
 
-def test_matrix_json_parse():
-    M = linalg.parse_matrix_text("[[1, 2], [3, 4]]")
-    np.testing.assert_allclose(M, [[1, 2], [3, 4]])
+def test_matrix_json_parse(tmp_path):
+    # a JSON array-of-arrays holds the rows of [A | B]
+    A, B = _read(tmp_path, "[[1, 2, 3], [4, 5, 6]]")
+    assert (A.tolist(), B.tolist()) == ([[1.0, 2.0], [4.0, 5.0]], [3.0, 6.0])
+    assert A.dtype == B.dtype == np.float64
 
 
 def test_system_formats(tmp_path):
     path = tmp_path / "sys.txt"
     ref.save_system(path, A_WORKED, B_WORKED)
-    A, B = linalg.load_system(path)
+    A, B = cli._read_system(path)
     assert np.array_equal(A, A_WORKED) and np.array_equal(B, B_WORKED)
-    jpath = tmp_path / "sys.json"
-    jpath.write_text('{"A": [[1,3,5],[7,13,17],[1,1,1]], "B": [1,1,1]}')
-    A2, B2 = linalg.load_system(jpath)
+    A2, B2 = _read(tmp_path, '{"A": [[1,3,5],[7,13,17],[1,1,1]], "B": [1,1,1]}')
     assert np.array_equal(A2, A_WORKED) and np.array_equal(B2, B_WORKED)
     # a 1-d JSON array is one row of [A | B]
-    A1, B1 = linalg.parse_system_text("[5, 2]")
+    A1, B1 = _read(tmp_path, "[5, 2]")
     assert (A1.tolist(), B1.tolist()) == ([[5.0]], [2.0])
 
 
@@ -938,9 +945,9 @@ def test_matrix_rejects_nonfinite():
         linalg.as_matrix(np.array([[np.nan, 1.0], [0.0, 2.0]]))
 
 
-def test_bad_matrix_body():
-    with pytest.raises(ValueError):
-        linalg.parse_matrix_text("2 2\n1 2 3")
+def test_bad_matrix_body(tmp_path):
+    with pytest.raises(ValueError, match="matrix body has 3 entries, expected 6"):
+        _read(tmp_path, "2 3\n1 2 3")
 
 
 # ---------------------------------------------------------------------------

@@ -1320,6 +1320,14 @@ def test_state_space_owns_read_only_copies():
     assert "_memo" not in repr(sys)
 
 
+def test_state_space_compares_and_hashes_by_identity():
+    # arrays have no truth value: an element-wise == would raise
+    sys, twin = StateSpace(WORKED.A, WORKED.B), StateSpace(WORKED.A, WORKED.B)
+    assert sys == sys and sys != twin
+    assert sys in [twin, sys] and twin not in [sys]
+    assert hash(sys) != hash(twin) and {sys: 1}[sys] == 1
+
+
 def test_sliding_guards_each_denominator_once(monkeypatch):
     # plane k + 1's slide reuses the denominator that projection stage
     # k + 1 guarded; only plane n's is guarded in the slide loop
