@@ -23,6 +23,7 @@ from .linalg import (
     BITS64,
     THRESHOLDS,
     Precision,
+    _all_finite,
     _identity,
     as_precision,
     eigenvalues,
@@ -193,10 +194,17 @@ def evaluate_placement(sys: StateSpace, poles, gain,
     with 64-bit eigenvalues isolates the gain's own representability).
     The record holds plain Python values: ``achieved`` is a tuple of
     complex in :func:`~poleplace.linalg.eigenvalues`' (real, imag) order,
-    and ``gain`` a tuple of float.
+    and ``gain`` a tuple of float.  A - B K is formed on Python floats,
+    the same two IEEE operations per entry as numpy's without its
+    overflow warning; when it is not finite, ``achieved`` is n NaN
+    eigenvalues, so ``max_abs_error`` is NaN and no pair is counted.
     """
     gain = np.asarray(gain, dtype=np.float64).ravel()
-    achieved = eigenvalues(sys.A - sys.B[:, None] * gain).tolist()
+    k = gain.tolist()
+    closed = np.array([a - b * kj for row, b in zip(sys.A.tolist(), sys.B.tolist())
+                       for a, kj in zip(row, k, strict=True)]).reshape(sys.n, sys.n)
+    achieved = (eigenvalues(closed).tolist() if _all_finite(closed)
+                else [complex(cmath.nan, cmath.nan)] * sys.n)
     targets = sorted(map(complex, poles), key=lambda z: (z.real, z.imag))
     return BenchRecord(
         algorithm=algorithm,
@@ -207,7 +215,7 @@ def evaluate_placement(sys: StateSpace, poles, gain,
         achieved=tuple(achieved),
         max_abs_error=_match_error(achieved, targets),
         complex_pair_count=count_complex_pairs(achieved),
-        gain=tuple(gain.tolist()),
+        gain=tuple(k),
     )
 
 

@@ -26,9 +26,9 @@ All gains follow one convention: ``eigenvalues(A - B K)`` equals the
 requested spectrum.  Routines that internally mirror an A + BK
 formulation negate before returning.
 
-Every pole list passes one check first (finite and closed under
-conjugation, one pole per state, B not identically zero, and all poles
-real for the five methods that take real poles only); the Ackermann
+Every target, a pole list or a characteristic polynomial, passes one
+check (:func:`_targets`) before the system is cast or its kept work is
+fetched, and B = 0 is rejected after the cast; the Ackermann
 routes take the poles one step at a time, a conjugate pair as one real
 quadratic step (:func:`~poleplace.linalg.pole_steps`).  :data:`ALGORITHMS`
 maps each method's name to its function, called as
@@ -142,11 +142,25 @@ def _sys_arrays(sys: StateSpace, precision: Precision):
             _in_precision(sys.B, precision, "B has entries"))
 
 
-def _pole_list(poles, n: int, real: bool = False):
-    """A checked list of n poles: finite and conjugate-closed
-    (:func:`~poleplace.linalg.pole_steps`), all real when ``real``
-    (returned as floats, else as complex).  Returns (roots, steps), steps
-    being the poles' :func:`~poleplace.linalg.pole_steps`."""
+def _targets(n: int, poles, charpoly=None, real: bool = False, coefficients: bool = False):
+    """The one check of a placement's target.  A ``coefficients`` route
+    (ackermann's entry, the chain law) takes exactly one of poles and
+    charpoly, else ``ValueError``; any other fault is :class:`InvalidPoleSet`.
+    A charpoly, finite and monic of length n+1, comes back as float64; n
+    finite, conjugate-closed poles, all real when ``real``, as (roots, steps):
+    the roots as floats when ``real``, else as complex, and their pole_steps."""
+    if coefficients and (poles is None) == (charpoly is None):
+        raise ValueError("give exactly one of poles or charpoly")
+    if charpoly is not None:
+        try:
+            cp = np.asarray(charpoly, dtype=np.float64).ravel()
+        except OverflowError as exc:
+            raise InvalidPoleSet("charpoly has an integer beyond the float64 range") from exc
+        if not _all_finite(cp):
+            raise InvalidPoleSet(f"charpoly {cp.tolist()} is not finite")
+        if cp.size != n + 1 or cp[0] != 1.0:
+            raise InvalidPoleSet(f"charpoly {cp.tolist()} must be monic of length {n + 1}")
+        return cp
     roots = _complex_poles(poles)
     steps = pole_steps(roots)
     if real:
@@ -159,37 +173,26 @@ def _pole_list(poles, n: int, real: bool = False):
     return roots, steps
 
 
-def _check_poles(sys: StateSpace, poles, precision: Precision, real: bool = False):
-    """The checks of a pole-driven placement, in order: the pole list
-    (:func:`_pole_list`), the placement's one cast of ``sys`` to
-    ``precision``, the range of the pole factors it casts there (a real
-    pole, or a complex pair's 2 Re l and |l|^2), and B not identically
-    zero.  Returns (A, B, roots, steps), as :func:`_pole_list`."""
-    roots, steps = _pole_list(poles, sys.n, real)
+def _coefficients(n: int, poles, charpoly=None) -> np.ndarray:
+    """The chain law's target, checked (:func:`_targets`): the charpoly, or
+    the poles' (:func:`~poleplace.linalg.poly_from_roots`), in float64."""
+    cp = _targets(n, poles, charpoly, coefficients=True)
+    return cp if charpoly is not None else poly_from_roots(cp[0])
+
+
+def _check_targets(sys: StateSpace, poles, precision: Precision, real: bool = False,
+                   charpoly=None, coefficients: bool = False):
+    """The checks of a placement, in order: the target (:func:`_targets`),
+    the one cast of ``sys`` to ``precision``, the range of the pole factors
+    cast there (a real pole, a pair's 2 Re l and |l|^2), and B = 0.  Returns
+    (A, B, target), the target as :func:`_targets` returns it."""
+    target = _targets(sys.n, poles, charpoly, real, coefficients)
     A, B = _sys_arrays(sys, precision)
-    _in_precision([c for step in steps for c in step], precision, "pole list has entries")
+    if charpoly is None:
+        _in_precision([c for step in target[1] for c in step], precision, "pole list has entries")
     if not np.logical_or.reduce(B, axis=None):
         raise UncontrollableSystem("B = 0")
-    return A, B, roots, steps
-
-
-def given_charpoly(n: int, poles, charpoly):
-    """Require exactly one of poles and charpoly; None when poles are
-    given (the caller checks them), else the charpoly as float64, checked
-    to be finite and monic of length n+1 (else :class:`InvalidPoleSet`)."""
-    if (poles is None) == (charpoly is None):
-        raise ValueError("give exactly one of poles or charpoly")
-    if charpoly is None:
-        return None
-    try:
-        cp = np.asarray(charpoly, dtype=np.float64).ravel()
-    except OverflowError as exc:
-        raise InvalidPoleSet("charpoly has an integer beyond the float64 range") from exc
-    if not _all_finite(cp):
-        raise InvalidPoleSet(f"charpoly {cp.tolist()} is not finite")
-    if cp.size != n + 1 or cp[0] != 1.0:
-        raise InvalidPoleSet(f"charpoly {cp.tolist()} must be monic of length {n + 1}")
-    return cp
+    return A, B, target
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +240,13 @@ def _horner_steps(A, steps, X) -> np.ndarray:
 def ackermann_direct(sys: StateSpace, poles=None, precision: Precision = BITS64,
                      charpoly=None) -> np.ndarray:
     """K = e_n^T C^-1 Phi(A), the closed-form placement gain."""
-    cp = given_charpoly(sys.n, poles, charpoly)
-    if cp is None:
-        A, B, _, steps = _check_poles(sys, poles, precision)
-        return (_prepared(sys, precision, "crow", inverse_ctrb_last_row, A, B)
-                @ _horner_steps(A, steps, _identity(sys.n, A.dtype)))
-    A, B = _sys_arrays(sys, precision)
-    if not np.logical_or.reduce(B, axis=None):
-        raise UncontrollableSystem("B = 0")
+    A, B, target = _check_targets(sys, poles, precision, charpoly=charpoly, coefficients=True)
     crow = _prepared(sys, precision, "crow", inverse_ctrb_last_row, A, B)
     eye = _identity(sys.n, A.dtype)
+    if charpoly is None:
+        return crow @ _horner_steps(A, target[1], eye)
     Phi = eye
-    for c in _in_precision(cp[1:], precision, "charpoly has coefficients"):
+    for c in _in_precision(target[1:], precision, "charpoly has coefficients"):
         Phi = A @ Phi + c * eye
     return crow @ Phi
 
@@ -261,7 +259,7 @@ def ackermann_factored(sys: StateSpace, poles,
 
     The pole order is preserved; each conjugate pair is one real quadratic
     step (K A^2 - 2 Re(l) K A + |l|^2 K) at its first member's slot."""
-    A, B, _, steps = _check_poles(sys, poles, precision)
+    A, B, (_, steps) = _check_targets(sys, poles, precision)
     return _horner_steps(A.T, steps, _prepared(sys, precision, "crow", inverse_ctrb_last_row, A, B))
 
 
@@ -291,7 +289,8 @@ def _hyperplane_normals(A, B, roots, known: dict) -> list:
     (:func:`~poleplace.linalg._lu_eliminate`), a repeated pole once, and
     each normal found is added to it.  Poles are taken in order, and the
     first that fails raises what its solve would: :class:`SingularShift`
-    from :class:`SingularSystem`, or ``ValueError`` for a zero normal.
+    from :class:`SingularSystem`, or for a zero normal ``ValueError`` when
+    B = 0 and else :class:`PrecisionOverflow` (the normal underflowed).
     Inside a placement, an overflow anywhere in the stack raises
     :class:`PrecisionOverflow` first (the range rule)."""
     keys = [float(lam).hex() for lam in roots]
@@ -310,7 +309,9 @@ def _hyperplane_normals(A, B, roots, known: dict) -> list:
             except SingularSystem as exc:
                 raise SingularShift(f"A - ({lam}) I is numerically singular") from exc
             if not np.logical_or.reduce(normal):
-                raise ValueError("hyperplane normal must be nonzero")
+                if not np.logical_or.reduce(B):
+                    raise ValueError("hyperplane normal must be nonzero")
+                raise PrecisionOverflow(f"hyperplane normal of pole {lam} underflowed to 0")
             known[key] = normal
         normals.append(known[key])
     return normals
@@ -326,7 +327,7 @@ def place_determinantal(sys: StateSpace, poles,
     singular N means the planes are parallel, which is exactly the
     uncontrollable geometry.
     """
-    A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
+    A, B, (roots, _) = _check_targets(sys, poles, precision, real=True)
     N = np.array(_hyperplane_normals(A, B, roots, _prepared(sys, precision, "normals", dict)))
     ones = np.empty(sys.n, dtype=A.dtype)
     ones.fill(1.0)
@@ -349,7 +350,7 @@ def place_sliding(sys: StateSpace, poles,
     the largest |b_j|, which minimizes the 1/b_j amplification in the
     point formula.
     """
-    A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
+    A, B, (roots, _) = _check_targets(sys, poles, precision, real=True)
     return _slide(A, B, roots, _prepared(sys, precision, "normals", dict))[-1]
 
 
@@ -467,7 +468,7 @@ def place_algebroid1(sys: StateSpace, poles, precision: Precision = BITS64,
     (A + I) n = B) and places -2,-1,-1,-2,-3 and -3,-2,-2,-1,-1.  The QR
     variant solves nothing and places all four.
     """
-    A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
+    A, B, (roots, _) = _check_targets(sys, poles, precision, real=True)
     stages, a, b = _descend_quotients(A, B, roots, variant)
     K = ((a - precision.dtype(roots[-1])) / b).reshape(1)
     for anchor, k_o in reversed(stages):
@@ -573,10 +574,7 @@ class ChainFeedback:
         A, B = chain.A, chain.B
         self.precision = chain.precision
         self.n = B.size
-        cp = given_charpoly(self.n, poles, charpoly)
-        if cp is None:
-            roots, _ = _pole_list(poles, self.n)
-            cp = poly_from_roots(roots)
+        cp = _coefficients(self.n, poles, charpoly)
         if not np.logical_or.reduce(B):
             raise UncontrollableSystem("B = 0")
         # constant term first, [p_n, ..., p_1, 1]
@@ -656,9 +654,11 @@ def place_algebroid2(sys: StateSpace, poles=None, precision: Precision = BITS64,
     """Chain-of-anchors placement from a pole list or a monic
     characteristic polynomial, as :func:`ackermann_direct` takes them: the
     construction phase (:func:`gain_from_chain`) on the system's chain,
-    built once per precision."""
+    built once per precision, and only for a target that passed its check."""
+    cp = _in_precision(_coefficients(sys.n, poles, charpoly), precision,
+                       "charpoly has coefficients")
     chain = _prepared(sys, precision, "chain", build_anchor_chain, sys, precision)
-    return gain_from_chain(chain, poles, charpoly)
+    return gain_from_chain(chain, charpoly=cp)
 
 
 # ---------------------------------------------------------------------------
@@ -666,12 +666,15 @@ def place_algebroid2(sys: StateSpace, poles=None, precision: Precision = BITS64,
 
 
 def controller_hessenberg(A, B):
-    """Orthogonal V with V^T B = alpha e_1 and V^T A V upper Hessenberg."""
+    """Orthogonal V with V^T B = alpha e_1 and V^T A V upper Hessenberg:
+    :class:`UncontrollableSystem` for B = 0, :class:`PrecisionOverflow`
+    for a nonzero B whose squares underflow to a zero sum."""
     A, B = as_matrix(A), as_vector(B)
     n = B.size
-    # a zero sum of squares (B = 0, or an underflow) leaves no reflector
-    if np.add.reduce(B * B) == 0.0:
+    if not np.logical_or.reduce(B):
         raise UncontrollableSystem("B = 0")
+    _guard("normal_square", np.add.reduce(B * B), _precision_of(A), error=PrecisionOverflow,
+           message=lambda: "B's squared norm underflowed to 0")
     V = householder_reflector(B)
     Ah = V @ A @ V
     for k in range(n - 2):
@@ -694,7 +697,7 @@ def place_miminis(sys: StateSpace, poles, precision: Precision = BITS64) -> np.n
     shifted transpose; the gain is accumulated back through the stored
     orthogonal factors and the reduction basis.
     """
-    A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
+    A, B, (roots, _) = _check_targets(sys, poles, precision, real=True)
     n = sys.n
     if n == 1:
         # the deflation threshold below scales with |a|, so the general path
@@ -778,7 +781,7 @@ def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.nda
     take (n - 1)^2 exchanges.  2x2 (complex-pair) Schur blocks of A are
     not supported.
     """
-    A, B, roots, _ = _check_poles(sys, poles, precision, real=True)
+    A, B, (roots, _) = _check_targets(sys, poles, precision, real=True)
     n = sys.n
     U, As = _prepared(sys, precision, "schur", schur_decompose, A)
     if np.logical_or.reduce(As.diagonal(-1) != 0.0):

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DivergedState
 from .linalg import (BITS64, Precision, _all_finite, _complex_poles, _in_precision, _precision_of,
                      as_vector)
-from .placement import ChainFeedback, StateSpace, _prepared, build_anchor_chain
+from .placement import ChainFeedback, StateSpace, _coefficients, _prepared, build_anchor_chain
 from .placement import feedback_eval  # noqa: F401 - perfbench's tracer test wraps sim.feedback_eval
 
 OVERFLOW_GUARD = 1e12
@@ -119,18 +119,19 @@ def simulate(sys: StateSpace, poles, cfg: SimConfig,
     nested feedback function at every stage, so each stage costs the
     chain recursion alone.  States are checked where they are made: x0
     once, in :class:`SimConfig`, and each step's output in
-    :func:`rk4_step`; the stages in between run unchecked.  The law runs
-    on the system's own anchor chain at this precision, built on its
-    first use, so both modes of one system, and its placements, share it.
+    :func:`rk4_step`; the stages in between run unchecked.  Once the poles
+    pass their check, the law runs on the system's anchor chain at this
+    precision, built on its first use and shared with its placements.
     The trajectory aborts with DivergedState if a step's output is not
     finite or leaves the overflow guard region.
     """
     if cfg.x0.size != sys.n:
         raise ValueError(f"x0 needs {sys.n} entries")
     dt = precision.dtype
+    cp = _in_precision(_coefficients(sys.n, poles), precision, "charpoly has coefficients")
     chain = _prepared(sys, precision, "chain", build_anchor_chain, sys, precision)
     A, B = chain.A, chain.B
-    law = ChainFeedback(chain, poles=poles)
+    law = ChainFeedback(chain, charpoly=cp)
     if cfg.feedback == "gain":
         K = law.gain()
 

@@ -18,7 +18,7 @@ from poleplace.bench import (
     run_suite,
 )
 from poleplace.linalg import BITS32, BITS64, companion_matrix, eigenvalues
-from poleplace.placement import ALGORITHMS, place_algebroid1, place_algebroid2
+from poleplace.placement import ALGORITHMS, StateSpace, place_algebroid1, place_algebroid2
 
 
 def fwd_poles(n):
@@ -90,6 +90,33 @@ def test_evaluate_detects_corrupted_gain():
     K = place_algebroid2(sys, fwd_poles(4))
     rec = evaluate_placement(sys, fwd_poles(4), np.asarray(K) + 1e3)
     assert rec.max_abs_error > 1.0
+
+
+def test_evaluate_reports_nan_for_a_nonfinite_closed_loop():
+    # the gain is finite, about 2e300, but B K overflows: the record has n
+    # NaN eigenvalues, a NaN error and no pair, with no numpy warning
+    # (filterwarnings = error)
+    sys = StateSpace([[0, 1e-310], [0, 0]], [0, 1e10])
+    K = place_algebroid2(sys, [-1.0, -2.0])
+    assert np.isfinite(K).all()
+    rec = evaluate_placement(sys, [-1.0, -2.0], K)
+    assert len(rec.achieved) == 2
+    assert all(cmath.isnan(z.real) and cmath.isnan(z.imag) for z in rec.achieved)
+    assert np.isnan(rec.max_abs_error) and rec.complex_pair_count == 0
+    assert rec.gain == tuple(K.tolist())
+
+
+def test_evaluate_forms_the_closed_loop_as_numpy_does():
+    # A - B K on Python floats: per entry the product and the difference
+    # numpy's broadcast makes, so the spectrum keeps its bits
+    for n in range(3, 11):
+        sys = gen_integer_example(n)
+        for algorithm in ("algebroid1", "algebroid2"):
+            K = ALGORITHMS[algorithm](sys, fwd_poles(n))
+            rec = evaluate_placement(sys, fwd_poles(n), K)
+            assert rec.achieved == tuple(eigenvalues(sys.A - sys.B[:, None] * K).tolist())
+    with pytest.raises(ValueError):
+        evaluate_placement(sys, fwd_poles(n), K[:-1])
 
 
 def test_evaluate_n12_bifurcation_band():

@@ -257,6 +257,33 @@ def test_place_json_is_strict_json_for_a_nonfinite_spectrum(tmp_path, capsys):
     assert payload["gain"] == [1e200, 3.000000000000001, 5.000000000000001]
 
 
+@pytest.mark.parametrize("name, algo, outcome", [
+    # the normal of pole -1 is about 1e-340, and the exact gain about -1e340
+    ("underflowed-normal", "determinantal",
+     (2, "PrecisionOverflow: hyperplane normal of pole -1.0 underflowed to 0\n")),
+    ("underflowed-normal", "sliding",
+     (2, "PrecisionOverflow: hyperplane normal of pole -1.0 underflowed to 0\n")),
+    # B's squares underflow to 0, and B is not 0
+    ("underflowed-input-norm", "miminis",
+     (2, "PrecisionOverflow: B's squared norm underflowed to 0\n")),
+    ("underflowed-input-norm", "ackermann", (0, "")),
+    # K is about 2e300, and A - B K is not finite: a NaN record
+    ("nonfinite-loop", "algebroid2", (0, "")),
+], ids=["determinantal", "sliding", "miminis", "ackermann", "algebroid2"])
+def test_place_past_the_float64_range_ends_in_one_line_or_a_nan_record(tmp_path, name, algo,
+                                                                      outcome, capsys):
+    path = tmp_path / "system.json"
+    path.write_text(CORPUS[name])
+    code = cli.main(["place", "--algo", algo, "--system", str(path), "--poles=-1,-2",
+                     "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == outcome
+    if name == "nonfinite-loop":
+        payload = json.loads(out)
+        assert payload["achieved"] == [[None, None]] * 2 and payload["max_abs_error"] is None
+        assert payload["complex_pair_count"] == 0 and 1e300 < max(map(abs, payload["gain"]))
+
+
 def test_place_and_simulate_share_pole_checks(worked_system, capsys):
     for cmd in (["place", "--algo", "ackermann"], ["simulate"]):
         for poles, msg in (("-1,-2", "system has n=3, got 2 poles"),
@@ -904,6 +931,11 @@ CORPUS = {
     "strings": '{"A": [["2"]], "B": ["1"]}',
     "boolean": '{"A": [[true]], "B": [1]}',
     "deep": "[" * 100000 + "]" * 100000,
+    # finite systems whose arithmetic leaves the float64 range (see
+    # test_place_past_the_float64_range_ends_in_one_line_or_a_nan_record)
+    "underflowed-normal": '{"A": [[1e40, 0], [0, 2e40]], "B": [1e-300, 1e-300]}',
+    "nonfinite-loop": '{"A": [[0, 1e-310], [0, 0]], "B": [0, 1e10]}',
+    "underflowed-input-norm": '{"A": [[1, 2], [3, 4]], "B": [1e-165, 2e-165]}',
 }
 
 PLACEMENT_ERRORS = {name for name, cls in vars(errors).items()
@@ -985,6 +1017,9 @@ def corpus(tmp_path_factory):
 @example(["exact", "--system", "@big-integer", "--poles", "-1"])
 @example(["simulate", "--system", "@big-integer", "--poles", "-1", "--T", "0.05"])
 @example(["exact", "--system", "@worked", "--poles", "-1,-2,-3", "--digits", "5"])
+@example(["place", "--algo", "determinantal", "--system", "@underflowed-normal", "--poles=-1,-2"])
+@example(["place", "--algo", "algebroid2", "--system", "@nonfinite-loop", "--poles=-1,-2"])
+@example(["place", "--algo", "miminis", "--system", "@underflowed-input-norm", "--poles=-1,-2"])
 def test_main_ends_every_argv_in_exit_0_1_or_2(corpus, argv):
     # "@name" is the file name in the corpus directory; a RuntimeWarning
     # fails here too (filterwarnings = error)

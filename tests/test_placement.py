@@ -1100,6 +1100,101 @@ def test_every_algorithm_takes_a_sequence_of_numbers(name):
             fn(WORKED, poles)
 
 
+def test_every_entry_returns_a_finite_gain_or_a_placement_error():
+    # systems and poles drawn across the float64 exponent range: each entry,
+    # at each precision, returns a finite gain of shape (n,) in the format's
+    # dtype or raises a PlacementError; any other exception fails, and so
+    # does a numpy warning (filterwarnings = error)
+    rng = np.random.default_rng(2026)
+    returned = set()
+    for _ in range(1000):
+        n = int(rng.integers(1, 5))
+        sys = StateSpace(rng.standard_normal((n, n)) * 10.0 ** int(rng.integers(-300, 300)),
+                         rng.standard_normal(n) * 10.0 ** int(rng.integers(-300, 300)))
+        poles = (-np.abs(rng.standard_normal(n)) * 10.0 ** int(rng.integers(-5, 5))).tolist()
+        for name, fn in ALGORITHMS.items():
+            for precision in (BITS32, BITS64):
+                try:
+                    K = fn(sys, poles, precision)
+                except PlacementError:
+                    continue
+                assert (K.shape, K.dtype, np.isfinite(K).all()) == \
+                    ((n,), precision.dtype, True), (name, precision.bits, sys.A, sys.B, poles)
+                returned.add(name)
+    assert returned == set(ALGORITHMS)
+
+
+def test_an_underflowed_hyperplane_normal_is_a_precision_overflow():
+    # (A + I) n = B has the normal 1e-340, past the smallest subnormal, and
+    # the exact gain, about -1e340, is past the float64 range too
+    sys = StateSpace([[1e40, 0], [0, 2e40]], [1e-300, 1e-300])
+    for fn in (place_determinantal, place_sliding):
+        with pytest.raises(PrecisionOverflow,
+                           match=r"^hyperplane normal of pole -1\.0 underflowed to 0$"):
+            fn(sys, [-1.0, -2.0])
+    # a normal whose squared norm underflows, but not the normal, still places
+    tiny = StateSpace(np.diag([1.0, 2.0]), [1e-300, 1e-300])
+    K = place_determinantal(tiny, [-1.0, -2.0])
+    assert spectrum_error(tiny, K, [-1.0, -2.0]) == 0.0
+    # B = 0, which no placement passes down, stays the helper's ValueError
+    with pytest.raises(ValueError, match="^hyperplane normal must be nonzero$") as info:
+        _hyperplane_normals(3.0 * np.eye(2), np.zeros(2), [-1.0], {})
+    assert type(info.value) is ValueError
+
+
+def test_an_underflowed_input_norm_is_no_zero_input():
+    # B's squares underflow to a zero sum, so the Hessenberg reduction has
+    # no reflector; B is not 0, and ackermann places the system
+    sys = StateSpace([[1, 2], [3, 4]], [1e-165, 2e-165])
+    with pytest.raises(PrecisionOverflow) as info:
+        place_miminis(sys, [-1.0, -2.0])
+    assert_guarded(info.value, PrecisionOverflow, "B's squared norm underflowed to 0",
+                   "normal_square")
+    with pytest.raises(PrecisionOverflow, match="^B's squared norm underflowed to 0$"):
+        controller_hessenberg(sys.A, sys.B)
+    assert spectrum_error(sys, ackermann_direct(sys, [-1.0, -2.0]), [-1.0, -2.0]) <= 1e-12
+
+
+# finite at 64 bits, past the 32-bit range: every check of the target
+# comes before the cast, so each entry and simulate name the target's fault
+BIG_39 = StateSpace([[1e39, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1])
+
+
+@pytest.mark.parametrize("poles, message", [
+    ([-1.0, -2.0], "expected 3 poles, got 2"),
+    ([-1.0, float("nan"), -3.0], "pole (nan+0j) is not finite"),
+    ([-1.0, 1j, -3.0], "pole set not closed under conjugation: unmatched 1j"),
+], ids=["count", "nan", "unpaired"])
+def test_every_entry_checks_its_target_before_the_cast(poles, message):
+    match = f"^{re.escape(message)}$"
+    for name, fn in ALGORITHMS.items():
+        with pytest.raises(InvalidPoleSet, match=match):
+            fn(BIG_39, poles, BITS32)
+    for mode in ("gain", "chain"):
+        with pytest.raises(InvalidPoleSet, match=match):
+            simulate(BIG_39, poles, SimConfig(T=0.05, h=0.01, x0=np.ones(3), feedback=mode),
+                     BITS32)
+    for fn in (ackermann_direct, place_algebroid2):
+        with pytest.raises(InvalidPoleSet, match=r"^charpoly \[1\.0, 6\.0\] must be monic"):
+            fn(BIG_39, precision=BITS32, charpoly=[1, 6])
+
+
+def test_a_rejected_target_leaves_the_system_without_kept_work():
+    # a fresh system each time: a target that fails its check builds and
+    # keeps nothing (no crow, chain, normals, Hessenberg or Schur form)
+    cfg = SimConfig(T=0.05, h=0.01, x0=np.ones(3))
+    runs = [(name, functools.partial(fn, poles=[-1.0, -2.0])) for name, fn in ALGORITHMS.items()]
+    runs += [("ackermann charpoly", functools.partial(ackermann_direct, charpoly=[1, 6])),
+             ("algebroid2 charpoly", functools.partial(place_algebroid2, charpoly=[1, 6])),
+             ("simulate", functools.partial(simulate, poles=[-1.0, -2.0], cfg=cfg))]
+    for name, run in runs:
+        for precision in (BITS32, BITS64):
+            sys = StateSpace(WORKED.A, WORKED.B)
+            with pytest.raises(InvalidPoleSet):
+                run(sys, precision=precision)
+            assert sys._memo == {}, (name, precision.bits)
+
+
 def _float32_intermediates(sys, poles):
     """Every exposed intermediate of the methods at 32 bits, skipping the
     ones a typed error stops."""

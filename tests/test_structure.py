@@ -128,7 +128,7 @@ def test_cli_leaves_each_input_check_to_the_library():
     # exact oracle's, so cli.py names neither check nor rounds a value
     tree = dict(_modules())["cli"]
     names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
-    assert not names & {"pole_steps", "given_charpoly", "_parse_poles"}
+    assert not names & {"pole_steps", "_targets", "_parse_poles"}
     calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert not {call for call in calls if call.endswith("round")}, calls
 
