@@ -137,9 +137,13 @@ def _range_rule(fn):
 
 
 def _sys_arrays(sys: StateSpace, precision: Precision):
-    """A and B in ``precision``, range-checked (:func:`_in_precision`)."""
-    return (_in_precision(sys.A, precision, "A has entries"),
-            _in_precision(sys.B, precision, "B has entries"))
+    """A and B in ``precision``, range-checked (:func:`_in_precision`); a
+    nonzero B that the 32-bit cast takes to 0 is a :class:`PrecisionOverflow`."""
+    A = _in_precision(sys.A, precision, "A has entries")
+    B = _in_precision(sys.B, precision, "B has entries")
+    if precision.bits == 32 and not np.logical_or.reduce(B) and np.logical_or.reduce(sys.B):
+        raise PrecisionOverflow("B underflowed to 0 in the 32-bit cast")
+    return A, B
 
 
 def _targets(n: int, poles, charpoly=None, real: bool = False, coefficients: bool = False):
@@ -212,10 +216,8 @@ def controllability_matrix(A, B) -> np.ndarray:
 def inverse_ctrb_last_row(A, B) -> np.ndarray:
     """Last row of the inverse controllability matrix, e_n^T C^-1."""
     C = controllability_matrix(A, B)
-    e_n = np.zeros(C.shape[0], dtype=C.dtype)
-    e_n[-1] = 1.0
     try:
-        return solve_linear(C.T, e_n)
+        return solve_linear(C.T, _identity(C.shape[0], C.dtype)[-1])
     except SingularSystem as exc:
         raise UncontrollableSystem(
             f"controllability matrix numerically singular: {exc}"
@@ -275,9 +277,8 @@ def _hyperplane_points(A, B, roots, j: int) -> np.ndarray:
     _guard("placement_pivot", abs(bj), _precision_of(A), float(np.maximum.reduce(np.abs(B))),
            error=ZeroInputComponent,
            message=lambda: f"b[{j}] = {bj} is too small for the point formula")
-    e = np.zeros(B.size, dtype=A.dtype)
-    e[j] = 1.0
-    return (A[j, :] - np.array(roots, dtype=A.dtype)[:, None] * e) / A.dtype.type(bj)
+    e_j = _identity(B.size, A.dtype)[j]
+    return (A[j, :] - np.array(roots, dtype=A.dtype)[:, None] * e_j) / A.dtype.type(bj)
 
 
 def _hyperplane_normals(A, B, roots, known: dict) -> list:
@@ -354,15 +355,15 @@ def place_sliding(sys: StateSpace, poles,
     return _slide(A, B, roots, _prepared(sys, precision, "normals", dict))[-1]
 
 
-def _slide_denominator(base, direction, where: str, k: int) -> float:
-    """base . direction, guarded; a failure names ``where`` k."""
+def _slide_denominator(base, direction, message: str) -> float:
+    """base . direction, guarded; a failure says ``message``."""
     # a 1-d a @ b is a.dot(b) + 0.0, and a vector's np.linalg.norm is
     # np.sqrt(x.dot(x)), bit for bit, each without numpy's Python layer
     den = float(base.dot(direction) + 0.0)
     _guard("placement_pivot", abs(den), _precision_of(base),
            float(np.sqrt(base.dot(base)) * np.sqrt(direction.dot(direction))),
            error=DegenerateProjection,
-           message=lambda: f"{where} {k} (planes nearly parallel)")
+           message=lambda: f"{message} (planes nearly parallel)")
     return den
 
 
@@ -372,29 +373,23 @@ def _slide(A, B, roots, known: dict) -> list:
     n = B.size
     normals = _hyperplane_normals(A, B, roots, known)
     seeds = _hyperplane_points(A, B, roots, int(np.abs(B).argmax()))
-    # after stage k, proj[i] is normal i after min(i, k) oblique projections
+    steps = [seeds[0]]
+    if n == 1:
+        return steps
+    # after stage k, proj[i] is normal i after min(i, k) oblique projections;
+    # stage k + 1 and the slide onto plane k + 1 divide by normal k + 1 . proj[k]
     proj = list(normals)
     eye = _identity(n, A.dtype)
-    dens = []  # dens[k - 1] = normals[k - 1] . proj[k - 1], guarded at stage k
+    den = _slide_denominator(normals[0], proj[0], "projection denominator vanished at stage 1")
     for k in range(1, n):
-        direction = proj[k - 1]
-        base = normals[k - 1]
-        den = _slide_denominator(base, direction, "projection denominator vanished at stage", k)
-        dens.append(den)
-        P = eye - direction[:, None] * base / A.dtype.type(den)
+        P = eye - proj[k - 1][:, None] * normals[k - 1] / A.dtype.type(den)
         for i in range(k, n):
             proj[i] = P @ proj[i]
-    gam = seeds[0]
-    steps = [gam]
-    for k in range(1, n):
-        # plane k + 1 slides by stage k + 1's denominator; plane n's is new,
-        # guarded after the slides onto planes 2..n-1
-        if k == n - 1:
-            dens.append(_slide_denominator(normals[k], proj[k],
-                                           "slide denominator vanished at plane", n))
-        G = proj[k][:, None] * normals[k] / A.dtype.type(dens[k])
-        gam = gam - (gam - seeds[k]) @ G.T
-        steps.append(gam)
+        den = _slide_denominator(normals[k], proj[k],
+                                 f"projection denominator vanished at stage {k + 1}" if k < n - 1
+                                 else f"slide denominator vanished at plane {n}")
+        G = proj[k][:, None] * normals[k] / A.dtype.type(den)
+        steps.append(steps[-1] - (steps[-1] - seeds[k]) @ G.T)
     return steps
 
 
@@ -517,9 +512,14 @@ def build_anchor_chain(sys: StateSpace, precision: Precision = BITS64) -> Anchor
 
     Degeneracy (loss of controllability) shows up as a small B_i; it is
     reported by :func:`chain_controllability_report`, not raised here;
-    an overflowing level raises :class:`PrecisionOverflow` (the range rule).
+    an overflowing level raises :class:`PrecisionOverflow` (the range rule),
+    and so, for n > 1, does a nonzero B whose squares underflow to a zero
+    sum, which leaves no anchor to annihilate it.
     """
     A, B = _sys_arrays(sys, precision)
+    if sys.n > 1 and np.logical_or.reduce(B):
+        _guard("normal_square", np.add.reduce(B * B), precision, error=PrecisionOverflow,
+               message=lambda: "B's squared norm underflowed to 0")
     levels = []
     At, Bt = A, B
     for _ in range(sys.n - 1):

@@ -17,6 +17,7 @@ from poleplace.bench import (
     render_table,
     run_suite,
 )
+from poleplace.errors import FactorizationError
 from poleplace.linalg import BITS32, BITS64, companion_matrix, eigenvalues
 from poleplace.placement import ALGORITHMS, StateSpace, place_algebroid1, place_algebroid2
 
@@ -104,6 +105,43 @@ def test_evaluate_reports_nan_for_a_nonfinite_closed_loop():
     assert all(cmath.isnan(z.real) and cmath.isnan(z.imag) for z in rec.achieved)
     assert np.isnan(rec.max_abs_error) and rec.complex_pair_count == 0
     assert rec.gain == tuple(K.tolist())
+
+
+# a finite closed loop on which the eigenvalue iteration does not converge
+UNCONVERGED = StateSpace(
+    [[1.3309487011076512e+299, 8.142003994377372e+298, -1.4481976373557106e+299],
+     [9.450851545591335e+297, -1.765628163485951e+299, -1.829211865336894e+299],
+     [6.592513054303655e+298, 7.764908350698212e+297, -6.871101922447804e+298]],
+    [-2.0874470808711684e+288, -1.2689320356978226e+288, 1.6219609552294485e+287])
+UNCONVERGED_POLES = [-689.7000916003353, -1523.3949195362834, -339.25652229700984]
+
+
+def test_evaluate_reports_nan_for_an_unconverged_eigenvalue_iteration():
+    # the entry returns a gain, and its verification is a NaN record, as
+    # for a closed loop that is not finite, not a FactorizationError
+    K = ALGORITHMS["algebroid1-solve"](UNCONVERGED, UNCONVERGED_POLES)
+    closed = UNCONVERGED.A - UNCONVERGED.B[:, None] * K
+    assert np.isfinite(closed).all()
+    with pytest.raises(FactorizationError, match="^eigenvalue iteration did not converge$"):
+        eigenvalues(closed)
+    rec = evaluate_placement(UNCONVERGED, UNCONVERGED_POLES, K)
+    assert len(rec.achieved) == 3
+    assert all(cmath.isnan(z.real) and cmath.isnan(z.imag) for z in rec.achieved)
+    assert np.isnan(rec.max_abs_error) and rec.complex_pair_count == 0
+    assert rec.gain == tuple(K.tolist())
+
+
+def test_suite_runs_on_past_an_unconverged_verification(monkeypatch):
+    # one cell whose verification does not converge is a NaN row, and the
+    # study goes on to the next
+    def unconverged(A):
+        raise FactorizationError("eigenvalue iteration did not converge")
+
+    monkeypatch.setattr(bench, "eigenvalues", unconverged)
+    records = run_suite([ExampleFamily("integer", 3)], ["ackermann", "miminis"], [BITS64],
+                        ["forward"])
+    assert [(r.algorithm, r.failure) for r in records] == [("ackermann", None), ("miminis", None)]
+    assert all(np.isnan(r.max_abs_error) for r in records)
 
 
 def test_evaluate_forms_the_closed_loop_as_numpy_does():

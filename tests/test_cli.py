@@ -267,9 +267,12 @@ def test_place_json_is_strict_json_for_a_nonfinite_spectrum(tmp_path, capsys):
     ("underflowed-input-norm", "miminis",
      (2, "PrecisionOverflow: B's squared norm underflowed to 0\n")),
     ("underflowed-input-norm", "ackermann", (0, "")),
+    # and no anchor annihilates it
+    ("underflowed-input-norm", "algebroid2",
+     (2, "PrecisionOverflow: B's squared norm underflowed to 0\n")),
     # K is about 2e300, and A - B K is not finite: a NaN record
     ("nonfinite-loop", "algebroid2", (0, "")),
-], ids=["determinantal", "sliding", "miminis", "ackermann", "algebroid2"])
+], ids=["determinantal", "sliding", "miminis", "ackermann", "algebroid2-input-norm", "algebroid2"])
 def test_place_past_the_float64_range_ends_in_one_line_or_a_nan_record(tmp_path, name, algo,
                                                                       outcome, capsys):
     path = tmp_path / "system.json"
@@ -282,6 +285,35 @@ def test_place_past_the_float64_range_ends_in_one_line_or_a_nan_record(tmp_path,
         payload = json.loads(out)
         assert payload["achieved"] == [[None, None]] * 2 and payload["max_abs_error"] is None
         assert payload["complex_pair_count"] == 0 and 1e300 < max(map(abs, payload["gain"]))
+
+
+def test_place_reports_an_unconverged_verification_as_a_nan_record(tmp_path, capsys):
+    # the entry returns K; the eigenvalue iteration on A - B K does not
+    # converge, which is a NaN record as for a closed loop that is not finite
+    path = tmp_path / "system.json"
+    path.write_text(CORPUS["unconverged-verification"])
+    code = cli.main(["place", "--algo", "algebroid1-solve", "--system", str(path),
+                     UNCONVERGED_POLES, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["achieved"] == [[None, None]] * 3 and payload["max_abs_error"] is None
+    assert payload["complex_pair_count"] == 0 and 1e10 < max(map(abs, payload["gain"]))
+
+
+def test_a_b_lost_in_the_32_bit_cast_is_one_typed_line(tmp_path, capsys):
+    # every entry and simulate name the cast, not "B = 0"; at 64 bits the
+    # system places
+    path = tmp_path / "system.json"
+    path.write_text(CORPUS["cast-lost-input"])
+    line = "PrecisionOverflow: B underflowed to 0 in the 32-bit cast\n"
+    cmds = [["place", "--algo", algo] for algo in placement.ALGORITHMS]
+    for cmd in cmds + [["simulate", "--T", "0.05"]]:
+        code = cli.main(cmd + ["--system", str(path), "--poles=-1,-2", "--precision", "32"])
+        assert (code, capsys.readouterr().err) == (2, line), cmd
+    code = cli.main(["place", "--algo", "ackermann", "--system", str(path), "--poles=-1,-2"])
+    out = capsys.readouterr().out
+    assert code == 0 and float(out.split("max |error| = ")[1].split()[0]) <= 1e-12
 
 
 def test_place_and_simulate_share_pole_checks(worked_system, capsys):
@@ -936,7 +968,16 @@ CORPUS = {
     "underflowed-normal": '{"A": [[1e40, 0], [0, 2e40]], "B": [1e-300, 1e-300]}',
     "nonfinite-loop": '{"A": [[0, 1e-310], [0, 0]], "B": [0, 1e10]}',
     "underflowed-input-norm": '{"A": [[1, 2], [3, 4]], "B": [1e-165, 2e-165]}',
+    "underflowed-input-norm-32": '{"A": [[1, 2], [3, 4]], "B": [1e-25, 2e-25]}',
+    "cast-lost-input": '{"A": [[1, 2], [3, 4]], "B": [1e-50, 2e-50]}',
+    # a placed gain whose closed loop the eigenvalue iteration does not converge on
+    "unconverged-verification": json.dumps({
+        "A": [[1.3309487011076512e+299, 8.142003994377372e+298, -1.4481976373557106e+299],
+              [9.450851545591335e+297, -1.765628163485951e+299, -1.829211865336894e+299],
+              [6.592513054303655e+298, 7.764908350698212e+297, -6.871101922447804e+298]],
+        "B": [-2.0874470808711684e+288, -1.2689320356978226e+288, 1.6219609552294485e+287]}),
 }
+UNCONVERGED_POLES = "--poles=-689.7000916003353,-1523.3949195362834,-339.25652229700984"
 
 PLACEMENT_ERRORS = {name for name, cls in vars(errors).items()
                     if isinstance(cls, type) and issubclass(cls, errors.PlacementError)}
@@ -1020,6 +1061,12 @@ def corpus(tmp_path_factory):
 @example(["place", "--algo", "determinantal", "--system", "@underflowed-normal", "--poles=-1,-2"])
 @example(["place", "--algo", "algebroid2", "--system", "@nonfinite-loop", "--poles=-1,-2"])
 @example(["place", "--algo", "miminis", "--system", "@underflowed-input-norm", "--poles=-1,-2"])
+@example(["place", "--algo", "algebroid2", "--system", "@underflowed-input-norm-32",
+          "--poles=-1,-2", "--precision", "32"])
+@example(["simulate", "--system", "@cast-lost-input", "--poles=-1,-2", "--precision", "32",
+          "--T", "0.05"])
+@example(["place", "--algo", "algebroid1-solve", "--system", "@unconverged-verification",
+          UNCONVERGED_POLES])
 def test_main_ends_every_argv_in_exit_0_1_or_2(corpus, argv):
     # "@name" is the file name in the corpus directory; a RuntimeWarning
     # fails here too (filterwarnings = error)

@@ -1,5 +1,6 @@
 import functools
 import gc
+import hashlib
 import inspect
 import re
 import warnings
@@ -229,6 +230,15 @@ def test_every_entry_bitwise_equal_to_reference(name, precision):
                      lambda sys, poles: ref.placement.place(
                          ref.state_space(sys), poles, name, ref.precision(precision)),
                      entry_cases())
+
+
+def test_sliding_32_bit_outcomes_are_pinned():
+    # the pair the comparison above leaves out: a SHA-256 of every outcome
+    # (gain bytes, or error type and message) over the same cases
+    digest = hashlib.sha256()
+    for sys, poles in entry_cases():
+        digest.update(repr(ref.outcome(place_sliding, sys, poles, BITS32)).encode())
+    assert digest.hexdigest() == "c3155bbd421a4892f92fbede7295e23a274446cc526afdaea7688ad2c53e0206"
 
 
 def test_factored_complex_pair_places():
@@ -1042,13 +1052,16 @@ def test_solve_variant_fails_where_a_first_pole_is_an_eigenvalue():
 
 
 def test_every_algorithm_rejects_zero_input():
-    # an input of 1e-50 is zero once rounded to 32 bits
+    # an input of 1e-50 is zero once rounded to 32 bits: not B = 0, but a
+    # B the cast lost
     for n in (1, 3):
-        for b, precisions in ((0.0, (BITS32, BITS64)), (1e-50, (BITS32,))):
+        for b, precisions, error, message in (
+                (0.0, (BITS32, BITS64), UncontrollableSystem, "^B = 0$"),
+                (1e-50, (BITS32,), PrecisionOverflow, "^B underflowed to 0 in the 32-bit cast$")):
             sys = StateSpace(WORKED.A[:n, :n], np.full(n, b))
             for name, fn in ALGORITHMS.items():
                 for precision in precisions:
-                    with pytest.raises(UncontrollableSystem, match="^B = 0$"):
+                    with pytest.raises(error, match=message):
                         fn(sys, POLES[:n], precision)
 
 
@@ -1144,7 +1157,8 @@ def test_an_underflowed_hyperplane_normal_is_a_precision_overflow():
 
 def test_an_underflowed_input_norm_is_no_zero_input():
     # B's squares underflow to a zero sum, so the Hessenberg reduction has
-    # no reflector; B is not 0, and ackermann places the system
+    # no reflector and the anchor chain no anchor that annihilates B; B is
+    # not 0, and ackermann places the system
     sys = StateSpace([[1, 2], [3, 4]], [1e-165, 2e-165])
     with pytest.raises(PrecisionOverflow) as info:
         place_miminis(sys, [-1.0, -2.0])
@@ -1153,6 +1167,22 @@ def test_an_underflowed_input_norm_is_no_zero_input():
     with pytest.raises(PrecisionOverflow, match="^B's squared norm underflowed to 0$"):
         controller_hessenberg(sys.A, sys.B)
     assert spectrum_error(sys, ackermann_direct(sys, [-1.0, -2.0]), [-1.0, -2.0]) <= 1e-12
+    # the chain, and algebroid2 and simulate on it, raise at both
+    # precisions where they would miss by O(1); n = 1 forms no anchor, so
+    # a 1x1 system with that B still places
+    cfg = SimConfig(T=0.05, h=0.01, x0=np.ones(2))
+    for precision, b in ((BITS64, 1e-165), (BITS32, 1e-25)):
+        sys = StateSpace([[1, 2], [3, 4]], [b, 2 * b])
+        with pytest.raises(PrecisionOverflow) as info:
+            build_anchor_chain(sys, precision)
+        assert_guarded(info.value, PrecisionOverflow, "B's squared norm underflowed to 0",
+                       "normal_square")
+        for run in (lambda: place_algebroid2(sys, [-1.0, -2.0], precision),
+                    lambda: simulate(sys, [-1.0, -2.0], cfg, precision)):
+            with pytest.raises(PrecisionOverflow, match="^B's squared norm underflowed to 0$"):
+                run()
+        scalar = StateSpace([[2.0]], [b])
+        assert spectrum_error(scalar, place_algebroid2(scalar, [-1.0], precision), [-1.0]) <= 1e-6
 
 
 # finite at 64 bits, past the 32-bit range: every check of the target
