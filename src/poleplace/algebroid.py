@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import BITS64, THRESHOLDS, _identity, as_matrix, as_vector, householder_annihilator
+from .linalg import BITS64, THRESHOLDS, _identity, as_matrix, as_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,15 +46,6 @@ class OrthogonalAnchor:
             raise ValueError("basis rows must annihilate q")
         if np.max(np.abs(Q @ Q.T - _identity(n - 1, Q.dtype))) > tol:
             raise ValueError("basis rows must be orthonormal")
-
-    @classmethod
-    def from_direction(cls, v):
-        """Anchor whose distinguished direction is v / ||v||."""
-        v = as_vector(v, BITS64)
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            raise ValueError("cannot anchor on the zero vector")
-        return cls(v / nv, householder_annihilator(v))
 
     @classmethod
     def from_qr_rows(cls, M):

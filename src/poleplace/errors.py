@@ -70,8 +70,8 @@ class PrecisionOverflow(PlacementError):
     """A value past the range of the requested precision: a finite input
     entry where it is cast, an overflow or a division by zero in a
     placement (the range rule of :mod:`poleplace.placement`), or a nonzero
-    quantity that underflowed to 0: a divisor or the input's squared norm
-    (the ``normal_square`` bound), or a hyperplane normal."""
+    quantity that underflowed to 0: a hyperplane or quotient normal, or the
+    squared norm of a vector to reflect (the ``normal_square`` bound)."""
 
 
 class FactorizationError(PlacementError):

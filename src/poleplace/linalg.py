@@ -203,7 +203,9 @@ def qr_decompose(M):
 def householder_reflector(v) -> np.ndarray:
     """The m x m Householder reflector taking v to a multiple of e_1, in
     v's format; the identity for v = 0.  Raises
-    :class:`FactorizationError` when the norm of v overflows."""
+    :class:`FactorizationError` when the norm of v overflows, and
+    :class:`PrecisionOverflow` (``normal_square``) for a nonzero v whose
+    squares underflow to a zero sum, which no reflector annihilates."""
     v = as_vector(v)
     m = v.size
     u = v.copy()
@@ -212,6 +214,10 @@ def householder_reflector(v) -> np.ndarray:
     uu = _checked_norm2(u.dot(u), "reflector norm")
     H = _identity(m, v.dtype).copy()
     if uu == 0.0:
+        if np.logical_or.reduce(v):
+            _guard("normal_square", uu, _precision_of(v), error=PrecisionOverflow,
+                   message=lambda: f"reflected vector of length {m} is nonzero, "
+                                   "but its squared norm underflowed to 0")
         return H
     H -= 2.0 * (u[:, None] * u) / uu
     return H
@@ -511,8 +517,8 @@ THRESHOLDS = {
     # final quotient input of the chain feedback law: weak controllability
     # is that method's home turf, so only an underflow-level zero is fatal
     "chain_denominator": lambda precision: 1e3 * precision.tiny,
-    # squared norm of a solve-variant quotient normal, which the level's gain
-    # divides by: only an underflow to exactly 0 is fatal
+    # squared norm of a nonzero vector to reflect (every anchor and the
+    # Hessenberg reduction): only an underflow to exactly 0 leaves no reflector
     "normal_square": lambda precision: 0.0,
     # distance of a pole from the conjugate of its partner, scale |partner|
     "conjugate_match": lambda precision, scale: 1e-9 * max(1.0, scale),

@@ -427,12 +427,12 @@ def _descend_quotients(A, B, roots, variant: str):
                 raise SingularShift(
                     f"quotient shift by {float(lam)} is numerically singular"
                 ) from exc
+            if not np.logical_or.reduce(nvec):  # a zero normal is no vector to reflect
+                raise PrecisionOverflow(f"quotient normal underflowed at level {i + 1}: "
+                                        "its squared norm is 0")
             nsq = nvec.dot(nvec)
-            _guard("normal_square", nsq, precision, error=PrecisionOverflow,
-                   message=lambda: f"quotient normal underflowed at level {i + 1}: "
-                                   "its squared norm is 0")
-            ko = nvec / nsq
             anb = householder_annihilator(nvec)
+            ko = nvec / nsq
         stages.append((anb, ko))
         Ab = anb @ Ab @ anb.T
         Bb = anb @ Bb
@@ -513,13 +513,10 @@ def build_anchor_chain(sys: StateSpace, precision: Precision = BITS64) -> Anchor
     Degeneracy (loss of controllability) shows up as a small B_i; it is
     reported by :func:`chain_controllability_report`, not raised here;
     an overflowing level raises :class:`PrecisionOverflow` (the range rule),
-    and so, for n > 1, does a nonzero B whose squares underflow to a zero
-    sum, which leaves no anchor to annihilate it.
+    and so does a nonzero level input B_{i-1} whose squares underflow to a
+    zero sum, which leaves no anchor to annihilate it (the reflector's check).
     """
     A, B = _sys_arrays(sys, precision)
-    if sys.n > 1 and np.logical_or.reduce(B):
-        _guard("normal_square", np.add.reduce(B * B), precision, error=PrecisionOverflow,
-               message=lambda: "B's squared norm underflowed to 0")
     levels = []
     At, Bt = A, B
     for _ in range(sys.n - 1):
@@ -667,19 +664,18 @@ def place_algebroid2(sys: StateSpace, poles=None, precision: Precision = BITS64,
 
 def controller_hessenberg(A, B):
     """Orthogonal V with V^T B = alpha e_1 and V^T A V upper Hessenberg:
-    :class:`UncontrollableSystem` for B = 0, :class:`PrecisionOverflow`
-    for a nonzero B whose squares underflow to a zero sum."""
+    :class:`UncontrollableSystem` for B = 0.  A column that is exactly zero
+    from the subdiagonal down is skipped; a nonzero B or column whose squares
+    underflow to a zero sum raises the reflector's :class:`PrecisionOverflow`."""
     A, B = as_matrix(A), as_vector(B)
     n = B.size
     if not np.logical_or.reduce(B):
         raise UncontrollableSystem("B = 0")
-    _guard("normal_square", np.add.reduce(B * B), _precision_of(A), error=PrecisionOverflow,
-           message=lambda: "B's squared norm underflowed to 0")
     V = householder_reflector(B)
     Ah = V @ A @ V
     for k in range(n - 2):
         x = Ah[k + 1:, k]
-        if np.add.reduce(x * x) == 0.0:
+        if not np.logical_or.reduce(x):
             continue
         P = _identity(n, A.dtype).copy()
         P[k + 1:, k + 1:] = householder_reflector(x)

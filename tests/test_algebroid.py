@@ -8,6 +8,7 @@ from poleplace.algebroid import (
     orthogonal_bracket,
     project,
 )
+from poleplace.linalg import householder_annihilator
 
 A1 = np.array([[1.0, 3, 5], [7, 13, 17], [1, 1, 1]])
 A2 = np.array([[2.0, 4, 6], [13, 3, 1], [7, 5, 3]])
@@ -15,8 +16,14 @@ OMEGA = [1, 2, 3]
 G = [14, -2, -3]
 
 
+def anchor_on(v):
+    """The anchor whose distinguished direction is v / ||v||."""
+    v = np.asarray(v, dtype=np.float64)
+    return OrthogonalAnchor(v / np.linalg.norm(v), householder_annihilator(v))
+
+
 def random_anchor(rng, n):
-    return OrthogonalAnchor.from_direction(rng.standard_normal(n))
+    return anchor_on(rng.standard_normal(n))
 
 
 # ---------------------------------------------------------------------------
@@ -31,8 +38,9 @@ E3 = np.eye(3)
     (lambda: OrthogonalAnchor(2.0 * E3[0], E3[1:]), "q must have unit norm"),
     (lambda: OrthogonalAnchor(E3[0], E3[:2]), "basis rows must annihilate q"),
     (lambda: OrthogonalAnchor(E3[0], E3[[1, 1]]), "basis rows must be orthonormal"),
-    (lambda: OrthogonalAnchor.from_direction([0.0, 0.0]), "cannot anchor on the zero vector"),
-    (lambda: orthogonal_bracket(np.eye(2), A2, OrthogonalAnchor.from_direction(OMEGA)),
+    (lambda: OrthogonalAnchor(np.zeros(2), householder_annihilator(np.zeros(2))),
+     "q must have unit norm"),
+    (lambda: orthogonal_bracket(np.eye(2), A2, anchor_on(OMEGA)),
      "operands must be square and conformal with the anchor"),
 ], ids=["basis-shape", "q-norm", "basis-meets-q", "basis-not-orthonormal", "zero-direction",
         "bracket-shape"])

@@ -257,19 +257,22 @@ def test_place_json_is_strict_json_for_a_nonfinite_spectrum(tmp_path, capsys):
     assert payload["gain"] == [1e200, 3.000000000000001, 5.000000000000001]
 
 
+UNDERFLOWED_B = ("PrecisionOverflow: reflected vector of length 2 is nonzero, "
+                 "but its squared norm underflowed to 0\n")
+
+
 @pytest.mark.parametrize("name, algo, outcome", [
     # the normal of pole -1 is about 1e-340, and the exact gain about -1e340
     ("underflowed-normal", "determinantal",
      (2, "PrecisionOverflow: hyperplane normal of pole -1.0 underflowed to 0\n")),
     ("underflowed-normal", "sliding",
      (2, "PrecisionOverflow: hyperplane normal of pole -1.0 underflowed to 0\n")),
-    # B's squares underflow to 0, and B is not 0
-    ("underflowed-input-norm", "miminis",
-     (2, "PrecisionOverflow: B's squared norm underflowed to 0\n")),
+    # B's squares underflow to 0, and B is not 0: no reflector takes it to
+    # a multiple of e_1
+    ("underflowed-input-norm", "miminis", (2, UNDERFLOWED_B)),
     ("underflowed-input-norm", "ackermann", (0, "")),
     # and no anchor annihilates it
-    ("underflowed-input-norm", "algebroid2",
-     (2, "PrecisionOverflow: B's squared norm underflowed to 0\n")),
+    ("underflowed-input-norm", "algebroid2", (2, UNDERFLOWED_B)),
     # K is about 2e300, and A - B K is not finite: a NaN record
     ("nonfinite-loop", "algebroid2", (0, "")),
 ], ids=["determinantal", "sliding", "miminis", "ackermann", "algebroid2-input-norm", "algebroid2"])

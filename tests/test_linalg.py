@@ -78,6 +78,23 @@ def test_householder_annihilator_kills_vector():
         np.testing.assert_allclose(W @ W.T, np.eye(v.size - 1), atol=1e-12)
 
 
+@pytest.mark.parametrize("dt, tiny", [(np.float64, 1e-200), (np.float32, 1e-25)])
+def test_householder_reflector_rejects_a_vector_whose_squares_underflow(dt, tiny):
+    # no reflector takes a nonzero v with a zero sum of squares to a
+    # multiple of e_1, so neither kernel returns the identity's rows for it;
+    # the zero vector still gets the identity
+    v = np.array([tiny, tiny], dtype=dt)
+    for kernel in (linalg.householder_reflector, linalg.householder_annihilator):
+        with pytest.raises(PrecisionOverflow) as info:
+            kernel(v)
+        exc = info.value
+        assert str(exc) == ("reflected vector of length 2 is nonzero, "
+                            "but its squared norm underflowed to 0")
+        assert (exc.check, exc.value, exc.bound) == ("normal_square", 0.0, 0.0)
+    H = linalg.householder_reflector(np.zeros(2, dtype=dt))
+    assert H.dtype == dt and np.array_equal(H, np.eye(2))
+
+
 def test_householder_reflector():
     rng = np.random.default_rng(11)
     for dt in (np.float32, np.float64):

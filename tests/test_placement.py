@@ -63,6 +63,12 @@ POLES = [-1.0, -2.0, -3.0]
 K_REF = np.array([4.0, 7.5, 9.5])
 
 
+# what householder_reflector raises for a nonzero vector whose squares
+# underflow to a zero sum, by the vector's length
+UNDERFLOWED_VECTOR = ("reflected vector of length {} is nonzero, "
+                      "but its squared norm underflowed to 0")
+
+
 def spectrum_error(sys, K, targets):
     ev = eigenvalues(sys.A - np.outer(sys.B, np.asarray(K, dtype=np.float64)))
     return float(np.max(np.abs(np.sort_complex(ev)
@@ -1004,14 +1010,14 @@ def test_guarded_failure_carries_check_value_and_bound(algorithm, sys, poles, er
 def test_solve_variant_reports_an_underflowed_quotient_normal():
     # on the integer family at n = 3, a pole of -1e37 (32 bits), -1e200 or
     # a second pole of -2e160 (64 bits) makes a normal whose squared norm
-    # underflows to 0; at smaller magnitudes the quotient input vanishes
-    # first, and small poles still place (or vanish at level 2, at 32 bits)
+    # underflows to 0, which the level's reflector cannot annihilate; at
+    # smaller magnitudes the quotient input vanishes first, and small
+    # poles still place (or vanish at level 2, at 32 bits)
     sys = gen_integer_example(3)
-    underflowed = "quotient normal underflowed at level {}: its squared norm is 0"
     vanished = "quotient input vanished at level {}"
-    cases = [((-1e37, -1e37, -3.0), BITS32, underflowed.format(1)),
-             ((-1e160, -2e160, -3.0), BITS64, underflowed.format(2)),
-             ((-1e200, -2e200, -3.0), BITS64, underflowed.format(1)),
+    cases = [((-1e37, -1e37, -3.0), BITS32, UNDERFLOWED_VECTOR.format(3)),
+             ((-1e160, -2e160, -3.0), BITS64, UNDERFLOWED_VECTOR.format(2)),
+             ((-1e200, -2e200, -3.0), BITS64, UNDERFLOWED_VECTOR.format(3)),
              ((-1e18, -2e18, -3.0), BITS32, vanished.format(1)),
              ((-1e20, -2e20, -3.0), BITS32, vanished.format(1)),
              ((-1e100, -2e100, -3.0), BITS64, vanished.format(1)),
@@ -1025,11 +1031,17 @@ def test_solve_variant_reports_an_underflowed_quotient_normal():
             continue
         with pytest.raises(PlacementError) as info:
             ALGORITHMS["algebroid1-solve"](sys, poles, precision)
-        if message.startswith("quotient normal"):
+        if message.startswith("reflected vector"):
             assert_guarded(info.value, PrecisionOverflow, message, "normal_square")
             assert info.value.value == info.value.bound == 0.0
         else:
             assert_guarded(info.value, UncontrollableSystem, message, "placement_pivot")
+    # a normal that underflows to 0 itself is no vector to reflect: the
+    # solve gives 1e-330, past the smallest subnormal
+    tiny = StateSpace(np.diag([1e300, 1e300]), [1e-30, 1e-30])
+    with pytest.raises(PrecisionOverflow,
+                       match="^quotient normal underflowed at level 1: its squared norm is 0$"):
+        ALGORITHMS["algebroid1-solve"](tiny, [-1.0, -2.0])
 
 
 def test_solve_variant_fails_where_a_first_pole_is_an_eigenvalue():
@@ -1160,11 +1172,11 @@ def test_an_underflowed_input_norm_is_no_zero_input():
     # no reflector and the anchor chain no anchor that annihilates B; B is
     # not 0, and ackermann places the system
     sys = StateSpace([[1, 2], [3, 4]], [1e-165, 2e-165])
+    message = UNDERFLOWED_VECTOR.format(2)
     with pytest.raises(PrecisionOverflow) as info:
         place_miminis(sys, [-1.0, -2.0])
-    assert_guarded(info.value, PrecisionOverflow, "B's squared norm underflowed to 0",
-                   "normal_square")
-    with pytest.raises(PrecisionOverflow, match="^B's squared norm underflowed to 0$"):
+    assert_guarded(info.value, PrecisionOverflow, message, "normal_square")
+    with pytest.raises(PrecisionOverflow, match=f"^{message}$"):
         controller_hessenberg(sys.A, sys.B)
     assert spectrum_error(sys, ackermann_direct(sys, [-1.0, -2.0]), [-1.0, -2.0]) <= 1e-12
     # the chain, and algebroid2 and simulate on it, raise at both
@@ -1175,14 +1187,50 @@ def test_an_underflowed_input_norm_is_no_zero_input():
         sys = StateSpace([[1, 2], [3, 4]], [b, 2 * b])
         with pytest.raises(PrecisionOverflow) as info:
             build_anchor_chain(sys, precision)
-        assert_guarded(info.value, PrecisionOverflow, "B's squared norm underflowed to 0",
-                       "normal_square")
+        assert_guarded(info.value, PrecisionOverflow, message, "normal_square")
         for run in (lambda: place_algebroid2(sys, [-1.0, -2.0], precision),
                     lambda: simulate(sys, [-1.0, -2.0], cfg, precision)):
-            with pytest.raises(PrecisionOverflow, match="^B's squared norm underflowed to 0$"):
+            with pytest.raises(PrecisionOverflow, match=f"^{message}$"):
                 run()
         scalar = StateSpace([[2.0]], [b])
         assert spectrum_error(scalar, place_algebroid2(scalar, [-1.0], precision), [-1.0]) <= 1e-6
+
+
+def test_every_anchor_level_meets_the_reflector_check():
+    # at 32 bits, the diagonal family's chain hands a deeper level a
+    # nonzero input whose squares underflow: n = 15..18 returned gains off
+    # by 11.9, 3.91, 2.2e4 and 1.8e6, and n = 19, 20 reported a zero final
+    # quotient input; the level's reflector now raises, for the entry and
+    # for simulate, which runs on the same chain
+    for n, length in zip(range(15, 21), (2, 3, 4, 5, 5, 6)):
+        sys = gen_scaled_diagonal(n, 341)
+        poles = [-0.01 * (k + 1) for k in range(n)]
+        cfg = SimConfig(T=0.02, h=0.01, x0=np.ones(n))
+        for run in (lambda: place_algebroid2(sys, poles, BITS32),
+                    lambda: simulate(sys, poles, cfg, BITS32)):
+            with pytest.raises(PrecisionOverflow) as info:
+                run()
+            assert_guarded(info.value, PrecisionOverflow, UNDERFLOWED_VECTOR.format(length),
+                           "normal_square")
+    # a draw of the robustness gate (seed 2026) whose 64-bit gain missed by
+    # 4.4e14: B's squares do not underflow, a deeper level's input's do
+    sys = StateSpace([[1.018585659854947e-13, -5.2548462522551435e-14, -1.0428652310301836e-13],
+                      [5.0024898529536135e-14, -1.1430817057891935e-13, 5.19690169030552e-14],
+                      [1.1549786302651375e-13, -5.316246411112066e-14, 9.94892904045781e-14]],
+                     [-9.680150233160544e-151, 4.2523718044781e-151, 3.185308960549196e-151])
+    with pytest.raises(PrecisionOverflow) as info:
+        place_algebroid2(sys, [-0.02568685813377568, -0.8057938612404753, -0.4738037972513215])
+    assert_guarded(info.value, PrecisionOverflow, UNDERFLOWED_VECTOR.format(2), "normal_square")
+
+
+def test_a_hessenberg_column_whose_squares_underflow_is_no_zero_column():
+    # the first column holds 1e-170 twice from the subdiagonal down: it is
+    # not 0, so it is reduced, and its reflector raises; skipped as a zero
+    # sum of squares, it read as a vanished subdiagonal
+    sys = StateSpace([[0, 0, 0], [1e-170, 0, 0], [1e-170, 1, 0]], [1, 0, 0])
+    with pytest.raises(PrecisionOverflow) as info:
+        place_miminis(sys, [-1.0, -2.0, -3.0])
+    assert_guarded(info.value, PrecisionOverflow, UNDERFLOWED_VECTOR.format(2), "normal_square")
 
 
 # finite at 64 bits, past the 32-bit range: every check of the target

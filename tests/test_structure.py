@@ -65,6 +65,17 @@ def test_one_guard_reads_the_thresholds():
     assert keys <= named, f"THRESHOLDS keys never named: {sorted(keys - named)}"
 
 
+def test_one_reflector_check_for_an_underflowed_square_sum():
+    # a nonzero vector whose squares underflow to a zero sum has no
+    # Householder reflector; one check decides it, in the kernel behind
+    # every anchor and the Hessenberg reduction, so no caller keeps a copy
+    found = sorted(_where(stem, top) for stem, tree in _modules() for top in tree.body
+                   for node in ast.walk(top)
+                   if isinstance(node, ast.Call) and ast.unparse(node.func) == "_guard"
+                   and getattr(node.args[0], "value", None) == "normal_square")
+    assert found == ["linalg.householder_reflector"], found
+
+
 def test_one_memo_owner():
     # a system's kept work (StateSpace's memo field) is read and filled by
     # one function, placement._prepared, which keeps only what returned;
@@ -147,9 +158,10 @@ UNUSED_BUT_KEPT = {
 
 
 def test_every_public_name_has_a_user():
-    # a public top-level function or class is named by another definition
-    # in the package (__init__'s re-exports do not count), by a demo or by
-    # a README line; anything else is code only tests call
+    # a public top-level function or class, and a public method, classmethod
+    # or property of a public class, is named by another definition in the
+    # package (__init__'s re-exports do not count), by a demo or by a README
+    # line; anything else is code only tests call
     root = SRC.parents[1]
     readme = set(re.findall(r"\w+", (root / "README.md").read_text()))
     demos = set().union(*(_names(ast.parse(path.read_text())) for path in (root / "demos").glob("*.py")))
@@ -159,6 +171,9 @@ def test_every_public_name_has_a_user():
             name = getattr(top, "name", None)
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("_"):
                 public[f"{stem}.{name}"] = name
+                if isinstance(top, ast.ClassDef):
+                    public |= {f"{stem}.{name}.{node.name}": node.name for node in top.body
+                               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
             if stem != "__init__":
                 used |= _names(top) - {name}
     unused = sorted(where for where, name in public.items() if name not in used)
