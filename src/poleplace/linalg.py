@@ -281,13 +281,18 @@ def schur_decompose(A):
 # on the exact rounding, and numpy reductions, BLAS dot products or
 # LAPACK would reorder operations and change bits.  Python floats round
 # exactly as numpy float64 scalars do, without numpy's per-element
-# indexing and dispatch cost; they differ only on a zero divisor (see
-# ``eigenvalues``).  Inner updates read ``a[j] = a[j] - p * x``: the
-# float operation of ``a[j] -= p * x`` without its stack-shuffling
-# bytecodes.
+# indexing and dispatch cost.  They raise ZeroDivisionError where IEEE
+# gives inf or nan, which the iteration meets only once it has overflowed;
+# ``eigenvalues`` scales its input so that it does not (short of entries
+# graded across most of the float64 range).
+# Inner updates read ``a[j] = a[j] - p * x``: the float operation of
+# ``a[j] -= p * x`` without its stack-shuffling bytecodes.
 
 # Iteration budget of the double-shift QR, in sweeps per matrix row.
 _HQR_SWEEPS_PER_ROW = 30
+
+# LAPACK dgeev's range for the largest entry is [_SMLNUM, 1 / _SMLNUM].
+_SMLNUM = math.sqrt(BITS64.tiny) / BITS64.eps
 
 
 def _elmhes(a: list) -> list:
@@ -477,22 +482,27 @@ def eigenvalues(A) -> np.ndarray:
     other kernels this one runs in 64-bit arithmetic whatever the input's
     format, on its entries widened exactly.  ``bench``'s matching relies
     on the order: it takes the spectrum's ``.tolist()`` as sorted.
+
+    As LAPACK's ``dgeev`` does, the iteration runs on a matrix whose
+    largest entry m lies in [SMLNUM, 1 / SMLNUM], SMLNUM = √tiny / eps
+    (about 1e±138): such a matrix runs as given.  Any other is first
+    scaled by the power of two 2^k that brings m into [1, 2), and the
+    spectrum is scaled back by 2^-k.  The iteration is homogeneous in the
+    scale and a power of two scales a normal number exactly, so the
+    spectrum is that of the matrix as given, rounded once on the way
+    back: inf only past the float64 range, and with no warning.
     """
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("eigenvalues requires a square matrix")
-    if A.shape[0] == 1:
-        return np.array([complex(A[0, 0])])
-    # tolist() widens float32 entries to Python floats exactly
-    try:
-        return _hqr_eigenvalues(_elmhes(A.tolist()))
-    except ZeroDivisionError:
-        pass
-    # Only reachable once an entry has overflowed to inf or nan: a Python
-    # float raises on a zero divisor where IEEE arithmetic gives inf or
-    # nan.  numpy float64 scalars round identically and divide by zero as
-    # IEEE does, so the same kernel on them yields the IEEE result.
-    return _hqr_eigenvalues(_elmhes([list(row) for row in A.astype(np.float64)]))
+    m = float(np.maximum.reduce(np.abs(A), axis=None))
+    k = 0 if _SMLNUM <= m <= 1 / _SMLNUM else 1 - math.frexp(m)[1]
+    # m = f 2^e, e in [-1073, 1024], so 2^-k = 2^(e - 1) is a double; a Python
+    # float product by it overflows to inf without a warning
+    back = 2.0 ** -k
+    # ldexp widens float32 entries exactly
+    spectrum = _hqr_eigenvalues(_elmhes(np.ldexp(A, k, dtype=np.float64).tolist()))
+    return np.array([complex(z.real * back, z.imag * back) for z in spectrum.tolist()])
 
 
 # ---------------------------------------------------------------------------

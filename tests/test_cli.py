@@ -2,6 +2,7 @@ import contextlib
 import decimal
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -231,21 +232,21 @@ def test_chain_level_beyond_the_32bit_range_exits_typed(tmp_path, text, capsys):
 
 
 def test_place_reports_nan_error_for_nonfinite_spectrum(tmp_path, capsys):
-    big_a = tmp_path / "big_a.txt"
-    big_a.write_text(WORKED_TEXT.replace("1 3 5 1", "1e200 3 5 1"))
-    code = cli.main(["place", "--algo", "varga", "--system", str(big_a),
-                     "--poles", "-1,-2,-3"])
+    # K is about 2e300, and A - B K is not finite
+    path = tmp_path / "system.json"
+    path.write_text(CORPUS["nonfinite-loop"])
+    code = cli.main(["place", "--algo", "algebroid2", "--system", str(path), "--poles=-1,-2"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.count("+nan +nanj") == 2  # the spectrum the verifier is given
+    assert out.count("+nan +nanj") == 2
     assert "max |error| = nan\n" in out
 
 
 def test_place_json_is_strict_json_for_a_nonfinite_spectrum(tmp_path, capsys):
-    big_a = tmp_path / "big_a.txt"
-    big_a.write_text(WORKED_TEXT.replace("1 3 5 1", "1e200 3 5 1"))
-    code = cli.main(["place", "--algo", "varga", "--system", str(big_a),
-                     "--poles", "-1,-2,-3", "--format", "json"])
+    path = tmp_path / "system.json"
+    path.write_text(CORPUS["nonfinite-loop"])
+    code = cli.main(["place", "--algo", "algebroid2", "--system", str(path), "--poles=-1,-2",
+                     "--format", "json"])
     assert code == 0
 
     def no_constant(name):
@@ -253,8 +254,26 @@ def test_place_json_is_strict_json_for_a_nonfinite_spectrum(tmp_path, capsys):
 
     payload = json.loads(capsys.readouterr().out, parse_constant=no_constant)
     assert payload["max_abs_error"] is None
-    assert payload["achieved"].count([None, None]) == 2
+    assert payload["achieved"] == [[None, None]] * 2
+    assert payload["gain"] == [2.0000000000000064e+300, 3e-10]
+
+
+def test_place_verifies_a_gain_of_1e200_on_a_finite_spectrum(tmp_path, capsys):
+    # A - B K has entries from 1e200 down to 9e-16: the verifier scales it
+    # into its range and reports the spectrum the iteration finds there.
+    # LAPACK, which balances first, finds +-4.2e92 and -2; either way the
+    # gain misses its poles by far more than the matrix's rounding
+    big_a = tmp_path / "big_a.txt"
+    big_a.write_text(WORKED_TEXT.replace("1 3 5 1", "1e200 3 5 1"))
+    code = cli.main(["place", "--algo", "varga", "--system", str(big_a),
+                     "--poles", "-1,-2,-3", "--format", "json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["gain"] == [1e200, 3.000000000000001, 5.000000000000001]
+    assert payload["achieved"] == [[-4.249103942534137e+183, -4.032665874351993e+191],
+                                   [-4.249103942534137e+183, 4.032665874351993e+191], [0.0, 0.0]]
+    assert payload["max_abs_error"] == 4.032665874351993e+191
+    assert payload["complex_pair_count"] == 1
 
 
 UNDERFLOWED_B = ("PrecisionOverflow: reflected vector of length 2 is nonzero, "
@@ -290,18 +309,23 @@ def test_place_past_the_float64_range_ends_in_one_line_or_a_nan_record(tmp_path,
         assert payload["complex_pair_count"] == 0 and 1e300 < max(map(abs, payload["gain"]))
 
 
-def test_place_reports_an_unconverged_verification_as_a_nan_record(tmp_path, capsys):
-    # the entry returns K; the eigenvalue iteration on A - B K does not
-    # converge, which is a NaN record as for a closed loop that is not finite
-    path = tmp_path / "system.json"
-    path.write_text(CORPUS["unconverged-verification"])
-    code = cli.main(["place", "--algo", "algebroid1-solve", "--system", str(path),
-                     UNCONVERGED_POLES, "--format", "json"])
+def test_place_reports_an_unconverged_verification_as_a_nan_record(worked_system, monkeypatch,
+                                                                   capsys):
+    # the entry returns K; when the eigenvalue iteration on A - B K does not
+    # converge, place prints a NaN record, as for a closed loop that is not
+    # finite.  No placed gain that seeded searches found leaves such a
+    # closed loop, so the iteration's failure is forced here
+    def unconverged(A):
+        raise errors.FactorizationError("eigenvalue iteration did not converge")
+
+    monkeypatch.setattr(bench, "eigenvalues", unconverged)
+    code = cli.main(["place", "--algo", "algebroid1-solve", "--system", worked_system,
+                     "--poles", "-1,-2,-3", "--format", "json"])
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     payload = json.loads(out)
     assert payload["achieved"] == [[None, None]] * 3 and payload["max_abs_error"] is None
-    assert payload["complex_pair_count"] == 0 and 1e10 < max(map(abs, payload["gain"]))
+    assert payload["complex_pair_count"] == 0 and all(map(math.isfinite, payload["gain"]))
 
 
 def test_a_b_lost_in_the_32_bit_cast_is_one_typed_line(tmp_path, capsys):
@@ -973,14 +997,15 @@ CORPUS = {
     "underflowed-input-norm": '{"A": [[1, 2], [3, 4]], "B": [1e-165, 2e-165]}',
     "underflowed-input-norm-32": '{"A": [[1, 2], [3, 4]], "B": [1e-25, 2e-25]}',
     "cast-lost-input": '{"A": [[1, 2], [3, 4]], "B": [1e-50, 2e-50]}',
-    # a placed gain whose closed loop the eigenvalue iteration does not converge on
-    "unconverged-verification": json.dumps({
+    # a placed gain whose closed loop, near 1e299, the verifier scales into
+    # its range
+    "scaled-verification": json.dumps({
         "A": [[1.3309487011076512e+299, 8.142003994377372e+298, -1.4481976373557106e+299],
               [9.450851545591335e+297, -1.765628163485951e+299, -1.829211865336894e+299],
               [6.592513054303655e+298, 7.764908350698212e+297, -6.871101922447804e+298]],
         "B": [-2.0874470808711684e+288, -1.2689320356978226e+288, 1.6219609552294485e+287]}),
 }
-UNCONVERGED_POLES = "--poles=-689.7000916003353,-1523.3949195362834,-339.25652229700984"
+SCALED_POLES = "--poles=-689.7000916003353,-1523.3949195362834,-339.25652229700984"
 
 PLACEMENT_ERRORS = {name for name, cls in vars(errors).items()
                     if isinstance(cls, type) and issubclass(cls, errors.PlacementError)}
@@ -1068,8 +1093,8 @@ def corpus(tmp_path_factory):
           "--poles=-1,-2", "--precision", "32"])
 @example(["simulate", "--system", "@cast-lost-input", "--poles=-1,-2", "--precision", "32",
           "--T", "0.05"])
-@example(["place", "--algo", "algebroid1-solve", "--system", "@unconverged-verification",
-          UNCONVERGED_POLES])
+@example(["place", "--algo", "algebroid1-solve", "--system", "@scaled-verification",
+          SCALED_POLES])
 def test_main_ends_every_argv_in_exit_0_1_or_2(corpus, argv):
     # "@name" is the file name in the corpus directory; a RuntimeWarning
     # fails here too (filterwarnings = error)

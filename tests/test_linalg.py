@@ -1,5 +1,6 @@
 import copy
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -297,22 +298,46 @@ def test_eigenvalues_32bit_rounds_input_then_runs_64bit():
                      [(np.random.default_rng(n).standard_normal((n, n)),) for n in range(2, 13)])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_eigenvalues_extreme_scales_match_reference():
-    # Python floats raise ZeroDivisionError where numpy scalars give inf
-    # or nan; at every scale the outcome must stay that of the reference.
-    outcomes = assert_same_bits(eigenvalues, ref.KERNELS["eigenvalues"], [
-        (np.random.default_rng(n).standard_normal((n, n)) * scale,)
-        for scale in (1e150, 1e200, 1e300, 1e-300, 5e-324) for n in (3, 6, 10)])
-    assert {out[0] for out in outcomes} == {"FactorizationError", "ndarray"}
+def _stays_normal(values, k):
+    """True when x * 2^k is a normal double for every nonzero x."""
+    return all(-1021 <= math.frexp(x)[1] + k <= 1024 for x in values if x)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_eigenvalues_zero_divisor_after_overflow_matches_reference():
-    M = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 5)) * 1e308
-    with pytest.raises(ZeroDivisionError):
-        linalg._hqr_eigenvalues(linalg._elmhes(M.tolist()))
-    assert_same_bits(eigenvalues, ref.KERNELS["eigenvalues"], [(M,)])
+@pytest.mark.parametrize("group", sorted(EIGEN_CORPUS))
+def test_eigenvalues_scale_with_a_power_of_two_bit_for_bit(group):
+    # inside [SMLNUM, BIGNUM] (k = +-300) the iteration runs as given,
+    # outside it on the matrix scaled to [1, 2); either way the spectrum of
+    # M 2^k is the spectrum of M times 2^k, wherever both stay normal
+    checked = 0
+    for M in EIGEN_CORPUS[group]():
+        spectrum = eigenvalues(M).tolist()
+        parts = [p for z in spectrum for p in (z.real, z.imag)]
+        for k in (300, -300, 600, -600, -1000, 900):
+            if _stays_normal(M.ravel().tolist(), k) and _stays_normal(parts, k):
+                want = np.array([complex(z.real * 2.0 ** k, z.imag * 2.0 ** k) for z in spectrum])
+                assert eigenvalues(np.ldexp(M, k)).tobytes() == want.tobytes(), (M.shape, k)
+                checked += 1
+    assert checked
+
+
+def test_eigenvalues_return_a_spectrum_across_the_float64_range():
+    # seeded matrices with entries anywhere in 2^-1070..2^1020, 30 % of them
+    # with entries zeroed: no exception and no warning (filterwarnings =
+    # error), since the iteration runs on the matrix scaled into its range
+    rng = np.random.default_rng(39)
+    for _ in range(3000):
+        n = int(rng.integers(2, 9))
+        M = np.ldexp(rng.uniform(-1.0, 1.0, (n, n)), rng.integers(-1070, 1021, (n, n)))
+        if rng.random() < 0.3:
+            M[rng.random((n, n)) < 0.3] = 0.0
+        spectrum = eigenvalues(M)
+        assert spectrum.shape == (n,) and not np.isnan(spectrum).any(), M.tolist()
+
+
+def test_eigenvalues_of_a_matrix_whose_norm_overflows():
+    # the eigenvalues are 0 and 2e308, past the float64 range: inf, with
+    # no warning (the norm sum of the unscaled iteration overflowed)
+    assert eigenvalues([[1e308, 1e308], [1e308, 1e308]]).tolist() == [0j, complex(math.inf, 0)]
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,20 @@ def test_one_reflector_check_for_an_underflowed_square_sum():
     assert found == ["linalg.householder_reflector"], found
 
 
+def test_one_pass_of_the_eigenvalue_iteration():
+    # eigenvalues runs the iteration once, on its input scaled into the
+    # range where it does not overflow; no code reruns it, or anything
+    # else, on a zero divisor
+    handlers = sorted(_where(stem, top) for stem, tree in _modules() for top in tree.body
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.ExceptHandler) and node.type is not None
+                      and "ZeroDivisionError" in ast.unparse(node.type))
+    calls = sorted(_where(stem, top) for stem, tree in _modules() for top in tree.body
+                   for node in ast.walk(top)
+                   if isinstance(node, ast.Call) and ast.unparse(node.func) == "_hqr_eigenvalues")
+    assert (handlers, calls) == ([], ["linalg.eigenvalues"])
+
+
 def test_one_memo_owner():
     # a system's kept work (StateSpace's memo field) is read and filled by
     # one function, placement._prepared, which keeps only what returned;
