@@ -283,16 +283,13 @@ def schur_decompose(A):
 # exactly as numpy float64 scalars do, without numpy's per-element
 # indexing and dispatch cost.  They raise ZeroDivisionError where IEEE
 # gives inf or nan, which the iteration meets only once it has overflowed;
-# ``eigenvalues`` scales its input so that it does not (short of entries
-# graded across most of the float64 range).
+# ``eigenvalues`` runs it on its input scaled so that the largest entry
+# lies in [1, 2), where no seeded search has seen it overflow.
 # Inner updates read ``a[j] = a[j] - p * x``: the float operation of
 # ``a[j] -= p * x`` without its stack-shuffling bytecodes.
 
 # Iteration budget of the double-shift QR, in sweeps per matrix row.
 _HQR_SWEEPS_PER_ROW = 30
-
-# LAPACK dgeev's range for the largest entry is [_SMLNUM, 1 / _SMLNUM].
-_SMLNUM = math.sqrt(BITS64.tiny) / BITS64.eps
 
 
 def _elmhes(a: list) -> list:
@@ -483,20 +480,20 @@ def eigenvalues(A) -> np.ndarray:
     format, on its entries widened exactly.  ``bench``'s matching relies
     on the order: it takes the spectrum's ``.tolist()`` as sorted.
 
-    As LAPACK's ``dgeev`` does, the iteration runs on a matrix whose
-    largest entry m lies in [SMLNUM, 1 / SMLNUM], SMLNUM = √tiny / eps
-    (about 1e±138): such a matrix runs as given.  Any other is first
-    scaled by the power of two 2^k that brings m into [1, 2), and the
-    spectrum is scaled back by 2^-k.  The iteration is homogeneous in the
-    scale and a power of two scales a normal number exactly, so the
-    spectrum is that of the matrix as given, rounded once on the way
-    back: inf only past the float64 range, and with no warning.
+    The iteration runs on the matrix scaled by the power of two 2^k that
+    brings its largest entry m into [1, 2), and the spectrum is scaled
+    back by 2^-k.  Each step of the iteration is homogeneous in the scale
+    and a power of two scales a normal number exactly, so wherever the
+    iteration's values stay normal the spectrum is that of the matrix as
+    given, rounded once on the way back: inf only past the float64 range,
+    and with no warning.  The result is a function of the unit-scaled
+    matrix alone, so the verifier's verdict does not depend on units.
     """
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("eigenvalues requires a square matrix")
     m = float(np.maximum.reduce(np.abs(A), axis=None))
-    k = 0 if _SMLNUM <= m <= 1 / _SMLNUM else 1 - math.frexp(m)[1]
+    k = 1 - math.frexp(m)[1]
     # m = f 2^e, e in [-1073, 1024], so 2^-k = 2^(e - 1) is a double; a Python
     # float product by it overflows to inf without a warning
     back = 2.0 ** -k

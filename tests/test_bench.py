@@ -116,16 +116,12 @@ def test_evaluate_reports_nan_for_an_eigenvalue_past_the_float64_range():
     assert np.isnan(rec.max_abs_error) and rec.complex_pair_count == 0
 
 
-# a finite matrix on which the eigenvalue iteration does not converge,
-# found by a seeded search (np.random.default_rng(7), draw 9104): its
-# largest entry, 8.8e-122, lies in the iteration's range, so it runs as
-# given, and products of its graded entries underflow
+# a matrix with largest entry 1 on which the eigenvalue iteration does not
+# converge: its eigenvalues are two pairs near +-1, and after the second
+# exceptional shift the iteration settles into a cycle (cf. Day, "How the
+# QR algorithm fails to converge and how to fix it", 1996)
 UNCONVERGED = StateSpace(
-    [[1.7734913755388392e-298, 0.0, -2.0398200701377026e-157, -4.0826166252803615e-255],
-     [2.1601877860137897e-273, 0.0, 0.0, 0.0],
-     [-4.7235127125265084e-284, -0.0, -7.602152803684753e-251, 8.784830813632341e-122],
-     [4.524255959839835e-308, 2.522340033956918e-198, -1.8463542179787527e-272,
-      2.0963116133470745e-228]],
+    [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1e-8, 0.0], [0.0, -1e-8, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]],
     [1.0, 1.0, 1.0, 1.0])
 
 

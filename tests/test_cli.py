@@ -260,7 +260,7 @@ def test_place_json_is_strict_json_for_a_nonfinite_spectrum(tmp_path, capsys):
 
 def test_place_verifies_a_gain_of_1e200_on_a_finite_spectrum(tmp_path, capsys):
     # A - B K has entries from 1e200 down to 9e-16: the verifier scales it
-    # into its range and reports the spectrum the iteration finds there.
+    # into [1, 2) and reports the spectrum the iteration finds there.
     # LAPACK, which balances first, finds +-4.2e92 and -2; either way the
     # gain misses its poles by far more than the matrix's rounding
     big_a = tmp_path / "big_a.txt"
@@ -998,7 +998,7 @@ CORPUS = {
     "underflowed-input-norm-32": '{"A": [[1, 2], [3, 4]], "B": [1e-25, 2e-25]}',
     "cast-lost-input": '{"A": [[1, 2], [3, 4]], "B": [1e-50, 2e-50]}',
     # a placed gain whose closed loop, near 1e299, the verifier scales into
-    # its range
+    # [1, 2)
     "scaled-verification": json.dumps({
         "A": [[1.3309487011076512e+299, 8.142003994377372e+298, -1.4481976373557106e+299],
               [9.450851545591335e+297, -1.765628163485951e+299, -1.829211865336894e+299],

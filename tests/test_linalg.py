@@ -305,8 +305,7 @@ def _stays_normal(values, k):
 
 @pytest.mark.parametrize("group", sorted(EIGEN_CORPUS))
 def test_eigenvalues_scale_with_a_power_of_two_bit_for_bit(group):
-    # inside [SMLNUM, BIGNUM] (k = +-300) the iteration runs as given,
-    # outside it on the matrix scaled to [1, 2); either way the spectrum of
+    # the iteration runs on the matrix scaled to [1, 2), so the spectrum of
     # M 2^k is the spectrum of M times 2^k, wherever both stay normal
     checked = 0
     for M in EIGEN_CORPUS[group]():
@@ -320,18 +319,46 @@ def test_eigenvalues_scale_with_a_power_of_two_bit_for_bit(group):
     assert checked
 
 
+# a graded matrix found by a seeded search (np.random.default_rng(7), draw
+# 9104).  Run as given, products of its entries underflowed and the
+# iteration did not converge; scaled so that its largest entry, 8.8e-122,
+# lies in [1, 2), it converges
+GRADED = np.array(
+    [[1.7734913755388392e-298, 0.0, -2.0398200701377026e-157, -4.0826166252803615e-255],
+     [2.1601877860137897e-273, 0.0, 0.0, 0.0],
+     [-4.7235127125265084e-284, -0.0, -7.602152803684753e-251, 8.784830813632341e-122],
+     [4.524255959839835e-308, 2.522340033956918e-198, -1.8463542179787527e-272,
+      2.0963116133470745e-228]])
+
+
+def test_eigenvalues_of_a_graded_matrix_scale_bit_for_bit():
+    # the values are not checked: 400-digit mpmath puts all four
+    # eigenvalues at |l| = 9.9e-188, where this unbalanced iteration reads
+    # about 1e-163 (see the README's numerical notes)
+    want = eigenvalues(GRADED)
+    assert want.shape == (4,) and np.isfinite(want).all()
+    for k in (200, 400, 861):
+        got = eigenvalues(np.ldexp(GRADED, k)).tolist()
+        back = np.array([complex(z.real * 2.0 ** -k, z.imag * 2.0 ** -k) for z in got])
+        assert back.tobytes() == want.tobytes(), k
+
+
 def test_eigenvalues_return_a_spectrum_across_the_float64_range():
     # seeded matrices with entries anywhere in 2^-1070..2^1020, 30 % of them
-    # with entries zeroed: no exception and no warning (filterwarnings =
-    # error), since the iteration runs on the matrix scaled into its range
+    # with entries zeroed, each also scaled so that its largest entry lies
+    # in [2^458, 2^459) and in [2^-459, 2^-458), the edges of LAPACK dgeev's
+    # range: no exception and no warning (filterwarnings = error), since the
+    # iteration runs on the matrix scaled into [1, 2)
     rng = np.random.default_rng(39)
     for _ in range(3000):
         n = int(rng.integers(2, 9))
         M = np.ldexp(rng.uniform(-1.0, 1.0, (n, n)), rng.integers(-1070, 1021, (n, n)))
         if rng.random() < 0.3:
             M[rng.random((n, n)) < 0.3] = 0.0
-        spectrum = eigenvalues(M)
-        assert spectrum.shape == (n,) and not np.isnan(spectrum).any(), M.tolist()
+        e = math.frexp(np.abs(M).max())[1]
+        for X in (M, np.ldexp(M, 459 - e), np.ldexp(M, -458 - e)):
+            spectrum = eigenvalues(X)
+            assert spectrum.shape == (n,) and not np.isnan(spectrum).any(), X.tolist()
 
 
 def test_eigenvalues_of_a_matrix_whose_norm_overflows():

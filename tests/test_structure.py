@@ -77,9 +77,9 @@ def test_one_reflector_check_for_an_underflowed_square_sum():
 
 
 def test_one_pass_of_the_eigenvalue_iteration():
-    # eigenvalues runs the iteration once, on its input scaled into the
-    # range where it does not overflow; no code reruns it, or anything
-    # else, on a zero divisor
+    # eigenvalues runs the iteration once, on its input scaled so that the
+    # largest entry lies in [1, 2); no code reruns it, or anything else, on
+    # a zero divisor
     handlers = sorted(_where(stem, top) for stem, tree in _modules() for top in tree.body
                       for node in ast.walk(top)
                       if isinstance(node, ast.ExceptHandler) and node.type is not None
