@@ -23,7 +23,6 @@ from .linalg import (
     BITS64,
     THRESHOLDS,
     Precision,
-    _all_finite,
     _identity,
     as_precision,
     eigenvalues,
@@ -196,20 +195,18 @@ def evaluate_placement(sys: StateSpace, poles, gain,
     complex in :func:`~poleplace.linalg.eigenvalues`' (real, imag) order,
     and ``gain`` a tuple of float.  A - B K is formed on Python floats,
     the same two IEEE operations per entry as numpy's without its
-    overflow warning; when it is not finite, or its eigenvalue iteration
-    does not converge, ``achieved`` is n NaN eigenvalues, so
-    ``max_abs_error`` is NaN and no pair is counted.
+    overflow warning.  When ``eigenvalues`` rejects it (ValueError: not
+    finite) or does not converge (FactorizationError), ``achieved`` is n
+    NaN eigenvalues, so ``max_abs_error`` is NaN and no pair is counted.
     """
     gain = np.asarray(gain, dtype=np.float64).ravel()
     k = gain.tolist()
     closed = np.array([a - b * kj for row, b in zip(sys.A.tolist(), sys.B.tolist())
                        for a, kj in zip(row, k, strict=True)]).reshape(sys.n, sys.n)
-    achieved = [complex(cmath.nan, cmath.nan)] * sys.n
-    if _all_finite(closed):
-        try:
-            achieved = eigenvalues(closed).tolist()
-        except FactorizationError:  # eigenvalues' one failure: no convergence
-            pass
+    try:
+        achieved = eigenvalues(closed).tolist()
+    except (ValueError, FactorizationError):  # not finite, or no convergence
+        achieved = [complex(cmath.nan, cmath.nan)] * sys.n
     targets = sorted(map(complex, poles), key=lambda z: (z.real, z.imag))
     return BenchRecord(
         algorithm=algorithm,

@@ -276,19 +276,19 @@ def schur_decompose(A):
 # Eigenvalues (elimination Hessenberg + double-shift QR)
 #
 # The kernel below is scalar Python on row lists of Python floats, on
-# purpose.  Its sequence of IEEE operations is part of the contract: the
-# bifurcation counts near the integer family's conditioning cliff depend
-# on the exact rounding, and numpy reductions, BLAS dot products or
-# LAPACK would reorder operations and change bits.  Python floats round
-# exactly as numpy float64 scalars do, without numpy's per-element
-# indexing and dispatch cost.  They raise ZeroDivisionError where IEEE
-# gives inf or nan, which the iteration meets only once it has overflowed;
-# ``eigenvalues`` runs it on its input scaled so that the largest entry
-# lies in [1, 2), where no seeded search has seen it overflow.
-# Inner updates read ``a[j] = a[j] - p * x``: the float operation of
-# ``a[j] -= p * x`` without its stack-shuffling bytecodes.
+# purpose: its sequence of IEEE operations is part of the contract, since
+# the bifurcation counts near the integer family's conditioning cliff
+# depend on the exact rounding, and numpy reductions, BLAS or LAPACK would
+# reorder operations.  Python floats round as numpy float64 scalars do,
+# without numpy's dispatch cost, and raise ZeroDivisionError where IEEE
+# gives inf or nan: only once the iteration has overflowed, which no seeded
+# search has seen on ``eigenvalues``' input, scaled into [1, 2).
+# ``a[j] = a[j] - p * x`` is ``a[j] -= p * x`` without its stack shuffling.
 
-# Iteration budget of the double-shift QR, in sweeps per matrix row.
+# Iteration budget of the double-shift QR, in sweeps per matrix row.  An
+# exceptional shift (EISPACK's formula) comes every ten sweeps since the
+# last deflation, as in LAPACK's dlahqr: at sweeps 10 and 20 alone, the
+# shifts can cycle (Day, 1996).
 _HQR_SWEEPS_PER_ROW = 30
 
 
@@ -298,7 +298,8 @@ def _elmhes(a: list) -> list:
     companion of the double-shift QR iteration below.
 
     Works in place on a square matrix given as a list of row lists of
-    floats, and returns it.
+    floats, and returns it with zeros below the subdiagonal: no later step
+    reads a multiplier, so none is stored.
     """
     n = len(a)
     for m in range(1, n - 1):
@@ -319,7 +320,6 @@ def _elmhes(a: list) -> list:
                 y = ai[m - 1]
                 if y != 0.0:
                     y /= x
-                    ai[m - 1] = y
                     ai[m:] = [v - y * w for v, w in zip(ai[m:], am[m:])]
                     for row in a:
                         row[m] = row[m] + y * row[i]
@@ -382,7 +382,7 @@ def _hqr_eigenvalues(h: list) -> np.ndarray:
                 break
             if itn == 0:
                 raise FactorizationError("eigenvalue iteration did not converge")
-            if its == 10 or its == 20:
+            if its and its % 10 == 0:
                 t += x
                 for i in range(nn + 1):
                     h[i][i] -= x
@@ -475,19 +475,19 @@ def _hqr_eigenvalues(h: list) -> np.ndarray:
 def eigenvalues(A) -> np.ndarray:
     """All eigenvalues of a square real matrix, sorted by (real, imag).
 
-    Complex eigenvalues come out in exact conjugate pairs.  Unlike the
-    other kernels this one runs in 64-bit arithmetic whatever the input's
-    format, on its entries widened exactly.  ``bench``'s matching relies
-    on the order: it takes the spectrum's ``.tolist()`` as sorted.
+    Complex eigenvalues come out in exact conjugate pairs (``bench`` takes
+    the ``.tolist()`` as sorted).  Unlike the other kernels this one runs
+    in 64-bit arithmetic whatever the input's format, on its entries
+    widened exactly.  A non-finite entry raises ValueError, and a stalled
+    iteration :class:`FactorizationError`.
 
     The iteration runs on the matrix scaled by the power of two 2^k that
-    brings its largest entry m into [1, 2), and the spectrum is scaled
-    back by 2^-k.  Each step of the iteration is homogeneous in the scale
-    and a power of two scales a normal number exactly, so wherever the
-    iteration's values stay normal the spectrum is that of the matrix as
-    given, rounded once on the way back: inf only past the float64 range,
-    and with no warning.  The result is a function of the unit-scaled
-    matrix alone, so the verifier's verdict does not depend on units.
+    brings its largest entry into [1, 2), and the spectrum is scaled back
+    by 2^-k.  Each step is homogeneous in the scale and a power of two
+    scales a normal number exactly, so wherever the iteration's values stay
+    normal the spectrum is that of the matrix as given, rounded once on the
+    way back (inf only past the float64 range, with no warning), and the
+    verifier's verdict does not depend on units.
     """
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:

@@ -779,8 +779,10 @@ def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.nda
     """
     A, B, (roots, _) = _check_targets(sys, poles, precision, real=True)
     n = sys.n
-    U, As = _prepared(sys, precision, "schur", schur_decompose, A)
-    if np.logical_or.reduce(As.diagonal(-1) != 0.0):
+    # LAPACK's eigenvalues see a complex pair before scipy's Schur form is loaded
+    pair = np.logical_or.reduce(np.linalg.eigvals(A).imag != 0.0)
+    U, As = (None, None) if pair else _prepared(sys, precision, "schur", schur_decompose, A)
+    if pair or np.logical_or.reduce(As.diagonal(-1) != 0.0):
         raise ComplexBlockUnsupported(
             "A has complex eigenvalues (2x2 Schur block); this method "
             "handles real-spectrum systems only"

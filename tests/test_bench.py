@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poleplace import bench
+from poleplace import bench, linalg
 from poleplace.bench import (
     BenchRecord,
     ExampleFamily,
@@ -116,18 +116,19 @@ def test_evaluate_reports_nan_for_an_eigenvalue_past_the_float64_range():
     assert np.isnan(rec.max_abs_error) and rec.complex_pair_count == 0
 
 
-# a matrix with largest entry 1 on which the eigenvalue iteration does not
-# converge: its eigenvalues are two pairs near +-1, and after the second
-# exceptional shift the iteration settles into a cycle (cf. Day, "How the
-# QR algorithm fails to converge and how to fix it", 1996)
+# Day's matrix ("How the QR algorithm fails to converge and how to fix
+# it", 1996), whose eigenvalues are two pairs near +-1: with exceptional
+# shifts every ten sweeps it takes 33 sweeps, so a budget of one sweep
+# per row (4 in all) leaves its iteration unconverged
 UNCONVERGED = StateSpace(
     [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1e-8, 0.0], [0.0, -1e-8, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]],
     [1.0, 1.0, 1.0, 1.0])
 
 
-def test_evaluate_reports_nan_for_an_unconverged_eigenvalue_iteration():
+def test_evaluate_reports_nan_for_an_unconverged_eigenvalue_iteration(monkeypatch):
     # A - B K for K = 0 is A: its verification is a NaN record, as for a
     # closed loop that is not finite, not a FactorizationError
+    monkeypatch.setattr(linalg, "_HQR_SWEEPS_PER_ROW", 1)
     with pytest.raises(FactorizationError, match="^eigenvalue iteration did not converge$"):
         eigenvalues(UNCONVERGED.A)
     rec = evaluate_placement(UNCONVERGED, [-1.0, -2.0, -3.0, -4.0], [0.0] * 4)

@@ -372,6 +372,19 @@ def test_package_import_leaves_scipy_unloaded():
     assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
 
 
+def test_study_bench_leaves_scipy_unloaded():
+    # on the integer family varga's one outcome is a complex pair, which
+    # np.linalg.eigvals finds before the Schur form: a fresh study run of
+    # every entry never imports scipy
+    out = _fresh_python("-X", "importtime", "-m", "poleplace", "bench", "--family", "integer",
+                        "--n-range", "8..12", "--precision", "both", "--order", "both",
+                        "--algos", ",".join(placement.ALGORITHMS))
+    assert out.returncode == 0, out.stderr
+    assert "ComplexBlockUnsupported" in out.stdout
+    imports = {line.rpartition("|")[2].strip() for line in out.stderr.splitlines()}
+    assert not [m for m in imports if m.partition(".")[0] == "scipy"]
+
+
 def test_varga_entry_point_imports_scipy_on_first_schur(worked_system, capsys):
     argv = ["place", "--algo", "varga", "--system", worked_system, "--poles", "-1,-2,-3"]
     assert cli.main(argv) == 0

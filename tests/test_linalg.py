@@ -367,6 +367,32 @@ def test_eigenvalues_of_a_matrix_whose_norm_overflows():
     assert eigenvalues([[1e308, 1e308], [1e308, 1e308]]).tolist() == [0j, complex(math.inf, 0)]
 
 
+@pytest.mark.parametrize("M, tol", [
+    # Day's matrix ("How the QR algorithm fails to converge and how to fix
+    # it", 1996): two pairs near +-1
+    ([[0, 1, 0, 0], [1, 0, 1e-8, 0], [0, -1e-8, 0, 1], [0, 0, 1, 0]], 1e-15),
+    # from the seeded search below; its double eigenvalues at 0 and 1 are
+    # defective, so sqrt(eps) is all any backward-stable solver promises
+    ([[0, -1, -1, 0], [-1, 1, 1, 1], [1, 1, 0, 0], [-1, -1, -1, 1]], 1e-7),
+])
+def test_eigenvalues_break_the_exceptional_shift_cycle(M, tol):
+    # with exceptional shifts at sweeps 10 and 20 only, the iteration cycles
+    # on both matrices and runs out of its budget; every ten sweeps, as in
+    # LAPACK's dlahqr, it converges
+    want = np.sort_complex(np.linalg.eigvals(np.array(M, dtype=float)))
+    assert np.abs(eigenvalues(M) - want).max() < tol
+
+
+def test_eigenvalues_converge_on_small_integer_matrices():
+    # a seeded search over n x n matrices with entries in {-1, 0, 1}: draw
+    # 11,575 stalled when exceptional shifts came at sweeps 10 and 20 only
+    rng = np.random.default_rng(0)
+    for _ in range(12000):
+        n = int(rng.integers(3, 7))
+        M = rng.integers(-1, 2, size=(n, n))
+        assert np.isfinite(eigenvalues(M)).all(), M.tolist()
+
+
 # ---------------------------------------------------------------------------
 # Solve
 
