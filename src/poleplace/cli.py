@@ -202,9 +202,9 @@ def _cmd_place(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    lo_s, _, hi_s = args.n_range.partition("..")
-    try:
-        lo, hi = int(lo_s), int(hi_s or lo_s)
+    lo_s, dots, hi_s = args.n_range.partition("..")
+    try:  # a bare "4" is 4..4, and "4.." is no range
+        lo, hi = int(lo_s), int(hi_s if dots else lo_s)
     except ValueError as exc:
         raise UsageError(f"bad --n-range {args.n_range!r}") from exc
     if lo > hi:
@@ -261,7 +261,8 @@ def _cmd_simulate(args) -> int:
         sup = float(np.max(np.abs(diff.states)))
         _sys.stderr.write(f"max |gain - chain| over the trajectory: {sup:.6e}\n")
     endpoint = float(np.linalg.norm(primary.states[-1]))
-    _sys.stderr.write(f"||x(T)|| = {endpoint:.6e} at T = {T}\n")
+    # the horizon run: round(T / h) steps of h
+    _sys.stderr.write(f"||x(T)|| = {endpoint:.6e} at T = {configs[modes[0]].steps * args.h}\n")
     return 0
 
 

@@ -9,7 +9,8 @@ algorithm in this package is validated.
 Everything here works on plain Python ints (arbitrary precision) in
 list-of-lists form; :func:`ratio` converts the result to
 ``fractions.Fraction`` values at the very end.  A non-integer input entry
-(2.5, NaN) raises ``ValueError``, where ``int()`` alone would truncate it.
+(2.5, NaN) raises ``ValueError``, where ``int()`` alone would truncate it,
+and so does a matrix that is not square of the size its caller needs.
 """
 
 from __future__ import annotations
@@ -21,10 +22,20 @@ from math import gcd as _gcd, inf
 from .errors import UncontrollableSystem
 
 
-def _integers(xs, what: str) -> list:
+def _integers(xs, what: str, n: int | None = None) -> list:
     """The entries of ``xs`` as ints, by one ``int()`` pass; ``ValueError`` if
-    it changed an entry (2.5, ``Fraction(5, 2)``) or failed on one (NaN)."""
+    it changed an entry (2.5, ``Fraction(5, 2)``) or failed on one (NaN).
+    With ``n``, ``xs`` is an n x n matrix, converted row by row, and any other
+    shape (a row too many or too few, a ragged row) is a ``ValueError`` naming it."""
     xs = list(xs)
+    if n is not None:
+        rows = [list(row) for row in xs]
+        widths = [len(row) for row in rows]
+        if len(rows) != n or widths.count(n) != n:
+            shape = (f"{len(rows)} x {widths[0]}" if len(set(widths)) == 1
+                     else f"rows of lengths {widths}")
+            raise ValueError(f"{what} must be {n} x {n}, got {shape}")
+        return [_integers(row, what) for row in rows]
     try:
         ints = [int(x) for x in xs]
     except (ValueError, OverflowError):  # int() of NaN or an infinity
@@ -129,8 +140,9 @@ def _krylov_rows(A, b):
 
 
 def exact_determinant(M) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix."""
-    a = [_integers(row, "M") for row in M]
+    """Fraction-free (Bareiss) determinant of a square integer matrix."""
+    M = list(M)
+    a = _integers(M, "M", len(M))
     n = len(a)
     sign = 1
     prev = 1
@@ -152,7 +164,8 @@ def exact_determinant(M) -> int:
 
 def controllability_det_exact(A, B) -> int:
     """Exact determinant of [B, AB, ..., A^(n-1) B] for integer input."""
-    A = [_integers(row, "A") for row in A]
+    B = list(B)
+    A = _integers(A, "A", len(B))
     return exact_determinant(_krylov_rows(A, _integers(B, "B")))
 
 
@@ -201,9 +214,10 @@ def place_exact(A, B, charpoly) -> ExactGain:
     ``Y_(s-1)``'s first column, the denominator is the 1 x 1 ``Y_(n-1)``,
     and the numerator is the row ``P_(n-1)`` times phi(A), by Horner.
     """
-    A = [_integers(row, "A") for row in A]
-    B = _integers(B, "B")
+    B = list(B)
     n = len(B)
+    A = _integers(A, "A", n)
+    B = _integers(B, "B")
     pp = _integers(charpoly, "charpoly")
     if len(pp) != n + 1 or pp[0] != 1:
         raise ValueError("charpoly must be monic of length n+1, degree-descending")

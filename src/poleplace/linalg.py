@@ -531,6 +531,9 @@ THRESHOLDS = {
     "conjugate_match": lambda precision, scale: 1e-9 * max(1.0, scale),
     "orthonormality": lambda precision: 1e-10,  # of an orthogonal anchor
     "spectrum_pair": lambda precision: 1e-9,  # Im of a verified eigenvalue in a pair
+    # |Im| of a LAPACK eigenvalue of A, scale max |eigenvalue|: a defective
+    # real eigenvalue may come back split off the real axis by rounding
+    "complex_eigenvalue": lambda precision, scale: math.sqrt(precision.eps) * max(1.0, scale),
 }
 
 
@@ -633,6 +636,15 @@ def is_conjugate_pair(z: complex, w: complex) -> bool:
     and w within the ``conjugate_match`` bound of conj(z)."""
     opposite = z.imag > 0.0 > w.imag or z.imag < 0.0 < w.imag
     return opposite and abs(w - z.conjugate()) <= THRESHOLDS["conjugate_match"](BITS64, abs(z))
+
+
+def has_complex_eigenvalue(spectrum) -> bool:
+    """Whether ``spectrum``, LAPACK's eigenvalues of a matrix in its format
+    (``np.linalg.eigvals``), holds an eigenvalue whose |Im| exceeds the
+    ``complex_eigenvalue`` bound, sqrt(eps) max(1, max |l|)."""
+    scale = float(np.maximum.reduce(np.abs(spectrum)))
+    bound = THRESHOLDS["complex_eigenvalue"](_precision_of(spectrum.real), scale)
+    return bool(np.maximum.reduce(np.abs(spectrum.imag)) > bound)
 
 
 def _complex_poles(roots) -> list:

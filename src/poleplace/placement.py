@@ -28,7 +28,7 @@ formulation negate before returning.
 
 Every target, a pole list or a characteristic polynomial, passes one
 check (:func:`_targets`) before the system is cast or its kept work is
-fetched, and B = 0 is rejected after the cast; the Ackermann
+fetched, and the one cast (:func:`_sys_arrays`) rejects B = 0; the Ackermann
 routes take the poles one step at a time, a conjugate pair as one real
 quadratic step (:func:`~poleplace.linalg.pole_steps`).  :data:`ALGORITHMS`
 maps each method's name to its function, called as
@@ -68,6 +68,7 @@ from .linalg import (
     _precision_of,
     as_matrix,
     as_vector,
+    has_complex_eigenvalue,
     householder_annihilator,
     householder_reflector,
     pole_steps,
@@ -137,12 +138,15 @@ def _range_rule(fn):
 
 
 def _sys_arrays(sys: StateSpace, precision: Precision):
-    """A and B in ``precision``, range-checked (:func:`_in_precision`); a
-    nonzero B that the 32-bit cast takes to 0 is a :class:`PrecisionOverflow`."""
+    """A and B in ``precision``, range-checked (:func:`_in_precision`), and the
+    one zero-input rule: B = 0 once cast is :class:`UncontrollableSystem`, or
+    :class:`PrecisionOverflow` if the float64 B was not 0 (lost in the cast)."""
     A = _in_precision(sys.A, precision, "A has entries")
     B = _in_precision(sys.B, precision, "B has entries")
-    if precision.bits == 32 and not np.logical_or.reduce(B) and np.logical_or.reduce(sys.B):
-        raise PrecisionOverflow("B underflowed to 0 in the 32-bit cast")
+    if not np.logical_or.reduce(B):
+        if np.logical_or.reduce(sys.B):
+            raise PrecisionOverflow("B underflowed to 0 in the 32-bit cast")
+        raise UncontrollableSystem("B = 0")
     return A, B
 
 
@@ -187,15 +191,14 @@ def _coefficients(n: int, poles, charpoly=None) -> np.ndarray:
 def _check_targets(sys: StateSpace, poles, precision: Precision, real: bool = False,
                    charpoly=None, coefficients: bool = False):
     """The checks of a placement, in order: the target (:func:`_targets`),
-    the one cast of ``sys`` to ``precision``, the range of the pole factors
-    cast there (a real pole, a pair's 2 Re l and |l|^2), and B = 0.  Returns
-    (A, B, target), the target as :func:`_targets` returns it."""
+    the one cast of ``sys`` to ``precision`` with its zero-input rule
+    (:func:`_sys_arrays`), and the range of the pole factors cast there (a
+    real pole, a pair's 2 Re l and |l|^2).  Returns (A, B, target), the
+    target as :func:`_targets` returns it."""
     target = _targets(sys.n, poles, charpoly, real, coefficients)
     A, B = _sys_arrays(sys, precision)
     if charpoly is None:
         _in_precision([c for step in target[1] for c in step], precision, "pole list has entries")
-    if not np.logical_or.reduce(B, axis=None):
-        raise UncontrollableSystem("B = 0")
     return A, B, target
 
 
@@ -510,11 +513,11 @@ def build_anchor_chain(sys: StateSpace, precision: Precision = BITS64) -> Anchor
 
         A_{t,i} = an_i A_{t,i-1} A      B_i = A_{t,i} B
 
-    Degeneracy (loss of controllability) shows up as a small B_i; it is
-    reported by :func:`chain_controllability_report`, not raised here;
-    an overflowing level raises :class:`PrecisionOverflow` (the range rule),
-    and so does a nonzero level input B_{i-1} whose squares underflow to a
-    zero sum, which leaves no anchor to annihilate it (the reflector's check).
+    Degeneracy shows up as a small B_i; it is reported by
+    :func:`chain_controllability_report`, not raised here (B = 0 aside: the
+    cast raises it); an overflowing level raises :class:`PrecisionOverflow`
+    (the range rule), and so does a nonzero level input B_{i-1} whose squares
+    underflow to a zero sum, leaving no anchor to annihilate it (the reflector's).
     """
     A, B = _sys_arrays(sys, precision)
     levels = []
@@ -561,7 +564,7 @@ class ChainFeedback:
     Built once from a chain and a pole set (or a monic characteristic
     polynomial): the ascending coefficients and the (transfer, anchor,
     coefficient) steps of the recursion are computed, and the chain's final
-    quotient input, the denominator, checked, here.
+    quotient input, the denominator, checked (B = 0 builds no chain), here.
     After that, :meth:`gain` and each call ``law(x)`` run the nested
     recursion alone, under the range rule (``simulate`` runs :meth:`_apply`).
     """
@@ -572,8 +575,6 @@ class ChainFeedback:
         self.precision = chain.precision
         self.n = B.size
         cp = _coefficients(self.n, poles, charpoly)
-        if not np.logical_or.reduce(B):
-            raise UncontrollableSystem("B = 0")
         # constant term first, [p_n, ..., p_1, 1]
         pp = _in_precision(cp[::-1], self.precision, "charpoly has coefficients")
         if self.n == 1:
@@ -663,22 +664,17 @@ def place_algebroid2(sys: StateSpace, poles=None, precision: Precision = BITS64,
 
 
 def controller_hessenberg(A, B):
-    """Orthogonal V with V^T B = alpha e_1 and V^T A V upper Hessenberg:
-    :class:`UncontrollableSystem` for B = 0.  A column that is exactly zero
-    from the subdiagonal down is skipped; a nonzero B or column whose squares
-    underflow to a zero sum raises the reflector's :class:`PrecisionOverflow`."""
+    """Orthogonal V with V^T B = alpha e_1 and V^T A V upper Hessenberg, a plain
+    decomposition (B = 0 gives alpha = 0; a zero vector's reflector is the
+    identity); a nonzero B or column whose squares underflow to a zero sum
+    raises the reflector's :class:`PrecisionOverflow`."""
     A, B = as_matrix(A), as_vector(B)
     n = B.size
-    if not np.logical_or.reduce(B):
-        raise UncontrollableSystem("B = 0")
     V = householder_reflector(B)
     Ah = V @ A @ V
     for k in range(n - 2):
-        x = Ah[k + 1:, k]
-        if not np.logical_or.reduce(x):
-            continue
         P = _identity(n, A.dtype).copy()
-        P[k + 1:, k + 1:] = householder_reflector(x)
+        P[k + 1:, k + 1:] = householder_reflector(Ah[k + 1:, k])
         Ah = P @ Ah @ P
         V = V @ P
     return V, Ah
@@ -779,8 +775,9 @@ def place_varga(sys: StateSpace, poles, precision: Precision = BITS64) -> np.nda
     """
     A, B, (roots, _) = _check_targets(sys, poles, precision, real=True)
     n = sys.n
-    # LAPACK's eigenvalues see a complex pair before scipy's Schur form is loaded
-    pair = np.logical_or.reduce(np.linalg.eigvals(A).imag != 0.0)
+    # LAPACK's eigenvalues see a clear complex pair before scipy's Schur form
+    # is loaded; a spectrum within rounding of real goes to the Schur form
+    pair = has_complex_eigenvalue(np.linalg.eigvals(A))
     U, As = (None, None) if pair else _prepared(sys, precision, "schur", schur_decompose, A)
     if pair or np.logical_or.reduce(As.diagonal(-1) != 0.0):
         raise ComplexBlockUnsupported(

@@ -671,6 +671,16 @@ def test_simulate_writes_trace(tmp_path, capsys):
     assert "max |gain - chain|" in err
 
 
+def test_simulate_reports_the_horizon_it_ran(worked_system, capsys):
+    # T = 1 with h = 0.4 is round(2.5) = 2 steps: the trace ends at 0.8
+    code = cli.main(["simulate", "--system", worked_system, "--poles", "-1,-2,-3",
+                     "--T", "1", "--h", "0.4"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert out.splitlines()[-1].startswith("0.8,")
+    assert err.endswith(" at T = 0.8\n")
+
+
 def test_simulate_casts_its_system_once(worked_system, monkeypatch, capsys):
     # the chain built for both modes holds the system's arrays
     casts = []
@@ -866,7 +876,8 @@ def test_family_size_the_family_cannot_build_exits_1(argv, message, capsys):
 @pytest.mark.parametrize("n_range, message", [
     ("3..x", "bad --n-range '3..x'"),
     ("5..3", "bad --n-range '5..3': 5 > 3"),
-], ids=["not-an-integer", "descending"])
+    ("4..", "bad --n-range '4..'"),
+], ids=["not-an-integer", "descending", "open-ended"])
 def test_bench_bad_n_range_exits_1(n_range, message, capsys):
     assert cli.main(["bench", "--family", "integer", "--n-range", n_range]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")

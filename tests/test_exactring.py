@@ -406,6 +406,27 @@ def test_exact_oracle_rejects_a_non_integer_entry(call, what, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: place_exact([[1, 2, 3], [3, 4, 5]], [1, 1, 1], [1, 6, 11, 6]),
+     "A must be 3 x 3, got 2 x 3"),
+    (lambda: place_exact([[1, 2, 3], [3, 4, 5], [1, 1]], [1, 1, 1], [1, 6, 11, 6]),
+     "A must be 3 x 3, got rows of lengths [3, 3, 2]"),
+    (lambda: place_exact([[1, 2], [3, 4], [5, 6]], [1, 1, 1], [1, 6, 11, 6]),
+     "A must be 3 x 3, got 3 x 2"),
+    (lambda: place_exact([[1, 2, 3, 4]] * 3, [1, 1, 1], [1, 6, 11, 6]),
+     "A must be 3 x 3, got 3 x 4"),
+    (lambda: controllability_det_exact([[1, 2], [3, 4], [5, 6]], [1, 1, 1]),
+     "A must be 3 x 3, got 3 x 2"),
+    (lambda: exactring.exact_determinant([[1, 2, 3], [4, 5, 6]]), "M must be 2 x 2, got 2 x 3"),
+], ids=["place-2x3", "place-ragged", "place-3x2", "place-3x4", "det-3x2", "determinant-2x3"])
+def test_exact_oracle_rejects_a_matrix_of_the_wrong_shape(call, message):
+    # unchecked, these returned ExactGain(-6, (-12, -28, -26)) and
+    # ExactGain(8, (152, 188, 222)), a false UncontrollableSystem, an
+    # IndexError, a determinant 0 that reads as uncontrollable, and -3
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_exact_oracle_no_longer_truncates():
     # truncated, A = [[2]] would give K = 3 and a closed loop at -0.5;
     # [[1.7, 0], [0, 1]] with B = [1, 1.2] would read as uncontrollable

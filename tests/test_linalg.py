@@ -1060,10 +1060,22 @@ def test_threshold_table_values():
         ("conjugate_match", BITS64, 4.0): 4e-09,
         ("orthonormality", BITS64): 1e-10,
         ("spectrum_pair", BITS64): 1e-09,
+        ("complex_eigenvalue", BITS64, 4.0): 5.960464477539063e-08,
     }
     assert {key[0] for key in pinned} == set(linalg.THRESHOLDS)
     for (name, precision, *scale), bound in pinned.items():
         assert linalg.THRESHOLDS[name](precision, *scale) == bound, name
+
+
+def test_complex_eigenvalue_predicate():
+    # |Im l| against sqrt(eps) max(1, max |l|), eps of the spectrum's format
+    assert not linalg.has_complex_eigenvalue(np.array([-1 + 1e-8j, -1 - 1e-8j, 1.0]))
+    assert linalg.has_complex_eigenvalue(np.array([-1 + 2e-8j, -1 - 2e-8j, 1.0]))
+    assert not linalg.has_complex_eigenvalue(np.array([-100 + 1e-6j, -100 - 1e-6j]))
+    assert not linalg.has_complex_eigenvalue(np.array([-1 + 1e-4j, -1 - 1e-4j], dtype=np.complex64))
+    assert linalg.has_complex_eigenvalue(np.array([-1 + 1e-3j, -1 - 1e-3j], dtype=np.complex64))
+    # eigvals returns a real array for a real spectrum
+    assert not linalg.has_complex_eigenvalue(np.linalg.eigvals(np.diag([1.0, 2.0])))
 
 
 def test_conjugate_pair_predicate():

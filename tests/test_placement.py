@@ -432,7 +432,8 @@ def test_hyperplane_errors_come_in_pole_order(fn, sys, poles, precision, expecte
 
 def test_hyperplane_normals_and_points_bitwise_equal_to_reference():
     # one elimination of all the shifted matrices gives each pole the bits
-    # of its own 1.0.0 solve, and the points those of 1.0.0's formula
+    # of its own 1.0.0 solve, and the points those of 1.0.0's formula; the
+    # arrays are cast directly, since the system's one cast rejects B = 0
     rng = np.random.default_rng(59)
     cases = [(gen_integer_example(n), [-(k + 1.0) for k in range(n)]) for n in range(3, 13)]
     cases += [(StateSpace(rng.standard_normal((n, n)), rng.standard_normal(n)),
@@ -442,7 +443,7 @@ def test_hyperplane_normals_and_points_bitwise_equal_to_reference():
     for precision in (BITS32, BITS64):
         dt, ref_precision = precision.dtype, ref.precision(precision)
         for sys, poles in cases:
-            A, B = _sys_arrays(sys, precision)
+            A, B = sys.A.astype(dt), sys.B.astype(dt)
             ref_sys = ref.state_space(sys)
             j = int(np.argmax(np.abs(B)))
             for order in (poles, poles[::-1]):
@@ -599,9 +600,12 @@ def test_chain_report_uncontrollable():
 
 
 def test_chain_report_zero_input():
-    rep = chain_controllability_report(
-        build_anchor_chain(StateSpace(np.eye(3), [0.0, 0.0, 0.0])))
-    assert rep.first_vanishing_level == 1
+    # changed since 1.0.0 on purpose: B = 0 builds no chain for the report to
+    # flag at level 1; the system's one cast raises, at both precisions
+    for n in (1, 3):
+        for precision in (BITS32, BITS64):
+            with pytest.raises(UncontrollableSystem, match="^B = 0$"):
+                build_anchor_chain(StateSpace(np.eye(n), np.zeros(n)), precision)
 
 
 def test_chain_report_64bit_equal_to_reference():
@@ -847,11 +851,16 @@ def test_chain_law_and_simulate_sweep_bitwise_equal_to_reference(precision):
 
 
 def test_chain_law_uncontrollable_raises_when_bound():
+    # where 1.0.0's law raised on a B = 0 chain, the chain build now raises
     for sys in (UNCTRL, StateSpace([[2.0]], [0.0])):
-        chain = build_anchor_chain(sys)
         poles = POLES[:sys.n]
         with pytest.raises(ref.errors.UncontrollableSystem):
             ref.placement.feedback_eval(ref.anchor_chain(sys, BITS64), np.ones(sys.n), poles=poles)
+        if not sys.B.any():
+            with pytest.raises(UncontrollableSystem, match="^B = 0$"):
+                build_anchor_chain(sys)
+            continue
+        chain = build_anchor_chain(sys)
         with pytest.raises(UncontrollableSystem):
             ChainFeedback(chain, poles=poles)
         with pytest.raises(UncontrollableSystem):
@@ -923,6 +932,19 @@ def test_varga_rejects_complex_schur_blocks():
     sys = StateSpace([[0.0, 2.0], [-2.0, 0.0]], [1.0, 1.0])
     with pytest.raises(ComplexBlockUnsupported):
         place_varga(sys, [-1.0, -2.0])
+
+
+def test_varga_takes_a_defective_real_eigenvalue_to_the_schur_form():
+    # A's eigenvalue -1 is double and defective: LAPACK's eigenvalues split
+    # it into -1 +- 8.2e-9i at both precisions, within sqrt(eps) of the real
+    # axis, so the Schur form decides: it has no 2x2 block at 32 bits, and
+    # one at 64 bits
+    A = [[0.0, 0.0, 1.0], [1.0, -1.0, 1.0], [0.0, 1.0, 0.0]]
+    sys = StateSpace(A, [-0.6092693470058388, -0.7106113676355372, 0.04101946038170046])
+    poles = [-1.0, -2.0, -3.0]
+    assert spectrum_error(sys, place_varga(sys, poles, BITS32), poles) <= 2e-6
+    with pytest.raises(ComplexBlockUnsupported, match=r"\(2x2 Schur block\)"):
+        place_varga(sys, poles, BITS64)
 
 
 def spy_exchanges(monkeypatch):
@@ -1346,8 +1368,12 @@ def test_controller_hessenberg_bitwise_equal_to_reference():
         for sys in systems:
             V, Ah = controller_hessenberg(*_sys_arrays(sys, precision))
             assert V.dtype == Ah.dtype == precision.dtype
-    with pytest.raises(UncontrollableSystem, match="^B = 0$"):
-        controller_hessenberg(WORKED.A, [0.0, 0, 0])
+    # changed since 1.0.0 on purpose: the decomposition leaves B = 0 to its
+    # callers (the system's one cast) and still reduces A
+    V, Ah = controller_hessenberg(WORKED.A, [0.0, 0, 0])
+    assert Ah[2, 0] == 0.0
+    np.testing.assert_allclose(V @ V.T, np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(V @ Ah @ V.T, WORKED.A, atol=1e-13)
 
 
 def test_every_algorithm_returns_float32_at_32_bits():

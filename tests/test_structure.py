@@ -48,7 +48,8 @@ def test_one_guard_reads_the_thresholds():
     # is dead: every key of the table is named by a literal
     # THRESHOLDS["..."] read or as the first argument of a _guard call
     allowed = {"algebroid.OrthogonalAnchor", "bench.count_complex_pairs", "linalg._guard",
-               "linalg.is_conjugate_pair", "placement.chain_controllability_report"}
+               "linalg.has_complex_eigenvalue", "linalg.is_conjugate_pair",
+               "placement.chain_controllability_report"}
     found, named, keys = [], set(), set()
     for stem, tree in _modules():
         for top in tree.body:
@@ -74,6 +75,16 @@ def test_one_reflector_check_for_an_underflowed_square_sum():
                    if isinstance(node, ast.Call) and ast.unparse(node.func) == "_guard"
                    and getattr(node.args[0], "value", None) == "normal_square")
     assert found == ["linalg.householder_reflector"], found
+
+
+def test_one_zero_input_rule():
+    # B = 0 is decided once, by the system's one cast, which every entry
+    # and the anchor chain pass through; no caller or helper keeps a copy
+    found = sorted(_where(stem, top) for stem, tree in _modules() for top in tree.body
+                   for node in ast.walk(top)
+                   if isinstance(node, ast.Raise) and node.exc is not None
+                   and ast.unparse(node.exc) == "UncontrollableSystem('B = 0')")
+    assert found == ["placement._sys_arrays"], found
 
 
 def test_one_pass_of_the_eigenvalue_iteration():
